@@ -215,6 +215,11 @@ impl CongestionControl for Bbr {
         // BBR v1 does not treat loss as a congestion signal.
     }
 
+    /// No MI clock: every decision is taken per ACK and per loss.
+    fn mi_duration(&self, _srtt: Duration) -> Duration {
+        Duration::MAX
+    }
+
     fn cwnd_bytes(&self) -> u64 {
         match self.mode {
             BbrMode::ProbeRtt => 4 * self.mss,

@@ -186,6 +186,11 @@ impl CongestionControl for Cubic {
         }
     }
 
+    /// No MI clock: every decision is taken per ACK and per loss.
+    fn mi_duration(&self, _srtt: Duration) -> Duration {
+        Duration::MAX
+    }
+
     fn cwnd_bytes(&self) -> u64 {
         (self.cwnd.max(self.min_cwnd) * self.mss as f64) as u64
     }

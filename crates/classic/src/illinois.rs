@@ -140,6 +140,11 @@ impl CongestionControl for Illinois {
         }
     }
 
+    /// No MI clock: every decision is taken per ACK and per loss.
+    fn mi_duration(&self, _srtt: Duration) -> Duration {
+        Duration::MAX
+    }
+
     fn cwnd_bytes(&self) -> u64 {
         self.state.cwnd_bytes()
     }

@@ -15,11 +15,16 @@
 //!   packets have been ACKed (fast-retransmit emulation), or when nothing
 //!   has been ACKed for a full RTO (timeout).
 //! * **Monitor intervals**: an [`MiTracker`] aggregates each interval and
-//!   the controller is ticked at its own `mi_duration`.
+//!   the controller is ticked at its own `mi_duration` — unless that is
+//!   `Duration::MAX` (the classics), in which case the flow has no MI
+//!   clock and nothing is aggregated.
 //!
 //! Wall-clock time spent inside controller callbacks is accumulated into
 //! `compute_ns` — the measurement behind the paper's CPU-overhead figures
-//! (Fig. 2c and Fig. 12).
+//! (Fig. 2c and Fig. 12). MI-path callbacks are timed on every call;
+//! per-packet callbacks are timed one call in [`COMPUTE_SAMPLE_EVERY`]
+//! and credited that many times the reading, so the clock reads do not
+//! dominate the thing they measure.
 
 use crate::packet::{AckPacket, FlowId, Packet};
 use libra_types::{
@@ -40,9 +45,23 @@ const MAX_BURST_PER_CALL: usize = 4096;
 /// the kernel's tcp_mem limits. A controller demanding more is treated as
 /// window-limited until ACKs (or loss detection) drain the backlog.
 const MAX_OUTSTANDING: usize = 100_000;
+/// Per-packet controller callbacks are timed one call in this many (per
+/// flow and per callback kind, the first call always).
+const COMPUTE_SAMPLE_EVERY: u32 = 64;
 /// RTO bounds.
 const MIN_RTO: Duration = Duration::from_millis(200);
 const MAX_RTO: Duration = Duration::from_secs(10);
+
+/// The per-packet controller callbacks, each with its own sampling
+/// counter: sends and ACKs alternate in steady state, so one shared
+/// counter with an even stride would only ever stamp one of them.
+#[derive(Debug, Clone, Copy)]
+enum PacketCallback {
+    Send,
+    Ack,
+    Ecn,
+    Loss,
+}
 
 #[derive(Debug, Clone, Copy)]
 struct SentMeta {
@@ -160,10 +179,12 @@ pub struct BinSeries {
 const MAX_SERIES_PREALLOC: usize = 16_384;
 
 impl BinSeries {
-    /// A series with capacity reserved for `horizon` of simulated time,
-    /// so the per-ACK `add` path never reallocates during a run.
-    fn with_horizon(bin: Duration, horizon: Duration) -> Self {
-        let hint = (horizon.nanos() / bin.nanos().max(1) + 1).min(MAX_SERIES_PREALLOC as u64);
+    /// A series with capacity reserved up to sim time `until`, so the
+    /// per-ACK `add` path never reallocates during a run. Bins are indexed
+    /// by absolute sim time, so the reservation runs from zero, not from
+    /// the flow's start.
+    fn with_horizon(bin: Duration, until: Instant) -> Self {
+        let hint = (until.nanos() / bin.nanos().max(1) + 1).min(MAX_SERIES_PREALLOC as u64);
         BinSeries {
             bin,
             bins: Vec::with_capacity(hint as usize),
@@ -239,6 +260,11 @@ pub struct FlowSender {
     pub pending_wake: Option<Instant>,
 
     tracker: MiTracker,
+    /// False when the controller answered `Duration::MAX` for its MI
+    /// length: no MI ticks are scheduled and `tracker` is never fed.
+    has_mi_clock: bool,
+    /// Calls seen per [`PacketCallback`] kind, for compute-time sampling.
+    callback_calls: [u32; 4],
     /// Reused buffer for losses detected on the last ACK — returned by
     /// slice so the per-ACK hot path never allocates.
     last_losses: Vec<LossEvent>,
@@ -295,6 +321,7 @@ impl FlowSender {
         init_rtt: Duration,
         metrics_bin: Duration,
     ) -> Self {
+        let has_mi_clock = cca.mi_duration(init_rtt) != Duration::MAX;
         FlowSender {
             id,
             cca,
@@ -317,6 +344,8 @@ impl FlowSender {
             rto_generation: 0,
             pending_wake: None,
             tracker: MiTracker::new(start),
+            has_mi_clock,
+            callback_calls: [0; 4],
             last_losses: Vec::new(),
             pending_mi: None,
             sent_bytes: 0,
@@ -327,8 +356,12 @@ impl FlowSender {
             lost_bytes: 0,
             rtt_stats: Welford::new(),
             rtt_p95: P2Quantile::new(0.95),
-            goodput_bins: BinSeries::with_horizon(metrics_bin, stop.saturating_since(start)),
-            rtt_series: Vec::with_capacity(256),
+            goodput_bins: BinSeries::with_horizon(metrics_bin, stop),
+            // One point per 20 ACKs, grown on demand: a 4 KiB up-front
+            // reservation per flow is mostly never used at fleet scale
+            // (a flow in a thousand sees a few hundred ACKs) and was most
+            // of the memory `add_flow` touched.
+            rtt_series: Vec::new(),
             ecn_echoes: 0,
             compute_ns: 0,
             policy_faults: 0,
@@ -372,6 +405,12 @@ impl FlowSender {
         base.max(MIN_RTO).min(MAX_RTO)
     }
 
+    /// Whether the controller runs a monitor-interval clock (its
+    /// `mi_duration` is not `Duration::MAX`); asked once, at construction.
+    pub fn has_mi_clock(&self) -> bool {
+        self.has_mi_clock
+    }
+
     /// Bytes currently in flight.
     pub fn in_flight(&self) -> u64 {
         self.in_flight
@@ -399,6 +438,8 @@ impl FlowSender {
         self.active = false;
     }
 
+    /// Run an MI-path callback (`on_mi` / `mi_submit` / `mi_resolve`),
+    /// timing it into `compute_ns`.
     // Audited taint barrier: the wall stamp feeds only compute_ns, the
     // one report field documented as a host measurement and excluded
     // from determinism guarantees.
@@ -412,6 +453,32 @@ impl FlowSender {
         } else {
             f(self.cca.as_mut())
         }
+    }
+
+    /// Run a per-packet callback, timing one call in
+    /// [`COMPUTE_SAMPLE_EVERY`] of its kind and crediting `compute_ns`
+    /// that many times the reading: an estimate, where a clock-read pair
+    /// around every ~30 ns callback would mostly measure itself.
+    // Audited taint barrier: as `time_cca` — the stamp feeds only
+    // compute_ns, and the sampling counter is a plain call count.
+    // lint: allow(nondeterminism_taint)
+    fn time_cca_sampled(
+        &mut self,
+        kind: PacketCallback,
+        f: impl FnOnce(&mut dyn CongestionControl),
+    ) {
+        if self.measure_compute {
+            let calls = &mut self.callback_calls[kind as usize];
+            let sampled = calls.is_multiple_of(COMPUTE_SAMPLE_EVERY);
+            *calls = calls.wrapping_add(1);
+            if sampled {
+                let t0 = crate::host_clock::stamp();
+                f(self.cca.as_mut());
+                self.compute_ns += t0.elapsed_ns() * u64::from(COMPUTE_SAMPLE_EVERY);
+                return;
+            }
+        }
+        f(self.cca.as_mut());
     }
 
     /// The controller's current pacing rate; `None` means "send unpaced"
@@ -510,8 +577,10 @@ impl FlowSender {
             bytes: self.mss,
             in_flight: self.in_flight,
         };
-        self.tracker.on_send(&ev);
-        self.time_cca(|cca| cca.on_send(&ev));
+        if self.has_mi_clock {
+            self.tracker.on_send(&ev);
+        }
+        self.time_cca_sampled(PacketCallback::Send, |cca| cca.on_send(&ev));
         p
     }
 
@@ -576,11 +645,13 @@ impl FlowSender {
             in_flight: self.in_flight,
             app_limited: ack.app_limited,
         };
-        self.tracker.on_ack(&ev);
-        self.time_cca(|cca| cca.on_ack(&ev));
+        if self.has_mi_clock {
+            self.tracker.on_ack(&ev);
+        }
+        self.time_cca_sampled(PacketCallback::Ack, |cca| cca.on_ack(&ev));
         if ack.ecn {
             self.ecn_echoes += 1;
-            self.time_cca(|cca| cca.on_ecn(&ev));
+            self.time_cca_sampled(PacketCallback::Ecn, |cca| cca.on_ecn(&ev));
         }
         self.check_controller_sanity();
 
@@ -637,8 +708,10 @@ impl FlowSender {
                 in_flight: self.in_flight,
                 kind: LossKind::FastRetransmit,
             };
-            self.tracker.on_loss(&ev);
-            self.time_cca(|cca| cca.on_loss(&ev));
+            if self.has_mi_clock {
+                self.tracker.on_loss(&ev);
+            }
+            self.time_cca_sampled(PacketCallback::Loss, |cca| cca.on_loss(&ev));
             self.last_losses.push(ev);
         }
         if !self.last_losses.is_empty() {
@@ -673,8 +746,10 @@ impl FlowSender {
             in_flight: 0,
             kind: LossKind::Timeout,
         };
-        self.tracker.on_loss(&ev);
-        self.time_cca(|cca| cca.on_loss(&ev));
+        if self.has_mi_clock {
+            self.tracker.on_loss(&ev);
+        }
+        self.time_cca_sampled(PacketCallback::Loss, |cca| cca.on_loss(&ev));
         self.tracer.emit_with(|| TraceEvent::Rto {
             flow: self.id.0,
             at_ns: now.nanos(),
@@ -987,11 +1062,94 @@ mod tests {
 
     #[test]
     fn bin_series_mbps() {
-        let mut b = BinSeries::with_horizon(Duration::from_millis(100), Duration::from_secs(1));
+        let mut b = BinSeries::with_horizon(Duration::from_millis(100), Instant::from_secs(1));
         b.add(Instant::from_millis(50), 125_000.0); // 125 kB in first bin
         let pts = b.points_as_mbps();
         assert_eq!(pts.len(), 1);
         assert!((pts[0].1 - 10.0).abs() < 1e-9); // 125 kB / 100 ms = 10 Mbps
+    }
+
+    #[test]
+    fn late_start_goodput_series_never_reallocates() {
+        // Bins are indexed by absolute sim time: a flow alive 30 s → 60 s
+        // needs 601 bins, not the 301 its lifetime spans.
+        let mut s = FlowSender::new(
+            FlowId(0),
+            Box::new(TestCca {
+                cwnd: 15_000,
+                acks: 0,
+                losses: 0,
+                mis: 0,
+            }),
+            1500,
+            Instant::from_secs(30),
+            Instant::from_secs(60),
+            Duration::from_millis(40),
+            Duration::from_millis(100),
+        );
+        let reserved = s.goodput_bins.bins.capacity();
+        let storage = s.goodput_bins.bins.as_ptr();
+        for ms in (30_000..=60_000u64).step_by(50) {
+            s.goodput_bins.add(Instant::from_millis(ms), 1500.0);
+        }
+        assert_eq!(s.goodput_bins.bins.len(), 601);
+        assert_eq!(s.goodput_bins.bins.capacity(), reserved);
+        assert_eq!(s.goodput_bins.bins.as_ptr(), storage);
+    }
+
+    #[test]
+    fn clockless_controller_is_never_fed_to_the_tracker() {
+        struct NoClock;
+        impl CongestionControl for NoClock {
+            fn name(&self) -> &'static str {
+                "no-clock"
+            }
+            fn on_ack(&mut self, _: &AckEvent) {}
+            fn on_loss(&mut self, _: &LossEvent) {}
+            fn mi_duration(&self, _: Duration) -> Duration {
+                Duration::MAX
+            }
+            fn cwnd_bytes(&self) -> u64 {
+                15_000
+            }
+        }
+        assert!(sender(15_000).has_mi_clock());
+        let mut s = FlowSender::new(
+            FlowId(0),
+            Box::new(NoClock),
+            1500,
+            Instant::ZERO,
+            Instant::from_secs(100),
+            Duration::from_millis(40),
+            Duration::from_millis(100),
+        );
+        assert!(!s.has_mi_clock());
+        s.activate(Instant::ZERO);
+        let (pkts, _) = emit(&mut s, Instant::ZERO);
+        let now = Instant::from_millis(50);
+        s.on_ack_packet(&ack_for(&pkts[0], now), now);
+        let stats = s.close_mi(Instant::from_millis(60));
+        assert_eq!((stats.sent_bytes, stats.acks), (0, 0));
+        assert_eq!(s.acked_packets, 1);
+    }
+
+    #[test]
+    fn per_packet_compute_time_is_sampled() {
+        let mut s = sender(200 * 1500);
+        s.activate(Instant::ZERO);
+        let (pkts, _) = emit(&mut s, Instant::ZERO);
+        assert_eq!(pkts.len(), 200);
+        // 200 on_send calls, stamped at calls 0, 64, 128 and 192 only:
+        // every credit is a whole multiple of the stride.
+        assert_eq!(s.callback_calls[PacketCallback::Send as usize], 200);
+        assert_eq!(s.compute_ns % u64::from(COMPUTE_SAMPLE_EVERY), 0);
+        // With measurement off nothing is stamped or counted.
+        let mut quiet = sender(10 * 1500);
+        quiet.measure_compute = false;
+        quiet.activate(Instant::ZERO);
+        let _ = emit(&mut quiet, Instant::ZERO);
+        assert_eq!(quiet.compute_ns, 0);
+        assert_eq!(quiet.callback_calls, [0; 4]);
     }
 
     #[test]

@@ -747,8 +747,14 @@ impl Simulation {
         }
         self.schedule(cfg.start, Event::FlowStart(id));
         self.schedule(cfg.stop, Event::FlowStop(id));
-        // MI clock starts one init-RTT after the flow starts.
-        self.schedule(cfg.start + init_rtt, Event::MiTick(id));
+        // MI clock starts one init-RTT after the flow starts — for the
+        // controllers that have one. A tick on a clockless flow would
+        // close an interval nobody reads and end in a pump that cannot
+        // send (window, pacing rate and next-send time only change inside
+        // events that already pump), so it is never scheduled.
+        if sender.has_mi_clock() {
+            self.schedule(cfg.start + init_rtt, Event::MiTick(id));
+        }
         self.schedule(
             cfg.start + Duration::from_millis(200),
             Event::RtoCheck(id, 0),

@@ -32,12 +32,24 @@
 //! overflow: calendar fallback (min-heap)   — anything farther
 //! ```
 //!
-//! Insertion is a `xor` + `leading_zeros` + `Vec::push`. Extraction
+//! Insertion is a `xor` + `leading_zeros` + a list link. Extraction
 //! drains a tiny *near-heap* holding only the current 4 µs slot; when it
 //! empties, occupancy bitmaps find the next populated slot across all
 //! levels and either dump it into the near-heap (level 0) or cascade it
 //! down one level (levels ≥ 1). Every event cascades at most
 //! `LEVELS - 1` times, so the amortized cost per event is constant.
+//!
+//! # Storage
+//!
+//! Every resident entry lives in one slab (`Vec<Node<E>>`) and is named
+//! by its `u32` index; vacated nodes thread a free list, so the slab's
+//! length is the resident high-water mark and steady state never touches
+//! the allocator. A slot is the head index of an intrusive singly-linked
+//! list through the nodes, so cascading a slot relinks indices and the
+//! payload never moves between `push` and `pop`. The near and overflow
+//! heaps hold 24-byte `(at, seq, index)` keys rather than whole entries.
+//! (List order within a slot is LIFO and irrelevant: every entry passes
+//! through the near-heap, which alone decides pop order.)
 //!
 //! # Determinism
 //!
@@ -99,6 +111,23 @@ impl<E> Ord for TimedEntry<E> {
     }
 }
 
+/// End-of-list / empty-slot marker for slab indices.
+const NIL: u32 = u32::MAX;
+
+/// One slab cell: a resident entry (`event` is `Some`) linked into a slot
+/// list, or a vacant cell (`event` is `None`) linked into the free list.
+#[derive(Debug)]
+struct Node<E> {
+    at: Instant,
+    seq: u64,
+    next: u32,
+    event: Option<E>,
+}
+
+/// Heap key naming a slab node; `seq` is unique, so the index never
+/// decides an ordering.
+type Key = Reverse<(Instant, u64, u32)>;
+
 /// The hierarchical timer wheel. Generic over the event payload so the
 /// scheduler is testable without dragging the simulator in.
 #[derive(Debug)]
@@ -106,16 +135,20 @@ pub struct TimerWheel<E> {
     /// Current level-0 slot number (`at.nanos() >> GRAIN_BITS`): all
     /// events in strictly earlier slots have been drained.
     cursor: u64,
-    /// `LEVELS × SLOTS` buckets, flattened.
-    slots: Vec<Vec<TimedEntry<E>>>,
+    /// Slab of every resident entry plus the vacated cells awaiting reuse.
+    nodes: Vec<Node<E>>,
+    /// Head of the free list through `nodes`.
+    free: u32,
+    /// `LEVELS × SLOTS` list heads into `nodes`, flattened.
+    slots: Vec<u32>,
     /// Occupancy bitmaps, one 256-bit map per level.
     occ: [[u64; WORDS]; LEVELS],
     /// Events inside the current level-0 slot, ordered by `(at, seq)`.
-    near: BinaryHeap<Reverse<TimedEntry<E>>>,
+    near: BinaryHeap<Key>,
     /// Events beyond the wheel horizon (> ~4.9 h ahead): strictly later
     /// than everything in the wheel, so a plain min-heap suffices — the
     /// calendar-queue fallback for far-future timers.
-    overflow: BinaryHeap<Reverse<TimedEntry<E>>>,
+    overflow: BinaryHeap<Key>,
     /// Total resident events.
     len: usize,
 }
@@ -125,7 +158,9 @@ impl<E> TimerWheel<E> {
     pub fn new() -> Self {
         TimerWheel {
             cursor: 0,
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            slots: vec![NIL; LEVELS * SLOTS],
             occ: [[0; WORDS]; LEVELS],
             near: BinaryHeap::with_capacity(64),
             overflow: BinaryHeap::new(),
@@ -153,34 +188,67 @@ impl<E> TimerWheel<E> {
         self.occ[level][idx / 64] &= !(1u64 << (idx % 64));
     }
 
-    /// Schedule an entry. O(1): radix math plus one `Vec::push`.
+    /// Schedule an entry. O(1): a slab cell, radix math and a list link.
     pub fn push(&mut self, entry: TimedEntry<E>) {
         self.len += 1;
-        let slot0 = entry.at.nanos() >> GRAIN_BITS;
+        let node = Node {
+            at: entry.at,
+            seq: entry.seq,
+            next: NIL,
+            event: Some(entry.event),
+        };
+        let n = if self.free == NIL {
+            assert!(self.nodes.len() < NIL as usize, "timer wheel slab is full");
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            n
+        };
+        self.place(n);
+    }
+
+    /// Link resident node `n` where its due time belongs relative to the
+    /// cursor: the near-heap, a wheel slot, or the overflow heap.
+    fn place(&mut self, n: u32) {
+        let node = &self.nodes[n as usize];
+        let key = Reverse((node.at, node.seq, n));
+        let slot0 = node.at.nanos() >> GRAIN_BITS;
         if slot0 <= self.cursor {
             // Due inside the slot currently being drained (or, defensively,
             // in the past): the near-heap restores exact (at, seq) order.
-            self.near.push(Reverse(entry));
+            self.near.push(key);
             return;
         }
         let diff = slot0 ^ self.cursor;
         // Highest differing byte picks the level: the 256-ary radix rule.
         let level = ((63 - diff.leading_zeros()) / 8) as usize;
         if level >= LEVELS {
-            self.overflow.push(Reverse(entry));
+            self.overflow.push(key);
             return;
         }
         let idx = ((slot0 >> (8 * level)) & 0xFF) as usize;
-        self.slots[level * SLOTS + idx].push(entry);
+        let head = &mut self.slots[level * SLOTS + idx];
+        self.nodes[n as usize].next = *head;
+        *head = n;
         self.set_bit(level, idx);
     }
 
     /// Extract the globally minimum `(at, seq)` entry. Amortized O(1).
     pub fn pop(&mut self) -> Option<TimedEntry<E>> {
         loop {
-            if let Some(Reverse(entry)) = self.near.pop() {
+            if let Some(Reverse((at, seq, n))) = self.near.pop() {
                 self.len -= 1;
-                return Some(entry);
+                let node = &mut self.nodes[n as usize];
+                let event = node
+                    .event
+                    .take()
+                    .expect("near-heap key names a vacant node");
+                node.next = self.free;
+                self.free = n;
+                return Some(TimedEntry { at, seq, event });
             }
             if self.len == 0 {
                 return None;
@@ -192,7 +260,8 @@ impl<E> TimerWheel<E> {
     /// The near-heap is dry: move the cursor to the next populated slot.
     /// Level 0 slots dump straight into the near-heap; higher-level slots
     /// cascade one level down (splitting on the next byte of the slot
-    /// number). Each event moves at most `LEVELS - 1` times in its life.
+    /// number). Each event is relinked at most `LEVELS - 1` times in its
+    /// life.
     fn advance(&mut self) {
         // Find, per level, the next occupied slot index strictly after the
         // cursor's position at that level; the lowest level with a hit at
@@ -221,10 +290,10 @@ impl<E> TimerWheel<E> {
             // Wheel empty but len > 0: pull the earliest overflow entry
             // back in. Its slot now shares a prefix with the cursor once
             // the cursor jumps to it.
-            if let Some(Reverse(entry)) = self.overflow.pop() {
-                let slot0 = entry.at.nanos() >> GRAIN_BITS;
-                self.cursor = slot0;
-                self.near.push(Reverse(entry));
+            if let Some(key) = self.overflow.pop() {
+                let Reverse((at, _, _)) = key;
+                self.cursor = at.nanos() >> GRAIN_BITS;
+                self.near.push(key);
                 // Re-home any other overflow entries that the new cursor
                 // position brought inside the wheel horizon.
                 self.rehome_overflow();
@@ -232,18 +301,16 @@ impl<E> TimerWheel<E> {
             return;
         };
         self.cursor = abs;
-        let bucket = std::mem::take(&mut self.slots[level * SLOTS + idx]);
+        let mut n = std::mem::replace(&mut self.slots[level * SLOTS + idx], NIL);
         self.clear_bit(level, idx);
-        if level == 0 {
-            self.near.extend(bucket.into_iter().map(Reverse));
-        } else {
-            // Cascade: redistribute on the next-lower byte. `push`
-            // re-derives the level from the (moved) cursor, so entries in
-            // this slot split across levels < `level` or the near-heap.
-            self.len -= bucket.len();
-            for entry in bucket {
-                self.push(entry);
-            }
+        // Level 0: every node of the slot now lies at or before the
+        // cursor, so `place` files it in the near-heap. Level ≥ 1 is the
+        // cascade: `place` re-derives the level from the moved cursor, so
+        // the slot's nodes split across levels < `level` or the near-heap.
+        while n != NIL {
+            let next = self.nodes[n as usize].next;
+            self.place(n);
+            n = next;
         }
     }
 
@@ -251,17 +318,13 @@ impl<E> TimerWheel<E> {
     /// entries that now share a 4-byte prefix with the cursor belong in
     /// the wheel proper.
     fn rehome_overflow(&mut self) {
-        while let Some(Reverse(head)) = self.overflow.peek() {
-            let slot0 = head.at.nanos() >> GRAIN_BITS;
-            let diff = slot0 ^ self.cursor;
+        while let Some(&Reverse((at, _, n))) = self.overflow.peek() {
+            let diff = (at.nanos() >> GRAIN_BITS) ^ self.cursor;
             if diff != 0 && ((63 - diff.leading_zeros()) / 8) as usize >= LEVELS {
                 break; // still beyond the horizon (heap ⇒ the rest are too)
             }
-            let Some(Reverse(entry)) = self.overflow.pop() else {
-                break;
-            };
-            self.len -= 1; // push re-counts it
-            self.push(entry);
+            self.overflow.pop();
+            self.place(n);
         }
     }
 
@@ -412,6 +475,67 @@ mod tests {
         assert_eq!(wheel.pop().map(|e| e.seq), Some(2));
         assert_eq!(wheel.pop().map(|e| e.seq), Some(0));
         assert!(wheel.pop().is_none());
+    }
+
+    #[test]
+    fn slab_length_is_the_resident_high_water_mark() {
+        // 64 resident timers re-armed 10 000 times across every level:
+        // vacated cells are reused, so the slab never outgrows the peak.
+        let mut rng = DetRng::new(11);
+        let mut wheel = TimerWheel::new();
+        for i in 0..64u64 {
+            wheel.push(entry(i * 7_000, i));
+        }
+        for seq in 64..10_064u64 {
+            let e = wheel.pop().expect("resident timers");
+            let delta = 1 + rng.uniform_u64(0, 1 << (12 + 6 * (seq % 5)));
+            wheel.push(entry(e.at.nanos() + delta, seq));
+        }
+        assert_eq!(wheel.len(), 64);
+        assert_eq!(wheel.nodes.len(), 64, "slab grew with total pushes");
+    }
+
+    /// Payload that counts its drops.
+    struct Counted(std::rc::Rc<std::cell::Cell<u32>>);
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    #[test]
+    fn payloads_drop_exactly_once_popped_or_resident() {
+        let drops = std::rc::Rc::new(std::cell::Cell::new(0u32));
+        let mut wheel = TimerWheel::new();
+        // One per level, one overflow, and a reused cell.
+        let times = [
+            1u64,
+            5_000,
+            2_000_000,
+            900_000_000,
+            100_000_000_000,
+            50_000_000_000_000,
+        ];
+        for (seq, at) in times.into_iter().enumerate() {
+            wheel.push(TimedEntry {
+                at: Instant::from_nanos(at),
+                seq: seq as u64,
+                event: Counted(drops.clone()),
+            });
+        }
+        for popped in 1..=3 {
+            drop(wheel.pop().expect("resident"));
+            assert_eq!(drops.get(), popped);
+        }
+        wheel.push(TimedEntry {
+            at: Instant::from_nanos(3_000_000),
+            seq: 6,
+            event: Counted(drops.clone()),
+        });
+        assert_eq!(drops.get(), 3, "push into a vacated cell dropped a payload");
+        assert_eq!(wheel.len(), 4);
+        drop(wheel);
+        assert_eq!(drops.get(), 7);
     }
 
     #[test]

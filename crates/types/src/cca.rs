@@ -9,7 +9,8 @@
 //!    [`on_loss`](CongestionControl::on_loss) as packets move,
 //! 2. closes a monitor interval every
 //!    [`mi_duration`](CongestionControl::mi_duration) and calls
-//!    [`on_mi`](CongestionControl::on_mi) with the aggregated stats,
+//!    [`on_mi`](CongestionControl::on_mi) with the aggregated stats
+//!    (unless the scheme declares it has no MI clock),
 //! 3. paces packets at [`pacing_rate`](CongestionControl::pacing_rate)
 //!    (falling back to `cwnd / sRTT` for window-based schemes) while never
 //!    exceeding [`cwnd_bytes`](CongestionControl::cwnd_bytes) in flight.
@@ -73,6 +74,14 @@ pub trait CongestionControl {
 
     /// Length of this scheme's monitor interval given the current smoothed
     /// RTT. The default — one sRTT — matches most of the literature.
+    ///
+    /// [`Duration::MAX`] means "this scheme has no MI clock": it decides
+    /// everything in its per-packet callbacks and its
+    /// [`on_mi`](CongestionControl::on_mi) is a no-op, so the sender
+    /// neither schedules MI ticks nor aggregates intervals for the flow.
+    /// The sender asks once, when the flow is built, so a scheme answers
+    /// `Duration::MAX` always or never (`Instant + Duration` saturates, so
+    /// the value is also safe as an ordinary, never-reached interval).
     fn mi_duration(&self, srtt: Duration) -> Duration {
         srtt
     }

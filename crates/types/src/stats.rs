@@ -90,8 +90,7 @@ pub struct MiTracker {
     rtt_sum_ns: u128,
     mi_min_rtt: Duration,
     mi_max_rtt: Duration,
-    // (t - start) in seconds, rtt in seconds — for the gradient regression.
-    rtt_samples: Vec<(f64, f64)>,
+    rtt_ols: OlsSums,
 }
 
 impl MiTracker {
@@ -106,7 +105,7 @@ impl MiTracker {
             rtt_sum_ns: 0,
             mi_min_rtt: Duration::MAX,
             mi_max_rtt: Duration::ZERO,
-            rtt_samples: Vec::with_capacity(64),
+            rtt_ols: OlsSums::default(),
         }
     }
 
@@ -123,7 +122,7 @@ impl MiTracker {
         self.mi_min_rtt = self.mi_min_rtt.min(ev.rtt);
         self.mi_max_rtt = self.mi_max_rtt.max(ev.rtt);
         let t = ev.now.saturating_since(self.start).as_secs_f64();
-        self.rtt_samples.push((t, ev.rtt.as_secs_f64()));
+        self.rtt_ols.add(t, ev.rtt.as_secs_f64());
     }
 
     /// Record a loss.
@@ -134,9 +133,8 @@ impl MiTracker {
     /// Close the MI at `end` and reset the tracker for the next interval.
     /// `min_rtt` is the connection-lifetime minimum RTT.
     ///
-    /// The reset happens in place: the RTT-sample buffer keeps its
-    /// allocation so closing an MI (which happens once per RTT per flow)
-    /// never touches the allocator.
+    /// The tracker is a fixed set of scalars, so neither feeding nor
+    /// closing an MI touches the allocator however long the interval runs.
     pub fn close(&mut self, end: Instant, min_rtt: Duration) -> MiStats {
         let dur = end.saturating_since(self.start);
         let avg_rtt = if self.acks > 0 {
@@ -167,7 +165,7 @@ impl MiTracker {
             },
             mi_max_rtt: self.mi_max_rtt,
             min_rtt,
-            rtt_gradient: slope(&self.rtt_samples),
+            rtt_gradient: self.rtt_ols.slope(),
             loss_rate,
         };
         self.start = end;
@@ -178,7 +176,7 @@ impl MiTracker {
         self.rtt_sum_ns = 0;
         self.mi_min_rtt = Duration::MAX;
         self.mi_max_rtt = Duration::ZERO;
-        self.rtt_samples.clear();
+        self.rtt_ols = OlsSums::default();
         stats
     }
 
@@ -188,23 +186,40 @@ impl MiTracker {
     }
 }
 
-/// Ordinary least-squares slope of `(x, y)` samples; zero with < 2 samples
-/// or a degenerate x-spread.
-fn slope(samples: &[(f64, f64)]) -> f64 {
-    let n = samples.len();
-    if n < 2 {
-        return 0.0;
+/// Running sums for the ordinary least-squares slope of RTT (y, seconds)
+/// against time since MI start (x, seconds). Each sum is accumulated in
+/// arrival order, so the result is bit-identical to four passes over a
+/// buffered sample list.
+#[derive(Debug, Clone, Copy, Default)]
+struct OlsSums {
+    n: u32,
+    sx: f64,
+    sy: f64,
+    sxx: f64,
+    sxy: f64,
+}
+
+impl OlsSums {
+    fn add(&mut self, x: f64, y: f64) {
+        self.n += 1;
+        self.sx += x;
+        self.sy += y;
+        self.sxx += x * x;
+        self.sxy += x * y;
     }
-    let nf = n as f64;
-    let sx: f64 = samples.iter().map(|s| s.0).sum();
-    let sy: f64 = samples.iter().map(|s| s.1).sum();
-    let sxx: f64 = samples.iter().map(|s| s.0 * s.0).sum();
-    let sxy: f64 = samples.iter().map(|s| s.0 * s.1).sum();
-    let denom = nf * sxx - sx * sx;
-    if denom.abs() < 1e-18 {
-        return 0.0;
+
+    /// The slope; zero with < 2 samples or a degenerate x-spread.
+    fn slope(&self) -> f64 {
+        if self.n < 2 {
+            return 0.0;
+        }
+        let nf = self.n as f64;
+        let denom = nf * self.sxx - self.sx * self.sx;
+        if denom.abs() < 1e-18 {
+            return 0.0;
+        }
+        (nf * self.sxy - self.sx * self.sy) / denom
     }
-    (nf * sxy - sx * sy) / denom
 }
 
 /// Exponentially weighted moving average.
@@ -489,6 +504,7 @@ pub fn jain_index(xs: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::events::LossKind;
+    use proptest::prelude::*;
 
     fn mk_ack(now_ms: u64, rtt_ms: u64, bytes: u64) -> AckEvent {
         AckEvent {
@@ -570,6 +586,77 @@ mod tests {
         }
         let s = t.close(Instant::from_millis(120), Duration::from_millis(30));
         assert!(s.rtt_gradient.abs() < 1e-9);
+    }
+
+    /// The buffered four-pass OLS `MiTracker` used before it kept running
+    /// sums: the reference the streaming form must match bit for bit.
+    fn buffered_slope(samples: &[(f64, f64)]) -> f64 {
+        let n = samples.len();
+        if n < 2 {
+            return 0.0;
+        }
+        let nf = n as f64;
+        let sx: f64 = samples.iter().map(|s| s.0).sum();
+        let sy: f64 = samples.iter().map(|s| s.1).sum();
+        let sxx: f64 = samples.iter().map(|s| s.0 * s.0).sum();
+        let sxy: f64 = samples.iter().map(|s| s.0 * s.1).sum();
+        let denom = nf * sxx - sx * sx;
+        if denom.abs() < 1e-18 {
+            return 0.0;
+        }
+        (nf * sxy - sx * sy) / denom
+    }
+
+    /// Feed `(ack time, rtt)` nanosecond pairs through a tracker and
+    /// return its gradient beside the buffered reference's.
+    fn gradients(samples: &[(u64, u64)]) -> (u64, u64) {
+        let mut t = MiTracker::new(Instant::ZERO);
+        let mut buffered = Vec::new();
+        for &(at, rtt) in samples {
+            let mut ev = mk_ack(0, 0, 1000);
+            ev.now = Instant::from_nanos(at);
+            ev.rtt = Duration::from_nanos(rtt);
+            t.on_ack(&ev);
+            buffered.push((
+                Duration::from_nanos(at).as_secs_f64(),
+                Duration::from_nanos(rtt).as_secs_f64(),
+            ));
+        }
+        let got = t
+            .close(Instant::from_secs(100), Duration::ZERO)
+            .rtt_gradient;
+        (got.to_bits(), buffered_slope(&buffered).to_bits())
+    }
+
+    proptest! {
+        #[test]
+        fn streaming_gradient_is_bit_identical_to_buffered(
+            samples in prop::collection::vec((0u64..20_000_000_000, 0u64..2_000_000_000), 0..200),
+        ) {
+            let (got, want) = gradients(&samples);
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn streaming_gradient_matches_on_degenerate_x(
+            at in 0u64..20_000_000_000,
+            rtts in prop::collection::vec(0u64..2_000_000_000, 0..50),
+        ) {
+            // Every ACK at the same instant: zero x-spread.
+            let samples: Vec<(u64, u64)> = rtts.iter().map(|&r| (at, r)).collect();
+            let (got, want) = gradients(&samples);
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn streaming_gradient_matches_with_few_samples() {
+        for n in 0..=2 {
+            let samples: Vec<(u64, u64)> =
+                (0..n).map(|i| (i * 1_000_000, 30_000_000 + i)).collect();
+            let (got, want) = gradients(&samples);
+            assert_eq!(got, want, "{n} samples");
+        }
     }
 
     #[test]

@@ -62,6 +62,10 @@ scripts/bench.sh --quick
 echo "==> bench gate (>15% throughput regression vs machine-local baseline fails)"
 cargo run --release --offline -p libra-bench --bin bench_gate
 
+echo "==> benchmark package (its own workspace: unit tests, then every check and metric at --seconds 2)"
+(cd benchmark && cargo test --offline -q)
+bash benchmark/run.sh --check > /dev/null
+
 echo "==> trace smoke (fixed-seed 5s traced run; exits non-zero on NaN/-inf)"
 cargo run --release --offline -p libra-bench --bin trace_summary -- --quick > /dev/null
 
