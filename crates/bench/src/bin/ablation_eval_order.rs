@@ -3,7 +3,7 @@
 //! higher rate poisoning the second measurement). Runs C-Libra with both
 //! orders over wired and LTE scenarios.
 
-use libra_bench::{fig1_set, BenchArgs, ModelStore, Table};
+use libra_bench::{fig1_specs, BenchArgs, ModelStore, Table};
 use libra_core::{EvalOrder, LibraParams, LibraVariant};
 use libra_netsim::{FlowConfig, Simulation};
 use libra_rl::PpoAgent;
@@ -20,7 +20,7 @@ fn main() {
         "Ablation: evaluation order (Sec. 4.1, Fig. 4)",
         &["scenario", "order", "utilization", "avg delay (ms)", "loss"],
     );
-    for scenario in fig1_set(secs) {
+    for scenario in fig1_specs(secs) {
         for (label, order) in [
             ("lower-first", EvalOrder::LowerFirst),
             ("higher-first", EvalOrder::HigherFirst),

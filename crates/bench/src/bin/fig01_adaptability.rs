@@ -4,7 +4,7 @@
 //! Proteus and Libra over Wired#1–#3 (24/48/96 Mbps) and LTE#1–#3
 //! (stationary/walking/driving), 30 ms minimum RTT, 150 KB buffer.
 
-use libra_bench::{f1, f3, fig1_set, run_repeated, BenchArgs, Cca, ModelStore, Table};
+use libra_bench::{f1, f3, fig1_specs, run_repeated, BenchArgs, Cca, ModelStore, Table};
 use libra_types::Preference;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
             "scenario", "CUBIC", "BBR", "Orca", "Proteus", "C-Libra", "B-Libra",
         ],
     );
-    for scenario in fig1_set(secs) {
+    for scenario in fig1_specs(secs) {
         let mut urow = vec![scenario.name.clone()];
         let mut drow = vec![scenario.name.clone()];
         for cca in ccas {

@@ -2,14 +2,14 @@
 //! 10 s; 80 ms minimum RTT; 1 BDP buffer) for Proteus, Clean-Slate
 //! Libra, Libra and Orca.
 
-use libra_bench::{run_single, series_csv, step_scenario, BenchArgs, Cca, ModelStore, Table};
+use libra_bench::{run_spec, series_csv, step_spec, BenchArgs, Cca, ModelStore, RunSpec, Table};
 use libra_types::Preference;
 
 fn main() {
     let args = BenchArgs::parse();
     let secs = args.scaled(50, 15);
     let store = ModelStore::new(args.seed);
-    let scenario = step_scenario(secs);
+    let scenario = step_spec(secs);
     let ccas = [
         Cca::Proteus,
         Cca::CleanSlateLibra,
@@ -23,12 +23,12 @@ fn main() {
     );
     for cca in ccas {
         let link = scenario.link(args.seed);
-        let rep = run_single(cca, &store, link, secs, args.seed);
+        let rep = run_spec(&store, &RunSpec::single(cca, link, secs, args.seed));
         let f = &rep.flows[0];
         summary.row(vec![
             cca.label(),
-            format!("{:.3}", rep.link.utilization),
-            format!("{:.1}", f.rtt_ms.mean()),
+            format!("{:.3}", rep.utilization),
+            format!("{:.1}", f.rtt_mean_ms),
             format!("{:.3}", f.loss_fraction),
         ]);
         series.push((cca.label(), f.goodput_series.clone()));

@@ -2,7 +2,9 @@
 //! network (the safety-assurance motivation): Proteus, CUBIC, BBR, Libra
 //! and Orca, 100 repeats in the paper.
 
-use libra_bench::{lte_tmobile, run_single_metrics, series_csv, BenchArgs, Cca, ModelStore, Table};
+use libra_bench::{
+    lte_tmobile_spec, run_spec, series_csv, BenchArgs, Cca, ModelStore, RunSpec, Table,
+};
 use libra_types::Preference;
 
 fn main() {
@@ -10,7 +12,7 @@ fn main() {
     let secs = args.scaled(30, 8);
     let repeats = args.scaled(40, 6);
     let store = ModelStore::new(args.seed);
-    let scenario = lte_tmobile(secs);
+    let scenario = lte_tmobile_spec(secs);
     let ccas = [
         Cca::Proteus,
         Cca::Cubic,
@@ -26,14 +28,8 @@ fn main() {
     for cca in ccas {
         let mut utils: Vec<f64> = (0..repeats)
             .map(|k| {
-                run_single_metrics(
-                    cca,
-                    &store,
-                    scenario.link(args.seed + k),
-                    secs,
-                    args.seed + k,
-                )
-                .utilization
+                let link = scenario.link(args.seed + k);
+                run_spec(&store, &RunSpec::single(cca, link, secs, args.seed + k)).utilization
             })
             .collect();
         utils.sort_by(|a, b| a.partial_cmp(b).expect("finite"));

@@ -4,7 +4,7 @@
 //! simulated second. Memory proxy: learnable-parameter count plus fixed
 //! per-controller state (see DESIGN.md "Substitutions").
 
-use libra_bench::{lte_tmobile, run_single, BenchArgs, Cca, ModelStore, Table};
+use libra_bench::{lte_tmobile_spec, run_spec, BenchArgs, Cca, ModelStore, RunSpec, Table};
 use libra_core::Libra;
 use libra_learned::{Orca, RlCcaConfig};
 use libra_types::Preference;
@@ -34,7 +34,7 @@ fn main() {
     let args = BenchArgs::parse();
     let secs = args.scaled(60, 10);
     let store = ModelStore::new(args.seed);
-    let scenario = lte_tmobile(secs);
+    let scenario = lte_tmobile_spec(secs);
     let ccas = [
         Cca::Cubic,
         Cca::Bbr,
@@ -52,8 +52,8 @@ fn main() {
     let mut max_cpu = 0.0f64;
     let mut max_mem = 0.0f64;
     for cca in ccas {
-        let rep = run_single(cca, &store, scenario.link(args.seed), secs, args.seed);
-        let cpu = rep.flows[0].compute_ns as f64 / 1e3 / rep.duration.as_secs_f64();
+        let spec = RunSpec::single(cca, scenario.link(args.seed), secs, args.seed);
+        let cpu = run_spec(&store, &spec).headline().compute_us_per_s;
         let mem = memory_units(cca);
         max_cpu = max_cpu.max(cpu);
         max_mem = max_mem.max(mem);

@@ -3,7 +3,9 @@
 //! the full CCA comparison set. Libra should sit in the top-right
 //! (high throughput, low delay) Pareto region.
 
-use libra_bench::{fig7_cellular, fig7_wired, run_repeated, BenchArgs, Cca, ModelStore, Table};
+use libra_bench::{
+    fig7_cellular_specs, fig7_wired_specs, run_repeated, BenchArgs, Cca, ModelStore, Table,
+};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -12,8 +14,8 @@ fn main() {
     let store = ModelStore::new(args.seed);
     let ccas = Cca::headline_set();
     for (half, scenarios) in [
-        ("wired", fig7_wired(secs)),
-        ("cellular", fig7_cellular(secs)),
+        ("wired", fig7_wired_specs(secs)),
+        ("cellular", fig7_cellular_specs(secs)),
     ] {
         let mut table = Table::new(
             &format!("Fig. 7 ({half}): normalized avg throughput vs avg delay"),

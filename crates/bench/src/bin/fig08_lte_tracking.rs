@@ -1,7 +1,7 @@
 //! Fig. 8 — Throughput-vs-time while following a varying LTE capacity
 //! (user movement): C-Libra, B-Libra, Proteus, CUBIC, BBR, Orca.
 
-use libra_bench::{run_single, series_csv, BenchArgs, Cca, ModelStore, Table};
+use libra_bench::{run_spec, series_csv, BenchArgs, Cca, ModelStore, RunSpec, Table};
 use libra_netsim::{lte_link, LteScenario};
 use libra_types::{DetRng, Duration, Instant, Preference};
 
@@ -27,11 +27,12 @@ fn main() {
         &["cca", "utilization", "avg delay (ms)"],
     );
     for cca in ccas {
-        let rep = run_single(cca, &store, link_for(args.seed), secs, args.seed);
+        let spec = RunSpec::single(cca, link_for(args.seed), secs, args.seed);
+        let rep = run_spec(&store, &spec);
         table.row(vec![
             cca.label(),
-            format!("{:.3}", rep.link.utilization),
-            format!("{:.1}", rep.flows[0].rtt_ms.mean()),
+            format!("{:.3}", rep.utilization),
+            format!("{:.1}", rep.flows[0].rtt_mean_ms),
         ]);
         series.push((cca.label(), rep.flows[0].goodput_series.clone()));
     }

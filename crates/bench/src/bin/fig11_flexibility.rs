@@ -4,7 +4,7 @@
 //! (c/d) bandwidth share when competing with one CUBIC flow.
 
 use libra_bench::{
-    fairness_link, fig1_set, run_pair, run_repeated, BenchArgs, Cca, ModelStore, Table,
+    fairness_link, fig1_specs, run_repeated, run_spec, BenchArgs, Cca, ModelStore, RunSpec, Table,
 };
 use libra_types::Preference;
 
@@ -15,7 +15,7 @@ fn main() {
     let store = ModelStore::new(args.seed);
 
     // (a)/(b): single flow across scenario families.
-    let scenarios = fig1_set(secs);
+    let scenarios = fig1_specs(secs);
     let (wired, cellular): (Vec<_>, Vec<_>) = scenarios
         .into_iter()
         .partition(|s| s.name.starts_with("Wired"));
@@ -66,14 +66,15 @@ fn main() {
             Cca::BLibra as fn(Preference) -> Cca,
         ] {
             let cca = mk(pref);
-            let rep = run_pair(cca, Cca::Cubic, &store, fairness_link(), secs, args.seed);
-            let a = rep.flows[0].avg_goodput.mbps();
-            let b = rep.flows[1].avg_goodput.mbps();
+            let spec = RunSpec::pair(cca, Cca::Cubic, fairness_link(), secs, args.seed);
+            let rep = run_spec(&store, &spec);
+            let a = rep.flows[0].goodput_mbps;
+            let b = rep.flows[1].goodput_mbps;
             let share = if a + b > 0.0 { a / (a + b) } else { 0.0 };
             table.row(vec![
                 cca.label(),
                 format!("{share:.3}"),
-                format!("{:.1}", rep.flows[0].rtt_ms.mean()),
+                format!("{:.1}", rep.flows[0].rtt_mean_ms),
             ]);
         }
     }

@@ -2,7 +2,7 @@
 //! and Libra stay cheap; pure learned CCAs pay per-MI inference that
 //! grows with the ACK/MI rate.
 
-use libra_bench::{run_single, BenchArgs, Cca, ModelStore, ScenarioSpec, Table};
+use libra_bench::{run_spec, BenchArgs, Cca, ModelStore, RunSpec, ScenarioSpec, Table};
 use libra_types::Preference;
 
 fn main() {
@@ -36,8 +36,8 @@ fn main() {
         let mut row = vec![format!("{mbps:.0}Mbps")];
         for cca in ccas {
             let link = ScenarioSpec::eval_wired(mbps).link(args.seed);
-            let rep = run_single(cca, &store, link, secs, args.seed + mbps as u64);
-            let cpu = rep.flows[0].compute_ns as f64 / 1e3 / rep.duration.as_secs_f64();
+            let spec = RunSpec::single(cca, link, secs, args.seed + mbps as u64);
+            let cpu = run_spec(&store, &spec).headline().compute_us_per_s;
             row.push(format!("{cpu:.1}"));
         }
         table.row(row);

@@ -2,7 +2,7 @@
 //! 48 Mbps / 100 ms / 1 BDP link with one CUBIC flow. Libra must not
 //! starve CUBIC (unlike Aurora-style pure-RL schemes).
 
-use libra_bench::{fairness_link, run_pair, BenchArgs, Cca, ModelStore, Table};
+use libra_bench::{fairness_link, run_spec, BenchArgs, Cca, ModelStore, RunSpec, Table};
 use libra_types::{jain_index, Preference};
 
 fn main() {
@@ -25,9 +25,10 @@ fn main() {
         &["cca under test", "test share", "cubic share", "jain index"],
     );
     for cca in ccas {
-        let rep = run_pair(cca, Cca::Cubic, &store, fairness_link(), secs, args.seed);
-        let a = rep.flows[0].avg_goodput.mbps();
-        let b = rep.flows[1].avg_goodput.mbps();
+        let spec = RunSpec::pair(cca, Cca::Cubic, fairness_link(), secs, args.seed);
+        let rep = run_spec(&store, &spec);
+        let a = rep.flows[0].goodput_mbps;
+        let b = rep.flows[1].goodput_mbps;
         let total = (a + b).max(1e-9);
         table.row(vec![
             cca.label(),

@@ -1,7 +1,7 @@
 //! Fig. 14 — Intra-protocol fairness: two flows of the same CCA share
 //! the bottleneck; Libra's utility game gives a ~99 % Jain index.
 
-use libra_bench::{fairness_link, run_pair, BenchArgs, Cca, ModelStore, Table};
+use libra_bench::{fairness_link, run_spec, BenchArgs, Cca, ModelStore, RunSpec, Table};
 use libra_types::{jain_index, Preference};
 
 fn main() {
@@ -24,9 +24,10 @@ fn main() {
         &["cca", "flow1 share", "flow2 share", "jain index"],
     );
     for cca in ccas {
-        let rep = run_pair(cca, cca, &store, fairness_link(), secs, args.seed);
-        let a = rep.flows[0].avg_goodput.mbps();
-        let b = rep.flows[1].avg_goodput.mbps();
+        let spec = RunSpec::pair(cca, cca, fairness_link(), secs, args.seed);
+        let rep = run_spec(&store, &spec);
+        let a = rep.flows[0].goodput_mbps;
+        let b = rep.flows[1].goodput_mbps;
         let total = (a + b).max(1e-9);
         table.row(vec![
             cca.label(),

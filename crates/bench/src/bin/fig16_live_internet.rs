@@ -4,7 +4,7 @@
 //! CUBIC and Orca. Libra is reported with its throughput- and
 //! delay-oriented profiles, showing the flexibility span.
 
-use libra_bench::{run_repeated, wan_scenarios, BenchArgs, Cca, ModelStore, Table};
+use libra_bench::{run_repeated, wan_specs, BenchArgs, Cca, ModelStore, Table};
 use libra_types::Preference;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
         Cca::Cubic,
         Cca::Orca,
     ];
-    for (_, scenario) in wan_scenarios(secs) {
+    for scenario in wan_specs(secs) {
         let mut rows = Vec::new();
         let mut best_tput = 0.0f64;
         let mut best_delay = f64::INFINITY;

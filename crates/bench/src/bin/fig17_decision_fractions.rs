@@ -3,9 +3,9 @@
 //! cellular and wired scenarios — the "no single CCA wins everywhere"
 //! deep dive.
 
-use libra_bench::{lte_tmobile, run_single, step_scenario, BenchArgs, Cca, ModelStore, Table};
+use libra_bench::{lte_tmobile_spec, run, step_spec, BenchArgs, Cca, ModelStore, RunSpec, Table};
 use libra_core::Libra;
-use libra_netsim::wired_link;
+use libra_netsim::{wired_link, SimConfig};
 use libra_types::Preference;
 
 fn main() {
@@ -26,11 +26,12 @@ fn main() {
             let mut cycles = 0usize;
             for k in 0..trials {
                 let link = match scenario_name {
-                    "Step" => step_scenario(secs).link(args.seed + k),
-                    "Cellular" => lte_tmobile(secs).link(args.seed + k),
+                    "Step" => step_spec(secs).link(args.seed + k),
+                    "Cellular" => lte_tmobile_spec(secs).link(args.seed + k),
                     _ => wired_link(48.0),
                 };
-                let rep = run_single(cca, &store, link, secs, args.seed + k);
+                let spec = RunSpec::single(cca, link, secs, args.seed + k);
+                let rep = run(&store, &spec, SimConfig::default());
                 let libra = rep.flows[0]
                     .cca
                     .as_any()

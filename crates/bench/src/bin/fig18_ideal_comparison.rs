@@ -5,14 +5,15 @@
 //! (and occasionally beat, thanks to the interaction between the two
 //! inner CCAs) this offline oracle.
 
-use libra_bench::{lte_tmobile, run_single, series_csv, BenchArgs, Cca, ModelStore, Table};
-use libra_netsim::FlowReport;
+use libra_bench::{
+    lte_tmobile_spec, run_spec, series_csv, BenchArgs, Cca, FlowSummary, ModelStore, RunSpec, Table,
+};
 use libra_types::{Preference, UtilityParams};
 
 /// Per-second utility series estimated from a flow's binned goodput and
 /// RTT samples (loss applied as the flow's average rate — the report
 /// does not carry per-bin loss).
-fn utility_series(flow: &FlowReport, params: &UtilityParams) -> Vec<(f64, f64)> {
+fn utility_series(flow: &FlowSummary, params: &UtilityParams) -> Vec<(f64, f64)> {
     // Bin RTT samples to 1 s.
     let mut rtt_bins: Vec<(f64, u32)> = Vec::new();
     for &(t, ms) in &flow.rtt_series {
@@ -61,7 +62,13 @@ fn main() {
     let secs = args.scaled(50, 15);
     let store = ModelStore::new(args.seed);
     let params = UtilityParams::default();
-    let scenario = lte_tmobile(secs);
+    let scenario = lte_tmobile_spec(secs);
+    let solo = |cca| {
+        run_spec(
+            &store,
+            &RunSpec::single(cca, scenario.link(args.seed), secs, args.seed),
+        )
+    };
     let mut table = Table::new(
         "Fig. 18: mean normalized utility, Libra vs ideal offline combination",
         &["pair", "libra", "ideal", "libra/ideal"],
@@ -71,21 +78,9 @@ fn main() {
         ("C", Cca::CLibra(Preference::Default), Cca::Cubic),
         ("B", Cca::BLibra(Preference::Default), Cca::Bbr),
     ] {
-        let libra_rep = run_single(libra_cca, &store, scenario.link(args.seed), secs, args.seed);
-        let classic_rep = run_single(
-            classic_cca,
-            &store,
-            scenario.link(args.seed),
-            secs,
-            args.seed,
-        );
-        let cl_rep = run_single(
-            Cca::CleanSlateLibra,
-            &store,
-            scenario.link(args.seed),
-            secs,
-            args.seed,
-        );
+        let libra_rep = solo(libra_cca);
+        let classic_rep = solo(classic_cca);
+        let cl_rep = solo(Cca::CleanSlateLibra);
         let u_libra = utility_series(&libra_rep.flows[0], &params);
         let u_classic = utility_series(&classic_rep.flows[0], &params);
         let u_cl = utility_series(&cl_rep.flows[0], &params);

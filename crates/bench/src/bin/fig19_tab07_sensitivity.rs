@@ -7,7 +7,7 @@
 //! eagerly on the coordinator and per-family sums are folded in job
 //! order, keeping output identical for any `LIBRA_JOBS`.
 
-use libra_bench::{fig1_set, parallel_map, BenchArgs, ModelStore, Table};
+use libra_bench::{fig1_specs, parallel_map, BenchArgs, ModelStore, Table};
 use libra_core::{LibraParams, LibraVariant};
 use libra_netsim::{FlowConfig, Simulation};
 use libra_rl::PpoAgent;
@@ -56,7 +56,7 @@ fn main() {
     let store = ModelStore::new(args.seed);
     // Warm the one model every cell needs before fanning out.
     let _ = store.libra(LibraVariant::Cubic);
-    let scenarios = fig1_set(secs);
+    let scenarios = fig1_specs(secs);
     let (wired, cellular): (Vec<_>, Vec<_>) = scenarios
         .into_iter()
         .partition(|s| s.name.starts_with("Wired"));

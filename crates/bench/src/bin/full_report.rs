@@ -7,7 +7,7 @@
 //! folded in job (seed) order, so the table is byte-identical to the
 //! sequential path for any `LIBRA_JOBS`.
 
-use libra_bench::{parallel_map, run_single_metrics, BenchArgs, Cca, ModelStore, RunSpec, Table};
+use libra_bench::{parallel_map, run_spec, BenchArgs, Cca, ModelStore, RunSpec, Table};
 use libra_netsim::{
     fiveg_link, lte_link, satellite_link, step_link, wan_link, wired_link, LinkConfig, LteScenario,
     WanScenario,
@@ -112,11 +112,8 @@ fn main() {
         }
     }
     let results = parallel_map(jobs, |(ci, fi, seed, link)| {
-        (
-            ci,
-            fi,
-            run_single_metrics(ccas[ci], &store, link, secs, seed),
-        )
+        let spec = RunSpec::single(ccas[ci], link, secs, seed);
+        (ci, fi, run_spec(&store, &spec).headline())
     });
     // Fold per-cell accumulators in job order (= seed order per cell).
     let mut util = vec![vec![Welford::new(); families.len()]; ccas.len()];
@@ -159,7 +156,7 @@ fn main() {
         args.seed,
     )
     .with_trace();
-    let summary = libra_bench::run_spec(&store, &spec);
+    let summary = run_spec(&store, &spec);
     if let Err(e) = libra_bench::validate_finite(&summary.trace) {
         eprintln!("full_report: non-finite value in trace: {e}");
         std::process::exit(1);
@@ -192,7 +189,7 @@ fn main() {
         } else {
             "C-Libra (faults off)".into()
         };
-        libra_bench::run_spec(&store, &spec)
+        run_spec(&store, &spec)
     };
     let healthy = fleet(None);
     let faulted = fleet(Some(libra_bench::PolicyChaosSpec::standard(

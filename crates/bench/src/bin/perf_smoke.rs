@@ -9,8 +9,8 @@
 //! the simulator and the runner, not PPO.
 
 use libra_bench::{
-    parallel_map_with, run_single_metrics, run_sweep_supervised_with, run_sweep_with, worker_count,
-    BenchArgs, Cca, ModelStore, PolicyChaosSpec, RunSpec, SweepPolicy,
+    parallel_map_with, run, run_sweep_supervised_with, run_sweep_with, run_with_agent,
+    worker_count, BenchArgs, Cca, ModelStore, PolicyChaosSpec, RunSpec, SweepPolicy,
 };
 use libra_learned::RlCcaConfig;
 use libra_netsim::{
@@ -70,10 +70,15 @@ fn main() {
     let repeats = args.scaled(2, 1);
     let store = ModelStore::ephemeral(args.seed);
     let mut benches: Vec<Bench> = Vec::new();
+    let single = |link: LinkConfig| RunSpec::single(Cca::Cubic, link, secs, args.seed);
+    let fleet = |cca, link, flows, stagger_ms, secs| {
+        let stagger = Duration::from_millis(stagger_ms);
+        RunSpec::staggered(cca, link, flows, stagger, secs, args.seed)
+    };
 
     // Single-run event loop: one flow and a heavy eight-flow run.
     let (wall_ms, thr) = timed(secs as f64, || {
-        libra_bench::run_single_metrics(Cca::Cubic, &store, wired_link(24.0), secs, args.seed);
+        run(&store, &single(wired_link(24.0)), SimConfig::default());
     });
     benches.push(Bench {
         name: "single_run_cubic",
@@ -82,15 +87,8 @@ fn main() {
     });
     let long_secs = args.scaled(60, 10);
     let (wall_ms, thr) = timed(long_secs as f64, || {
-        libra_bench::run_staggered(
-            Cca::Cubic,
-            &store,
-            wired_link(96.0),
-            8,
-            Duration::from_secs(1),
-            long_secs,
-            args.seed,
-        );
+        let spec = fleet(Cca::Cubic, wired_link(96.0), 8, 1000, long_secs);
+        run(&store, &spec, SimConfig::default());
     });
     benches.push(Bench {
         name: "eight_flow_run_cubic",
@@ -102,15 +100,8 @@ fn main() {
     // the timer-wheel core + slab pool (floor: 25 sim-secs/sec).
     let tf_secs = args.scaled(20, 8);
     let (wall_ms, thr) = timed(tf_secs as f64, || {
-        libra_bench::run_staggered(
-            Cca::Cubic,
-            &store,
-            wired_link(96.0),
-            1000,
-            Duration::from_millis(10),
-            tf_secs,
-            args.seed,
-        );
+        let spec = fleet(Cca::Cubic, wired_link(96.0), 1000, 10, tf_secs);
+        run(&store, &spec, SimConfig::default());
     });
     benches.push(Bench {
         name: "thousand_flow",
@@ -122,19 +113,13 @@ fn main() {
     // same-instant event ties and deep queue occupancy.
     let incast_secs = args.scaled(10, 4);
     let (wall_ms, thr) = timed(incast_secs as f64, || {
-        libra_bench::run_staggered(
-            Cca::Cubic,
-            &store,
-            LinkConfig::constant(
-                libra_types::Rate::from_mbps(1000.0),
-                Duration::from_millis(2),
-                4.0,
-            ),
-            256,
-            Duration::ZERO,
-            incast_secs,
-            args.seed,
+        let link = LinkConfig::constant(
+            libra_types::Rate::from_mbps(1000.0),
+            Duration::from_millis(2),
+            4.0,
         );
+        let spec = fleet(Cca::Cubic, link, 256, 0, incast_secs);
+        run(&store, &spec, SimConfig::default());
     });
     benches.push(Bench {
         name: "incast_fanin_256",
@@ -173,14 +158,7 @@ fn main() {
     // Same single-flow run with structured tracing enabled: the delta
     // vs `single_run_cubic` prices event recording end-to-end.
     let (wall_ms, thr) = timed(secs as f64, || {
-        libra_bench::run_single_cfg(
-            Cca::Cubic,
-            &store,
-            wired_link(24.0),
-            secs,
-            args.seed,
-            SimConfig::traced(),
-        );
+        run(&store, &single(wired_link(24.0)), SimConfig::traced());
     });
     benches.push(Bench {
         name: "single_run_cubic_traced",
@@ -193,13 +171,8 @@ fn main() {
     // match), so `single_run_cubic` itself is the hot-path pin; these two
     // bound the overhead the scenario zoo's AQM variants add.
     let (wall_ms, thr) = timed(secs as f64, || {
-        libra_bench::run_single_metrics(
-            Cca::Cubic,
-            &store,
-            wired_link(24.0).with_queue(QueueConfig::codel_default()),
-            secs,
-            args.seed,
-        );
+        let link = wired_link(24.0).with_queue(QueueConfig::codel_default());
+        run(&store, &single(link), SimConfig::default());
     });
     benches.push(Bench {
         name: "single_run_cubic_codel",
@@ -207,13 +180,8 @@ fn main() {
         sim_secs_per_sec: thr,
     });
     let (wall_ms, thr) = timed(secs as f64, || {
-        libra_bench::run_single_metrics(
-            Cca::Cubic,
-            &store,
-            wired_link(24.0).with_queue(QueueConfig::pie_default()),
-            secs,
-            args.seed,
-        );
+        let link = wired_link(24.0).with_queue(QueueConfig::pie_default());
+        run(&store, &single(link), SimConfig::default());
     });
     benches.push(Bench {
         name: "single_run_cubic_pie",
@@ -239,18 +207,10 @@ fn main() {
     let serve_agent = libra_bench::paper_eval_agent(&serve_cfg, args.seed ^ 0x5E21);
     // Train/restore the singleton entry's agent outside the timers.
     let _ = Cca::CLibra(Preference::Default).shared_eval_agent(&store);
+    let serve_spec = fleet(Cca::Aurora, wired_link(96.0), rl_flows, 10, rl_secs);
+    let on_grid = || SimConfig::default().with_mi_quantum(quantum);
     let (rl_seq_ms, thr) = timed(rl_secs as f64, || {
-        libra_bench::run_staggered_agent(
-            &serve_cfg,
-            &serve_agent,
-            wired_link(96.0),
-            rl_flows,
-            Duration::from_millis(10),
-            rl_secs,
-            args.seed,
-            quantum,
-            false,
-        );
+        run_with_agent(&store, &serve_spec, on_grid(), &serve_agent);
     });
     benches.push(Bench {
         name: "thousand_flow_rl",
@@ -258,17 +218,8 @@ fn main() {
         sim_secs_per_sec: thr,
     });
     let (rl_batch_ms, thr) = timed(rl_secs as f64, || {
-        libra_bench::run_staggered_agent(
-            &serve_cfg,
-            &serve_agent,
-            wired_link(96.0),
-            rl_flows,
-            Duration::from_millis(10),
-            rl_secs,
-            args.seed,
-            quantum,
-            true,
-        );
+        let spec = serve_spec.clone().with_batched();
+        run_with_agent(&store, &spec, on_grid(), &serve_agent);
     });
     benches.push(Bench {
         name: "thousand_flow_rl_batched",
@@ -283,18 +234,15 @@ fn main() {
     // One C-Libra flow through the server: the degenerate batch-of-one
     // pins the submit/resolve + dispatch overhead a singleton pays over
     // inline inference.
+    let solo_libra = fleet(
+        Cca::CLibra(Preference::Default),
+        wired_link(24.0),
+        1,
+        0,
+        secs,
+    );
     let (wall_ms, thr) = timed(secs as f64, || {
-        libra_bench::run_staggered_policy(
-            Cca::CLibra(Preference::Default),
-            &store,
-            wired_link(24.0),
-            1,
-            Duration::ZERO,
-            secs,
-            args.seed,
-            quantum,
-            true,
-        );
+        run(&store, &solo_libra.clone().with_batched(), on_grid());
     });
     benches.push(Bench {
         name: "single_run_libra_batched",
@@ -308,22 +256,10 @@ fn main() {
     // state plus the degradation ladder on affected flows —
     // `meta.fault_path_overhead` pins it; faults-off stays zero-cost by
     // construction (the server holds no injection state at all).
-    let fault_plan = PolicyChaosSpec::standard(args.seed, rl_secs)
-        .compile()
-        .expect("standard chaos plan must compile");
+    let fault_plan = PolicyChaosSpec::standard(args.seed, rl_secs);
     let (rl_fault_ms, thr) = timed(rl_secs as f64, || {
-        libra_bench::run_staggered_agent_faults(
-            &serve_cfg,
-            &serve_agent,
-            wired_link(96.0),
-            rl_flows,
-            Duration::from_millis(10),
-            rl_secs,
-            args.seed,
-            quantum,
-            true,
-            fault_plan.clone(),
-        );
+        let spec = serve_spec.clone().with_policy_faults(fault_plan.clone());
+        run_with_agent(&store, &spec, on_grid(), &serve_agent);
     });
     benches.push(Bench {
         name: "thousand_flow_rl_faulted",
@@ -339,24 +275,10 @@ fn main() {
     // decision already fails validation with no cached action to ride,
     // so the flow spends the entire run pinned to the classic CCA —
     // the fully-degraded floor of the ladder.
-    let nan_plan = PolicyChaosSpec::new(args.seed)
-        .with("nan-action", 0, secs * 1000, 1.0)
-        .compile()
-        .expect("nan-action plan must compile");
+    let nan_plan = PolicyChaosSpec::new(args.seed).with("nan-action", 0, secs * 1000, 1.0);
     let (wall_ms, thr) = timed(secs as f64, || {
-        libra_bench::run_staggered_policy_cfg(
-            Cca::CLibra(Preference::Default),
-            &store,
-            wired_link(24.0),
-            1,
-            Duration::ZERO,
-            secs,
-            args.seed,
-            quantum,
-            true,
-            nan_plan.clone(),
-            SimConfig::default(),
-        );
+        let spec = solo_libra.clone().with_policy_faults(nan_plan.clone());
+        run(&store, &spec, on_grid());
     });
     benches.push(Bench {
         name: "single_run_libra_degraded",
@@ -369,7 +291,11 @@ fn main() {
     let total_sim_secs = (jobs.len() as u64 * secs) as f64;
     let run_grid = |workers: usize| {
         parallel_map_with(grid(secs, args.seed, repeats), workers, |(cca, link, s)| {
-            run_single_metrics(cca, &store, link, secs, s)
+            run(
+                &store,
+                &RunSpec::single(cca, link, secs, s),
+                SimConfig::default(),
+            );
         })
     };
     let workers = worker_count().max(4);

@@ -3,7 +3,7 @@
 //! networks (two wired, two LTE). Libra's spread should be a fraction
 //! of Orca's.
 
-use libra_bench::{run_single_metrics, BenchArgs, Cca, ModelStore, Table};
+use libra_bench::{run_spec, BenchArgs, Cca, ModelStore, RunSpec, Table};
 use libra_netsim::{lte_link, wired_link, LteScenario};
 use libra_types::{DetRng, Duration, Preference, Welford};
 
@@ -46,9 +46,8 @@ fn main() {
         for (_, link_of) in &networks {
             let mut w = Welford::new();
             for k in 0..trials {
-                let m =
-                    run_single_metrics(cca, &store, link_of(args.seed + k), secs, args.seed + k);
-                w.update(m.utilization);
+                let spec = RunSpec::single(cca, link_of(args.seed + k), secs, args.seed + k);
+                w.update(run_spec(&store, &spec).utilization);
             }
             per_net.push(w);
         }

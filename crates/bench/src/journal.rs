@@ -14,8 +14,8 @@
 //! fine: the corrupt tail line fails to parse and its job simply
 //! re-runs.
 
+use crate::run::RunSpec;
 use crate::supervisor::{slot_to_value, SlotResult};
-use crate::sweep::RunSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::Write as _;

@@ -8,14 +8,18 @@
 //!
 //! * [`registry`] — one factory per CCA in the comparison.
 //! * [`models`] — trained-PPO-weight cache (`target/models/`).
-//! * [`scenarios`] — named workloads (wired, LTE, step, WAN, sweeps).
-//! * [`spec`] — the declarative, serde-round-trippable scenario corpus
-//!   (the zoo) behind `scenario_registry` and the adversarial search.
+//! * [`spec`] — the declarative, serde-round-trippable scenario corpus:
+//!   the figures' named link recipes (wired, LTE, step, WAN, sweeps) and
+//!   the zoo behind `scenario_registry` and the adversarial search.
 //! * [`search`] — adversarial scenario search: seeded mutation of corpus
 //!   specs toward low-utility / unfair / guardrail-tripping runs.
 //! * [`policychaos`] — serde-round-trippable policy-boundary fault
 //!   plans, compiled into `libra_types::PolicyFaultPlan` at run build.
-//! * [`runner`] — single/pair/staggered runs and convergence statistics.
+//! * [`mod@run`] — the one run path: `RunSpec` (controller × link × flow
+//!   layout × seed), `Workload::slots` (the one flow layout) and `run`
+//!   (the one `Simulation` builder).
+//! * [`summary`] — the serializable `RunSummary` of a finished run, its
+//!   headline `RunMetrics`, and Tab. 5's convergence statistics.
 //! * [`sweep`] — deterministic parallel fan-out of independent runs
 //!   (`LIBRA_JOBS` workers, results merged in job order).
 //! * [`supervisor`] — panic isolation, per-job budgets, bounded retries
@@ -34,11 +38,11 @@ pub mod models;
 pub mod output;
 pub mod policychaos;
 pub mod registry;
-pub mod runner;
-pub mod scenarios;
+pub mod run;
 pub mod search;
 pub mod shard;
 pub mod spec;
+pub mod summary;
 pub mod supervisor;
 pub mod sweep;
 pub mod tracing;
@@ -49,30 +53,28 @@ pub use models::ModelStore;
 pub use output::{f1, f3, pct, series_csv, write_artifact, Table};
 pub use policychaos::{PolicyChaosEvent, PolicyChaosSpec};
 pub use registry::Cca;
-pub use runner::{
-    convergence_stats, paper_eval_agent, run_pair, run_pair_cfg, run_repeated, run_single,
-    run_single_cfg, run_single_metrics, run_staggered, run_staggered_agent,
-    run_staggered_agent_faults, run_staggered_cfg, run_staggered_policy, run_staggered_policy_cfg,
-    ConvergenceStats, RunMetrics,
+pub use run::{
+    paper_eval_agent, run, run_spec, run_spec_budgeted, run_with_agent, FlowSlot, RunSpec,
+    Workload, POLICY_QUANTUM,
 };
-pub use scenarios::*;
 pub use search::{
     evaluate_candidate, load_pins, objective_of, pin_failures, search, write_pin, Candidate,
     Objective, PinnedRegression, SearchConfig, SearchOutcome,
 };
 pub use shard::{run_sharded_with, shard_seed, ShardPlan, ShardedReport};
 pub use spec::{
-    cca_from_name, datacenter_spec, fig1_specs, fig7_cellular_specs, fig7_wired_specs, fiveg_spec,
-    lte_tmobile_spec, satellite_spec, step_spec, wan_specs, zoo_corpus, LinkSpec, LteKind,
-    QueueSpec, ScenarioSpec, WorkloadSpec,
+    buffer_sweep_link, cca_from_name, datacenter_spec, fairness_link, fig1_specs,
+    fig7_cellular_specs, fig7_wired_specs, fiveg_spec, loss_sweep_link, lte_tmobile_spec,
+    satellite_spec, step_spec, wan_specs, zoo_corpus, LinkSpec, LteKind, QueueSpec, ScenarioSpec,
+    WorkloadSpec,
 };
+pub use summary::{convergence_stats, ConvergenceStats, FlowSummary, RunMetrics, RunSummary};
 pub use supervisor::{
     merged_slots_json, run_sweep_supervised, run_sweep_supervised_with, slot_from_value,
     slot_to_value, FaultyScenario, SlotResult, SweepPolicy, SweepReport,
 };
 pub use sweep::{
-    parallel_map, parallel_map_with, run_spec, run_spec_budgeted, run_sweep, run_sweep_with,
-    worker_count, FlowSummary, RunSpec, RunSummary, Workload, POLICY_QUANTUM,
+    parallel_map, parallel_map_with, run_repeated, run_sweep, run_sweep_with, worker_count,
 };
 pub use tracing::{
     decision_timeline, merged_trace, stage_occupancy, stage_occupancy_table, trace_to_jsonl,

@@ -159,11 +159,6 @@ impl Cca {
     /// the built controller itself is not `Send` (RL CCAs hold an
     /// `Rc<RefCell<PpoAgent>>`) — build on the thread that will run it.
     pub fn build(self, store: &ModelStore) -> Box<dyn CongestionControl> {
-        let eval_agent = |w: libra_rl::PpoWeights, store: &ModelStore| {
-            let mut agent = PpoAgent::from_weights(w, &mut store.agent_rng());
-            agent.set_eval(true);
-            Rc::new(RefCell::new(agent))
-        };
         match self {
             Cca::NewReno => Box::new(NewReno::new(1500)),
             Cca::Cubic => Box::new(Cubic::new(1500)),
@@ -177,35 +172,16 @@ impl Cca {
             Cca::Indigo => Box::new(Indigo::new(1500)),
             Cca::Vivace => Box::new(Pcc::vivace()),
             Cca::Proteus => Box::new(Pcc::proteus()),
-            Cca::Aurora => {
-                let w = store.aurora();
-                let agent = eval_agent(w, store);
-                Box::new(RlCca::new(RlCcaConfig::aurora(), agent))
-            }
-            Cca::ModRl => {
-                let w = store.mod_rl();
-                let agent = eval_agent(w, store);
-                Box::new(RlCca::new(RlCcaConfig::mod_rl(), agent))
-            }
-            Cca::Orca => {
-                let w = store.orca();
-                let agent = eval_agent(w, store);
-                Box::new(Orca::new(agent))
-            }
-            Cca::CleanSlateLibra => {
-                let w = store.libra(LibraVariant::CleanSlate);
-                let agent = eval_agent(w, store);
-                Box::new(Libra::clean_slate(agent))
-            }
-            Cca::CLibra(pref) => {
-                let w = store.libra(LibraVariant::Cubic);
-                let agent = eval_agent(w, store);
-                Box::new(Libra::c_libra(agent).with_preference(pref))
-            }
-            Cca::BLibra(pref) => {
-                let w = store.libra(LibraVariant::Bbr);
-                let agent = eval_agent(w, store);
-                Box::new(Libra::b_libra(agent).with_preference(pref))
+            Cca::Aurora
+            | Cca::Orca
+            | Cca::ModRl
+            | Cca::CleanSlateLibra
+            | Cca::CLibra(_)
+            | Cca::BLibra(_) => {
+                let agent = self
+                    .shared_eval_agent(store)
+                    .expect("model-backed CCAs have trained weights");
+                self.build_shared(store, &agent)
             }
         }
     }

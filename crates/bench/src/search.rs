@@ -22,9 +22,10 @@
 use crate::models::ModelStore;
 use crate::policychaos::PolicyChaosSpec;
 use crate::registry::Cca;
+use crate::run::RunSpec;
 use crate::spec::{zoo_corpus, LinkSpec, QueueSpec, ScenarioSpec, WorkloadSpec};
+use crate::summary::RunSummary;
 use crate::supervisor::{run_sweep_supervised_with, SweepPolicy};
-use crate::sweep::{RunSpec, RunSummary};
 use libra_types::{DetRng, Preference, UtilityParams};
 use serde::{get_field, DeError, Deserialize, Serialize, Value};
 use std::path::Path;
@@ -576,7 +577,7 @@ impl PinnedRegression {
         let jobs = evaluate_candidate(&self.spec, cfg, self.run_seed);
         let results: Vec<RunSummary> = jobs
             .iter()
-            .map(|j| crate::sweep::run_spec(&store, j))
+            .map(|j| crate::run::run_spec(&store, j))
             .collect();
         let libra = &results[0];
         match self.objective {

@@ -26,9 +26,10 @@
 
 use crate::models::ModelStore;
 use crate::registry::Cca;
+use crate::run::RunSpec;
 use crate::spec::ScenarioSpec;
+use crate::summary::RunSummary;
 use crate::supervisor::{run_sweep_supervised_with, SweepPolicy};
-use crate::sweep::{RunSpec, RunSummary};
 use libra_types::DetRng;
 use serde::{Serialize, Value};
 
@@ -247,7 +248,7 @@ mod tests {
             .shards
             .iter()
             .map(|s| match s.workload {
-                crate::sweep::Workload::Staggered { flows, .. } => flows,
+                crate::run::Workload::Staggered { flows, .. } => flows,
                 _ => 0,
             })
             .collect();

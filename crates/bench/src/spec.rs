@@ -4,7 +4,7 @@
 //!
 //! A [`ScenarioSpec`] is plain data: a named link recipe, a queue
 //! discipline, a flow layout and a duration. Everything the ad-hoc
-//! closures in [`crate::scenarios`] used to capture is spelled out as a
+//! closures the figure binaries used to capture is spelled out as a
 //! field, so a spec can be serialized to JSON, mutated by the search,
 //! written next to a pinned regression and rebuilt bit-identically later.
 //! `ScenarioSpec::link(seed)` is a pure function: the same spec and seed
@@ -14,7 +14,7 @@
 //! unchanged).
 
 use crate::registry::Cca;
-use crate::sweep::RunSpec;
+use crate::run::RunSpec;
 use libra_netsim::{
     datacenter_link, fiveg_link, leo_link, lte_link, satellite_link, step_link, wan_link,
     wired_link, LinkConfig, LteScenario, QueueConfig, WanScenario,
@@ -561,10 +561,30 @@ impl ScenarioSpec {
     }
 }
 
+/// Fig. 9's buffer sweep base link: 60 Mbps, 100 ms RTT, explicit buffer.
+pub fn buffer_sweep_link(buffer: Bytes) -> LinkConfig {
+    let mut link =
+        LinkConfig::constant_with_buffer(Rate::from_mbps(60.0), Duration::from_millis(100), buffer);
+    link.stochastic_loss = 0.0;
+    link
+}
+
+/// Fig. 10's stochastic-loss link: 48 Mbps, 100 ms RTT, 1 BDP buffer.
+pub fn loss_sweep_link(loss: f64) -> LinkConfig {
+    let mut link = ScenarioSpec::shared_constant(48.0).link(0);
+    link.stochastic_loss = loss;
+    link
+}
+
+/// Fairness/convergence link (Sec. 5.3): 48 Mbps, 100 ms, 1 BDP.
+pub fn fairness_link() -> LinkConfig {
+    ScenarioSpec::shared_constant(48.0).link(0)
+}
+
 // --- Legacy scenario recipes, now defined exactly once. -----------------
 //
 // The salts below are the historical `seed ^ salt` constants the figure
-// binaries and `scenarios.rs` closures used; keeping them here verbatim
+// binaries' closures used; keeping them here verbatim
 // keeps every figure's trace randomness byte-identical.
 
 /// Fig. 1 LTE salt base (`0x17E + index`).
@@ -950,6 +970,38 @@ mod tests {
             let t = Instant::from_millis(k * 100);
             assert_eq!(legacy.capacity.rate_at(t), routed.capacity.rate_at(t));
         }
+    }
+
+    #[test]
+    fn fig1_specs_are_three_wired_then_three_lte() {
+        let set = fig1_specs(30);
+        assert_eq!(set.len(), 6);
+        assert_eq!(set[0].name, "Wired-24");
+        assert_eq!(set[3].name, "LTE-stationary");
+        // Wired links are constant; LTE links vary with the seed.
+        let wired = set[0].link(1);
+        assert_eq!(
+            wired.capacity.rate_at(Instant::ZERO),
+            wired.capacity.rate_at(Instant::from_secs(20))
+        );
+        let (a, b) = (set[5].link(1), set[5].link(2));
+        let differs = (0..300).any(|k| {
+            let t = Instant::from_millis(k * 100);
+            a.capacity.rate_at(t) != b.capacity.rate_at(t)
+        });
+        assert!(differs);
+    }
+
+    #[test]
+    fn figure_sets_and_sweep_links() {
+        assert_eq!(fig7_wired_specs(30).len(), 4);
+        assert_eq!(fig7_cellular_specs(30).len(), 4);
+        assert_eq!(wan_specs(30).len(), 2);
+        assert_eq!(
+            buffer_sweep_link(Bytes::from_kb(30)).buffer,
+            Bytes::from_kb(30)
+        );
+        assert_eq!(loss_sweep_link(0.07).stochastic_loss, 0.07);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 
 use crate::journal::{spec_digest, Journal};
 use crate::models::ModelStore;
-use crate::sweep::{
-    claim_map, run_spec_budgeted, warm_models, worker_count, JobVerdict, RunSpec, RunSummary,
-};
+use crate::run::{run_spec_budgeted, RunSpec};
+use crate::summary::RunSummary;
+use crate::sweep::{claim_map, warm_models, worker_count, JobVerdict};
 use libra_netsim::{BudgetKind, BudgetTrip, SimBudget};
 use libra_types::{DetRng, JobError, JobFailure};
 use serde::{Serialize, Value};

@@ -28,16 +28,12 @@
 // pure function of the job list.
 
 use crate::models::ModelStore;
-use crate::policychaos::PolicyChaosSpec;
 use crate::registry::Cca;
-use crate::runner::{self, RunMetrics};
-use libra_netsim::{FlowConfig, LinkConfig, SimConfig, SimReport, Simulation};
-use libra_rl::PolicyServer;
-use libra_types::{Duration, Instant, JobError, JobFailure, PolicyService, TraceEvent};
-use serde::{get_field, DeError, Deserialize, Serialize, Value};
-use std::cell::RefCell;
+use crate::run::{run_spec, RunSpec};
+use crate::summary::{RunMetrics, RunSummary};
+use libra_netsim::LinkConfig;
+use libra_types::{JobError, JobFailure, Welford};
 use std::collections::BTreeSet;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -238,714 +234,6 @@ where
     .collect()
 }
 
-/// The flow layout of one run.
-#[derive(Debug, Clone)]
-pub enum Workload {
-    /// One flow alone on the link.
-    Single,
-    /// The CCA under test vs. a competitor (flow 0 = under test).
-    Pair {
-        /// The competing controller (flow 1).
-        competitor: Cca,
-    },
-    /// `flows` same-CCA flows, flow `i` starting at `i × stagger`.
-    Staggered {
-        /// Number of flows.
-        flows: usize,
-        /// Start offset between consecutive flows.
-        stagger: Duration,
-    },
-    /// A heterogeneous competing fleet: flow 0 is the CCA under test,
-    /// flows 1.. run `members` (e.g. Libra vs BBR+CUBIC+Copa).
-    Fleet {
-        /// The competing controllers, one flow each.
-        members: Vec<Cca>,
-    },
-    /// Flow churn: the CCA under test runs as a whole-run elephant while
-    /// `mice` short-lived `mouse`-CCA flows arrive and depart (mouse `i`
-    /// alive on `[(i+1)·period, (i+1)·period + mouse_secs]`).
-    Churn {
-        /// The controller the short flows run.
-        mouse: Cca,
-        /// Number of short-lived flows.
-        mice: usize,
-        /// Lifetime of each mouse in seconds.
-        mouse_secs: u64,
-        /// Inter-arrival spacing between consecutive mice.
-        period: Duration,
-    },
-}
-
-/// One independent job of a sweep: everything needed to reproduce the
-/// run, self-contained and `Send`.
-#[derive(Debug, Clone)]
-pub struct RunSpec {
-    /// Display label carried into the summary (scenario / sweep point).
-    pub label: String,
-    /// Controller under test.
-    pub cca: Cca,
-    /// Flow layout.
-    pub workload: Workload,
-    /// The bottleneck link (built eagerly on the coordinator — scenario
-    /// builders are not `Sync`).
-    pub link: LinkConfig,
-    /// Simulated duration in seconds.
-    pub secs: u64,
-    /// Run seed.
-    pub seed: u64,
-    /// Record structured trace events (off by default; see
-    /// [`RunSpec::with_trace`]).
-    pub trace: bool,
-    /// Route policy inference through a shared batched [`PolicyServer`]
-    /// (MI ticks quantized to [`POLICY_QUANTUM`]; flows whose CCA has no
-    /// trained agent run classic and never consult the server). Off by
-    /// default — see [`RunSpec::with_batched`].
-    pub batched: bool,
-    /// Declarative policy-boundary fault plan, injected inside the
-    /// shared server (implies `batched`). `None` by default — see
-    /// [`RunSpec::with_policy_faults`].
-    pub policy_faults: Option<PolicyChaosSpec>,
-}
-
-/// MI-tick quantum batched [`RunSpec`] runs use, so concurrent flows
-/// land on shared decision ticks (the policy server's batching grid).
-pub const POLICY_QUANTUM: Duration = Duration::from_millis(20);
-
-impl RunSpec {
-    /// A single-flow run.
-    pub fn single(cca: Cca, link: LinkConfig, secs: u64, seed: u64) -> Self {
-        RunSpec {
-            label: cca.label(),
-            cca,
-            workload: Workload::Single,
-            link,
-            secs,
-            seed,
-            trace: false,
-            batched: false,
-            policy_faults: None,
-        }
-    }
-
-    /// A two-flow run against `competitor`.
-    pub fn pair(cca: Cca, competitor: Cca, link: LinkConfig, secs: u64, seed: u64) -> Self {
-        RunSpec {
-            label: format!("{} vs {}", cca.label(), competitor.label()),
-            cca,
-            workload: Workload::Pair { competitor },
-            link,
-            secs,
-            seed,
-            trace: false,
-            batched: false,
-            policy_faults: None,
-        }
-    }
-
-    /// A staggered same-CCA convergence run.
-    pub fn staggered(
-        cca: Cca,
-        link: LinkConfig,
-        flows: usize,
-        stagger: Duration,
-        secs: u64,
-        seed: u64,
-    ) -> Self {
-        RunSpec {
-            label: cca.label(),
-            cca,
-            workload: Workload::Staggered { flows, stagger },
-            link,
-            secs,
-            seed,
-            trace: false,
-            batched: false,
-            policy_faults: None,
-        }
-    }
-
-    /// A heterogeneous-fleet run: the CCA under test against one flow per
-    /// member.
-    pub fn fleet(cca: Cca, members: Vec<Cca>, link: LinkConfig, secs: u64, seed: u64) -> Self {
-        let label = format!("{} vs fleet[{}]", cca.label(), members.len());
-        RunSpec {
-            label,
-            cca,
-            workload: Workload::Fleet { members },
-            link,
-            secs,
-            seed,
-            trace: false,
-            batched: false,
-            policy_faults: None,
-        }
-    }
-
-    /// A churn run: the CCA under test as the elephant, with `mice`
-    /// short-lived `mouse` flows arriving every `period`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn churn(
-        cca: Cca,
-        mouse: Cca,
-        mice: usize,
-        mouse_secs: u64,
-        period: Duration,
-        link: LinkConfig,
-        secs: u64,
-        seed: u64,
-    ) -> Self {
-        let label = format!("{} vs {} mice", cca.label(), mice);
-        RunSpec {
-            label,
-            cca,
-            workload: Workload::Churn {
-                mouse,
-                mice,
-                mouse_secs,
-                period,
-            },
-            link,
-            secs,
-            seed,
-            trace: false,
-            batched: false,
-            policy_faults: None,
-        }
-    }
-
-    /// Replace the display label (builder style).
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-
-    /// Enable structured trace recording for this run (builder style).
-    /// The merged, time-ordered stream lands in [`RunSummary::trace`].
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
-    /// Route this run's policy inference through a shared batched
-    /// [`PolicyServer`] (builder style). MI ticks are quantized to
-    /// [`POLICY_QUANTUM`]; flows without a trained agent run classic.
-    pub fn with_batched(mut self) -> Self {
-        self.batched = true;
-        self
-    }
-
-    /// Attach a policy-boundary fault plan (builder style). Faults are
-    /// injected inside the shared server, so this implies
-    /// [`RunSpec::with_batched`].
-    pub fn with_policy_faults(mut self, chaos: PolicyChaosSpec) -> Self {
-        self.batched = true;
-        self.policy_faults = Some(chaos);
-        self
-    }
-}
-
-/// Send-safe per-flow results (everything [`libra_netsim::FlowReport`]
-/// carries except the controller box).
-#[derive(Debug, Clone)]
-pub struct FlowSummary {
-    /// Controller name.
-    pub name: String,
-    /// Bytes handed to the network.
-    pub sent_bytes: u64,
-    /// Bytes acknowledged.
-    pub delivered_bytes: u64,
-    /// Packets acknowledged.
-    pub acked_packets: u64,
-    /// Packets declared lost.
-    pub lost_packets: u64,
-    /// Average goodput over the flow's lifetime (Mbps).
-    pub goodput_mbps: f64,
-    /// Mean per-packet RTT (ms).
-    pub rtt_mean_ms: f64,
-    /// Number of RTT samples behind the mean.
-    pub rtt_samples: u64,
-    /// Streaming P² 95th-percentile RTT (ms).
-    pub p95_rtt_ms: f64,
-    /// Maximum observed RTT (ms).
-    pub max_rtt_ms: f64,
-    /// Fraction of resolved packets that were lost.
-    pub loss_fraction: f64,
-    /// ECN congestion echoes received.
-    pub ecn_echoes: u64,
-    /// `(seconds, Mbps)` goodput series.
-    pub goodput_series: Vec<(f64, f64)>,
-    /// Sparse `(seconds, ms)` RTT series.
-    pub rtt_series: Vec<(f64, f64)>,
-    /// Wall-clock nanoseconds inside the controller. Excluded from
-    /// serialization: it measures host time, not simulated behaviour,
-    /// and would break byte-identity between repeated runs.
-    pub compute_ns: u64,
-}
-
-fn series_value(series: &[(f64, f64)]) -> Value {
-    Value::Array(
-        series
-            .iter()
-            .map(|&(a, b)| Value::Array(vec![Value::Float(a), Value::Float(b)]))
-            .collect(),
-    )
-}
-
-// Manual impl (not derived): skips `compute_ns`, which is host
-// wall-clock and would break byte-identity between identical runs.
-impl Serialize for FlowSummary {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".into(), self.name.to_value()),
-            ("sent_bytes".into(), self.sent_bytes.to_value()),
-            ("delivered_bytes".into(), self.delivered_bytes.to_value()),
-            ("acked_packets".into(), self.acked_packets.to_value()),
-            ("lost_packets".into(), self.lost_packets.to_value()),
-            ("goodput_mbps".into(), self.goodput_mbps.to_value()),
-            ("rtt_mean_ms".into(), self.rtt_mean_ms.to_value()),
-            ("rtt_samples".into(), self.rtt_samples.to_value()),
-            ("p95_rtt_ms".into(), self.p95_rtt_ms.to_value()),
-            ("max_rtt_ms".into(), self.max_rtt_ms.to_value()),
-            ("loss_fraction".into(), self.loss_fraction.to_value()),
-            ("ecn_echoes".into(), self.ecn_echoes.to_value()),
-            ("goodput_series".into(), series_value(&self.goodput_series)),
-            ("rtt_series".into(), series_value(&self.rtt_series)),
-        ])
-    }
-}
-
-fn series_from_value(v: &Value) -> Result<Vec<(f64, f64)>, DeError> {
-    let Value::Array(items) = v else {
-        return Err(DeError::new("expected a series array"));
-    };
-    items
-        .iter()
-        .map(|item| {
-            let Value::Array(pair) = item else {
-                return Err(DeError::new("expected a [t, v] pair"));
-            };
-            if pair.len() != 2 {
-                return Err(DeError::new("expected a [t, v] pair"));
-            }
-            Ok((f64::from_value(&pair[0])?, f64::from_value(&pair[1])?))
-        })
-        .collect()
-}
-
-// Mirror of the manual Serialize impl, used to restore journaled slots.
-// `compute_ns` was never serialized (host wall-clock) and restores as 0.
-impl Deserialize for FlowSummary {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(FlowSummary {
-            name: Deserialize::from_value(get_field(v, "name")?)?,
-            sent_bytes: Deserialize::from_value(get_field(v, "sent_bytes")?)?,
-            delivered_bytes: Deserialize::from_value(get_field(v, "delivered_bytes")?)?,
-            acked_packets: Deserialize::from_value(get_field(v, "acked_packets")?)?,
-            lost_packets: Deserialize::from_value(get_field(v, "lost_packets")?)?,
-            goodput_mbps: Deserialize::from_value(get_field(v, "goodput_mbps")?)?,
-            rtt_mean_ms: Deserialize::from_value(get_field(v, "rtt_mean_ms")?)?,
-            rtt_samples: Deserialize::from_value(get_field(v, "rtt_samples")?)?,
-            p95_rtt_ms: Deserialize::from_value(get_field(v, "p95_rtt_ms")?)?,
-            max_rtt_ms: Deserialize::from_value(get_field(v, "max_rtt_ms")?)?,
-            loss_fraction: Deserialize::from_value(get_field(v, "loss_fraction")?)?,
-            ecn_echoes: Deserialize::from_value(get_field(v, "ecn_echoes")?)?,
-            goodput_series: series_from_value(get_field(v, "goodput_series")?)?,
-            rtt_series: series_from_value(get_field(v, "rtt_series")?)?,
-            compute_ns: 0,
-        })
-    }
-}
-
-/// Send-safe summary of one finished run, serialized for the
-/// determinism tests and merged in job order by [`run_sweep`].
-#[derive(Debug, Clone)]
-pub struct RunSummary {
-    /// The spec's display label.
-    pub label: String,
-    /// Simulated duration (seconds).
-    pub duration_s: f64,
-    /// Link utilization (delivered / capacity).
-    pub utilization: f64,
-    /// Time-averaged queue occupancy (bytes).
-    pub mean_queue_bytes: f64,
-    /// Packets dropped at the tail.
-    pub tail_drops: u64,
-    /// Packets dropped by the stochastic loss process.
-    pub stochastic_drops: u64,
-    /// Jain's fairness index over flow goodputs.
-    pub jain: f64,
-    /// Sample-weighted mean RTT across flows (ms).
-    pub mean_rtt_ms: f64,
-    /// Guardrail trips observed across flows. Counted from the trace
-    /// stream, so it is only non-zero for traced runs; unlike the stream
-    /// itself it IS serialized (it is a scalar verdict, not host-sized
-    /// event data), letting journal restores keep search objectives
-    /// byte-identical. Omitted from the JSON when zero, so untraced
-    /// runs — including the pinned droptail digest — serialize exactly
-    /// as they did before the field existed; a run's trip count is
-    /// deterministic, so the field's presence is too.
-    pub guardrail_trips: u64,
-    /// Policy-boundary faults served to flows (summed over
-    /// [`libra_netsim::FlowReport::policy_faults`]). Only non-zero when
-    /// a fault plan was attached, and omitted from the JSON when zero,
-    /// so faults-off runs serialize exactly as before the field existed.
-    pub policy_faults_injected: u64,
-    /// Flows quarantined out of batched forward passes for non-finite
-    /// or wrong-dimension state vectors (summed over
-    /// [`libra_netsim::FlowReport::policy_quarantines`]). Omitted from
-    /// the JSON when zero.
-    pub quarantines: u64,
-    /// Degradation-ladder tier-2 resolves: MI ticks bridged by a cached
-    /// last-good action. Counted from the trace stream (traced runs
-    /// only, like `guardrail_trips`); omitted from the JSON when zero.
-    pub fallback_ticks: u64,
-    /// Guardrail re-probe attempts out of the classic-CCA pin (the
-    /// ladder's recovery arm). Counted from the trace stream; omitted
-    /// from the JSON when zero.
-    pub rl_reprobes: u64,
-    /// Per-flow summaries in `add_flow` order.
-    pub flows: Vec<FlowSummary>,
-    /// Merged, time-ordered trace stream (empty unless the spec set
-    /// [`RunSpec::with_trace`]). Excluded from serialization so traced
-    /// and untraced runs of the same spec digest identically.
-    pub trace: Vec<TraceEvent>,
-    /// Events evicted from the per-flow ring buffers before harvest.
-    pub trace_dropped: u64,
-}
-
-impl Serialize for RunSummary {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("label".into(), self.label.to_value()),
-            ("duration_s".into(), self.duration_s.to_value()),
-            ("utilization".into(), self.utilization.to_value()),
-            ("mean_queue_bytes".into(), self.mean_queue_bytes.to_value()),
-            ("tail_drops".into(), self.tail_drops.to_value()),
-            ("stochastic_drops".into(), self.stochastic_drops.to_value()),
-            ("jain".into(), self.jain.to_value()),
-            ("mean_rtt_ms".into(), self.mean_rtt_ms.to_value()),
-        ];
-        if self.guardrail_trips != 0 {
-            fields.push(("guardrail_trips".into(), self.guardrail_trips.to_value()));
-        }
-        if self.policy_faults_injected != 0 {
-            fields.push((
-                "policy_faults_injected".into(),
-                self.policy_faults_injected.to_value(),
-            ));
-        }
-        if self.quarantines != 0 {
-            fields.push(("quarantines".into(), self.quarantines.to_value()));
-        }
-        if self.fallback_ticks != 0 {
-            fields.push(("fallback_ticks".into(), self.fallback_ticks.to_value()));
-        }
-        if self.rl_reprobes != 0 {
-            fields.push(("rl_reprobes".into(), self.rl_reprobes.to_value()));
-        }
-        fields.push(("flows".into(), self.flows.to_value()));
-        Value::Object(fields)
-    }
-}
-
-// Mirror of the manual Serialize impl. The trace stream is not
-// serialized, so a journal-restored summary carries an empty one; the
-// serialized forms still match byte-for-byte.
-impl Deserialize for RunSummary {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(RunSummary {
-            label: Deserialize::from_value(get_field(v, "label")?)?,
-            duration_s: Deserialize::from_value(get_field(v, "duration_s")?)?,
-            utilization: Deserialize::from_value(get_field(v, "utilization")?)?,
-            mean_queue_bytes: Deserialize::from_value(get_field(v, "mean_queue_bytes")?)?,
-            tail_drops: Deserialize::from_value(get_field(v, "tail_drops")?)?,
-            stochastic_drops: Deserialize::from_value(get_field(v, "stochastic_drops")?)?,
-            jain: Deserialize::from_value(get_field(v, "jain")?)?,
-            mean_rtt_ms: Deserialize::from_value(get_field(v, "mean_rtt_ms")?)?,
-            guardrail_trips: match get_field(v, "guardrail_trips") {
-                Ok(val) => Deserialize::from_value(val)?,
-                Err(_) => 0,
-            },
-            policy_faults_injected: match get_field(v, "policy_faults_injected") {
-                Ok(val) => Deserialize::from_value(val)?,
-                Err(_) => 0,
-            },
-            quarantines: match get_field(v, "quarantines") {
-                Ok(val) => Deserialize::from_value(val)?,
-                Err(_) => 0,
-            },
-            fallback_ticks: match get_field(v, "fallback_ticks") {
-                Ok(val) => Deserialize::from_value(val)?,
-                Err(_) => 0,
-            },
-            rl_reprobes: match get_field(v, "rl_reprobes") {
-                Ok(val) => Deserialize::from_value(val)?,
-                Err(_) => 0,
-            },
-            flows: Deserialize::from_value(get_field(v, "flows")?)?,
-            trace: Vec::new(),
-            trace_dropped: 0,
-        })
-    }
-}
-
-impl RunSummary {
-    /// Extract the Send-safe summary from a finished report.
-    pub fn from_report(label: &str, report: &SimReport) -> Self {
-        let trace = crate::tracing::merged_trace(report);
-        let fallback_ticks = trace
-            .iter()
-            .map(|e| match e {
-                TraceEvent::Fallback { ticks, .. } => *ticks,
-                _ => 0,
-            })
-            .sum();
-        let rl_reprobes = trace
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TraceEvent::Guardrail {
-                        step: libra_types::GuardrailStep::Reprobe,
-                        ..
-                    }
-                )
-            })
-            .count() as u64;
-        RunSummary {
-            label: label.to_string(),
-            duration_s: report.duration.as_secs_f64(),
-            utilization: report.link.utilization,
-            mean_queue_bytes: report.link.mean_queue_bytes,
-            tail_drops: report.link.tail_drops,
-            stochastic_drops: report.link.stochastic_drops,
-            jain: report.jain_index(),
-            mean_rtt_ms: report.mean_rtt_ms(),
-            guardrail_trips: trace
-                .iter()
-                .filter(|e| {
-                    matches!(
-                        e,
-                        libra_types::TraceEvent::Guardrail {
-                            step: libra_types::GuardrailStep::Trip,
-                            ..
-                        }
-                    )
-                })
-                .count() as u64,
-            policy_faults_injected: report.flows.iter().map(|f| f.policy_faults).sum(),
-            quarantines: report.flows.iter().map(|f| f.policy_quarantines).sum(),
-            fallback_ticks,
-            rl_reprobes,
-            flows: report
-                .flows
-                .iter()
-                .map(|f| FlowSummary {
-                    name: f.name.to_string(),
-                    sent_bytes: f.sent_bytes,
-                    delivered_bytes: f.delivered_bytes,
-                    acked_packets: f.acked_packets,
-                    lost_packets: f.lost_packets,
-                    goodput_mbps: f.avg_goodput.mbps(),
-                    rtt_mean_ms: f.rtt_ms.mean(),
-                    rtt_samples: f.rtt_ms.count(),
-                    p95_rtt_ms: f.rtt_p95_ms,
-                    max_rtt_ms: f.rtt_ms.max(),
-                    loss_fraction: f.loss_fraction,
-                    ecn_echoes: f.ecn_echoes,
-                    goodput_series: f.goodput_series.clone(),
-                    rtt_series: f.rtt_series.clone(),
-                    compute_ns: f.compute_ns,
-                })
-                .collect(),
-            trace,
-            trace_dropped: report.flows.iter().map(|f| f.trace_dropped).sum(),
-        }
-    }
-
-    /// The first flow's headline metrics (the single-flow figures).
-    pub fn headline(&self) -> RunMetrics {
-        let f = &self.flows[0];
-        RunMetrics {
-            utilization: self.utilization,
-            avg_rtt_ms: f.rtt_mean_ms,
-            p95_rtt_ms: f.p95_rtt_ms,
-            max_rtt_ms: f.max_rtt_ms,
-            goodput_mbps: f.goodput_mbps,
-            loss: f.loss_fraction,
-            compute_us_per_s: if self.duration_s > 0.0 {
-                f.compute_ns as f64 / 1e3 / self.duration_s
-            } else {
-                0.0
-            },
-        }
-    }
-}
-
-/// Execute one spec on the calling thread.
-pub fn run_spec(store: &ModelStore, spec: &RunSpec) -> RunSummary {
-    run_spec_budgeted(store, spec, libra_netsim::SimBudget::default())
-}
-
-/// [`run_spec`] with watchdog budgets armed: a tripped budget aborts
-/// the run by panicking with the [`libra_netsim::BudgetTrip`] as
-/// payload, which the supervisor's per-attempt guard classifies into a
-/// typed [`JobFailure`].
-pub fn run_spec_budgeted(
-    store: &ModelStore,
-    spec: &RunSpec,
-    budget: libra_netsim::SimBudget,
-) -> RunSummary {
-    let cfg = SimConfig {
-        trace: spec.trace,
-        budget,
-        ..SimConfig::default()
-    };
-    if spec.batched {
-        let report = run_spec_policy(store, spec, cfg);
-        return RunSummary::from_report(&spec.label, &report);
-    }
-    let report = match &spec.workload {
-        Workload::Single => runner::run_single_cfg(
-            spec.cca,
-            store,
-            spec.link.clone(),
-            spec.secs,
-            spec.seed,
-            cfg,
-        ),
-        Workload::Pair { competitor } => runner::run_pair_cfg(
-            spec.cca,
-            *competitor,
-            store,
-            spec.link.clone(),
-            spec.secs,
-            spec.seed,
-            cfg,
-        ),
-        Workload::Staggered { flows, stagger } => runner::run_staggered_cfg(
-            spec.cca,
-            store,
-            spec.link.clone(),
-            *flows,
-            *stagger,
-            spec.secs,
-            spec.seed,
-            cfg,
-        ),
-        Workload::Fleet { members } => runner::run_fleet_cfg(
-            spec.cca,
-            members,
-            store,
-            spec.link.clone(),
-            spec.secs,
-            spec.seed,
-            cfg,
-        ),
-        Workload::Churn {
-            mouse,
-            mice,
-            mouse_secs,
-            period,
-        } => runner::run_churn_cfg(
-            spec.cca,
-            *mouse,
-            *mice,
-            *mouse_secs,
-            *period,
-            store,
-            spec.link.clone(),
-            spec.secs,
-            spec.seed,
-            cfg,
-        ),
-    };
-    RunSummary::from_report(&spec.label, &report)
-}
-
-/// Execute a batched spec through a shared [`PolicyServer`]: every flow
-/// whose CCA has a trained agent is built around one shared eval-mode
-/// copy per CCA and registered with the server (classic flows run
-/// inline and never submit), MI ticks are quantized to
-/// [`POLICY_QUANTUM`] so concurrent flows land on common decision
-/// ticks, and the spec's fault plan — if any — is armed inside the
-/// server before the first event fires.
-fn run_spec_policy(store: &ModelStore, spec: &RunSpec, cfg: SimConfig) -> SimReport {
-    let cfg = cfg.with_mi_quantum(POLICY_QUANTUM);
-    let until = Instant::from_secs(spec.secs);
-    let mut sim = Simulation::with_config(spec.link.clone(), spec.seed, cfg);
-    let mut server = PolicyServer::new();
-    if let Some(chaos) = &spec.policy_faults {
-        let plan = match chaos.compile() {
-            Ok(plan) => plan,
-            // An invalid plan is a spec-authoring bug; the supervisor's
-            // per-attempt guard converts this into a typed job failure.
-            // lint: allow(panic)
-            Err(e) => panic!("{}: invalid policy fault plan: {e}", spec.label),
-        };
-        server.set_faults(plan);
-    }
-    let mut agents: std::collections::BTreeMap<Cca, Option<Rc<RefCell<libra_rl::PpoAgent>>>> =
-        std::collections::BTreeMap::new();
-    let mut add = |sim: &mut Simulation, server: &mut PolicyServer, cca: Cca, start, stop| {
-        let agent = agents
-            .entry(cca)
-            .or_insert_with(|| cca.shared_eval_agent(store))
-            .clone();
-        match agent {
-            Some(agent) => {
-                let id = sim.add_flow(FlowConfig::new(
-                    cca.build_shared(store, &agent),
-                    start,
-                    stop,
-                ));
-                server.register(id.0, &agent);
-            }
-            None => {
-                sim.add_flow(FlowConfig::new(cca.build(store), start, stop));
-            }
-        }
-    };
-    match &spec.workload {
-        Workload::Single => add(&mut sim, &mut server, spec.cca, Instant::ZERO, until),
-        Workload::Pair { competitor } => {
-            add(&mut sim, &mut server, spec.cca, Instant::ZERO, until);
-            add(&mut sim, &mut server, *competitor, Instant::ZERO, until);
-        }
-        Workload::Staggered { flows, stagger } => {
-            for i in 0..*flows {
-                let start = Instant::ZERO + *stagger * i as u64;
-                add(&mut sim, &mut server, spec.cca, start, until);
-            }
-        }
-        Workload::Fleet { members } => {
-            add(&mut sim, &mut server, spec.cca, Instant::ZERO, until);
-            for &member in members {
-                add(&mut sim, &mut server, member, Instant::ZERO, until);
-            }
-        }
-        Workload::Churn {
-            mouse,
-            mice,
-            mouse_secs,
-            period,
-        } => {
-            add(&mut sim, &mut server, spec.cca, Instant::ZERO, until);
-            for i in 0..*mice {
-                let start = Instant::ZERO + *period * (i as u64 + 1);
-                if start >= until {
-                    break;
-                }
-                let stop = (start + Duration::from_secs(*mouse_secs)).min(until);
-                add(&mut sim, &mut server, *mouse, start, stop);
-            }
-        }
-    }
-    let service: Rc<RefCell<dyn PolicyService>> = Rc::new(RefCell::new(server));
-    sim.attach_policy(service);
-    sim.run(until)
-}
-
 /// Run every spec, fanned out over [`worker_count`] threads; results
 /// come back in spec order.
 pub fn run_sweep(store: &ModelStore, specs: Vec<RunSpec>) -> Vec<RunSummary> {
@@ -958,6 +246,54 @@ pub fn run_sweep_with(store: &ModelStore, specs: Vec<RunSpec>, workers: usize) -
     parallel_map_with(specs, workers, |spec| run_spec(store, &spec))
 }
 
+/// Average metrics across `repeats` seeds (the paper averages 5 runs).
+///
+/// Trials fan out over the sweep workers; links are built eagerly on the
+/// calling thread (scenario builders are not `Sync`) and the Welford
+/// accumulators are folded in seed order, so results are byte-identical
+/// to a sequential loop for any worker count.
+pub fn run_repeated(
+    cca: Cca,
+    store: &ModelStore,
+    link_of: impl Fn(u64) -> LinkConfig,
+    secs: u64,
+    base_seed: u64,
+    repeats: u64,
+) -> (RunMetrics, Welford) {
+    let specs = (base_seed..base_seed + repeats)
+        .map(|seed| RunSpec::single(cca, link_of(seed), secs, seed))
+        .collect();
+    let trials = run_sweep(store, specs);
+    let mut util = Welford::new();
+    let mut rtt = Welford::new();
+    let mut p95rtt = Welford::new();
+    let mut maxrtt = Welford::new();
+    let mut goodput = Welford::new();
+    let mut loss = Welford::new();
+    let mut compute = Welford::new();
+    for m in trials.iter().map(RunSummary::headline) {
+        util.update(m.utilization);
+        rtt.update(m.avg_rtt_ms);
+        p95rtt.update(m.p95_rtt_ms);
+        maxrtt.update(m.max_rtt_ms);
+        goodput.update(m.goodput_mbps);
+        loss.update(m.loss);
+        compute.update(m.compute_us_per_s);
+    }
+    (
+        RunMetrics {
+            utilization: util.mean(),
+            avg_rtt_ms: rtt.mean(),
+            p95_rtt_ms: p95rtt.mean(),
+            max_rtt_ms: maxrtt.mean(),
+            goodput_mbps: goodput.mean(),
+            loss: loss.mean(),
+            compute_us_per_s: compute.mean(),
+        },
+        util,
+    )
+}
+
 /// Train/load every model the sweep needs once, up front, so workers
 /// start from a warm cache instead of serializing on the training lock.
 /// The supervisor also calls this *before* arming any fault injection:
@@ -965,18 +301,9 @@ pub fn run_sweep_with(store: &ModelStore, specs: Vec<RunSpec>, workers: usize) -
 /// it would poison every subsequent job.
 pub(crate) fn warm_models(store: &ModelStore, specs: &[RunSpec]) {
     let mut seen: BTreeSet<Cca> = BTreeSet::new();
-    for spec in specs {
-        let mut ccas = vec![spec.cca];
-        match &spec.workload {
-            Workload::Pair { competitor } => ccas.push(*competitor),
-            Workload::Fleet { members } => ccas.extend(members.iter().copied()),
-            Workload::Churn { mouse, .. } => ccas.push(*mouse),
-            Workload::Single | Workload::Staggered { .. } => {}
-        }
-        for cca in ccas {
-            if cca.needs_model() && seen.insert(cca) {
-                drop(cca.build(store)); // populates the weight cache
-            }
+    for slot in specs.iter().flat_map(RunSpec::slots) {
+        if slot.cca.needs_model() && seen.insert(slot.cca) {
+            drop(slot.cca.build(store)); // populates the weight cache
         }
     }
 }
@@ -984,7 +311,7 @@ pub(crate) fn warm_models(store: &ModelStore, specs: &[RunSpec]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use libra_types::Rate;
+    use libra_types::{Duration, Rate};
 
     #[test]
     fn parallel_map_preserves_order() {

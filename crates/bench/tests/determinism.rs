@@ -6,12 +6,15 @@
 //! 1. A sweep's serialized results are **byte-identical** for any worker
 //!    count (the whole point of the index-ordered merge + per-worker
 //!    controller instantiation design in `libra_bench::sweep`).
-//! 2. A fixed-seed single `Simulation::run` produces an exact, pinned
-//!    digest — so hot-path "optimizations" that change behaviour
-//!    (capacity cursor, fault fast path, preallocation) fail loudly
+//! 2. Fixed-seed runs produce exact, pinned digests — one per workload
+//!    kind, inline and served — so hot-path "optimizations" that change
+//!    behaviour (capacity cursor, fault fast path, preallocation) and
+//!    run-path refactors that change what a spec means fail loudly
 //!    instead of silently skewing every figure.
 
-use libra_bench::{run_single, run_sweep_with, Cca, ModelStore, RunSpec, RunSummary};
+use libra_bench::{
+    run_spec, run_sweep_with, spec_digest, Cca, ModelStore, PolicyChaosSpec, RunSpec, RunSummary,
+};
 use libra_netsim::LinkConfig;
 use libra_types::{Duration, Preference, Rate};
 
@@ -78,27 +81,116 @@ fn fresh_store_reproduces_model_backed_runs() {
     assert_eq!(a, b, "retraining from scratch changed the results");
 }
 
-/// Invariant 2: a pinned digest of one fixed-seed run. If this test
-/// fails and you did not *intend* to change simulator behaviour, the
-/// change is a bug; if the behaviour change is deliberate, update the
-/// pinned values and say so in the commit message.
+/// Invariant 2: the pinned outcome of one fixed-seed run — its
+/// integer-exact counts here, its full digest as row one of the golden
+/// table below. If either fails and you did not *intend* to change
+/// simulator behaviour, the change is a bug; if the behaviour change is
+/// deliberate, update the pinned values and say so in the commit message.
 #[test]
-fn single_run_digest_is_pinned() {
+fn single_run_event_counts_are_pinned() {
     let store = ModelStore::ephemeral(1);
-    let report = run_single(Cca::Cubic, &store, wired(24.0), 10, 42);
-    let flow = &report.flows[0];
+    let (_, spec, ..) = golden_runs().swap_remove(0);
+    let summary = run_spec(&store, &spec);
+    let flow = &summary.flows[0];
     // Integer-exact event-loop outcomes.
     assert_eq!(flow.sent_bytes, 30_133_500, "sent_bytes drifted");
     assert_eq!(flow.delivered_bytes, 29_592_000, "delivered_bytes drifted");
     assert_eq!(flow.acked_packets, 19_728, "acked_packets drifted");
     assert_eq!(flow.lost_packets, 213, "lost_packets drifted");
-    assert_eq!(report.link.tail_drops, 213, "tail_drops drifted");
-    // Full-report digest over the serialized summary (floats included).
-    let json =
-        serde_json::to_string(&RunSummary::from_report("digest", &report)).expect("serialize");
-    assert_eq!(
-        fnv1a(&json),
-        0xe6f8_f8a9_380c_af46,
-        "run digest drifted (json hash changed)"
-    );
+    assert_eq!(summary.tail_drops, 213, "tail_drops drifted");
+}
+
+/// One run per [`Workload`](libra_bench::Workload) kind inline (classic
+/// and model-backed), plus the three shapes of a served run: a batched
+/// same-CCA fleet, a batched heterogeneous fleet whose classic members
+/// never register with the server, and a faulted run. Each carries the
+/// FNV-1a digest of its serialized [`RunSummary`] (floats included),
+/// then its [`spec_digest`].
+fn golden_runs() -> Vec<(&'static str, RunSpec, u64, u64)> {
+    let libra = Cca::CLibra(Preference::Default);
+    let ms = Duration::from_millis;
+    vec![
+        (
+            "single",
+            RunSpec::single(Cca::Cubic, wired(24.0), 10, 42).with_label("digest"),
+            0xe6f8_f8a9_380c_af46,
+            0x50d1_0603_09b5_8f76,
+        ),
+        (
+            "pair",
+            RunSpec::pair(Cca::Aurora, Cca::Cubic, wired(48.0), 6, 43),
+            0x3035_307f_adc9_eddb,
+            0x7d86_ff76_60bb_fdf0,
+        ),
+        (
+            "staggered",
+            RunSpec::staggered(Cca::Orca, wired(48.0), 3, ms(1000), 6, 44),
+            0x1d97_03c0_125e_53da,
+            0x122a_de54_3b23_de1f,
+        ),
+        (
+            "fleet",
+            RunSpec::fleet(Cca::Cubic, vec![Cca::Bbr, Cca::NewReno], wired(24.0), 6, 45),
+            0xda95_d3f4_10b3_374d,
+            0x2cc7_13c9_18f0_e73c,
+        ),
+        (
+            // Mice at 2, 4 and 6 s; the last is clamped to the 7 s run and
+            // a fourth (8 s) is never added.
+            "churn",
+            RunSpec::churn(Cca::Cubic, Cca::Bbr, 4, 2, ms(2000), wired(24.0), 7, 46),
+            0xa467_ea82_6283_aca5,
+            0xf5ed_fa3b_a0f7_c06c,
+        ),
+        (
+            "batched staggered",
+            RunSpec::staggered(libra, wired(48.0), 4, ms(50), 5, 47).with_batched(),
+            0x0d33_9666_e126_015b,
+            0xdc09_398b_1b49_f3e6,
+        ),
+        (
+            "batched mixed fleet",
+            RunSpec::fleet(
+                libra,
+                vec![Cca::Cubic, Cca::Aurora, Cca::Bbr, Cca::Aurora],
+                wired(48.0),
+                5,
+                48,
+            )
+            .with_batched(),
+            0xb6c0_95c4_da81_0c2e,
+            0x507a_d6bd_76b8_7269,
+        ),
+        (
+            "faulted",
+            RunSpec::staggered(libra, wired(48.0), 4, ms(50), 5, 49)
+                .with_policy_faults(PolicyChaosSpec::standard(77, 5)),
+            0x95aa_fa99_8913_945a,
+            0xb9eb_54cf_caa2_7810,
+        ),
+    ]
+}
+
+/// The golden table: every digest was recorded by running the thirteen
+/// hand-written `run_*` builders this table's one builder replaced, so a
+/// mismatch means the run path changed what a spec *means*.
+#[test]
+fn golden_run_digests_are_pinned() {
+    let store = ModelStore::ephemeral(1);
+    for (name, spec, want, _) in golden_runs() {
+        let json = serde_json::to_string(&run_spec(&store, &spec)).expect("serialize");
+        let got = fnv1a(&json);
+        assert_eq!(got, want, "{name}: run digest drifted (got {got:#018x})");
+    }
+}
+
+/// `spec_digest` keys every `--resume` journal on disk: a `RunSpec` or
+/// `Workload` field or `Debug` change silently orphans all of them, so
+/// the digest of one spec per workload kind is pinned.
+#[test]
+fn spec_digests_are_pinned() {
+    for (name, spec, _, want) in golden_runs() {
+        let got = spec_digest(&spec);
+        assert_eq!(got, want, "{name}: spec digest drifted (got {got:#018x})");
+    }
 }

@@ -14,9 +14,8 @@
 //!    counters, which must round-trip through the journal.
 
 use libra_bench::{
-    merged_slots_json, merged_trace, run_staggered_policy_cfg, run_sweep_supervised_with,
-    run_sweep_with, validate_finite, Cca, Journal, ModelStore, PolicyChaosSpec, RunSpec,
-    RunSummary, SweepPolicy, POLICY_QUANTUM,
+    merged_slots_json, merged_trace, run, run_sweep_supervised_with, run_sweep_with,
+    validate_finite, Cca, Journal, ModelStore, PolicyChaosSpec, RunSpec, RunSummary, SweepPolicy,
 };
 use libra_netsim::{LinkConfig, SchedulerKind, SimConfig};
 use libra_types::{Duration, Preference, Rate, TraceEvent};
@@ -50,23 +49,12 @@ fn every_fault_kind_survives_on_both_schedulers() {
     let secs = 4;
     for &(kind, probability) in KINDS {
         for sched in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let plan = PolicyChaosSpec::new(77)
-                .with(kind, 500, 3500, probability)
-                .compile()
-                .expect("single-kind plan compiles");
-            let report = run_staggered_policy_cfg(
-                Cca::CLibra(Preference::Default),
-                &store,
-                wired(48.0),
-                6,
-                Duration::from_millis(50),
-                secs,
-                17,
-                POLICY_QUANTUM,
-                true,
-                plan,
-                SimConfig::traced().with_scheduler(sched),
-            );
+            let plan = PolicyChaosSpec::new(77).with(kind, 500, 3500, probability);
+            let libra = Cca::CLibra(Preference::Default);
+            let spec =
+                RunSpec::staggered(libra, wired(48.0), 6, Duration::from_millis(50), secs, 17)
+                    .with_policy_faults(plan);
+            let report = run(&store, &spec, SimConfig::traced().with_scheduler(sched));
             let trace = merged_trace(&report);
             validate_finite(&trace)
                 .unwrap_or_else(|e| panic!("{kind}/{sched:?}: non-finite trace value: {e}"));

@@ -13,10 +13,10 @@
 //!    instants, and every flow keeps making progress.
 
 use libra_bench::{
-    paper_eval_agent, run_staggered_agent, run_staggered_policy, Cca, ModelStore, RunSummary,
+    paper_eval_agent, run, run_with_agent, Cca, ModelStore, RunSpec, RunSummary, POLICY_QUANTUM,
 };
 use libra_learned::RlCcaConfig;
-use libra_netsim::{FlowConfig, LinkConfig, SimConfig, Simulation};
+use libra_netsim::{FlowConfig, LinkConfig, SimConfig, SimReport, Simulation};
 use libra_rl::PolicyServer;
 use libra_types::{Duration, Instant, PolicyService, Preference, Rate};
 use std::cell::RefCell;
@@ -32,36 +32,64 @@ fn wired(mbps: f64) -> LinkConfig {
     LinkConfig::constant(Rate::from_mbps(mbps), Duration::from_millis(40), 1.0)
 }
 
+fn on_grid() -> SimConfig {
+    SimConfig::default().with_mi_quantum(POLICY_QUANTUM)
+}
+
+fn fingerprint(report: &SimReport) -> String {
+    serde_json::to_string(&RunSummary::from_report("run", report)).unwrap()
+}
+
 #[test]
 fn batched_run_matches_per_flow_run_byte_for_byte() {
     let store = ModelStore::ephemeral(9);
-    let quantum = Duration::from_millis(20);
     for cca in [Cca::Aurora, Cca::CLibra(Preference::Default)] {
-        let solo = run_staggered_policy(
-            cca,
-            &store,
-            wired(48.0),
-            FLOWS,
-            Duration::from_millis(50),
-            6,
-            17,
-            quantum,
-            false,
+        let spec = RunSpec::staggered(cca, wired(48.0), FLOWS, Duration::from_millis(50), 6, 17);
+        let solo = run(&store, &spec, on_grid());
+        let batched = run(&store, &spec.with_batched(), on_grid());
+        assert_eq!(
+            fingerprint(&solo),
+            fingerprint(&batched),
+            "batched {cca:?} run diverged from per-flow inference"
         );
-        let batched = run_staggered_policy(
-            cca,
-            &store,
-            wired(48.0),
-            FLOWS,
-            Duration::from_millis(50),
-            6,
-            17,
-            quantum,
-            true,
-        );
-        let a = serde_json::to_string(&RunSummary::from_report("run", &solo)).unwrap();
-        let b = serde_json::to_string(&RunSummary::from_report("run", &batched)).unwrap();
-        assert_eq!(a, b, "batched {cca:?} run diverged from per-flow inference");
+    }
+}
+
+/// The same identity over every model-backed controller on small
+/// fleets: {1, 2, 3} flows staggered 500 ms over three link/seed points.
+/// Orca is the member that matters — a window-based learned flow emits
+/// the moment its decision resolves, scheduling a service completion
+/// *earlier* than the event the MI gather popped one step too far, so a
+/// gather that parks that event instead of handing it back to the queue
+/// dispatches out of time order (a hard assert under
+/// `checked-invariants`, a silent divergence otherwise).
+#[test]
+fn batched_matches_inline_on_small_fleets_of_every_learned_cca() {
+    let store = ModelStore::ephemeral(9);
+    let ccas = [
+        Cca::Orca,
+        Cca::Aurora,
+        Cca::ModRl,
+        Cca::CleanSlateLibra,
+        Cca::CLibra(Preference::Default),
+        Cca::BLibra(Preference::Default),
+    ];
+    for cca in ccas {
+        for (mbps, seed) in [(6.0, 1), (24.0, 3), (96.0, 5)] {
+            for flows in 1..=3 {
+                let link =
+                    LinkConfig::constant(Rate::from_mbps(mbps), Duration::from_millis(30), 1.0);
+                let spec =
+                    RunSpec::staggered(cca, link, flows, Duration::from_millis(500), 6, seed);
+                let solo = run(&store, &spec, on_grid());
+                let batched = run(&store, &spec.with_batched(), SimConfig::default());
+                assert_eq!(
+                    fingerprint(&solo),
+                    fingerprint(&batched),
+                    "{cca:?} x{flows} @ {mbps} Mbps seed {seed}: batched diverged from inline"
+                );
+            }
+        }
     }
 }
 
@@ -74,28 +102,15 @@ fn batched_run_matches_per_flow_run_byte_for_byte() {
 /// untrained ones keep the test fast.
 #[test]
 fn paper_geometry_batched_run_matches_per_flow_run() {
-    let cfg = RlCcaConfig::aurora();
-    let agent = paper_eval_agent(&cfg, 31);
-    let quantum = Duration::from_millis(20);
-    let run = |batched| {
-        run_staggered_agent(
-            &cfg,
-            &agent,
-            wired(48.0),
-            FLOWS.min(64),
-            Duration::from_millis(50),
-            4,
-            19,
-            quantum,
-            batched,
-        )
-    };
-    let solo = run(false);
-    let batched = run(true);
-    let a = serde_json::to_string(&RunSummary::from_report("run", &solo)).unwrap();
-    let b = serde_json::to_string(&RunSummary::from_report("run", &batched)).unwrap();
+    let store = ModelStore::ephemeral(0); // never consulted: the agent is supplied
+    let agent = paper_eval_agent(&RlCcaConfig::aurora(), 31);
+    let stagger = Duration::from_millis(50);
+    let spec = RunSpec::staggered(Cca::Aurora, wired(48.0), FLOWS.min(64), stagger, 4, 19);
+    let solo = run_with_agent(&store, &spec, on_grid(), &agent);
+    let batched = run_with_agent(&store, &spec.with_batched(), on_grid(), &agent);
     assert_eq!(
-        a, b,
+        fingerprint(&solo),
+        fingerprint(&batched),
         "paper-geometry batched run diverged from per-flow inference"
     );
 }

@@ -8,9 +8,7 @@
 //!    sweep is byte-identical for 1 vs N workers (index-ordered merge +
 //!    the deterministic `(at_ns, source, emit order)` sort key).
 
-use libra_bench::{
-    run_pair_cfg, run_sweep_with, trace_to_jsonl, validate_finite, Cca, ModelStore, RunSpec,
-};
+use libra_bench::{run, run_sweep_with, trace_to_jsonl, validate_finite, Cca, ModelStore, RunSpec};
 use libra_core::{Candidate, Libra};
 use libra_netsim::{LinkConfig, SimConfig};
 use libra_types::{CandidateKind, Duration, Preference, Rate, TraceEvent};
@@ -33,7 +31,8 @@ fn kind_of(c: Candidate) -> CandidateKind {
 fn traced_run_reconstructs_cycle_log() {
     let store = ModelStore::ephemeral(9);
     let cca = Cca::CLibra(Preference::Default);
-    let report = run_pair_cfg(cca, cca, &store, wired(24.0), 20, 77, SimConfig::traced());
+    let spec = RunSpec::pair(cca, cca, wired(24.0), 20, 77);
+    let report = run(&store, &spec, SimConfig::traced());
     assert_eq!(report.flows.len(), 2);
     for (fi, flow) in report.flows.iter().enumerate() {
         assert_eq!(flow.trace_dropped, 0, "flow {fi}: ring buffer overflowed");

@@ -160,6 +160,58 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
     Ok(Workspace::from_sources(sources))
 }
 
+/// Render the committed size ledger (`dev/loc_ledger.md`): non-test,
+/// non-comment, non-blank lines under each crate's `src/` — the
+/// [`SourceFile::code`] lines left after blanking, outside the
+/// [`SourceFile::is_test`] mask — with `src/bin/` split out where a
+/// crate has one. Deterministic: rows are keyed by `(crate, area)`.
+pub fn loc_ledger(ws: &Workspace) -> String {
+    let mut rows: std::collections::BTreeMap<(String, &str), (usize, usize)> = Default::default();
+    for entry in &ws.files {
+        let file = &entry.source;
+        // Repo-relative: `crates/<name>/src/..` or the facade's `src/..`.
+        let skip = if file.path.starts_with("crates") {
+            2
+        } else {
+            0
+        };
+        let mut dirs = file.path.iter().skip(skip);
+        if dirs.next() != Some("src".as_ref()) {
+            continue;
+        }
+        let area = if dirs.next() == Some("bin".as_ref()) {
+            "src/bin"
+        } else {
+            "src"
+        };
+        let code = file
+            .code
+            .iter()
+            .zip(&file.is_test)
+            .filter(|(line, &test)| !test && !line.trim().is_empty())
+            .count();
+        let row = rows.entry((file.krate.clone(), area)).or_default();
+        row.0 += 1;
+        row.1 += code;
+    }
+    let mut out = String::from(
+        "# LOC ledger\n\n\
+         Generated by `cargo run -p libra-lint -- --emit-loc-ledger`;\n\
+         `scripts/ci.sh` regenerates it and fails on drift. Do not edit by\n\
+         hand.\n\n\
+         Non-test, non-comment, non-blank lines under each crate's `src/`\n\
+         (`libra` is the root facade), from the masks the lint computes: a\n\
+         PR's diff of this file is its size claim.\n\n\
+         | crate | area | files | code lines |\n|---|---|---|---|\n",
+    );
+    for ((krate, area), (files, code)) in &rows {
+        out.push_str(&format!("| {krate} | {area} | {files} | {code} |\n"));
+    }
+    let total: usize = rows.values().map(|r| r.1).sum();
+    out.push_str(&format!("\n{total} code line(s).\n"));
+    out
+}
+
 /// Run every rule over the whole workspace at `root`.
 pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut sources = Vec::new();
@@ -210,6 +262,24 @@ mod tests {
         assert!(has("tests/properties.rs"));
         assert!(!has("vendor/"), "vendored stand-ins must not be linted");
         assert!(!has("tests/fixtures"), "lint fixtures must not be linted");
+    }
+
+    #[test]
+    fn loc_ledger_counts_code_outside_tests_and_comments() {
+        let lib = "//! Docs.\n\npub fn a() {\n    // comment\n    b();\n}\n\n\
+                   #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
+        let ws = Workspace::from_sources(vec![
+            SourceFile::from_source(Path::new("crates/x/src/lib.rs"), lib),
+            SourceFile::from_source(Path::new("crates/x/src/bin/tool.rs"), "fn main() {}\n"),
+            SourceFile::from_source(Path::new("crates/x/tests/it.rs"), "fn helper() {}\n"),
+            SourceFile::from_source(Path::new("crates/x/benches/b.rs"), "fn main() {}\n"),
+            SourceFile::from_source(Path::new("src/lib.rs"), "pub use x::a;\n"),
+        ]);
+        let ledger = loc_ledger(&ws);
+        assert!(ledger.contains("| x | src | 1 | 3 |"), "{ledger}");
+        assert!(ledger.contains("| x | src/bin | 1 | 1 |"), "{ledger}");
+        assert!(ledger.contains("| libra | src | 1 | 1 |"), "{ledger}");
+        assert!(ledger.ends_with("\n5 code line(s).\n"), "{ledger}");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! cargo run -p libra-lint --release -- <file.rs> # lint one file (fixtures)
 //! cargo run -p libra-lint --release -- --list-rules
 //! cargo run -p libra-lint --release -- --emit-unsafe-inventory
+//! cargo run -p libra-lint --release -- --emit-loc-ledger
 //! ```
 //!
 //! In single-file mode a `//! lint-fixture: <virtual path>` first line
@@ -20,20 +21,22 @@
 //! the same way they would inside the tree.
 //!
 //! `--emit-unsafe-inventory` regenerates `dev/unsafe_inventory.md`
-//! under the workspace root from the current `unsafe` sites;
-//! `scripts/ci.sh` runs it and fails on `git diff` drift.
+//! under the workspace root from the current `unsafe` sites, and
+//! `--emit-loc-ledger` regenerates `dev/loc_ledger.md` (non-test code
+//! lines per crate); `scripts/ci.sh` runs both and fails on `git diff`
+//! drift.
 
 use libra_lint::SourceFile;
 use libra_lint::{
-    all_rules, find_workspace_root, lint_file, lint_tree, load_workspace, unsafe_inventory,
-    workspace_rules, Finding, Severity,
+    all_rules, find_workspace_root, lint_file, lint_tree, load_workspace, loc_ledger,
+    unsafe_inventory, workspace_rules, Finding, Severity, Workspace,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root_arg: Option<PathBuf> = None;
-    let mut emit_inventory = false;
+    let mut emit: Option<(&str, Render)> = None;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--list-rules" => {
@@ -45,10 +48,11 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
-            "--emit-unsafe-inventory" => emit_inventory = true,
+            "--emit-unsafe-inventory" => emit = Some(("unsafe_inventory.md", unsafe_inventory)),
+            "--emit-loc-ledger" => emit = Some(("loc_ledger.md", loc_ledger)),
             "--help" | "-h" => {
                 println!(
-                    "usage: libra-lint [--list-rules] [--emit-unsafe-inventory] [workspace-root]"
+                    "usage: libra-lint [--list-rules] [--emit-unsafe-inventory] [--emit-loc-ledger] [workspace-root]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -79,14 +83,14 @@ fn main() -> ExitCode {
         }
     };
 
-    if emit_inventory {
-        return match emit_unsafe_inventory(&root) {
+    if let Some((name, render)) = emit {
+        return match emit_dev_file(&root, name, render) {
             Ok(path) => {
                 eprintln!("libra-lint: wrote {}", path.display());
                 ExitCode::SUCCESS
             }
             Err(e) => {
-                eprintln!("libra-lint: inventory emit failed: {e}");
+                eprintln!("libra-lint: {name} emit failed: {e}");
                 ExitCode::FAILURE
             }
         };
@@ -125,12 +129,15 @@ fn lint_single(path: &Path) -> std::io::Result<Vec<Finding>> {
     Ok(lint_file(SourceFile::from_source(&virt, &text)))
 }
 
-/// Regenerate `dev/unsafe_inventory.md` under `root`.
-fn emit_unsafe_inventory(root: &Path) -> std::io::Result<PathBuf> {
+/// Renders one committed `dev/` file from the loaded workspace.
+type Render = fn(&Workspace) -> String;
+
+/// Regenerate the committed `dev/<name>` under `root`.
+fn emit_dev_file(root: &Path, name: &str, render: Render) -> std::io::Result<PathBuf> {
     let ws = load_workspace(root)?;
-    let out = root.join("dev").join("unsafe_inventory.md");
+    let out = root.join("dev").join(name);
     std::fs::create_dir_all(root.join("dev"))?;
-    std::fs::write(&out, unsafe_inventory(&ws))?;
+    std::fs::write(&out, render(&ws))?;
     Ok(out)
 }
 

@@ -598,9 +598,6 @@ pub struct Simulation {
     /// attached, decision ticks go through the two-phase submit/resolve
     /// boundary and same-instant ticks share one forward pass.
     policy: Option<Rc<RefCell<dyn PolicyService>>>,
-    /// An event popped one step too far by the decision-tick gather;
-    /// the main loop consumes it before touching the queue again.
-    stashed: Option<TimedEntry<Event>>,
     /// Reused policy-request pool (inner buffers keep their capacity).
     policy_requests: Vec<PolicyRequest>,
     /// Reused gather buffers for one batched decision tick.
@@ -690,7 +687,6 @@ impl Simulation {
             ack_batches: Vec::new(),
             open_ats: Vec::new(),
             policy: None,
-            stashed: None,
             policy_requests: Vec::new(),
             batch_ids: Vec::new(),
             batch_submitted: Vec::new(),
@@ -834,9 +830,7 @@ impl Simulation {
         let mut window_events: u64 = 0;
         let mut pops: u64 = 0;
         let wall_start = budget.wall_limit_ms.map(|_| crate::host_clock::stamp());
-        // The decision-tick gather may pop one event too far; it parks
-        // that event in `stashed`, which must drain before the queue.
-        while let Some(entry) = self.stashed.take().or_else(|| self.events.pop()) {
+        while let Some(entry) = self.events.pop() {
             if entry.at > until {
                 break;
             }
@@ -1065,7 +1059,7 @@ impl Simulation {
     ///   sequence-number order, and anything newly scheduled at the same
     ///   instant gets a *higher* sequence number than every gathered
     ///   tick, so pulling the run of `MiTick`s forward reorders nothing.
-    ///   The one event popped too far is stashed for the main loop.
+    ///   The one event popped too far is pushed back with its key intact.
     /// * Closing interval k+1 before completing tick k is safe because
     ///   `close_mi` and the controller's submit half read only flow-local
     ///   state — never the queue or the link.
@@ -1095,8 +1089,10 @@ impl Simulation {
             match entry.event {
                 Event::MiTick(id) if entry.at == self.now => ids.push(id),
                 _ => {
-                    debug_assert!(self.stashed.is_none(), "gather with a stash in flight");
-                    self.stashed = Some(entry);
+                    // Popped one too far: hand it back under its original
+                    // `(at, seq)` key, so anything phase 3 schedules
+                    // earlier than it still dispatches first.
+                    self.events.push(entry);
                     break;
                 }
             }

@@ -465,6 +465,38 @@ mod tests {
     }
 
     #[test]
+    fn repushed_entry_and_earlier_pushes_match_heap_order() {
+        // The decision-tick gather's access pattern: pop one entry too
+        // far (the cursor jumps to its slot, possibly levels ahead), hand
+        // it back under its original key, then schedule entries that are
+        // due *before* it. Both must come out in global (at, seq) order.
+        let mut rng = DetRng::new(0xB0B);
+        for gap in [1u64 << 10, 1 << 16, 1 << 24, 1 << 34, 1 << 45] {
+            let mut wheel = TimerWheel::new();
+            let mut heap: BinaryHeap<Reverse<TimedEntry<u64>>> = BinaryHeap::new();
+            let far: Vec<u64> = (0..8).map(|k| gap + k * (gap / 4 + 1)).collect();
+            for (seq, t) in far.iter().enumerate() {
+                wheel.push(entry(*t, seq as u64));
+                heap.push(Reverse(entry(*t, seq as u64)));
+            }
+            let popped = wheel.pop().expect("resident");
+            assert_eq!((popped.at.nanos(), popped.seq), (far[0], 0));
+            wheel.push(popped);
+            for seq in 8..40u64 {
+                // Earlier than, equal to, and later than the re-pushed entry.
+                let t = rng.uniform_u64(0, 2 * gap);
+                wheel.push(entry(t, seq));
+                heap.push(Reverse(entry(t, seq)));
+            }
+            while let Some(Reverse(want)) = heap.pop() {
+                let got = wheel.pop().expect("wheel has as many events as heap");
+                assert_eq!((got.at, got.seq), (want.at, want.seq), "gap {gap}");
+            }
+            assert!(wheel.pop().is_none());
+        }
+    }
+
+    #[test]
     fn far_future_overflow_rehomes() {
         let mut wheel = TimerWheel::new();
         // Three overflow-range events and nothing else.

@@ -23,6 +23,10 @@ echo "==> unsafe inventory drift (dev/unsafe_inventory.md matches the tree)"
 cargo run -p libra-lint --release --offline -- --emit-unsafe-inventory
 git diff --exit-code -- dev/unsafe_inventory.md
 
+echo "==> LOC ledger drift (dev/loc_ledger.md matches the tree)"
+cargo run -p libra-lint --release --offline -- --emit-loc-ledger
+git diff --exit-code -- dev/loc_ledger.md
+
 echo "==> cargo build --release"
 cargo build --release --offline
 
