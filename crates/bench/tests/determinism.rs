@@ -13,9 +13,10 @@
 //!    instead of silently skewing every figure.
 
 use libra_bench::{
-    run_spec, run_sweep_with, spec_digest, Cca, ModelStore, PolicyChaosSpec, RunSpec, RunSummary,
+    run, run_spec, run_sweep_with, spec_digest, trace_to_jsonl, Cca, ModelStore, PolicyChaosSpec,
+    RunSpec, RunSummary, POLICY_QUANTUM,
 };
-use libra_netsim::LinkConfig;
+use libra_netsim::{LinkConfig, SimConfig};
 use libra_types::{Duration, Preference, Rate};
 
 fn wired(mbps: f64) -> LinkConfig {
@@ -181,6 +182,56 @@ fn golden_run_digests_are_pinned() {
         let json = serde_json::to_string(&run_spec(&store, &spec)).expect("serialize");
         let got = fnv1a(&json);
         assert_eq!(got, want, "{name}: run digest drifted (got {got:#018x})");
+    }
+}
+
+/// *Unserved* runs whose MI ticks coincide: inline specs on the policy
+/// grid, so several flows' ticks pop at one instant with no
+/// `PolicyService` attached — the one dispatch order the single MI-tick
+/// path changed (controllers tick in pop order first, then the ticks
+/// finish and pump in pop order). Each row carries the digest of the
+/// untraced summary, then of the traced summary followed by its merged
+/// trace stream. Recorded at the commit that still had the inline arm.
+fn unserved_grid_runs() -> Vec<(&'static str, RunSpec, u64, u64)> {
+    let libra = Cca::CLibra(Preference::Default);
+    vec![
+        (
+            "staggered C-Libra x6",
+            RunSpec::staggered(libra, wired(48.0), 6, Duration::from_millis(50), 5, 50),
+            0xaf74_8e7d_36c4_1793,
+            0x13c3_cdea_f448_f3c4,
+        ),
+        (
+            "heterogeneous fleet",
+            RunSpec::fleet(
+                Cca::Aurora,
+                vec![Cca::Orca, libra, Cca::Bbr],
+                wired(48.0),
+                5,
+                51,
+            ),
+            0x9aab_a66b_0799_9d60,
+            0x28cd_899a_26c6_da58,
+        ),
+    ]
+}
+
+#[test]
+fn unserved_coinciding_ticks_are_pinned() {
+    let store = ModelStore::ephemeral(1);
+    for (name, spec, want, want_traced) in unserved_grid_runs() {
+        let digest = |cfg: SimConfig| {
+            let summary = RunSummary::from_report(&spec.label, &run(&store, &spec, cfg));
+            let json = serde_json::to_string(&summary).expect("serialize");
+            fnv1a(&(json + &trace_to_jsonl(&summary.trace)))
+        };
+        let got = digest(SimConfig::default().with_mi_quantum(POLICY_QUANTUM));
+        assert_eq!(got, want, "{name}: run digest drifted (got {got:#018x})");
+        let got = digest(SimConfig::traced().with_mi_quantum(POLICY_QUANTUM));
+        assert_eq!(
+            got, want_traced,
+            "{name}: traced digest drifted (got {got:#018x})"
+        );
     }
 }
 

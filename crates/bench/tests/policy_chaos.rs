@@ -1,9 +1,11 @@
 //! Chaos contracts for the fault-tolerant policy service.
 //!
-//! 1. **Survival**: under every [`libra_types::PolicyFaultKind`], on
-//!    both event-core schedulers, a batched fleet finishes without
-//!    panics, serializes a fully finite report, and every fault leaves
-//!    a `PolicyFault` trace witness carrying the right kind label.
+//! 1. **Survival**: under every [`libra_types::PolicyFaultKind`] a
+//!    batched fleet finishes without panics, serializes a fully finite
+//!    report, and every fault leaves a `PolicyFault` trace witness
+//!    carrying the right kind label (`scripts/ci.sh` runs this under
+//!    `checked-invariants`, so the wheel's reference heap checks every
+//!    pop of every faulted run).
 //! 2. **Ladder**: for the kinds that invalidate responses, every
 //!    affected flow demonstrably lands on the degradation ladder
 //!    (fallback / quarantine / guardrail trace witnesses) instead of
@@ -17,7 +19,7 @@ use libra_bench::{
     merged_slots_json, merged_trace, run, run_sweep_supervised_with, run_sweep_with,
     validate_finite, Cca, Journal, ModelStore, PolicyChaosSpec, RunSpec, RunSummary, SweepPolicy,
 };
-use libra_netsim::{LinkConfig, SchedulerKind, SimConfig};
+use libra_netsim::{LinkConfig, SimConfig};
 use libra_types::{Duration, Preference, Rate, TraceEvent};
 use std::collections::BTreeSet;
 
@@ -44,81 +46,74 @@ const KINDS: &[(&str, f64)] = &[
 const LADDER_KINDS: &[&str] = &["response-drop", "nan-action", "wrong-dim", "weight-corrupt"];
 
 #[test]
-fn every_fault_kind_survives_on_both_schedulers() {
+fn every_fault_kind_survives() {
     let store = ModelStore::ephemeral(41);
     let secs = 4;
     for &(kind, probability) in KINDS {
-        for sched in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let plan = PolicyChaosSpec::new(77).with(kind, 500, 3500, probability);
-            let libra = Cca::CLibra(Preference::Default);
-            let spec =
-                RunSpec::staggered(libra, wired(48.0), 6, Duration::from_millis(50), secs, 17)
-                    .with_policy_faults(plan);
-            let report = run(&store, &spec, SimConfig::traced().with_scheduler(sched));
-            let trace = merged_trace(&report);
-            validate_finite(&trace)
-                .unwrap_or_else(|e| panic!("{kind}/{sched:?}: non-finite trace value: {e}"));
+        let plan = PolicyChaosSpec::new(77).with(kind, 500, 3500, probability);
+        let libra = Cca::CLibra(Preference::Default);
+        let spec = RunSpec::staggered(libra, wired(48.0), 6, Duration::from_millis(50), secs, 17)
+            .with_policy_faults(plan);
+        let report = run(&store, &spec, SimConfig::traced());
+        let trace = merged_trace(&report);
+        validate_finite(&trace).unwrap_or_else(|e| panic!("{kind}: non-finite trace value: {e}"));
 
-            // Every injected fault leaves a correctly-labelled witness.
-            let fault_flows: BTreeSet<u32> = trace
+        // Every injected fault leaves a correctly-labelled witness.
+        let fault_flows: BTreeSet<u32> = trace
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::PolicyFault { flow, fault, .. } => {
+                    assert_eq!(fault, kind, "{kind}: fault witness carries wrong label");
+                    Some(*flow)
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(
+            !fault_flows.is_empty(),
+            "{kind}: armed window injected nothing"
+        );
+
+        // The serialized report is finite everywhere (a NaN action
+        // absorbed into a rate would surface here as goodput NaN).
+        let summary = RunSummary::from_report("chaos", &report);
+        for f in &summary.flows {
+            assert!(
+                f.goodput_mbps.is_finite() && f.rtt_mean_ms.is_finite(),
+                "{kind}: non-finite flow metrics in report"
+            );
+        }
+        assert!(summary.jain.is_finite() && summary.utilization.is_finite());
+        assert!(
+            summary.policy_faults_injected >= fault_flows.len() as u64,
+            "{kind}: fault counter lost injections"
+        );
+        for f in &report.flows {
+            assert!(
+                f.delivered_bytes > 0,
+                "{kind}: {} starved under faults",
+                f.name
+            );
+        }
+
+        // Response-invalidating kinds: every affected flow lands on
+        // the ladder (cached action, quarantine, or classic pin).
+        if LADDER_KINDS.contains(&kind) {
+            let laddered: BTreeSet<u32> = trace
                 .iter()
                 .filter_map(|e| match e {
-                    TraceEvent::PolicyFault { flow, fault, .. } => {
-                        assert_eq!(
-                            fault, kind,
-                            "{kind}/{sched:?}: fault witness carries wrong label"
-                        );
-                        Some(*flow)
-                    }
+                    TraceEvent::Fallback { flow, .. }
+                    | TraceEvent::Quarantine { flow, .. }
+                    | TraceEvent::Guardrail { flow, .. } => Some(*flow),
                     _ => None,
                 })
                 .collect();
-            assert!(
-                !fault_flows.is_empty(),
-                "{kind}/{sched:?}: armed window injected nothing"
-            );
-
-            // The serialized report is finite everywhere (a NaN action
-            // absorbed into a rate would surface here as goodput NaN).
-            let summary = RunSummary::from_report("chaos", &report);
-            for f in &summary.flows {
+            for flow in &fault_flows {
                 assert!(
-                    f.goodput_mbps.is_finite() && f.rtt_mean_ms.is_finite(),
-                    "{kind}/{sched:?}: non-finite flow metrics in report"
+                    laddered.contains(flow),
+                    "{kind}: flow {flow} was faulted but never \
+                     rode the degradation ladder"
                 );
-            }
-            assert!(summary.jain.is_finite() && summary.utilization.is_finite());
-            assert!(
-                summary.policy_faults_injected >= fault_flows.len() as u64,
-                "{kind}/{sched:?}: fault counter lost injections"
-            );
-            for f in &report.flows {
-                assert!(
-                    f.delivered_bytes > 0,
-                    "{kind}/{sched:?}: {} starved under faults",
-                    f.name
-                );
-            }
-
-            // Response-invalidating kinds: every affected flow lands on
-            // the ladder (cached action, quarantine, or classic pin).
-            if LADDER_KINDS.contains(&kind) {
-                let laddered: BTreeSet<u32> = trace
-                    .iter()
-                    .filter_map(|e| match e {
-                        TraceEvent::Fallback { flow, .. }
-                        | TraceEvent::Quarantine { flow, .. }
-                        | TraceEvent::Guardrail { flow, .. } => Some(*flow),
-                        _ => None,
-                    })
-                    .collect();
-                for flow in &fault_flows {
-                    assert!(
-                        laddered.contains(flow),
-                        "{kind}/{sched:?}: flow {flow} was faulted but never \
-                         rode the degradation ladder"
-                    );
-                }
             }
         }
     }

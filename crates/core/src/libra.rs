@@ -517,10 +517,11 @@ impl Libra {
         self.classic_rate().abs_diff(self.rl.current_rate()) >= th && !th.is_zero()
     }
 
-    /// The Explore-stage bookkeeping that follows the RL decision
-    /// (inline or resolved): fold the MI into `u(x_prev)`'s aggregate and
-    /// feed rejected-action deltas to the guardrail. Returns `true` when
-    /// the guardrail just benched the RL arm — the tick must stop there.
+    /// The Explore-stage bookkeeping that follows the RL decision (or
+    /// the RL component's skipping one): fold the MI into `u(x_prev)`'s
+    /// aggregate and feed rejected-action deltas to the guardrail.
+    /// Returns `true` when the guardrail just benched the RL arm — the
+    /// tick must stop there.
     fn explore_post_rl(&mut self, mi: &MiStats) -> bool {
         self.explore_agg.add(mi);
         // Feed rejected-action deltas to the guardrail; a streak of
@@ -574,19 +575,59 @@ impl Libra {
             };
         }
     }
+}
 
-    /// The per-MI stage machine, shared by the inline path
-    /// ([`CongestionControl::on_mi`], `out = None`) and the two-phase
-    /// submit/resolve boundary (`out = Some(buf)`).
-    ///
-    /// In two-phase mode an Explore tick with a pending RL decision
-    /// writes the RL state vector into `buf` and returns `true`; the tick
-    /// then completes in [`CongestionControl::mi_resolve`] with the
-    /// policy server's action. Every other stage (and every tick the RL
-    /// component skips) runs to completion here and returns `false`.
-    /// Both modes execute the identical operation sequence — the
-    /// bit-identity contract of the batched policy server.
-    fn mi_step(&mut self, mi: &MiStats, out: Option<&mut Vec<f64>>) -> bool {
+impl CongestionControl for Libra {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn on_send(&mut self, ev: &SendEvent) {
+        if let Some(c) = &mut self.classic {
+            c.on_send(ev);
+        }
+        self.rl.on_send(ev);
+    }
+
+    fn on_ack(&mut self, ev: &AckEvent) {
+        self.srtt = ev.srtt;
+        self.now = ev.now;
+        if let Some(c) = &mut self.classic {
+            c.on_ack(ev);
+        }
+        // The RL component's per-ACK bookkeeping is cheap (EWMAs only);
+        // its expensive inference runs per-MI during exploration.
+        self.rl.on_ack(ev);
+        self.check_rate_sanity();
+    }
+
+    fn on_loss(&mut self, ev: &LossEvent) {
+        self.now = ev.now;
+        if let Some(c) = &mut self.classic {
+            c.on_loss(ev);
+        }
+        self.rl.on_loss(ev);
+    }
+
+    /// Self-served decision, derived: submit, then — if the RL component
+    /// owes a decision — ask its agent directly and resolve.
+    fn on_mi(&mut self, mi: &MiStats) {
+        let mut state = Vec::new();
+        if self.mi_submit(mi, &mut state) {
+            let action = self.rl.agent().borrow_mut().act(&state);
+            self.mi_resolve(mi, &action);
+        }
+    }
+
+    /// The per-MI stage machine. An Explore tick whose RL component owes
+    /// a decision writes the RL state vector into `policy_state` and
+    /// returns `true`; the tick then completes in
+    /// [`mi_resolve`](CongestionControl::mi_resolve) with the action —
+    /// the policy server's, or the one
+    /// [`on_mi`](CongestionControl::on_mi) fetched itself. Every other
+    /// stage (and every tick the RL component skips) runs to completion
+    /// here and returns `false`.
+    fn mi_submit(&mut self, mi: &MiStats, policy_state: &mut Vec<f64>) -> bool {
         self.now = mi.end;
         // Degraded mode: the classic arm has full control (see
         // `cwnd_bytes`/`pacing_rate`); the cycle machinery idles while
@@ -637,18 +678,13 @@ impl Libra {
             } => {
                 if !mi.is_ack_starved() {
                     // RL acts (this is where Libra pays for inference).
-                    match out {
-                        Some(buf) => {
-                            if self.rl.mi_submit(mi, buf) {
-                                // Decision pending at the policy server;
-                                // the tick completes in `mi_resolve`.
-                                return true;
-                            }
-                            // RL skipped inference (its own startup);
-                            // the tick completes inline.
-                        }
-                        None => self.rl.on_mi(mi),
+                    if self.rl.mi_submit(mi, policy_state) {
+                        // Decision owed; the tick completes in
+                        // `mi_resolve`.
+                        return true;
                     }
+                    // RL skipped inference (its own startup); the tick
+                    // completes here.
                     if self.explore_post_rl(mi) {
                         return false;
                     }
@@ -711,52 +747,10 @@ impl Libra {
             }
         }
     }
-}
-
-impl CongestionControl for Libra {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn on_send(&mut self, ev: &SendEvent) {
-        if let Some(c) = &mut self.classic {
-            c.on_send(ev);
-        }
-        self.rl.on_send(ev);
-    }
-
-    fn on_ack(&mut self, ev: &AckEvent) {
-        self.srtt = ev.srtt;
-        self.now = ev.now;
-        if let Some(c) = &mut self.classic {
-            c.on_ack(ev);
-        }
-        // The RL component's per-ACK bookkeeping is cheap (EWMAs only);
-        // its expensive inference runs per-MI during exploration.
-        self.rl.on_ack(ev);
-        self.check_rate_sanity();
-    }
-
-    fn on_loss(&mut self, ev: &LossEvent) {
-        self.now = ev.now;
-        if let Some(c) = &mut self.classic {
-            c.on_loss(ev);
-        }
-        self.rl.on_loss(ev);
-    }
-
-    fn on_mi(&mut self, mi: &MiStats) {
-        self.mi_step(mi, None);
-    }
-
-    fn mi_submit(&mut self, stats: &MiStats, policy_state: &mut Vec<f64>) -> bool {
-        self.mi_step(stats, Some(policy_state))
-    }
 
     fn mi_resolve(&mut self, stats: &MiStats, action: &[f64]) {
         // Complete the Explore tick suspended in `mi_submit`: apply the
-        // policy server's action, then run exactly the bookkeeping the
-        // inline path would have run after `rl.on_mi`.
+        // action, then the post-decision bookkeeping.
         self.rl.mi_resolve(stats, action);
         if let Stage::Explore {
             ticks_left,

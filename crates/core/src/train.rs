@@ -139,6 +139,30 @@ mod tests {
         assert!(r.curve.iter().any(|e| e.utilization > 0.05));
     }
 
+    /// 64-bit FNV-1a (the digest the bench crate's golden tables use).
+    fn fnv1a(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Libra's training-mode self-serve (`on_mi` sampling from the agent
+    /// being updated, cycle resets included), pinned against the commit
+    /// that recorded it. `Debug` prints every float round-trip exact.
+    #[test]
+    fn libra_training_is_pinned() {
+        let cfg = TrainConfig {
+            episodes: 6,
+            ..quick_train_config(5)
+        };
+        let r = train_libra(LibraVariant::Cubic, &cfg);
+        let got = fnv1a(&format!("{:?}{:?}", r.weights, r.curve));
+        assert_eq!(
+            got, 0xaaf6_dbba_d12c_f5df,
+            "training digest drifted (got {got:#018x})"
+        );
+    }
+
     #[test]
     fn clean_slate_trains_too() {
         let cfg = TrainConfig {

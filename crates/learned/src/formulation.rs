@@ -4,6 +4,7 @@
 
 use libra_types::{Duration, MiStats, Rate};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// The nine state candidates of Tab. 1. Each contributes one or two
 /// normalized scalars to the feature vector.
@@ -211,6 +212,22 @@ impl StateSpace {
     /// Total observation dimension (`step_width × history`).
     pub fn dim(&self) -> usize {
         self.step_width() * self.history
+    }
+
+    /// Write the observation vector — the last `history` steps, oldest
+    /// first, missing ones zero-padded (cold start) — into a (reused)
+    /// buffer.
+    pub(crate) fn write_history(&self, steps: &VecDeque<Vec<f64>>, out: &mut Vec<f64>) {
+        let w = self.step_width();
+        let h = self.history;
+        out.clear();
+        out.reserve(w * h);
+        for k in 0..h {
+            match steps.get(steps.len().wrapping_sub(h - k)) {
+                Some(step) => out.extend(step),
+                None => out.extend(std::iter::repeat_n(0.0, w)),
+            }
+        }
     }
 
     /// Extract one step's normalized feature scalars.

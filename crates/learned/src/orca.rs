@@ -75,19 +75,6 @@ impl Orca {
     pub fn agent(&self) -> Rc<RefCell<PpoAgent>> {
         Rc::clone(&self.agent)
     }
-
-    fn state_vector(&self) -> Vec<f64> {
-        let w = self.state.step_width();
-        let h = self.state.history;
-        let mut v = Vec::with_capacity(w * h);
-        for k in 0..h {
-            match self.history.get(self.history.len().wrapping_sub(h - k)) {
-                Some(step) => v.extend(step),
-                None => v.extend(std::iter::repeat_n(0.0, w)),
-            }
-        }
-        v
-    }
 }
 
 impl CongestionControl for Orca {
@@ -141,7 +128,8 @@ impl CongestionControl for Orca {
         while self.history.len() > self.state.history {
             self.history.pop_front();
         }
-        let state = self.state_vector();
+        let mut state = Vec::new();
+        self.state.write_history(&self.history, &mut state);
         let mut agent = self.agent.borrow_mut();
         agent.give_reward(reward, false);
         let a = agent.act(&state)[0];

@@ -211,30 +211,7 @@ impl RlCca {
         }
     }
 
-    fn state_vector(&self) -> Vec<f64> {
-        let mut v = Vec::new();
-        self.write_state(&mut v);
-        v
-    }
-
-    /// Write the current state vector into a reused buffer (the batched
-    /// submit path's allocation-free variant of [`Self::state_vector`]).
-    fn write_state(&self, out: &mut Vec<f64>) {
-        let w = self.config.state.step_width();
-        let h = self.config.state.history;
-        out.clear();
-        out.reserve(w * h);
-        // Pad missing history with zeros (cold start).
-        for k in 0..h {
-            match self.history.get(self.history.len().wrapping_sub(h - k)) {
-                Some(step) => out.extend(step),
-                None => out.extend(std::iter::repeat_n(0.0, w)),
-            }
-        }
-    }
-
-    /// Apply a policy action to the rate — the tail of a decision,
-    /// shared by the inline path and the two-phase resolve path. This is
+    /// Apply a policy action to the rate — the tail of a decision and
     /// the degradation ladder's resolve-side anchor:
     ///
     /// 1. a validated action (right dimension, finite) is cached and
@@ -275,15 +252,56 @@ impl RlCca {
         }
         self.invalid_actions += 1;
     }
+}
 
-    /// The MI-close body, shared by [`CongestionControl::on_mi`] (inline
-    /// inference, `out = None`) and the two-phase submit/resolve pair
-    /// (`out = Some(buf)`: write the state vector and return `true`, the
-    /// caller then resolves with the policy server's action).
-    ///
-    /// Both modes run the *identical* operation sequence, split at the
-    /// `act` call — the bit-identity contract of the batched path.
-    fn mi_step(&mut self, mi: &MiStats, out: Option<&mut Vec<f64>>) -> bool {
+impl CongestionControl for RlCca {
+    fn name(&self) -> &'static str {
+        self.config.name
+    }
+
+    fn on_send(&mut self, ev: &SendEvent) {
+        if let Some(prev) = self.last_send_at {
+            self.send_gap
+                .update(ev.now.saturating_since(prev).as_secs_f64());
+        }
+        self.last_send_at = Some(ev.now);
+    }
+
+    fn on_ack(&mut self, ev: &AckEvent) {
+        if let Some(prev) = self.last_ack_at {
+            self.ack_gap
+                .update(ev.now.saturating_since(prev).as_secs_f64());
+        }
+        self.last_ack_at = Some(ev.now);
+        self.srtt = ev.srtt;
+        if self.d_min.is_zero() {
+            self.d_min = ev.min_rtt;
+        } else {
+            self.d_min = self.d_min.min(ev.min_rtt);
+        }
+    }
+
+    fn on_loss(&mut self, _ev: &LossEvent) {
+        // Loss enters through the MI statistics.
+    }
+
+    /// Self-served decision, derived: submit, then — if a decision is
+    /// owed — ask the agent directly and resolve with its action.
+    fn on_mi(&mut self, mi: &MiStats) {
+        let mut state = Vec::new();
+        if self.mi_submit(mi, &mut state) {
+            let action = self.agent.borrow_mut().act(&state);
+            self.mi_resolve(mi, &action);
+        }
+    }
+
+    /// The MI-close body (Alg. 2): bookkeeping up to the point where the
+    /// policy is consulted. Returns `true` with the state vector in
+    /// `policy_state` when a decision is owed; whoever serves it — the
+    /// policy server, or [`on_mi`](CongestionControl::on_mi) above —
+    /// completes the tick through
+    /// [`mi_resolve`](CongestionControl::mi_resolve).
+    fn mi_submit(&mut self, mi: &MiStats, policy_state: &mut Vec<f64>) -> bool {
         // No-ACK special case (Sec. 3): keep the same rate decision and
         // skip the agent entirely.
         if mi.is_ack_starved() {
@@ -334,62 +352,9 @@ impl RlCca {
         // interval); feed the agent a neutral value rather than poisoning
         // its advantages.
         let reward = if reward.is_finite() { reward } else { 0.0 };
-        match out {
-            Some(buf) => {
-                self.write_state(buf);
-                self.agent.borrow_mut().give_reward(reward, false);
-                true
-            }
-            None => {
-                let state = self.state_vector();
-                let mut agent = self.agent.borrow_mut();
-                agent.give_reward(reward, false);
-                let action = agent.act(&state);
-                drop(agent);
-                self.apply_action(&action);
-                false
-            }
-        }
-    }
-}
-
-impl CongestionControl for RlCca {
-    fn name(&self) -> &'static str {
-        self.config.name
-    }
-
-    fn on_send(&mut self, ev: &SendEvent) {
-        if let Some(prev) = self.last_send_at {
-            self.send_gap
-                .update(ev.now.saturating_since(prev).as_secs_f64());
-        }
-        self.last_send_at = Some(ev.now);
-    }
-
-    fn on_ack(&mut self, ev: &AckEvent) {
-        if let Some(prev) = self.last_ack_at {
-            self.ack_gap
-                .update(ev.now.saturating_since(prev).as_secs_f64());
-        }
-        self.last_ack_at = Some(ev.now);
-        self.srtt = ev.srtt;
-        if self.d_min.is_zero() {
-            self.d_min = ev.min_rtt;
-        } else {
-            self.d_min = self.d_min.min(ev.min_rtt);
-        }
-    }
-
-    fn on_loss(&mut self, _ev: &LossEvent) {
-        // Loss enters through the MI statistics.
-    }
-
-    fn on_mi(&mut self, mi: &MiStats) {
-        self.mi_step(mi, None);
-    }
-
-    fn mi_submit(&mut self, stats: &MiStats, policy_state: &mut Vec<f64>) -> bool {
-        self.mi_step(stats, Some(policy_state))
+        self.config.state.write_history(&self.history, policy_state);
+        self.agent.borrow_mut().give_reward(reward, false);
+        true
     }
 
     fn mi_resolve(&mut self, _stats: &MiStats, action: &[f64]) {
@@ -538,7 +503,9 @@ mod tests {
         // One observed MI: the state vector is mostly zero padding but has
         // the right dimension (exercised through on_mi without panic).
         cca.on_mi(&mi(5.0, 50, 0.0));
-        assert_eq!(cca.state_vector().len(), StateSpace::libra().dim());
+        let mut state = Vec::new();
+        cca.config.state.write_history(&cca.history, &mut state);
+        assert_eq!(state.len(), StateSpace::libra().dim());
     }
 
     #[test]

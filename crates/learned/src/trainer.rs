@@ -279,6 +279,34 @@ mod tests {
         }
     }
 
+    /// 64-bit FNV-1a (the digest the bench crate's golden tables use).
+    fn fnv1a(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Training is the one user of training-mode self-serve (`on_mi`
+    /// sampling from the agent it is updating): pin the weights and the
+    /// episode curve against the commit that recorded them, not just a
+    /// run against itself. `Debug` prints every float round-trip exact.
+    #[test]
+    fn aurora_training_is_pinned() {
+        let cfg = TrainConfig {
+            episodes: 6,
+            episode_secs: 4,
+            env: EnvRanges::quick(),
+            seed: 9,
+            update_every: 2,
+        };
+        let r = train_rl_cca(&RlCcaConfig::aurora(), &cfg);
+        let got = fnv1a(&format!("{:?}{:?}", r.weights, r.curve));
+        assert_eq!(
+            got, 0x330d_6d49_3d37_30dd,
+            "training digest drifted (got {got:#018x})"
+        );
+    }
+
     #[test]
     fn tail_reward_math() {
         let curve: Vec<EpisodeLog> = (0..8)

@@ -65,8 +65,8 @@ pub use pool::{PacketHandle, PacketPool};
 pub use queue::{DroptailQueue, EcnConfig, Enqueue};
 pub use sender::{BinSeries, FlowSender};
 pub use sim::{
-    BudgetKind, BudgetTrip, FlowConfig, FlowReport, LinkConfig, LinkReport, SchedulerKind,
-    SimBudget, SimConfig, SimReport, Simulation,
+    BudgetKind, BudgetTrip, FlowConfig, FlowReport, LinkConfig, LinkReport, SimBudget, SimConfig,
+    SimReport, Simulation,
 };
 pub use trace::{
     datacenter_link, fiveg_link, leo_link, lte_link, lte_trace, satellite_link, step_link,

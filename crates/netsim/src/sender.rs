@@ -781,31 +781,36 @@ impl FlowSender {
         now + d
     }
 
-    /// Close the current monitor interval and tick the controller.
-    /// Returns when the next MI should fire.
-    pub fn on_mi_tick(&mut self, now: Instant) -> Instant {
+    /// MI tick, phase 1: close the interval and tick the controller.
+    /// With a policy service attached (`served`) the controller either
+    /// completes the tick itself (classic CCAs, the trait default —
+    /// returns `false`) or submits a policy request into `policy_state`
+    /// (returns `true`); on `true` the interval's stats are stashed and
+    /// the caller owes exactly one [`FlowSender::mi_tick_resolve`] before
+    /// [`FlowSender::mi_tick_finish`]. Unserved, the controller decides
+    /// in `on_mi` and nothing is ever owed.
+    pub fn mi_tick_submit(
+        &mut self,
+        now: Instant,
+        served: bool,
+        policy_state: &mut Vec<f64>,
+    ) -> bool {
         let stats = self.close_mi(now);
-        self.time_cca(|cca| cca.on_mi(&stats));
-        self.next_mi_at(now)
-    }
-
-    /// Two-phase MI tick, phase 1: close the interval and let the
-    /// controller either complete the tick inline (classic CCAs, the
-    /// trait default — returns `false`) or submit a policy request into
-    /// `policy_state` (returns `true`). On `true` the interval's stats
-    /// are stashed and the caller owes exactly one
-    /// [`FlowSender::mi_tick_resolve`] before
-    /// [`FlowSender::mi_tick_finish`].
-    pub fn mi_tick_submit(&mut self, now: Instant, policy_state: &mut Vec<f64>) -> bool {
-        let stats = self.close_mi(now);
-        let submitted = self.time_cca(|cca| cca.mi_submit(&stats, policy_state));
+        let submitted = self.time_cca(|cca| {
+            if served {
+                cca.mi_submit(&stats, policy_state)
+            } else {
+                cca.on_mi(&stats);
+                false
+            }
+        });
         if submitted {
             self.pending_mi = Some(stats);
         }
         submitted
     }
 
-    /// Two-phase MI tick, phase 2: feed the policy server's action back
+    /// MI tick, phase 2: feed the policy server's action back
     /// into the controller for the interval stashed by
     /// [`FlowSender::mi_tick_submit`].
     pub fn mi_tick_resolve(&mut self, action: &[f64]) {
@@ -816,12 +821,15 @@ impl FlowSender {
         self.time_cca(|cca| cca.mi_resolve(&stats, action));
     }
 
-    /// Two-phase MI tick, phase 3: schedule-side tail of the tick.
-    /// Returns when the next MI should fire (the controller's decision is
-    /// already applied, so `mi_duration` sees the post-decision state —
-    /// exactly as at the end of [`FlowSender::on_mi_tick`]).
+    /// MI tick, phase 3: schedule-side tail of the tick. Returns when
+    /// the next MI should fire (the controller's decision is already
+    /// applied, so `mi_duration` sees the post-decision state).
     pub fn mi_tick_finish(&mut self, now: Instant) -> Instant {
-        debug_assert!(self.pending_mi.is_none(), "unresolved policy request");
+        // A submitted MI that is never resolved silently skips a decision:
+        // checked in debug builds and, in release, under
+        // `checked-invariants`.
+        #[cfg(any(debug_assertions, feature = "checked-invariants"))]
+        assert!(self.pending_mi.is_none(), "unresolved policy request");
         self.next_mi_at(now)
     }
 
@@ -997,8 +1005,65 @@ mod tests {
     fn mi_tick_schedules_next() {
         let mut s = sender(4 * 1500);
         s.activate(Instant::ZERO);
-        let next = s.on_mi_tick(Instant::from_millis(40));
-        assert_eq!(next, Instant::from_millis(80)); // init_rtt = 40 ms
+        let at = Instant::from_millis(40);
+        assert!(!s.mi_tick_submit(at, false, &mut Vec::new()));
+        assert_eq!(s.mi_tick_finish(at), Instant::from_millis(80)); // init_rtt = 40 ms
+    }
+
+    /// A sender whose controller owes a policy decision on every MI.
+    fn submitting_sender() -> FlowSender {
+        struct Submits;
+        impl CongestionControl for Submits {
+            fn name(&self) -> &'static str {
+                "submits"
+            }
+            fn on_ack(&mut self, _: &AckEvent) {}
+            fn on_loss(&mut self, _: &LossEvent) {}
+            fn mi_submit(&mut self, _: &libra_types::MiStats, _: &mut Vec<f64>) -> bool {
+                true
+            }
+            fn cwnd_bytes(&self) -> u64 {
+                15_000
+            }
+        }
+        FlowSender::new(
+            FlowId(0),
+            Box::new(Submits),
+            1500,
+            Instant::ZERO,
+            Instant::from_secs(100),
+            Duration::from_millis(40),
+            Duration::from_millis(100),
+        )
+    }
+
+    #[test]
+    fn served_submit_owes_exactly_one_resolve() {
+        let mut s = submitting_sender();
+        let at = Instant::from_millis(40);
+        // Unserved, the controller is never asked to submit.
+        assert!(!s.mi_tick_submit(at, false, &mut Vec::new()));
+        assert_eq!(s.mi_tick_finish(at), Instant::from_millis(80));
+        assert!(s.mi_tick_submit(at, true, &mut Vec::new()));
+        s.mi_tick_resolve(&[0.0]);
+        assert_eq!(s.mi_tick_finish(at), Instant::from_millis(80));
+    }
+
+    #[test]
+    #[should_panic(expected = "without a submitted MI")]
+    fn resolve_without_a_submit_panics() {
+        submitting_sender().mi_tick_resolve(&[0.0]);
+    }
+
+    // Release builds without `checked-invariants` compile the check out.
+    #[cfg(any(debug_assertions, feature = "checked-invariants"))]
+    #[test]
+    #[should_panic(expected = "unresolved policy request")]
+    fn finish_with_an_unresolved_submit_panics() {
+        let mut s = submitting_sender();
+        let at = Instant::from_millis(40);
+        assert!(s.mi_tick_submit(at, true, &mut Vec::new()));
+        s.mi_tick_finish(at);
     }
 
     #[test]

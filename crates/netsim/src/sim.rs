@@ -29,8 +29,7 @@ use libra_types::{
     RingRecorder, TraceEvent, TraceSink, Tracer, Welford, LINK_FLOW,
 };
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Bottleneck-link configuration.
@@ -107,20 +106,6 @@ impl LinkConfig {
     }
 }
 
-/// Which event-scheduler backend the simulation uses. Both produce
-/// byte-identical runs — the wheel's pop order is exactly the heap's
-/// `(at, seq)` order (see [`crate::wheel`]) — so this knob exists for the
-/// equivalence tests and as an escape hatch, not as a semantic choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Hierarchical timer wheel: O(1) amortized, the default.
-    #[default]
-    Wheel,
-    /// The original global binary heap: O(log n) per op, kept as the
-    /// reference implementation.
-    Heap,
-}
-
 /// Simulation-level knobs that are not properties of the link.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -134,8 +119,6 @@ pub struct SimConfig {
     /// Livelock/event-storm watchdog budgets. Inactive by default: the
     /// default hot loop carries a single boolean branch per pop.
     pub budget: SimBudget,
-    /// Event-scheduler backend (timer wheel by default).
-    pub scheduler: SchedulerKind,
     /// Align decision ticks to a time grid: each flow's next MI tick is
     /// rounded *up* to the next multiple of this quantum, so the ticks of
     /// many flows land on the same instant and can share one batched
@@ -152,7 +135,6 @@ impl Default for SimConfig {
             trace: false,
             trace_capacity: 65_536,
             budget: SimBudget::default(),
-            scheduler: SchedulerKind::default(),
             mi_quantum: None,
         }
     }
@@ -173,12 +155,6 @@ impl SimConfig {
             budget: SimBudget::standard(),
             ..SimConfig::default()
         }
-    }
-
-    /// Swap the event-scheduler backend (builder style).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 
     /// Align decision ticks to a grid (builder style); see
@@ -356,48 +332,6 @@ enum Event {
     QueueSample,
 }
 
-/// The event scheduler: the timer wheel by default, with the original
-/// binary heap retained as the reference backend (the equivalence tests
-/// replay runs through both and require identical results).
-enum EventQueue {
-    Heap(BinaryHeap<Reverse<TimedEntry<Event>>>),
-    Wheel(Box<TimerWheel<Event>>),
-}
-
-impl EventQueue {
-    fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            // Outstanding events scale with flows × window, not duration;
-            // a few KiB of headroom removes regrowth from the hot loop.
-            SchedulerKind::Heap => EventQueue::Heap(BinaryHeap::with_capacity(4096)),
-            SchedulerKind::Wheel => EventQueue::Wheel(Box::default()),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, entry: TimedEntry<Event>) {
-        match self {
-            EventQueue::Heap(h) => h.push(Reverse(entry)),
-            EventQueue::Wheel(w) => w.push(entry),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<TimedEntry<Event>> {
-        match self {
-            EventQueue::Heap(h) => h.pop().map(|Reverse(e)| e),
-            EventQueue::Wheel(w) => w.pop(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.len(),
-            EventQueue::Wheel(w) => w.len(),
-        }
-    }
-}
-
 /// ACKs for one flow that all arrive at the same instant, delivered by a
 /// single [`Event::AckBatch`] pop instead of one heap event each.
 ///
@@ -553,7 +487,9 @@ impl SimReport {
 /// [`run`](Simulation::run).
 pub struct Simulation {
     now: Instant,
-    events: EventQueue,
+    /// The event scheduler (under `checked-invariants` it checks every
+    /// pop against a reference heap — see [`crate::wheel`]).
+    events: TimerWheel<Event>,
     eseq: u64,
     // Link state.
     capacity: CapacitySchedule,
@@ -600,9 +536,9 @@ pub struct Simulation {
     policy: Option<Rc<RefCell<dyn PolicyService>>>,
     /// Reused policy-request pool (inner buffers keep their capacity).
     policy_requests: Vec<PolicyRequest>,
-    /// Reused gather buffers for one batched decision tick.
-    batch_ids: Vec<FlowId>,
-    batch_submitted: Vec<bool>,
+    /// Reused gather buffer for one decision tick: each same-instant
+    /// flow, and whether its controller is owed a policy action.
+    mi_ticks: Vec<(FlowId, bool)>,
     // Tracing.
     cfg: SimConfig,
     /// One recorder per flow when tracing is on (index-aligned with
@@ -658,7 +594,7 @@ impl Simulation {
         let merge_acks = faults_active || !link.ack_jitter.is_zero();
         Simulation {
             now: Instant::ZERO,
-            events: EventQueue::new(cfg.scheduler),
+            events: TimerWheel::new(),
             eseq: 0,
             // Link-flap faults become zero-capacity windows on the schedule:
             // packets in service wait the outage out like a trace blackout.
@@ -688,8 +624,7 @@ impl Simulation {
             open_ats: Vec::new(),
             policy: None,
             policy_requests: Vec::new(),
-            batch_ids: Vec::new(),
-            batch_submitted: Vec::new(),
+            mi_ticks: Vec::new(),
             cfg,
             recorders: Vec::new(),
             link_recorder,
@@ -712,7 +647,7 @@ impl Simulation {
     /// state first, the service evaluates all submissions in one batched
     /// forward pass, and each tick completes in the original dispatch
     /// order — byte-identical to per-flow inference (see
-    /// [`Simulation::dispatch_mi_batch`]). Evaluation is synchronous
+    /// [`Simulation::dispatch_mi_ticks`]). Evaluation is synchronous
     /// inside the event loop; no threads are involved.
     pub fn attach_policy(&mut self, policy: Rc<RefCell<dyn PolicyService>>) {
         self.policy = Some(policy);
@@ -1001,20 +936,7 @@ impl Simulation {
                     self.pump_flow(id);
                 }
             }
-            Event::MiTick(id) => {
-                if self.policy.is_some() {
-                    self.dispatch_mi_batch(id, until);
-                    return;
-                }
-                let mut next = self.flows[id.index()].on_mi_tick(self.now);
-                if let Some(q) = self.cfg.mi_quantum {
-                    next = quantize_mi(next, q);
-                }
-                if next <= until {
-                    self.schedule(next, Event::MiTick(id));
-                }
-                self.pump_flow(id);
-            }
+            Event::MiTick(id) => self.dispatch_mi_ticks(id, until),
             Event::RtoCheck(id, generation) => {
                 let flow = &mut self.flows[id.index()];
                 if generation < flow.rto_generation {
@@ -1047,13 +969,16 @@ impl Simulation {
         }
     }
 
-    /// One batched decision tick: gather every `MiTick` scheduled for
-    /// this exact instant, close all intervals and collect policy
-    /// submissions (phase 1, in pop order), serve the submissions in one
-    /// batched forward pass (phase 2), then complete each tick — resolve,
-    /// next-tick scheduling, pump — in the same pop order (phase 3).
+    /// One decision tick, the only MI-tick path: gather every `MiTick`
+    /// scheduled for this exact instant, close all intervals and tick the
+    /// controllers (phase 1, in pop order — with a [`PolicyService`]
+    /// attached, learned controllers submit their state instead of
+    /// deciding), serve the submissions, if any, in one batched forward
+    /// pass (phase 2), then complete each tick — resolve, next-tick
+    /// scheduling, pump — in the same pop order (phase 3). Without a
+    /// service nothing is ever submitted and phase 2 never runs.
     ///
-    /// ## Why this is byte-identical to sequential dispatch
+    /// ## Why this is byte-identical to dispatching the ticks one by one
     ///
     /// * The gather preserves pop order: same-instant events dispatch in
     ///   sequence-number order, and anything newly scheduled at the same
@@ -1061,14 +986,16 @@ impl Simulation {
     ///   tick, so pulling the run of `MiTick`s forward reorders nothing.
     ///   The one event popped too far is pushed back with its key intact.
     /// * Closing interval k+1 before completing tick k is safe because
-    ///   `close_mi` and the controller's submit half read only flow-local
-    ///   state — never the queue or the link.
+    ///   `close_mi` and the controller's MI callback (`on_mi`, or
+    ///   `mi_submit` when served) read only flow-local state — never the
+    ///   queue or the link.
     /// * All `schedule()` calls (next ticks, pacer wakes, service
-    ///   completions from pumping) still happen in exactly the sequential
-    ///   path's order, so every event gets the identical sequence number.
+    ///   completions from pumping) still happen in exactly the order
+    ///   one-by-one dispatch makes them, so every event gets the
+    ///   identical sequence number.
     /// * Eval-mode batched inference is bit-identical to per-flow
     ///   inference (`libra-nn`'s `matmat` contract), so the resolved
-    ///   actions match the inline path bit for bit.
+    ///   actions match a self-serving controller's bit for bit.
     ///
     /// Wall-clock inference time is split evenly across the batch into
     /// the members' `compute_ns` (wall time is excluded from determinism
@@ -1078,16 +1005,14 @@ impl Simulation {
     // one report field documented as a host measurement and excluded
     // from determinism guarantees.
     // lint: allow(nondeterminism_taint)
-    fn dispatch_mi_batch(&mut self, first: FlowId, until: Instant) {
-        let mut ids = std::mem::take(&mut self.batch_ids);
-        let mut submitted = std::mem::take(&mut self.batch_submitted);
+    fn dispatch_mi_ticks(&mut self, first: FlowId, until: Instant) {
+        let mut ticks = std::mem::take(&mut self.mi_ticks);
         let mut requests = std::mem::take(&mut self.policy_requests);
-        ids.clear();
-        submitted.clear();
-        ids.push(first);
+        ticks.clear();
+        ticks.push((first, false));
         while let Some(entry) = self.events.pop() {
             match entry.event {
-                Event::MiTick(id) if entry.at == self.now => ids.push(id),
+                Event::MiTick(id) if entry.at == self.now => ticks.push((id, false)),
                 _ => {
                     // Popped one too far: hand it back under its original
                     // `(at, seq)` key, so anything phase 3 schedules
@@ -1097,19 +1022,19 @@ impl Simulation {
                 }
             }
         }
-        // Phase 1: close every interval; learned controllers submit their
-        // state vectors into the reused request pool.
+        // Phase 1: close every interval; served learned controllers submit
+        // their state vectors into the reused request pool.
+        let served = self.policy.is_some();
         let mut used = 0usize;
-        for &id in &ids {
+        for (id, owed) in ticks.iter_mut() {
             if requests.len() == used {
                 requests.push(PolicyRequest::default());
             }
             let req = &mut requests[used];
             req.reset(id.0);
             req.at = self.now;
-            let sub = self.flows[id.index()].mi_tick_submit(self.now, &mut req.state);
-            submitted.push(sub);
-            if sub {
+            *owed = self.flows[id.index()].mi_tick_submit(self.now, served, &mut req.state);
+            if *owed {
                 used += 1;
             }
         }
@@ -1119,7 +1044,9 @@ impl Simulation {
         if used > 0 {
             requests[..used].sort_unstable_by_key(|r| r.flow);
             let policy = Rc::clone(self.policy.as_ref().expect("batched tick without a policy"));
-            let measure = ids.iter().any(|&id| self.flows[id.index()].measure_compute);
+            let measure = ticks
+                .iter()
+                .any(|&(id, _)| self.flows[id.index()].measure_compute);
             let t0 = measure.then(crate::host_clock::stamp);
             policy.borrow_mut().evaluate(&mut requests[..used]);
             // The batch's cost amortizes across its members — that
@@ -1137,8 +1064,8 @@ impl Simulation {
                 });
         }
         // Phase 3: complete each tick in pop order.
-        for (k, &id) in ids.iter().enumerate() {
-            if submitted[k] {
+        for &(id, owed) in &ticks {
+            if owed {
                 let row = requests[..used]
                     .binary_search_by_key(&id.0, |r| r.flow)
                     .expect("submitted flow missing from policy batch");
@@ -1174,8 +1101,7 @@ impl Simulation {
             }
             self.pump_flow(id);
         }
-        self.batch_ids = ids;
-        self.batch_submitted = submitted;
+        self.mi_ticks = ticks;
         self.policy_requests = requests;
     }
 

@@ -65,9 +65,16 @@
 //!   after every event resident in the wheel and are only consulted
 //!   when the wheel is empty.
 //!
-//! `tests/wheel_equivalence.rs` (and the in-crate tests below) replay
-//! identical event streams through both schedulers and require
-//! byte-identical pop order.
+//! # The oracle
+//!
+//! Under the `checked-invariants` feature the wheel carries a keys-only
+//! shadow `BinaryHeap` — the reference scheduler it replaced — that
+//! mirrors every push, and every pop asserts that the wheel returned the
+//! shadow's `(at, seq)` minimum. Every suite `scripts/ci.sh` runs with
+//! that feature (netsim, core, `policy_server`, `policy_chaos`,
+//! `tests/wheel_equivalence.rs`) therefore checks each pop of each run
+//! against the heap; the in-crate tests below also replay synthetic
+//! streams against an explicit heap in every build.
 
 use libra_types::Instant;
 use std::cmp::Reverse;
@@ -151,6 +158,9 @@ pub struct TimerWheel<E> {
     overflow: BinaryHeap<Key>,
     /// Total resident events.
     len: usize,
+    /// The reference scheduler, keys only (see "The oracle").
+    #[cfg(feature = "checked-invariants")]
+    shadow: BinaryHeap<Reverse<(Instant, u64)>>,
 }
 
 impl<E> TimerWheel<E> {
@@ -165,6 +175,8 @@ impl<E> TimerWheel<E> {
             near: BinaryHeap::with_capacity(64),
             overflow: BinaryHeap::new(),
             len: 0,
+            #[cfg(feature = "checked-invariants")]
+            shadow: BinaryHeap::new(),
         }
     }
 
@@ -191,6 +203,8 @@ impl<E> TimerWheel<E> {
     /// Schedule an entry. O(1): a slab cell, radix math and a list link.
     pub fn push(&mut self, entry: TimedEntry<E>) {
         self.len += 1;
+        #[cfg(feature = "checked-invariants")]
+        self.shadow.push(Reverse((entry.at, entry.seq)));
         let node = Node {
             at: entry.at,
             seq: entry.seq,
@@ -248,6 +262,12 @@ impl<E> TimerWheel<E> {
                     .expect("near-heap key names a vacant node");
                 node.next = self.free;
                 self.free = n;
+                #[cfg(feature = "checked-invariants")]
+                assert_eq!(
+                    self.shadow.pop(),
+                    Some(Reverse((at, seq))),
+                    "timer wheel popped out of the reference heap's order"
+                );
                 return Some(TimedEntry { at, seq, event });
             }
             if self.len == 0 {
@@ -494,6 +514,19 @@ mod tests {
             }
             assert!(wheel.pop().is_none());
         }
+    }
+
+    #[cfg(feature = "checked-invariants")]
+    #[test]
+    #[should_panic(expected = "reference heap's order")]
+    fn shadow_heap_catches_a_corrupted_resident_key() {
+        let mut wheel = TimerWheel::new();
+        wheel.push(entry(2_000_000, 0));
+        wheel.push(entry(3_000_000, 1));
+        // Both sit in level-1 slots; the cascade re-derives the first
+        // node's heap key from its (now wrong) due time.
+        wheel.nodes[0].at = Instant::from_nanos(3_500_000);
+        while wheel.pop().is_some() {}
     }
 
     #[test]

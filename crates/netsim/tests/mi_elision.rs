@@ -15,8 +15,7 @@
 
 use libra_classic::{Bbr, Cubic, NewReno, Vegas};
 use libra_netsim::{
-    FaultKind, FaultPlan, FlowConfig, LinkConfig, QueueConfig, SchedulerKind, SimConfig, SimReport,
-    Simulation,
+    FaultKind, FaultPlan, FlowConfig, LinkConfig, QueueConfig, SimConfig, SimReport, Simulation,
 };
 use libra_types::{
     AckEvent, CongestionControl, Duration, Instant, LossEvent, MiStats, Rate, SendEvent,
@@ -179,20 +178,19 @@ impl Scenario {
         sim.run(until)
     }
 
-    /// Bare ≡ forced for every classic × seed × scheduler.
+    /// Bare ≡ forced for every classic × seed (under
+    /// `checked-invariants` each run also checks every pop against the
+    /// wheel's reference heap).
     fn assert_elision_unobservable(&self) {
         for classic in CLASSICS {
             for seed in [1u64, 42, 9001] {
-                for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-                    let cfg = || SimConfig::default().with_scheduler(kind);
-                    let bare = fingerprint(&self.run(classic, false, seed, cfg()));
-                    let forced = fingerprint(&self.run(classic, true, seed, cfg()));
-                    assert_eq!(
-                        bare, forced,
-                        "{}: {classic:?} diverged from its MI-clocked twin at seed {seed} ({kind:?})",
-                        self.name
-                    );
-                }
+                let bare = fingerprint(&self.run(classic, false, seed, SimConfig::default()));
+                let forced = fingerprint(&self.run(classic, true, seed, SimConfig::default()));
+                assert_eq!(
+                    bare, forced,
+                    "{}: {classic:?} diverged from its MI-clocked twin at seed {seed}",
+                    self.name
+                );
             }
         }
     }

@@ -9,8 +9,11 @@
 //!    [`on_loss`](CongestionControl::on_loss) as packets move,
 //! 2. closes a monitor interval every
 //!    [`mi_duration`](CongestionControl::mi_duration) and calls
-//!    [`on_mi`](CongestionControl::on_mi) with the aggregated stats
-//!    (unless the scheme declares it has no MI clock),
+//!    [`on_mi`](CongestionControl::on_mi) with the aggregated stats — or,
+//!    with a policy service attached,
+//!    [`mi_submit`](CongestionControl::mi_submit) then
+//!    [`mi_resolve`](CongestionControl::mi_resolve) — (unless the scheme
+//!    declares it has no MI clock),
 //! 3. paces packets at [`pacing_rate`](CongestionControl::pacing_rate)
 //!    (falling back to `cwnd / sRTT` for window-based schemes) while never
 //!    exceeding [`cwnd_bytes`](CongestionControl::cwnd_bytes) in flight.
@@ -44,32 +47,43 @@ pub trait CongestionControl {
     /// Default: ignore (most CCAs are ECN-oblivious; DCTCP reacts).
     fn on_ecn(&mut self, _ev: &AckEvent) {}
 
-    /// A monitor interval closed. Window-based classics may ignore this;
+    /// A monitor interval closed and no policy service is attached: the
+    /// scheme decides by itself. Window-based classics may ignore this;
     /// rate-based and learned schemes make their decisions here.
+    ///
+    /// Who implements what: a scheme with no servable policy (classics,
+    /// PCC, Orca — which always queries its agent itself) implements
+    /// `on_mi` and inherits
+    /// [`mi_submit`](CongestionControl::mi_submit). A policy scheme
+    /// (`RlCca`, `Libra`) implements `mi_submit` /
+    /// [`mi_resolve`](CongestionControl::mi_resolve) and *derives*
+    /// `on_mi` from them — submit, and if an action is owed, query its
+    /// own agent with the submitted state and resolve — so the served
+    /// and self-served forms are one operation sequence by construction.
     fn on_mi(&mut self, _stats: &MiStats) {}
 
-    /// Two-phase MI close, submit half: run the MI bookkeeping and, if
-    /// this tick needs a policy evaluation, write the state vector into
-    /// `policy_state` and return `true` — the caller then owes exactly
-    /// one [`mi_resolve`](CongestionControl::mi_resolve) with the policy
+    /// MI close with a policy service attached, submit half: run the MI
+    /// bookkeeping and, if this tick needs a policy evaluation, write the
+    /// state vector into `policy_state` and return `true` — the caller
+    /// then owes exactly one
+    /// [`mi_resolve`](CongestionControl::mi_resolve) with the policy
     /// output before the tick is complete. Returning `false` means the
     /// tick is already finished (no inference wanted this MI).
     ///
-    /// The default delegates to [`on_mi`](CongestionControl::on_mi), so
-    /// classic schemes participate in a batched decision tick unchanged.
-    /// Implementations must make `mi_submit` + `mi_resolve` perform the
-    /// *identical* operation sequence as a plain `on_mi`, split at the
-    /// inference call — that is what keeps the policy server's batched
-    /// path bit-identical to the per-flow path.
+    /// The default — for schemes that implement only
+    /// [`on_mi`](CongestionControl::on_mi) — calls it and owes nothing,
+    /// so they take part in a served decision tick unchanged.
     fn mi_submit(&mut self, stats: &MiStats, _policy_state: &mut Vec<f64>) -> bool {
         self.on_mi(stats);
         false
     }
 
-    /// Two-phase MI close, resolve half: apply the policy server's
-    /// `action` for the state submitted by the matching
-    /// [`mi_submit`](CongestionControl::mi_submit). Default: nothing —
-    /// schemes whose `mi_submit` never returns `true` are never resolved.
+    /// Resolve half: apply `action` — the policy service's answer, or
+    /// the scheme's own agent's when called from its derived
+    /// [`on_mi`](CongestionControl::on_mi) — for the state written by
+    /// the matching [`mi_submit`](CongestionControl::mi_submit).
+    /// Default: nothing — schemes whose `mi_submit` never returns `true`
+    /// are never resolved.
     fn mi_resolve(&mut self, _stats: &MiStats, _action: &[f64]) {}
 
     /// Length of this scheme's monitor interval given the current smoothed

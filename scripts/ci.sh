@@ -36,7 +36,11 @@ cargo test --workspace --offline -q
 echo "==> chaos self-test (supervised sweep under injected faults)"
 cargo test --release --offline -q -p libra-bench --test supervisor
 
-echo "==> cargo test (netsim+core, runtime invariant asserts armed)"
+# Under checked-invariants the timer wheel carries the binary heap it
+# replaced as a shadow and asserts every pop against it, so the next
+# three steps are also the scheduler oracle's coverage
+# (netsim's tests/wheel_equivalence.rs exists only under the feature).
+echo "==> cargo test (netsim+core, runtime invariant asserts + scheduler oracle armed)"
 cargo test --offline -q -p libra-netsim -p libra-core \
     --features libra-netsim/checked-invariants,libra-core/checked-invariants
 
@@ -44,7 +48,7 @@ echo "==> policy-server batched identity (runtime invariant asserts armed)"
 cargo test --offline -q -p libra-bench --test policy_server \
     --features libra-netsim/checked-invariants,libra-core/checked-invariants
 
-echo "==> policy-chaos gate (every fault kind x scheduler, runtime invariant asserts armed)"
+echo "==> policy-chaos gate (every fault kind, runtime invariant asserts armed)"
 cargo test --release --offline -q -p libra-bench --test policy_chaos \
     --features libra-netsim/checked-invariants,libra-core/checked-invariants
 
