@@ -181,7 +181,9 @@ impl WorkspaceRule for LockAcrossCall {
 /// pinned run digests downstream.
 pub struct FmaDeterminism;
 
-const FMA_PATTERNS: &[&str] = &["mul_add(", "fmadd"];
+/// `mul_add` plus every x86 fused-intrinsic family: `fmadd` (also
+/// covers `fmaddsub`), `fmsub` (and `fmsubadd`), `fnmadd`, `fnmsub`.
+const FMA_PATTERNS: &[&str] = &["mul_add(", "fmadd", "fmsub", "fnmadd", "fnmsub"];
 
 impl WorkspaceRule for FmaDeterminism {
     fn id(&self) -> &'static str {
@@ -582,6 +584,20 @@ mod tests {
             )],
         );
         assert!(other.is_empty());
+    }
+
+    #[test]
+    fn fma_flags_every_fused_intrinsic_family() {
+        for call in [
+            "_mm256_fmadd_pd",
+            "_mm256_fmsub_pd",
+            "_mm512_fnmadd_pd",
+            "_mm_fnmsub_sd",
+        ] {
+            let src = format!("fn f(a: V) -> V {{\n    {call}(a, a, a)\n}}\n");
+            let hits = run_rule(&FmaDeterminism, &[("crates/nn/src/k.rs", src.as_str())]);
+            assert_eq!(hits.len(), 1, "{call} not flagged");
+        }
     }
 
     #[test]

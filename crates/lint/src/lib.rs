@@ -255,7 +255,7 @@ mod tests {
         assert!(has("crates/bench/src/bin/perf_smoke.rs"));
         assert!(has("src/lib.rs"));
         // Widened coverage: examples, tests, benches.
-        assert!(has("crates/nn/examples/kernbench.rs"));
+        assert!(has("crates/nn/tests/forward_goldens.rs"));
         assert!(has("crates/bench/tests/"));
         assert!(has("crates/bench/benches/"));
         assert!(has("examples/quickstart.rs"));

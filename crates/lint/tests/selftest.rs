@@ -24,6 +24,7 @@ const BAD: &[(&str, &str)] = &[
     ("bad_per_packet_alloc.rs", "no-per-packet-alloc"),
     ("bad_lock_across_call.rs", "lock-across-call"),
     ("bad_fma_determinism.rs", "fma-determinism"),
+    ("bad_fma_intrinsics.rs", "fma-determinism"),
     ("bad_unsafe_audit.rs", "unsafe-audit"),
     ("bad_nondeterminism_taint.rs", "nondeterminism-taint"),
 ];

@@ -994,7 +994,7 @@ impl Simulation {
     ///   one-by-one dispatch makes them, so every event gets the
     ///   identical sequence number.
     /// * Eval-mode batched inference is bit-identical to per-flow
-    ///   inference (`libra-nn`'s `matmat` contract), so the resolved
+    ///   inference (`libra-nn`'s `matmat_t` contract), so the resolved
     ///   actions match a self-serving controller's bit for bit.
     ///
     /// Wall-clock inference time is split evenly across the batch into

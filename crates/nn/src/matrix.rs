@@ -1,12 +1,22 @@
 //! A minimal dense-matrix type — just enough linear algebra for small
-//! fully-connected networks. Row-major `f64` storage, no BLAS. The one
-//! hot kernel — the batched policy forward [`Matrix::matmat_t`] — gets
-//! register blocking and a runtime-detected AVX path, but every variant
-//! keeps the same per-element multiply/add sequence (ascending shared
-//! index, no FMA) so batched results stay bit-identical to the scalar
-//! matrix-vector path. Everything else stays naive: clarity wins.
+//! fully-connected networks. Row-major `f64` storage, no BLAS.
+//!
+//! Every dense forward product runs one register-tiled kernel:
+//! [`Matrix::matmat_t`] over `lanes` = batch size (the policy server's
+//! batched forward), [`Matrix::matvec`] / [`Matrix::matvec_into`] over
+//! one lane (per-flow eval and the training forward). A tile holds its
+//! accumulators in registers across the whole shared dimension; each
+//! output element starts at `0.0` and adds `w[r][c] * x[c][s]` in
+//! ascending `c` with a separate multiply and add, never FMA. That one
+//! addend sequence is the bit-identity contract: batched ≡ per-flow by
+//! construction, on every instantiation. The body is written once and
+//! compiled three times — for AVX-512 (4 × 16 tiles), for AVX (4 × 8)
+//! and with no target feature (4 × 4) — and each call runs the widest one
+//! the host supports. Everything else (the training backward included)
+//! stays naive: clarity wins.
 
 use serde::{Deserialize, Serialize};
+use std::slice::ChunksExact;
 
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -86,35 +96,19 @@ impl Matrix {
 
     /// `self · x` for a column vector `x` (len == cols). Output len == rows.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "matvec shape mismatch");
-        let mut out = vec![0.0; self.rows];
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x) {
-                acc += a * b;
-            }
-            *o = acc;
-        }
+        let mut out = Vec::new();
+        self.matvec_into(x, &mut out);
         out
     }
 
     /// Like [`Matrix::matvec`], but writing into a caller-owned buffer so
-    /// steady-state callers (the eval hot path) never allocate. The
-    /// accumulation kernel is byte-for-byte the same as `matvec`'s, so the
-    /// two produce bit-identical `f64` outputs.
+    /// steady-state callers (the eval hot path) never allocate. `x` is an
+    /// `n × 1` feature-major column, so this is the tile kernel with one
+    /// lane: bit-identical to [`Matrix::matmat_t`] on any one lane.
     pub fn matvec_into(&self, x: &[f64], out: &mut Vec<f64>) {
         assert_eq!(x.len(), self.cols, "matvec shape mismatch");
-        out.clear();
         out.resize(self.rows, 0.0);
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x) {
-                acc += a * b;
-            }
-            *o = acc;
-        }
+        gemm(WIDEST, &self.data, self.cols, x, 1, out);
     }
 
     /// Resize in place to `rows × cols`, reusing the allocation when it is
@@ -123,162 +117,50 @@ impl Matrix {
     pub fn reshape(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.data.clear();
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Batched matvec: `out = batch · selfᵀ`, i.e. row `s` of `out` is
-    /// `self.matvec(batch.row(s))`. `out` is reshaped to
-    /// `batch.rows × self.rows` (allocation reused).
-    ///
-    /// Bit-identity contract: every output element is an independent dot
-    /// product accumulated over the shared dimension in index order with
-    /// the *same* `acc += a * b` kernel as [`Matrix::matvec`], so for any
-    /// row `s`, `matmat` and a per-row `matvec` produce bit-identical
-    /// `f64` results — the property the policy server's batched forward
-    /// pass relies on.
-    pub fn matmat(&self, batch: &Matrix, out: &mut Matrix) {
-        assert_eq!(batch.cols, self.cols, "matmat shape mismatch");
-        out.reshape(batch.rows, self.rows);
-        let n = self.cols;
-        for r in 0..self.rows {
-            let row = &self.data[r * n..(r + 1) * n];
-            // Four batch rows per pass: distinct output elements are
-            // independent dot products, so running four accumulators in
-            // parallel breaks the serial FMA latency chain (the reason a
-            // batch of matvecs is slow) while each element still sums
-            // over the shared dimension in matvec's exact index order —
-            // bit identity is untouched.
-            let mut s = 0;
-            while s + 4 <= batch.rows {
-                let x0 = &batch.data[s * n..(s + 1) * n];
-                let x1 = &batch.data[(s + 1) * n..(s + 2) * n];
-                let x2 = &batch.data[(s + 2) * n..(s + 3) * n];
-                let x3 = &batch.data[(s + 3) * n..(s + 4) * n];
-                let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-                for (c, &w) in row.iter().enumerate() {
-                    a0 += w * x0[c];
-                    a1 += w * x1[c];
-                    a2 += w * x2[c];
-                    a3 += w * x3[c];
-                }
-                out.data[s * self.rows + r] = a0;
-                out.data[(s + 1) * self.rows + r] = a1;
-                out.data[(s + 2) * self.rows + r] = a2;
-                out.data[(s + 3) * self.rows + r] = a3;
-                s += 4;
-            }
-            while s < batch.rows {
-                let x = &batch.data[s * n..(s + 1) * n];
-                let mut acc = 0.0;
-                for (a, b) in row.iter().zip(x) {
-                    acc += a * b;
-                }
-                out.data[s * self.rows + r] = acc;
-                s += 1;
-            }
-        }
-    }
-
     /// Transposed batched matvec: `a_t` holds one *column* per batch
-    /// member (`shared_dim × batch`), and `out` receives `self · a_t`
-    /// (`self.rows × batch`) in the same feature-major layout. This is
-    /// the layout [`crate::Mlp::forward_batch_into`] keeps activations
-    /// in: the inner loop runs along contiguous batch lanes with the
-    /// weight broadcast, so it vectorizes — unlike a batch of matvecs,
-    /// whose serial `acc += a * b` chain is latency-bound.
+    /// member (`shared_dim × lanes`), and `out` receives `self · a_t`
+    /// (`self.rows × lanes`) in the same feature-major layout — the
+    /// layout [`crate::Mlp::forward_batch_into`] keeps activations in.
     ///
     /// Bit-identity contract: element `(r, s)` starts at `0.0` and
     /// accumulates `w[r][c] * a_t[c][s]` in ascending `c` — the exact
     /// addend sequence of [`Matrix::matvec`]'s row-`r` dot product, so
-    /// every batch column is bit-identical to a per-flow matvec.
+    /// every lane is bit-identical to a per-flow matvec.
     pub fn matmat_t(&self, a_t: &Matrix, out: &mut Matrix) {
         assert_eq!(a_t.rows, self.cols, "matmat_t shape mismatch");
-        let n = self.cols;
-        let lanes = a_t.cols;
-        out.reshape(self.rows, lanes); // zero-filled
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx") {
-            // SAFETY: AVX support was just verified at runtime; the
-            // kernel applies the identical per-element multiply/add
-            // sequence (no FMA — fused rounding would break bit
-            // identity), four batch lanes per instruction.
-            unsafe { avx::matmat_t(&self.data, self.rows, n, &a_t.data, lanes, &mut out.data) };
-            return;
-        }
-        // 2×4 register blocking: two output rows share each batch-lane
-        // load, and four shared-dimension steps amortize the accumulator
-        // row's load/store — together they make the kernel compute-bound
-        // instead of memory-op-bound. The chained `+` applies the four
-        // addends left to right — exactly ascending `c` — and the two
-        // output rows are independent dot products, so bit identity
-        // holds element for element.
-        let mut r = 0;
-        while r + 2 <= self.rows {
-            let w0_row = &self.data[r * n..(r + 1) * n];
-            let w1_row = &self.data[(r + 1) * n..(r + 2) * n];
-            let (d0, d1) = out.data[r * lanes..(r + 2) * lanes].split_at_mut(lanes);
-            let d1 = &mut d1[..lanes];
-            let mut c = 0;
-            while c + 4 <= n {
-                let (a0, a1, a2, a3) = (w0_row[c], w0_row[c + 1], w0_row[c + 2], w0_row[c + 3]);
-                let (b0, b1, b2, b3) = (w1_row[c], w1_row[c + 1], w1_row[c + 2], w1_row[c + 3]);
-                let s0 = &a_t.data[c * lanes..(c + 1) * lanes][..lanes];
-                let s1 = &a_t.data[(c + 1) * lanes..(c + 2) * lanes][..lanes];
-                let s2 = &a_t.data[(c + 2) * lanes..(c + 3) * lanes][..lanes];
-                let s3 = &a_t.data[(c + 3) * lanes..(c + 4) * lanes][..lanes];
-                for s in 0..lanes {
-                    let (x0, x1, x2, x3) = (s0[s], s1[s], s2[s], s3[s]);
-                    d0[s] = d0[s] + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3;
-                    d1[s] = d1[s] + b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3;
-                }
-                c += 4;
-            }
-            while c < n {
-                let (a, b) = (w0_row[c], w1_row[c]);
-                let src = &a_t.data[c * lanes..(c + 1) * lanes][..lanes];
-                for s in 0..lanes {
-                    d0[s] += a * src[s];
-                    d1[s] += b * src[s];
-                }
-                c += 1;
-            }
-            r += 2;
-        }
-        if r < self.rows {
-            let w_row = &self.data[r * n..(r + 1) * n];
-            let dst = &mut out.data[r * lanes..(r + 1) * lanes][..lanes];
-            let mut c = 0;
-            while c + 4 <= n {
-                let (w0, w1, w2, w3) = (w_row[c], w_row[c + 1], w_row[c + 2], w_row[c + 3]);
-                let s0 = &a_t.data[c * lanes..(c + 1) * lanes][..lanes];
-                let s1 = &a_t.data[(c + 1) * lanes..(c + 2) * lanes][..lanes];
-                let s2 = &a_t.data[(c + 2) * lanes..(c + 3) * lanes][..lanes];
-                let s3 = &a_t.data[(c + 3) * lanes..(c + 4) * lanes][..lanes];
-                for s in 0..lanes {
-                    dst[s] = dst[s] + w0 * s0[s] + w1 * s1[s] + w2 * s2[s] + w3 * s3[s];
-                }
-                c += 4;
-            }
-            while c < n {
-                let w = w_row[c];
-                let src = &a_t.data[c * lanes..(c + 1) * lanes];
-                for (d, &x) in dst.iter_mut().zip(src) {
-                    *d += w * x;
-                }
-                c += 1;
-            }
-        }
+        out.reshape(self.rows, a_t.cols);
+        gemm(
+            WIDEST,
+            &self.data,
+            self.cols,
+            &a_t.data,
+            a_t.cols,
+            &mut out.data,
+        );
     }
 
     /// Write `selfᵀ` into `out` (allocation reused). Pure data movement:
     /// bit-identity of the batched forward is a property of accumulation
     /// order, which a layout change does not touch.
     pub fn transpose_into(&self, out: &mut Matrix) {
-        out.reshape(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        self.transpose_resized_into(self.cols, self.rows, out);
+    }
+
+    /// `selfᵀ` cropped or zero-padded to `rows × cols`: `out[i][j]` is
+    /// `self[j][i]` where that exists and `0.0` elsewhere. The batched
+    /// forward pads its lanes with this and reads back only the real ones.
+    pub(crate) fn transpose_resized_into(&self, rows: usize, cols: usize, out: &mut Matrix) {
+        out.reshape(rows, cols);
+        for (i, dst) in out.data.chunks_exact_mut(cols.max(1)).enumerate() {
+            for (j, d) in dst.iter_mut().enumerate() {
+                *d = if i < self.cols && j < self.rows {
+                    self.data[j * self.cols + i]
+                } else {
+                    0.0
+                };
             }
         }
     }
@@ -340,123 +222,158 @@ impl Matrix {
     }
 }
 
-/// AVX implementation of the transposed batched kernel.
-///
-/// Each 256-bit op handles four batch lanes; within every lane the
-/// scalar sequence is exactly the portable kernel's — separate
-/// `vmulpd`/`vaddpd` in ascending `c` order, never `vfmadd` (a fused
-/// multiply-add rounds once instead of twice, which would break the
-/// bit-identity contract with [`Matrix::matvec`]).
+/// Rows per register tile: four weight rows share every lane load.
+const MR: usize = 4;
+
+/// The widest lane tile: every product may use every instantiation.
+const WIDEST: usize = 16;
+
+/// `out[r][s] = Σ_c w[r][c] · a_t[c][s]` for row-major `w` (`rows × n`)
+/// and feature-major `a_t` (`n × lanes`), every element written, by the
+/// widest tile instantiation at most `max_nr` lanes wide that this host
+/// runs. Detection is cached by the standard library, so choosing per
+/// call costs a load and a branch.
+fn gemm(max_nr: usize, w: &[f64], n: usize, a_t: &[f64], lanes: usize, out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if max_nr >= 16 && std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `gemm_avx512`'s only requirement is the `avx512f`
+            // target feature, detected on this host just above.
+            return unsafe { gemm_avx512(w, n, a_t, lanes, out) };
+        }
+        if max_nr >= 8 && std::arch::is_x86_feature_detected!("avx") {
+            // SAFETY: `gemm_avx`'s only requirement is the `avx` target
+            // feature, detected on this host just above.
+            return unsafe { gemm_avx(w, n, a_t, lanes, out) };
+        }
+    }
+    gemm_tiles::<4>(w, n, a_t, lanes, out);
+}
+
+/// The tile kernel compiled for AVX-512: 4 × 16 tiles, eight 512-bit
+/// accumulators.
 #[cfg(target_arch = "x86_64")]
-mod avx {
-    use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd,
-    };
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512(w: &[f64], n: usize, a_t: &[f64], lanes: usize, out: &mut [f64]) {
+    gemm_tiles::<16>(w, n, a_t, lanes, out);
+}
 
-    /// `out[r][s] += Σ_c w[r][c] · a_t[c][s]` over `out` zero-initialized
-    /// by the caller.
-    ///
-    /// # Safety
-    /// Caller must verify AVX support, and supply `w` of `rows × n`,
-    /// `a_t` of `n × lanes` and `out` of `rows × lanes` elements.
-    // SAFETY: the only caller (`Matrix::matmat_t`) gates on
-    // `is_x86_feature_detected!("avx")` and passes slices sized exactly
-    // rows×n / n×lanes / rows×lanes, re-checked by the debug asserts.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn matmat_t(
-        w: &[f64],
-        rows: usize,
-        n: usize,
-        a_t: &[f64],
-        lanes: usize,
-        out: &mut [f64],
-    ) {
-        debug_assert_eq!(w.len(), rows * n);
-        debug_assert_eq!(a_t.len(), n * lanes);
-        debug_assert_eq!(out.len(), rows * lanes);
-        for r in 0..rows {
-            let w_row = &w[r * n..(r + 1) * n];
-            let dst = &mut out[r * lanes..(r + 1) * lanes];
-            let mut c = 0;
-            while c + 4 <= n {
-                axpy4(
-                    dst,
-                    [w_row[c], w_row[c + 1], w_row[c + 2], w_row[c + 3]],
-                    &a_t[c * lanes..(c + 1) * lanes],
-                    &a_t[(c + 1) * lanes..(c + 2) * lanes],
-                    &a_t[(c + 2) * lanes..(c + 3) * lanes],
-                    &a_t[(c + 3) * lanes..(c + 4) * lanes],
-                );
-                c += 4;
-            }
-            while c < n {
-                axpy1(dst, w_row[c], &a_t[c * lanes..(c + 1) * lanes]);
-                c += 1;
+/// The tile kernel compiled for AVX: 4 × 8 tiles, eight 256-bit
+/// accumulators.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn gemm_avx(w: &[f64], n: usize, a_t: &[f64], lanes: usize, out: &mut [f64]) {
+    gemm_tiles::<8>(w, n, a_t, lanes, out);
+}
+
+/// The one kernel body behind every dense forward product. Rows go in
+/// tiles of [`MR`], lanes in tiles of `NR`, then narrower: lanes left
+/// over take 8- and 4-wide tiles, and only a lane count that is not a
+/// multiple of 4 reaches the 1-wide tile.
+#[inline(always)]
+fn gemm_tiles<const NR: usize>(w: &[f64], n: usize, a_t: &[f64], lanes: usize, out: &mut [f64]) {
+    // A one-lane product (every `matvec`) gets its own copy of the loops,
+    // the lane stride folded to a constant, and twice the row chains:
+    // with no lanes to share a load, rows are its only parallelism.
+    if lanes == 1 {
+        row_sweep::<{ 2 * MR }, NR>(w, n, a_t, 1, out);
+    } else if lanes > 1 {
+        row_sweep::<MR, NR>(w, n, a_t, lanes, out);
+    }
+}
+
+/// Every row tile, top to bottom.
+#[inline(always)]
+fn row_sweep<const M: usize, const NR: usize>(
+    w: &[f64],
+    n: usize,
+    a_t: &[f64],
+    lanes: usize,
+    out: &mut [f64],
+) {
+    let rows = out.len() / lanes;
+    assert!(
+        w.len() == rows * n && a_t.len() == n * lanes && out.len() == rows * lanes,
+        "gemm shape mismatch"
+    );
+    // One `lanes`-wide row of `a_t` per shared index; every tile walks a
+    // copy, so no tile divides by `lanes` again.
+    let x_rows = a_t.chunks_exact(lanes);
+    let mut r = 0;
+    while r < rows {
+        if r + M <= rows {
+            lane_sweep::<M, NR>(w, n, r, &x_rows, lanes, out);
+            r += M;
+        } else {
+            lane_sweep::<1, NR>(w, n, r, &x_rows, lanes, out);
+            r += 1;
+        }
+    }
+}
+
+/// Every lane of the `M` output rows starting at `r0`.
+#[inline(always)]
+fn lane_sweep<const M: usize, const NR: usize>(
+    w: &[f64],
+    n: usize,
+    r0: usize,
+    x_rows: &ChunksExact<'_, f64>,
+    lanes: usize,
+    out: &mut [f64],
+) {
+    let mut s = 0;
+    while s + NR <= lanes {
+        tile::<M, NR>(w, n, r0, x_rows, s, lanes, out);
+        s += NR;
+    }
+    if NR > 8 && s + 8 <= lanes {
+        tile::<M, 8>(w, n, r0, x_rows, s, lanes, out);
+        s += 8;
+    }
+    if NR > 4 && s + 4 <= lanes {
+        tile::<M, 4>(w, n, r0, x_rows, s, lanes, out);
+        s += 4;
+    }
+    while s < lanes {
+        tile::<M, 1>(w, n, r0, x_rows, s, lanes, out);
+        s += 1;
+    }
+}
+
+/// One `M × NR` output tile at rows `r0..`, lanes `s0..`. The
+/// accumulators live in registers across the whole shared dimension;
+/// each starts at `0.0` and takes `acc + w[r][c] * x[c][s]` in ascending
+/// `c` — `matvec`'s exact addend sequence, a separate multiply and add
+/// (never fused), so every instantiation is bit-identical to every other.
+#[inline(always)]
+fn tile<const M: usize, const NR: usize>(
+    w: &[f64],
+    n: usize,
+    r0: usize,
+    x_rows: &ChunksExact<'_, f64>,
+    s0: usize,
+    lanes: usize,
+    out: &mut [f64],
+) {
+    let mut w_rows: [&[f64]; M] = [&[]; M];
+    let mut rest = &w[r0 * n..];
+    for row in &mut w_rows {
+        (*row, rest) = rest.split_at(n);
+    }
+    let mut x_rows = x_rows.clone();
+    let mut acc = [[0.0f64; NR]; M];
+    for c in 0..n {
+        let x_row = x_rows.next().expect("a_t holds n rows");
+        let x = &x_row[s0..s0 + NR];
+        for (acc_row, w_row) in acc.iter_mut().zip(&w_rows) {
+            let wc = w_row[c];
+            for (a, &xs) in acc_row.iter_mut().zip(x) {
+                *a += wc * xs;
             }
         }
     }
-
-    /// `d[s] = ((((d[s] + w0·s0[s]) + w1·s1[s]) + w2·s2[s]) + w3·s3[s]`
-    /// — four ascending-`c` addends per accumulator load/store.
-    ///
-    /// # Safety
-    /// AVX must be supported; all slices must have `d.len()` elements.
-    // SAFETY: called only from `matmat_t` (AVX already proven), with the
-    // four source slices carved as `lanes`-sized rows of `a_t`, so every
-    // `loadu`/`storeu` offset below stays within `d.len()` checked bounds.
-    #[target_feature(enable = "avx")]
-    #[inline]
-    unsafe fn axpy4(d: &mut [f64], w: [f64; 4], s0: &[f64], s1: &[f64], s2: &[f64], s3: &[f64]) {
-        let lanes = d.len();
-        debug_assert!(
-            s0.len() == lanes && s1.len() == lanes && s2.len() == lanes && s3.len() == lanes
-        );
-        let (w0, w1, w2, w3) = (
-            _mm256_set1_pd(w[0]),
-            _mm256_set1_pd(w[1]),
-            _mm256_set1_pd(w[2]),
-            _mm256_set1_pd(w[3]),
-        );
-        let mut s = 0;
-        while s + 4 <= lanes {
-            let mut acc = _mm256_loadu_pd(d.as_ptr().add(s));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(w0, _mm256_loadu_pd(s0.as_ptr().add(s))));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(w1, _mm256_loadu_pd(s1.as_ptr().add(s))));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(w2, _mm256_loadu_pd(s2.as_ptr().add(s))));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(w3, _mm256_loadu_pd(s3.as_ptr().add(s))));
-            _mm256_storeu_pd(d.as_mut_ptr().add(s), acc);
-            s += 4;
-        }
-        while s < lanes {
-            d[s] = d[s] + w[0] * s0[s] + w[1] * s1[s] + w[2] * s2[s] + w[3] * s3[s];
-            s += 1;
-        }
-    }
-
-    /// Single-`c` tail: `d[s] += w · src[s]`.
-    ///
-    /// # Safety
-    /// AVX must be supported; `src.len()` must equal `d.len()`.
-    // SAFETY: called only from `matmat_t` (AVX already proven), with
-    // `src` carved as one `lanes`-sized row of `a_t`; unaligned
-    // load/store intrinsics keep offsets within `d.len()` bounds.
-    #[target_feature(enable = "avx")]
-    #[inline]
-    unsafe fn axpy1(d: &mut [f64], w: f64, src: &[f64]) {
-        let lanes = d.len();
-        debug_assert_eq!(src.len(), lanes);
-        let wv = _mm256_set1_pd(w);
-        let mut s = 0;
-        while s + 4 <= lanes {
-            let acc = _mm256_loadu_pd(d.as_ptr().add(s));
-            let acc = _mm256_add_pd(acc, _mm256_mul_pd(wv, _mm256_loadu_pd(src.as_ptr().add(s))));
-            _mm256_storeu_pd(d.as_mut_ptr().add(s), acc);
-            s += 4;
-        }
-        while s < lanes {
-            d[s] += w * src[s];
-            s += 1;
-        }
+    for (i, acc_row) in acc.iter().enumerate() {
+        out[(r0 + i) * lanes + s0..][..NR].copy_from_slice(acc_row);
     }
 }
 
@@ -523,26 +440,56 @@ mod tests {
     }
 
     #[test]
-    fn matmat_rows_are_bitwise_matvec() {
+    fn matmat_t_lanes_are_bitwise_matvec() {
         let m = Matrix::from_fn(4, 3, |r, c| ((r * 3 + c) as f64).sin());
-        let batch = Matrix::from_fn(5, 3, |r, c| ((r * 7 + c) as f64 * 0.13).cos());
-        let mut out = Matrix::zeros(0, 0);
-        m.matmat(&batch, &mut out);
-        assert_eq!((out.rows(), out.cols()), (5, 4));
+        let a_t = Matrix::from_fn(3, 5, |c, s| ((s * 7 + c) as f64 * 0.13).cos());
+        let mut out = Matrix::from_vec(1, 1, vec![f64::NAN]); // stale contents
+        m.matmat_t(&a_t, &mut out);
+        assert_eq!((out.rows(), out.cols()), (4, 5));
         for s in 0..5 {
-            let row: Vec<f64> = (0..3).map(|c| batch.get(s, c)).collect();
-            let seq = m.matvec(&row);
-            for (r, v) in seq.iter().enumerate() {
-                assert_eq!(out.get(s, r).to_bits(), v.to_bits(), "({s},{r})");
+            let lane: Vec<f64> = (0..3).map(|c| a_t.get(c, s)).collect();
+            for (r, v) in m.matvec(&lane).iter().enumerate() {
+                assert_eq!(out.get(r, s).to_bits(), v.to_bits(), "({r},{s})");
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "matmat shape mismatch")]
-    fn matmat_shape_checked() {
+    #[should_panic(expected = "matmat_t shape mismatch")]
+    fn matmat_t_shape_checked() {
         let mut out = Matrix::zeros(0, 0);
-        Matrix::zeros(2, 2).matmat(&Matrix::zeros(1, 3), &mut out);
+        Matrix::zeros(2, 2).matmat_t(&Matrix::zeros(3, 1), &mut out);
+    }
+
+    /// Every instantiation this host runs — portable always, AVX and
+    /// AVX-512 where detected — writes exactly the bits of a naive
+    /// ascending-`c` fold, on shapes that reach full tiles and both
+    /// kinds of tail (rows past a multiple of 4, or of 8 for one lane;
+    /// lanes past 16, 8 and 4).
+    #[test]
+    fn every_instantiation_is_bitwise_the_naive_fold() {
+        for (rows, n) in [(67, 37), (9, 64), (1, 29), (7, 13), (4, 1), (3, 0)] {
+            let w = Matrix::from_fn(rows, n, |r, c| ((r * 31 + c * 7) as f64 * 0.37).sin());
+            for lanes in [1, 3, 4, 5, 8, 15, 16, 17, 33, 41] {
+                let a_t = Matrix::from_fn(n, lanes, |c, s| ((c * 13 + s) as f64 * 0.11).cos());
+                let naive: Vec<u64> = (0..rows * lanes)
+                    .map(|i| {
+                        let (r, s) = (i / lanes, i % lanes);
+                        (0..n)
+                            .fold(0.0, |acc, c| {
+                                acc + w.as_slice()[r * n + c] * a_t.as_slice()[c * lanes + s]
+                            })
+                            .to_bits()
+                    })
+                    .collect();
+                for max_nr in [4, 8, WIDEST] {
+                    let mut out = vec![f64::NAN; rows * lanes];
+                    gemm(max_nr, w.as_slice(), n, a_t.as_slice(), lanes, &mut out);
+                    let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, naive, "{rows}x{n} at {lanes} lanes, max_nr {max_nr}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -309,7 +309,7 @@ impl Mlp {
     /// Batched forward pass: one state vector per row of `input`, one
     /// output per row of the result (`rows × act_dim`). Each row is
     /// bit-identical to `forward` on that row — see
-    /// [`crate::Matrix::matmat`] for the accumulation-order contract.
+    /// [`crate::Matrix::matmat_t`] for the accumulation-order contract.
     pub fn forward_batch(&self, input: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         let mut scratch = BatchScratch::new();
@@ -321,12 +321,12 @@ impl Mlp {
     /// one matrix-matrix product per layer instead of one matvec per
     /// flow, with `scratch` ping-ponging the intermediate activations.
     ///
-    /// Internally activations live feature-major (`dim × batch`) so
-    /// [`Matrix::matmat_t`]'s inner loop accumulates along contiguous
-    /// batch lanes — the axis the compiler can vectorize. Transposing in
-    /// and out is pure data movement; every output element still sums in
-    /// matvec's index order, so each batch row stays bit-identical to a
-    /// per-flow [`Mlp::forward`].
+    /// Internally activations live feature-major (`dim × lanes`) so
+    /// [`Matrix::matmat_t`]'s tiles load contiguous batch lanes — the
+    /// axis the compiler can vectorize. Transposing in and out is pure
+    /// data movement; every output element still sums in matvec's index
+    /// order, so each batch row stays bit-identical to a per-flow
+    /// [`Mlp::forward`].
     pub fn forward_batch_into(&self, input: &Matrix, out: &mut Matrix, scratch: &mut BatchScratch) {
         assert_eq!(input.cols(), self.sizes[0], "input size mismatch");
         let last_dim = *self.sizes.last().expect("non-empty sizes");
@@ -335,9 +335,19 @@ impl Mlp {
             return;
         }
         let n = self.layers.len();
+        let batch = input.rows();
+        // Zero-padded to whole 4-lane tiles, so no batch runs the
+        // kernel's 1-lane tail — except a batch of one, which stays one
+        // lane: exactly `forward_into`'s computation. Padding lanes take
+        // no bias, so they stay zero and never touch a real lane.
+        let lanes = if batch == 1 {
+            1
+        } else {
+            batch.next_multiple_of(4)
+        };
         let mut ping = &mut scratch.a;
         let mut pong = &mut scratch.b;
-        input.transpose_into(ping);
+        input.transpose_resized_into(self.sizes[0], lanes, ping);
         for (i, layer) in self.layers.iter().enumerate() {
             let last = i + 1 == n;
             layer.w.matmat_t(ping, pong);
@@ -345,22 +355,20 @@ impl Mlp {
             // `forward_into`'s dot-then-bias order); row `r` of the
             // transposed activation is output feature `r`, so its bias
             // broadcasts across the batch lanes.
-            let lanes = pong.cols();
             for (row, &b) in pong.as_mut_slice().chunks_mut(lanes).zip(&layer.b) {
-                for z in row.iter_mut() {
+                for z in &mut row[..batch] {
                     *z += b;
-                }
-                if !last {
-                    for v in row.iter_mut() {
-                        *v = self.activation.apply_eval(*v);
+                    if !last {
+                        *z = self.activation.apply_eval(*z);
                     }
                 }
             }
             std::mem::swap(&mut ping, &mut pong);
         }
         // After the final swap the last activation sits in `ping`,
-        // feature-major; hand it back row-major (`batch × act_dim`).
-        ping.transpose_into(out);
+        // feature-major; hand its real lanes back row-major
+        // (`batch × act_dim`).
+        ping.transpose_resized_into(batch, last_dim, out);
     }
 
     /// Forward pass keeping intermediate activations for backprop.

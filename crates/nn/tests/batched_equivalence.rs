@@ -8,17 +8,21 @@
 //! layer, and the simulator's byte-for-byte report reproducibility only
 //! survives if each flow receives exactly the action it would have
 //! computed alone.
+//!
+//! Both paths run the same tile kernel, so each output is also checked
+//! against a naive in-test fold that calls no `Matrix` method; the shapes
+//! are wide enough to reach full 4 × 16 tiles plus both kinds of tail.
 
 use libra_nn::{Activation, BatchScratch, Matrix, Mlp};
 use libra_types::DetRng;
 use proptest::prelude::*;
 
-/// A random but structurally valid MLP shape: 1–3 hidden layers of 1–24
-/// units over small input/output dims.
+/// A random but structurally valid MLP shape: 1–3 hidden layers of 1–72
+/// units over 1–33 inputs and 1–6 outputs.
 fn arb_sizes() -> impl Strategy<Value = Vec<usize>> {
     (
-        1usize..=8,
-        prop::collection::vec(1usize..=24, 1..=3),
+        1usize..=33,
+        prop::collection::vec(1usize..=72, 1..=3),
         1usize..=6,
     )
         .prop_map(|(i, hidden, o)| {
@@ -32,6 +36,43 @@ fn arb_sizes() -> impl Strategy<Value = Vec<usize>> {
 fn build(sizes: &[usize], act: Activation, seed: u64) -> Mlp {
     let mut rng = DetRng::new(seed);
     Mlp::new(sizes, act, &mut rng)
+}
+
+/// Every parameter in `map_params` order: each layer's row-major `W`,
+/// then its bias.
+fn params_of(net: &Mlp) -> Vec<f64> {
+    let mut params = Vec::new();
+    net.clone().map_params(|p| {
+        params.push(p);
+        p
+    });
+    params
+}
+
+/// The forward pass with every dot product a plain ascending fold —
+/// the accumulation contract written out without the kernel.
+fn naive_forward(sizes: &[usize], params: &[f64], act: Activation, input: &[f64]) -> Vec<f64> {
+    let mut rest = params;
+    let mut x = input.to_vec();
+    for (i, pair) in sizes.windows(2).enumerate() {
+        let (n_in, n_out) = (pair[0], pair[1]);
+        let (w, tail) = rest.split_at(n_in * n_out);
+        let (b, tail) = tail.split_at(n_out);
+        rest = tail;
+        x = w
+            .chunks(n_in)
+            .zip(b)
+            .map(|(row, &b)| {
+                let z = row.iter().zip(&x).fold(0.0, |acc, (w, x)| acc + w * x) + b;
+                if i + 2 < sizes.len() {
+                    act.apply_eval(z)
+                } else {
+                    z
+                }
+            })
+            .collect();
+    }
+    x
 }
 
 fn arb_activation() -> impl Strategy<Value = Activation> {
@@ -52,22 +93,30 @@ proptest! {
         sizes in arb_sizes(),
         act in arb_activation(),
         seed in 0u64..1_000_000,
-        rows in 1usize..=17,
+        rows in 1usize..=71,
     ) {
         let net = build(&sizes, act, seed);
         let mut data_rng = DetRng::new(seed ^ 0xBA7C4);
         let batch = Matrix::from_fn(rows, sizes[0], |_, _| data_rng.uniform_range(-3.0, 3.0));
         let out = net.forward_batch(&batch);
         prop_assert_eq!((out.rows(), out.cols()), (rows, *sizes.last().unwrap()));
+        let params = params_of(&net);
         for s in 0..rows {
             let row: Vec<f64> = (0..sizes[0]).map(|c| batch.get(s, c)).collect();
             let seq = net.forward(&row);
-            for (c, v) in seq.iter().enumerate() {
+            let naive = naive_forward(&sizes, &params, act, &row);
+            for (c, (v, n)) in seq.iter().zip(&naive).enumerate() {
                 prop_assert_eq!(
                     out.get(s, c).to_bits(),
                     v.to_bits(),
                     "row {} col {} differs: batched {} vs sequential {}",
                     s, c, out.get(s, c), v
+                );
+                prop_assert_eq!(
+                    v.to_bits(),
+                    n.to_bits(),
+                    "row {} col {} differs: kernel {} vs naive fold {}",
+                    s, c, v, n
                 );
             }
         }

@@ -211,7 +211,7 @@ impl PpoAgent {
     /// Batched deterministic eval: one observation per row of `obs`, one
     /// action mean per row of `out`. Each row is bit-identical to
     /// [`act_eval`](Self::act_eval) on that row (see
-    /// [`libra_nn::Matrix::matmat`] for the accumulation-order contract)
+    /// [`libra_nn::Matrix::matmat_t`] for the accumulation-order contract)
     /// — the kernel behind the shared policy server.
     pub fn act_eval_batch(&self, obs: &Matrix, out: &mut Matrix, scratch: &mut BatchScratch) {
         debug_assert_eq!(obs.cols(), self.config.obs_dim, "obs dim mismatch");
