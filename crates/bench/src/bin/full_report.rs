@@ -135,15 +135,6 @@ fn main() {
     }
     table.emit("full_report");
 
-    // Bench-trajectory appendix: the committed dev/bench snapshots
-    // (one per perf-relevant PR) as one dashboard — per-entry
-    // sim-secs/sec over time plus the tracked meta ratios.
-    let snapshots = libra_bench::load_snapshots(&libra_bench::bench_trajectory_dir());
-    match libra_bench::trajectory_table(&snapshots) {
-        Some(t) => t.emit("full_report_bench_trajectory"),
-        None => eprintln!("full_report: no committed dev/bench snapshots found"),
-    }
-
     // Decision-trace appendix: one traced C-Libra pair run, summarized
     // as cycle-stage occupancy (see the `trace_summary` binary for the
     // full timeline/JSONL view).

@@ -46,17 +46,13 @@ pub mod summary;
 pub mod supervisor;
 pub mod sweep;
 pub mod tracing;
-pub mod trajectory;
 
 pub use journal::{fnv1a, journal_dir, spec_digest, Journal, JournalEntry};
 pub use models::ModelStore;
 pub use output::{f1, f3, pct, series_csv, write_artifact, Table};
 pub use policychaos::{PolicyChaosEvent, PolicyChaosSpec};
 pub use registry::Cca;
-pub use run::{
-    paper_eval_agent, run, run_spec, run_spec_budgeted, run_with_agent, FlowSlot, RunSpec,
-    Workload, POLICY_QUANTUM,
-};
+pub use run::{run, run_spec, run_spec_budgeted, FlowSlot, RunSpec, Workload, POLICY_QUANTUM};
 pub use search::{
     evaluate_candidate, load_pins, objective_of, pin_failures, search, write_pin, Candidate,
     Objective, PinnedRegression, SearchConfig, SearchOutcome,
@@ -80,7 +76,6 @@ pub use tracing::{
     decision_timeline, merged_trace, stage_occupancy, stage_occupancy_table, trace_to_jsonl,
     validate_finite, ALL_STAGES,
 };
-pub use trajectory::{bench_trajectory_dir, load_snapshots, trajectory_table, BenchSnapshot};
 
 /// Common CLI knobs for experiment binaries: `--quick` shrinks durations
 /// and repeats so a full sweep finishes in seconds (used by CI and the

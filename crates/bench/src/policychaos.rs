@@ -89,8 +89,8 @@ impl PolicyChaosSpec {
             .with("weight-corrupt", corrupt_f, corrupt_t, 1.0)
     }
 
-    /// Check every event: known kind label, non-empty forward window,
-    /// probability in `[0, 1]`.
+    /// Check every event: known kind label, non-empty forward window
+    /// whose end fits the `u64` nanosecond clock, probability in `[0, 1]`.
     pub fn validate(&self) -> Result<(), String> {
         for e in &self.events {
             kind_of(&e.kind, e.probability)?;
@@ -98,6 +98,13 @@ impl PolicyChaosSpec {
                 return Err(format!(
                     "policy-chaos window [{}, {}) ms is empty",
                     e.from_ms, e.to_ms
+                ));
+            }
+            // `from_ms < to_ms`, so this bounds both ends of the window.
+            if e.to_ms.checked_mul(1_000_000).is_none() {
+                return Err(format!(
+                    "policy-chaos window end {} ms overflows the ns clock",
+                    e.to_ms
                 ));
             }
             if !(0.0..=1.0).contains(&e.probability) {
@@ -177,6 +184,19 @@ mod tests {
         assert!(empty.validate().is_err());
         let p = PolicyChaosSpec::new(1).with("nan-action", 0, 100, 1.5);
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn windows_past_the_ns_clock_are_rejected_not_wrapped() {
+        let last_ms = u64::MAX / 1_000_000;
+        let edge = PolicyChaosSpec::new(1).with("nan-action", 0, last_ms, 0.5);
+        assert!(edge.compile().is_ok());
+        for to_ms in [last_ms + 1, u64::MAX] {
+            let over = PolicyChaosSpec::new(1).with("nan-action", 0, to_ms, 0.5);
+            let err = over.validate().expect_err("window end overflows");
+            assert!(err.contains("overflows"), "{err}");
+            assert!(over.compile().is_err());
+        }
     }
 
     #[test]

@@ -8,10 +8,9 @@ use crate::models::ModelStore;
 use crate::policychaos::PolicyChaosSpec;
 use crate::registry::Cca;
 use crate::summary::RunSummary;
-use libra_learned::RlCcaConfig;
 use libra_netsim::{FlowConfig, LinkConfig, SimBudget, SimConfig, SimReport, Simulation};
-use libra_rl::{PolicyServer, PpoAgent, PpoConfig};
-use libra_types::{DetRng, Duration, Instant};
+use libra_rl::{PolicyServer, PpoAgent};
+use libra_types::{Duration, Instant};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -272,36 +271,7 @@ impl RunSpec {
 /// keeps whatever grid the caller asked for, which is how the
 /// batched ≡ inline identity tests run the same quantized scenario both
 /// ways.
-pub fn run(store: &ModelStore, spec: &RunSpec, cfg: SimConfig) -> SimReport {
-    let mut agents: BTreeMap<Cca, Option<SharedAgent>> = BTreeMap::new();
-    run_slots(store, spec, cfg, |cca| {
-        agents
-            .entry(cca)
-            .or_insert_with(|| cca.shared_eval_agent(store))
-            .clone()
-    })
-}
-
-/// [`run`] with caller-supplied weights: every model-backed flow of the
-/// layout is built around `agent` (e.g. [`paper_eval_agent`]) instead of
-/// one restored from the store.
-pub fn run_with_agent(
-    store: &ModelStore,
-    spec: &RunSpec,
-    cfg: SimConfig,
-    agent: &Rc<RefCell<PpoAgent>>,
-) -> SimReport {
-    run_slots(store, spec, cfg, |cca| {
-        cca.needs_model().then(|| Rc::clone(agent))
-    })
-}
-
-fn run_slots(
-    store: &ModelStore,
-    spec: &RunSpec,
-    mut cfg: SimConfig,
-    mut agent_of: impl FnMut(Cca) -> Option<SharedAgent>,
-) -> SimReport {
+pub fn run(store: &ModelStore, spec: &RunSpec, mut cfg: SimConfig) -> SimReport {
     let until = Instant::from_secs(spec.secs);
     let mut server = (spec.batched || spec.policy_faults.is_some()).then(PolicyServer::new);
     if let Some(server) = &mut server {
@@ -317,8 +287,12 @@ fn run_slots(
         }
     }
     let mut sim = Simulation::with_config(spec.link.clone(), spec.seed, cfg);
+    let mut agents: BTreeMap<Cca, Option<SharedAgent>> = BTreeMap::new();
     for slot in spec.slots() {
-        let agent = agent_of(slot.cca);
+        let agent = agents
+            .entry(slot.cca)
+            .or_insert_with(|| slot.cca.shared_eval_agent(store))
+            .clone();
         let cca = match &agent {
             Some(agent) => slot.cca.build_shared(store, agent),
             None => slot.cca.build(store),
@@ -332,20 +306,6 @@ fn run_slots(
         sim.attach_policy(Rc::new(RefCell::new(server)));
     }
     sim.run(until)
-}
-
-/// A serving-shape policy at the paper's full network geometry (two
-/// 512-unit hidden layers, [`PpoConfig::paper_sized`]), eval mode,
-/// weights seed-initialized rather than trained: inference cost is
-/// weight-independent, so the serving benchmarks can price the paper's
-/// real matrix sizes without spending minutes of training to produce
-/// weights whose values the timer never looks at.
-pub fn paper_eval_agent(cfg: &RlCcaConfig, seed: u64) -> Rc<RefCell<PpoAgent>> {
-    let mut ppo = cfg.ppo_config();
-    ppo.hidden = PpoConfig::paper_sized(ppo.obs_dim, ppo.act_dim).hidden;
-    let mut agent = PpoAgent::new(ppo, &mut DetRng::new(seed));
-    agent.set_eval(true);
-    Rc::new(RefCell::new(agent))
 }
 
 /// Execute one spec on the calling thread.

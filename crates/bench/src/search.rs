@@ -713,7 +713,9 @@ pub fn write_pin(pin: &PinnedRegression, dir: &Path) -> std::io::Result<std::pat
 }
 
 /// Load every `*.json` pin under `dir`, sorted by filename for
-/// deterministic test order.
+/// deterministic test order. A pin whose scenario or fault plan fails
+/// validation is `InvalidData` naming the file, like one that does not
+/// parse.
 pub fn load_pins(dir: &Path) -> std::io::Result<Vec<PinnedRegression>> {
     let mut paths: Vec<_> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -723,12 +725,19 @@ pub fn load_pins(dir: &Path) -> std::io::Result<Vec<PinnedRegression>> {
     let mut pins = Vec::new();
     for p in paths {
         let text = std::fs::read_to_string(&p)?;
-        let pin: PinnedRegression = serde_json::from_str(&text).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: {e}", p.display()),
-            )
-        })?;
+        let pin = serde_json::from_str::<PinnedRegression>(&text)
+            .map_err(|e| e.to_string())
+            .and_then(|pin| {
+                pin.spec.validate()?;
+                pin.policy_chaos.as_ref().map_or(Ok(()), |c| c.validate())?;
+                Ok(pin)
+            })
+            .map_err(|e| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("{}: {e}", p.display()),
+                )
+            })?;
         pins.push(pin);
     }
     Ok(pins)
@@ -856,6 +865,42 @@ mod tests {
         assert_eq!(back.policy_chaos, None);
         assert_eq!(back.fallback_ticks, 0);
         assert_eq!(back.quarantines, 0);
+    }
+
+    #[test]
+    fn pins_failing_validation_do_not_load() {
+        let dir = crate::output::experiment_dir().join(format!("test_pins_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut pin = PinnedRegression {
+            name: "checked".into(),
+            objective: Objective::PolicyFault,
+            spec: zoo_corpus(10)[0].clone(),
+            run_seed: 1,
+            store_seed: 1,
+            libra_goodput: 1.0,
+            parent_goodput: 2.0,
+            jain: 1.0,
+            guardrail_trips: 0,
+            policy_chaos: Some(PolicyChaosSpec::standard(1, 10)),
+            fallback_ticks: 0,
+            quarantines: 0,
+        };
+        write_pin(&pin, &dir).expect("pin dir is writable");
+        assert_eq!(load_pins(&dir).expect("valid pin loads"), vec![pin.clone()]);
+        let unknown_cca = WorkloadSpec::Pair {
+            competitor: "NoSuchCca".into(),
+        };
+        let overflowing = PolicyChaosSpec::new(1).with("nan-action", 0, u64::MAX, 0.5);
+        let mut bad_spec = pin.clone();
+        bad_spec.spec.workload = unknown_cca;
+        pin.policy_chaos = Some(overflowing);
+        for bad in [bad_spec, pin] {
+            write_pin(&bad, &dir).expect("pin dir is writable");
+            let err = load_pins(&dir).expect_err("invalid pin must not load");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("checked.json"), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

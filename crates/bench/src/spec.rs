@@ -437,8 +437,8 @@ impl ScenarioSpec {
     }
 
     /// Structural sanity: non-empty unique-able name, positive duration,
-    /// positive rates, resolvable controller labels. Returns the first
-    /// problem found.
+    /// time fields that fit the `u64` nanosecond clock, positive rates,
+    /// resolvable controller labels. Returns the first problem found.
     pub fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() {
             return Err("empty scenario name".into());
@@ -446,6 +446,12 @@ impl ScenarioSpec {
         if self.secs == 0 {
             return Err(format!("{}: zero duration", self.name));
         }
+        let fits = |field: &str, secs: u64| -> Result<(), String> {
+            secs.checked_mul(1_000_000_000)
+                .map(|_| ())
+                .ok_or_else(|| format!("{}: {field} = {secs} s overflows the ns clock", self.name))
+        };
+        fits("secs", self.secs)?;
         let mbps = self.link.nominal_mbps();
         if !mbps.is_finite() || mbps <= 0.0 {
             return Err(format!("{}: non-positive link rate", self.name));
@@ -484,10 +490,16 @@ impl ScenarioSpec {
         match &self.workload {
             WorkloadSpec::Single => {}
             WorkloadSpec::Pair { competitor } => check(competitor)?,
-            WorkloadSpec::Staggered { flows, .. } => {
+            WorkloadSpec::Staggered {
+                flows,
+                stagger_secs,
+            } => {
                 if *flows == 0 {
                     return Err(format!("{}: zero flows", self.name));
                 }
+                // With at least one flow this also bounds `stagger_secs`.
+                let last_start = stagger_secs.saturating_mul(*flows as u64);
+                fits("flows × stagger_secs", last_start)?;
             }
             WorkloadSpec::Fleet { members } => {
                 if members.is_empty() {
@@ -507,6 +519,8 @@ impl ScenarioSpec {
                 if *mice == 0 || *mouse_secs == 0 || *period_secs == 0 {
                     return Err(format!("{}: degenerate churn", self.name));
                 }
+                fits("mouse_secs", *mouse_secs)?;
+                fits("period_secs", *period_secs)?;
             }
         }
         Ok(())
@@ -1019,6 +1033,47 @@ mod tests {
             update_ms: 15,
         };
         assert!(q.validate().is_err());
+    }
+
+    #[test]
+    fn time_fields_past_the_ns_clock_are_rejected() {
+        let last_s = u64::MAX / 1_000_000_000;
+        let wired = || ScenarioSpec::new("t", LinkSpec::Wired { mbps: 24.0 }, 10);
+        let staggered = |flows, stagger_secs| {
+            let mut s = wired();
+            s.workload = WorkloadSpec::Staggered {
+                flows,
+                stagger_secs,
+            };
+            s
+        };
+        let churn = |mouse_secs, period_secs| {
+            let mut s = wired();
+            s.workload = WorkloadSpec::Churn {
+                mouse: "CUBIC".into(),
+                mice: 2,
+                mouse_secs,
+                period_secs,
+            };
+            s
+        };
+        let mut long = wired();
+        long.secs = last_s;
+        let mut endless = wired();
+        endless.secs = u64::MAX;
+        for ok in [long, staggered(1, last_s), churn(last_s, last_s)] {
+            ok.validate().expect("fits the clock");
+        }
+        for (field, bad) in [
+            ("secs", endless),
+            ("stagger_secs", staggered(2, u64::MAX)),
+            ("flows × stagger_secs", staggered(2, last_s)),
+            ("mouse_secs", churn(last_s + 1, 4)),
+            ("period_secs", churn(3, u64::MAX)),
+        ] {
+            let err = bad.validate().expect_err(field);
+            assert!(err.contains("overflows"), "{field}: {err}");
+        }
     }
 
     #[test]

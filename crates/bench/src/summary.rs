@@ -385,7 +385,7 @@ pub fn convergence_stats(
 ) -> ConvergenceStats {
     // Smooth to ~1 s before applying the ±25 % band: every real CCA
     // oscillates at sub-RTT scale (CUBIC's sawtooth, Libra's EI dithers)
-    // and the paper's criterion is about the *rate trajectory*, not
+    // and the paper's convergence test is about the *rate trajectory*, not
     // per-100 ms bins.
     let raw: Vec<(f64, f64)> = series
         .iter()

@@ -12,13 +12,11 @@
 //!    quantized MI ticks land concurrent flows on shared decision
 //!    instants, and every flow keeps making progress.
 
-use libra_bench::{
-    paper_eval_agent, run, run_with_agent, Cca, ModelStore, RunSpec, RunSummary, POLICY_QUANTUM,
-};
+use libra_bench::{run, Cca, ModelStore, RunSpec, RunSummary, POLICY_QUANTUM};
 use libra_learned::RlCcaConfig;
 use libra_netsim::{FlowConfig, LinkConfig, SimConfig, SimReport, Simulation};
-use libra_rl::PolicyServer;
-use libra_types::{Duration, Instant, PolicyService, Preference, Rate};
+use libra_rl::{PolicyServer, PpoAgent, PpoConfig};
+use libra_types::{DetRng, Duration, Instant, PolicyService, Preference, Rate};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -98,16 +96,32 @@ fn batched_matches_inline_on_small_fleets_of_every_learned_cca() {
 /// through its vectorized kernel and every blocking/tail combination,
 /// so this is the end-to-end check that the fast path is still
 /// bit-identical to per-flow inference. The agent is seed-initialized
-/// (`paper_eval_agent`) — identity must hold for *any* weights, and
-/// untrained ones keep the test fast.
+/// at `PpoConfig::paper_sized` geometry — identity must hold for *any*
+/// weights, and untrained ones keep the test fast.
 #[test]
 fn paper_geometry_batched_run_matches_per_flow_run() {
     let store = ModelStore::ephemeral(0); // never consulted: the agent is supplied
-    let agent = paper_eval_agent(&RlCcaConfig::aurora(), 31);
-    let stagger = Duration::from_millis(50);
-    let spec = RunSpec::staggered(Cca::Aurora, wired(48.0), FLOWS.min(64), stagger, 4, 19);
-    let solo = run_with_agent(&store, &spec, on_grid(), &agent);
-    let batched = run_with_agent(&store, &spec.with_batched(), on_grid(), &agent);
+    let mut ppo = RlCcaConfig::aurora().ppo_config();
+    ppo.hidden = PpoConfig::paper_sized(ppo.obs_dim, ppo.act_dim).hidden;
+    let mut agent = PpoAgent::new(ppo, &mut DetRng::new(31));
+    agent.set_eval(true);
+    let agent = Rc::new(RefCell::new(agent));
+    let until = Instant::from_secs(4);
+    let fleet = |served: bool| {
+        let mut sim = Simulation::with_config(wired(48.0), 19, on_grid());
+        let mut server = PolicyServer::new();
+        for i in 0..FLOWS.min(64) as u64 {
+            let start = Instant::ZERO + Duration::from_millis(50) * i;
+            let cca = Cca::Aurora.build_shared(&store, &agent);
+            let id = sim.add_flow(FlowConfig::new(cca, start, until));
+            server.register(id.0, &agent);
+        }
+        if served {
+            sim.attach_policy(Rc::new(RefCell::new(server)));
+        }
+        sim.run(until)
+    };
+    let (solo, batched) = (fleet(false), fleet(true));
     assert_eq!(
         fingerprint(&solo),
         fingerprint(&batched),

@@ -44,8 +44,8 @@
 //! `unsafe` sites; [`graph::SymbolGraph`] links calls by name with
 //! deterministic order. Audited exceptions use `// lint: allow(<name>)`
 //! on or above the flagged line. The `libra-lint` binary walks every
-//! crate's `src/`, `examples/`, `tests/` and `benches/` plus the root
-//! facade's, prints findings and exits non-zero on any — `scripts/ci.sh`
+//! crate's `src/`, `examples/` and `tests/` plus the root facade's,
+//! prints findings and exits non-zero on any — `scripts/ci.sh`
 //! runs it as a gate.
 
 pub mod graph;
@@ -63,27 +63,23 @@ pub use source::SourceFile;
 use std::path::{Path, PathBuf};
 
 /// The source roots the lint covers, relative to the workspace root:
-/// every workspace crate's `src/`, `examples/`, `tests/` and `benches/`
-/// plus the root facade's `src/`, `examples/` and `tests/`. `vendor/`
-/// is excluded by construction (vendored stand-ins for external crates
-/// are not held to the repo's invariants), as is the lint crate's own
-/// `tests/fixtures/` corpus (deliberately bad code).
+/// every workspace crate's and the root facade's `src/`, `examples/`
+/// and `tests/`. `vendor/` is excluded by construction (vendored
+/// stand-ins for external crates are not held to the repo's
+/// invariants), as is the lint crate's own `tests/fixtures/` corpus
+/// (deliberately bad code).
 pub fn source_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
+    let mut package_dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .filter(|p| p.is_dir())
         .collect();
-    crate_dirs.sort();
-    for dir in crate_dirs {
-        for sub in ["src", "examples", "tests", "benches"] {
+    package_dirs.push(root.to_path_buf());
+    let mut files = Vec::new();
+    for dir in package_dirs {
+        for sub in ["src", "examples", "tests"] {
             collect_rs(&dir.join(sub), &mut files)?;
         }
-    }
-    for sub in ["src", "examples", "tests"] {
-        collect_rs(&root.join(sub), &mut files)?;
     }
     // Report repo-relative paths.
     let mut rel: Vec<PathBuf> = files
@@ -252,12 +248,11 @@ mod tests {
         let has = |frag: &str| files.iter().any(|p| p.to_string_lossy().contains(frag));
         assert!(has("crates/netsim/src/sim.rs"));
         assert!(has("crates/core/src/libra.rs"));
-        assert!(has("crates/bench/src/bin/perf_smoke.rs"));
+        assert!(has("crates/bench/src/bin/full_report.rs"));
         assert!(has("src/lib.rs"));
-        // Widened coverage: examples, tests, benches.
+        // Widened coverage: examples and tests.
         assert!(has("crates/nn/tests/forward_goldens.rs"));
         assert!(has("crates/bench/tests/"));
-        assert!(has("crates/bench/benches/"));
         assert!(has("examples/quickstart.rs"));
         assert!(has("tests/properties.rs"));
         assert!(!has("vendor/"), "vendored stand-ins must not be linted");

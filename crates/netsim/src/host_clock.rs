@@ -5,9 +5,11 @@
 //! `(configuration, seed)` — which is why `libra-lint`'s `host-clock`
 //! rule bans `std::time::Instant`/`SystemTime` everywhere else. The one
 //! legitimate use of the host clock is *measuring our own compute cost*
-//! (the paper's CPU-overhead metric, Fig. 2c/Fig. 12, and the perf-smoke
-//! wall-clock numbers in `BENCH_netsim.json`): those readings are
-//! reported as telemetry, never fed back into simulation behaviour.
+//! (the paper's CPU-overhead metric, Fig. 2c/Fig. 12, via `compute_ns`)
+//! and bounding it (the wall-clock watchdog budget): those readings are
+//! reported as telemetry or abort a run, never fed back into simulation
+//! behaviour. Throughput numbers come from the standalone `benchmark/`
+//! package, which times from outside.
 //!
 //! Keeping the access behind this module means the determinism audit is
 //! one file long: any new wall-clock dependency has to either go through

@@ -13,7 +13,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> libra-lint (12-rule source gate over src/examples/tests/benches)"
+echo "==> libra-lint (12-rule source gate over src/examples/tests)"
 cargo run -p libra-lint --release --offline
 
 echo "==> libra-lint self-test (each workspace rule vs its fixture pair)"
@@ -64,15 +64,8 @@ cargo run --release --offline -p libra-bench --bin scenario_registry -- --check
 echo "==> adversarial search smoke (fixed seed, 1 vs N workers byte-identical)"
 cargo run --release --offline -p libra-bench --bin scenario_search -- --quick --seed 5 --selftest
 
-echo "==> cargo bench --no-run (bench targets compile)"
-cargo bench --workspace --offline --no-run
-
-echo "==> perf smoke (criterion smoke + BENCH_netsim.json)"
-scripts/bench.sh --quick
-
-echo "==> bench gate (>15% throughput regression vs machine-local baseline fails)"
-cargo run --release --offline -p libra-bench --bin bench_gate
-
+# The one measuring system: benchmark/ (paired comparisons of two
+# commits: benchmark/README.md, "Comparing two commits").
 echo "==> benchmark package (its own workspace: unit tests, then every check and metric at --seconds 2)"
 (cd benchmark && cargo test --offline -q)
 bash benchmark/run.sh --check > /dev/null
