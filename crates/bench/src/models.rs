@@ -134,17 +134,18 @@ impl ModelStore {
             let path = self.path(key);
             if let Ok(s) = std::fs::read_to_string(&path) {
                 // Hot-swap validation: weights loaded from disk are the
-                // one path where corrupt parameters (NaN/∞, blown norms
-                // from a truncated write or a bad external edit) could
-                // be deployed without ever passing a training-side
-                // check. Reject-and-retrain is the rollback: training is
-                // a pure function of the config, so the retrained
-                // weights are exactly what the cache should have held.
+                // one path where corrupt parameters (NaN/∞, blown norms,
+                // shapes other than the config's, from a truncated write
+                // or a bad external edit) could be deployed without ever
+                // passing a training-side check. Reject-and-retrain is
+                // the rollback: training is a pure function of the
+                // config, so the retrained weights are exactly what the
+                // cache should have held.
                 match serde_json::from_str::<PpoWeights>(&s) {
                     Ok(w) if w.is_valid(WEIGHT_NORM_BOUND) => return w,
                     Ok(_) => eprintln!(
                         "model cache at {} failed weight validation \
-                         (non-finite or out-of-bound parameters); retraining",
+                         (mis-shaped, non-finite or out-of-bound parameters); retraining",
                         path.display()
                     ),
                     Err(_) => {
@@ -335,6 +336,39 @@ mod tests {
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(recached.is_valid(WEIGHT_NORM_BOUND));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn mis_shaped_cache_file_is_retrained_not_deployed() {
+        // Deploying either file would panic on the first forward: one
+        // whose config no longer matches its networks (obs_dim 2 → 3,
+        // fails validation) and one whose first weight matrix is an
+        // element short (fails to parse). The load path must retrain.
+        let store = ModelStore::new(902);
+        let fresh = || {
+            let mut rng = DetRng::new(3);
+            libra_rl::PpoAgent::new(libra_rl::PpoConfig::new(2, 1), &mut rng).weights()
+        };
+        let good = serde_json::to_string(&fresh()).unwrap();
+        // `good` without the first element of its first `data` array.
+        let start = good.find("\"data\":[").unwrap() + "\"data\":[".len();
+        let comma = start + good[start..].find(',').unwrap();
+        let short = format!("{}{}", &good[..start], &good[comma + 1..]);
+        let other_config = good.replacen("\"obs_dim\":2", "\"obs_dim\":3", 1);
+        for (i, mis_shaped) in [other_config, short].into_iter().enumerate() {
+            assert_ne!(mis_shaped, good);
+            let key = format!("test-misshaped-{i}-{}", std::process::id());
+            let path = store.path(&key);
+            std::fs::create_dir_all(model_dir()).unwrap();
+            std::fs::write(&path, &mis_shaped).unwrap();
+            let w = store.get_or_train(&key, |_| fresh());
+            assert_eq!(
+                serde_json::to_string(&w).unwrap(),
+                good,
+                "mis-shaped cache file {i} was deployed instead of retrained"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

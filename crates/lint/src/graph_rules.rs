@@ -332,10 +332,10 @@ pub fn unsafe_inventory(ws: &Workspace) -> String {
         "Generated by `cargo run -p libra-lint -- --emit-unsafe-inventory`;\n\
          `scripts/ci.sh` regenerates it and fails on drift. Do not edit by\n\
          hand.\n\n\
-         Every `unsafe` site in the linted tree (workspace crates plus root\n\
-         `src/`, `examples/`, `tests/`, `benches/`), with the first line of\n\
-         its `// SAFETY:` justification. The `unsafe-audit` lint denies any\n\
-         site without one.\n\n",
+         Every `unsafe` site in the linted tree (the `src/`, `examples/`\n\
+         and `tests/` of every workspace crate and of the root package),\n\
+         with the first line of its `// SAFETY:` justification. The\n\
+         `unsafe-audit` lint denies any site without one.\n\n",
     );
     out.push_str("| file | line | kind | context | justification |\n");
     out.push_str("|---|---|---|---|---|\n");

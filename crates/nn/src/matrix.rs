@@ -10,11 +10,14 @@
 //! ascending `c` with a separate multiply and add, never FMA. That one
 //! addend sequence is the bit-identity contract: batched ≡ per-flow by
 //! construction, on every instantiation. The body is written once and
-//! compiled three times — for AVX-512 (4 × 16 tiles), for AVX (4 × 8)
+//! compiled three times — for AVX-512 (8 × 16 tiles), for AVX (4 × 8)
 //! and with no target feature (4 × 4) — and each call runs the widest one
-//! the host supports. Everything else (the training backward included)
-//! stays naive: clarity wins.
+//! the host supports. The eval forward's bias and activation run as the
+//! kernel's epilogue, a pass over each finished row block inside the same
+//! instantiation, so the activation vectorises across lanes. Everything
+//! else (the training backward included) stays naive: clarity wins.
 
+use crate::mlp::Activation;
 use serde::{Deserialize, Serialize};
 use std::slice::ChunksExact;
 
@@ -106,9 +109,14 @@ impl Matrix {
     /// `n × 1` feature-major column, so this is the tile kernel with one
     /// lane: bit-identical to [`Matrix::matmat_t`] on any one lane.
     pub fn matvec_into(&self, x: &[f64], out: &mut Vec<f64>) {
+        self.matvec_then_into(x, Epilogue::Bare, out);
+    }
+
+    /// [`Matrix::matvec_into`], each finished row then taking `ep`.
+    pub(crate) fn matvec_then_into(&self, x: &[f64], ep: Epilogue, out: &mut Vec<f64>) {
         assert_eq!(x.len(), self.cols, "matvec shape mismatch");
         out.resize(self.rows, 0.0);
-        gemm(WIDEST, &self.data, self.cols, x, 1, out);
+        gemm(WIDEST, &self.data, self.cols, x, 1, ep, out);
     }
 
     /// Resize in place to `rows × cols`, reusing the allocation when it is
@@ -130,6 +138,11 @@ impl Matrix {
     /// addend sequence of [`Matrix::matvec`]'s row-`r` dot product, so
     /// every lane is bit-identical to a per-flow matvec.
     pub fn matmat_t(&self, a_t: &Matrix, out: &mut Matrix) {
+        self.matmat_t_then(a_t, Epilogue::Bare, out);
+    }
+
+    /// [`Matrix::matmat_t`], each finished row then taking `ep`.
+    pub(crate) fn matmat_t_then(&self, a_t: &Matrix, ep: Epilogue, out: &mut Matrix) {
         assert_eq!(a_t.rows, self.cols, "matmat_t shape mismatch");
         out.reshape(self.rows, a_t.cols);
         gemm(
@@ -138,6 +151,7 @@ impl Matrix {
             self.cols,
             &a_t.data,
             a_t.cols,
+            ep,
             &mut out.data,
         );
     }
@@ -222,73 +236,135 @@ impl Matrix {
     }
 }
 
-/// Rows per register tile: four weight rows share every lane load.
-const MR: usize = 4;
-
 /// The widest lane tile: every product may use every instantiation.
 const WIDEST: usize = 16;
 
+/// What the kernel does to each output element once its last addend is
+/// in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Epilogue<'a> {
+    /// Nothing: the bare product.
+    Bare,
+    /// A dense eval layer's `+ bias[r]`, then its activation (`None` on
+    /// the linear output layer).
+    Bias(&'a [f64], Option<Activation>),
+}
+
+impl Epilogue<'_> {
+    /// Finish the rows from `r0` that `block` holds, `lanes` per row.
+    /// Inlined into the caller's ISA instantiation, the activation
+    /// vectorises across the lanes — or, with one lane, down the rows.
+    /// The activation is matched outside the loops so that each loop
+    /// body is one straight-line function the compiler can vectorise.
+    #[inline(always)]
+    fn finish(self, r0: usize, lanes: usize, block: &mut [f64]) {
+        #[inline(always)]
+        fn each(block: &mut [f64], lanes: usize, bias: &[f64], f: impl Fn(f64) -> f64) {
+            // One lane as a flat zip down the rows: one-element rows
+            // measured slower on inline 2×64 eval, end to end.
+            if lanes == 1 {
+                for (z, &b) in block.iter_mut().zip(bias) {
+                    *z = f(*z + b);
+                }
+            } else {
+                for (row, &b) in block.chunks_exact_mut(lanes).zip(bias) {
+                    row.iter_mut().for_each(|z| *z = f(*z + b));
+                }
+            }
+        }
+        let Epilogue::Bias(bias, act) = self else {
+            return;
+        };
+        let bias = &bias[r0..r0 + block.len() / lanes];
+        match act {
+            None => each(block, lanes, bias, |z| z),
+            Some(Activation::Tanh) => each(block, lanes, bias, |z| Activation::Tanh.apply_eval(z)),
+            Some(Activation::Relu) => each(block, lanes, bias, |z| Activation::Relu.apply_eval(z)),
+        }
+    }
+}
+
 /// `out[r][s] = Σ_c w[r][c] · a_t[c][s]` for row-major `w` (`rows × n`)
-/// and feature-major `a_t` (`n × lanes`), every element written, by the
-/// widest tile instantiation at most `max_nr` lanes wide that this host
-/// runs. Detection is cached by the standard library, so choosing per
-/// call costs a load and a branch.
-fn gemm(max_nr: usize, w: &[f64], n: usize, a_t: &[f64], lanes: usize, out: &mut [f64]) {
+/// and feature-major `a_t` (`n × lanes`), every element written and then
+/// finished by `ep`, by the widest tile instantiation at most `max_nr`
+/// lanes wide that this host runs. Detection is cached by the standard
+/// library, so choosing per call costs a load and a branch.
+fn gemm(
+    max_nr: usize,
+    w: &[f64],
+    n: usize,
+    a_t: &[f64],
+    lanes: usize,
+    ep: Epilogue,
+    out: &mut [f64],
+) {
     #[cfg(target_arch = "x86_64")]
     {
         if max_nr >= 16 && std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: `gemm_avx512`'s only requirement is the `avx512f`
             // target feature, detected on this host just above.
-            return unsafe { gemm_avx512(w, n, a_t, lanes, out) };
+            return unsafe { gemm_avx512(w, n, a_t, lanes, ep, out) };
         }
         if max_nr >= 8 && std::arch::is_x86_feature_detected!("avx") {
             // SAFETY: `gemm_avx`'s only requirement is the `avx` target
             // feature, detected on this host just above.
-            return unsafe { gemm_avx(w, n, a_t, lanes, out) };
+            return unsafe { gemm_avx(w, n, a_t, lanes, ep, out) };
         }
     }
-    gemm_tiles::<4>(w, n, a_t, lanes, out);
+    gemm_tiles::<4, 4>(w, n, a_t, lanes, ep, out);
 }
 
-/// The tile kernel compiled for AVX-512: 4 × 16 tiles, eight 512-bit
-/// accumulators.
+/// The tile kernel compiled for AVX-512: 8 × 16 tiles, sixteen of the 32
+/// 512-bit registers as accumulators.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn gemm_avx512(w: &[f64], n: usize, a_t: &[f64], lanes: usize, out: &mut [f64]) {
-    gemm_tiles::<16>(w, n, a_t, lanes, out);
+fn gemm_avx512(w: &[f64], n: usize, a_t: &[f64], lanes: usize, ep: Epilogue, out: &mut [f64]) {
+    gemm_tiles::<8, 16>(w, n, a_t, lanes, ep, out);
 }
 
-/// The tile kernel compiled for AVX: 4 × 8 tiles, eight 256-bit
-/// accumulators.
+/// The tile kernel compiled for AVX: 4 × 8 tiles, eight of the 16 256-bit
+/// registers as accumulators.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-fn gemm_avx(w: &[f64], n: usize, a_t: &[f64], lanes: usize, out: &mut [f64]) {
-    gemm_tiles::<8>(w, n, a_t, lanes, out);
+fn gemm_avx(w: &[f64], n: usize, a_t: &[f64], lanes: usize, ep: Epilogue, out: &mut [f64]) {
+    gemm_tiles::<4, 8>(w, n, a_t, lanes, ep, out);
 }
 
 /// The one kernel body behind every dense forward product. Rows go in
-/// tiles of [`MR`], lanes in tiles of `NR`, then narrower: lanes left
-/// over take 8- and 4-wide tiles, and only a lane count that is not a
+/// tiles of `MR`, lanes in tiles of `NR`, then narrower: lanes left over
+/// take 8- and 4-wide tiles, and only a lane count that is not a
 /// multiple of 4 reaches the 1-wide tile.
 #[inline(always)]
-fn gemm_tiles<const NR: usize>(w: &[f64], n: usize, a_t: &[f64], lanes: usize, out: &mut [f64]) {
+fn gemm_tiles<const MR: usize, const NR: usize>(
+    w: &[f64],
+    n: usize,
+    a_t: &[f64],
+    lanes: usize,
+    ep: Epilogue,
+    out: &mut [f64],
+) {
     // A one-lane product (every `matvec`) gets its own copy of the loops,
-    // the lane stride folded to a constant, and twice the row chains:
-    // with no lanes to share a load, rows are its only parallelism.
+    // the lane stride folded to a constant, and eight row chains: with no
+    // lanes to share a load, rows are its only parallelism. Its row
+    // blocks are too short to vectorise an epilogue over, so it finishes
+    // every row in one pass after the sweep, while they are still in L1.
     if lanes == 1 {
-        row_sweep::<{ 2 * MR }, NR>(w, n, a_t, 1, out);
+        row_sweep::<8, NR>(w, n, a_t, 1, Epilogue::Bare, out);
+        ep.finish(0, 1, out);
     } else if lanes > 1 {
-        row_sweep::<MR, NR>(w, n, a_t, lanes, out);
+        row_sweep::<MR, NR>(w, n, a_t, lanes, ep, out);
     }
 }
 
-/// Every row tile, top to bottom.
+/// Every row tile, top to bottom, each row block finished by `ep` while
+/// it is still in cache.
 #[inline(always)]
 fn row_sweep<const M: usize, const NR: usize>(
     w: &[f64],
     n: usize,
     a_t: &[f64],
     lanes: usize,
+    ep: Epilogue,
     out: &mut [f64],
 ) {
     let rows = out.len() / lanes;
@@ -301,13 +377,15 @@ fn row_sweep<const M: usize, const NR: usize>(
     let x_rows = a_t.chunks_exact(lanes);
     let mut r = 0;
     while r < rows {
-        if r + M <= rows {
+        let m = if r + M <= rows {
             lane_sweep::<M, NR>(w, n, r, &x_rows, lanes, out);
-            r += M;
+            M
         } else {
             lane_sweep::<1, NR>(w, n, r, &x_rows, lanes, out);
-            r += 1;
-        }
+            1
+        };
+        ep.finish(r, lanes, &mut out[r * lanes..(r + m) * lanes]);
+        r += m;
     }
 }
 
@@ -461,33 +539,105 @@ mod tests {
         Matrix::zeros(2, 2).matmat_t(&Matrix::zeros(3, 1), &mut out);
     }
 
+    /// `gemm` at every `max_nr`, as bits.
+    fn gemm_bits_per_isa(w: &Matrix, a_t: &Matrix, ep: Epilogue) -> Vec<Vec<u64>> {
+        [4, 8, WIDEST]
+            .map(|max_nr| {
+                let mut out = vec![f64::NAN; w.rows() * a_t.cols()];
+                gemm(max_nr, &w.data, w.cols, &a_t.data, a_t.cols, ep, &mut out);
+                out.iter().map(|v| v.to_bits()).collect()
+            })
+            .to_vec()
+    }
+
     /// Every instantiation this host runs — portable always, AVX and
     /// AVX-512 where detected — writes exactly the bits of a naive
-    /// ascending-`c` fold, on shapes that reach full tiles and both
-    /// kinds of tail (rows past a multiple of 4, or of 8 for one lane;
-    /// lanes past 16, 8 and 4).
+    /// ascending-`c` fold, then `+ b[r]`, then `apply_eval`, with no
+    /// epilogue and with each one: on shapes that reach full tiles and
+    /// both kinds of tail (rows past a multiple of 8 and of 4; lanes past
+    /// 16, 8 and 4).
     #[test]
     fn every_instantiation_is_bitwise_the_naive_fold() {
-        for (rows, n) in [(67, 37), (9, 64), (1, 29), (7, 13), (4, 1), (3, 0)] {
+        for (rows, n) in [
+            (67, 37),
+            (21, 64),
+            (9, 64),
+            (1, 29),
+            (7, 13),
+            (4, 1),
+            (3, 0),
+        ] {
             let w = Matrix::from_fn(rows, n, |r, c| ((r * 31 + c * 7) as f64 * 0.37).sin());
+            let bias: Vec<f64> = (0..rows).map(|r| (r as f64 * 0.53).cos() * 2.5).collect();
             for lanes in [1, 3, 4, 5, 8, 15, 16, 17, 33, 41] {
                 let a_t = Matrix::from_fn(n, lanes, |c, s| ((c * 13 + s) as f64 * 0.11).cos());
-                let naive: Vec<u64> = (0..rows * lanes)
-                    .map(|i| {
-                        let (r, s) = (i / lanes, i % lanes);
-                        (0..n)
-                            .fold(0.0, |acc, c| {
-                                acc + w.as_slice()[r * n + c] * a_t.as_slice()[c * lanes + s]
-                            })
-                            .to_bits()
-                    })
-                    .collect();
-                for max_nr in [4, 8, WIDEST] {
-                    let mut out = vec![f64::NAN; rows * lanes];
-                    gemm(max_nr, w.as_slice(), n, a_t.as_slice(), lanes, &mut out);
-                    let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(got, naive, "{rows}x{n} at {lanes} lanes, max_nr {max_nr}");
+                let fold = |i: usize| {
+                    let (r, s) = (i / lanes, i % lanes);
+                    (0..n).fold(0.0, |acc, c| acc + w.get(r, c) * a_t.get(c, s))
+                };
+                let naive: Vec<u64> = (0..rows * lanes).map(|i| fold(i).to_bits()).collect();
+                let got = gemm_bits_per_isa(&w, &a_t, Epilogue::Bare);
+                assert!(
+                    got.iter().all(|g| *g == naive),
+                    "{rows}x{n} at {lanes} lanes"
+                );
+                for act in [None, Some(Activation::Tanh), Some(Activation::Relu)] {
+                    let finished: Vec<u64> = (0..rows * lanes)
+                        .map(|i| {
+                            let z = fold(i) + bias[i / lanes];
+                            act.map_or(z, |a| a.apply_eval(z)).to_bits()
+                        })
+                        .collect();
+                    let got = gemm_bits_per_isa(&w, &a_t, Epilogue::Bias(&bias, act));
+                    assert!(
+                        got.iter().all(|g| *g == finished),
+                        "{rows}x{n} at {lanes} lanes, epilogue {act:?}"
+                    );
                 }
+            }
+        }
+    }
+
+    /// The vectorised tanh epilogue is scalar `tanh_eval` bit for bit on
+    /// its special points, in every lane position of full and tail tiles.
+    /// (`−0` cannot reach it: a pre-activation is `0.0 + Σ…`, so it
+    /// arrives as `+0`; the scalar test pins `tanh_eval(−0)` itself.)
+    #[test]
+    fn tanh_epilogue_matches_scalar_on_special_points() {
+        let special = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            25.0,
+            -25.0,
+            1e-300,
+            -1e-300,
+        ];
+        let pick = |i: usize| special[i % special.len()];
+        // Specials along the lanes (9 rows × 31 lanes), then along the
+        // rows of a one-lane product (19 rows).
+        let along_lanes = (
+            Matrix::from_fn(9, 1, |_, _| 1.0),
+            Matrix::from_fn(1, 31, |_, s| pick(s)),
+        );
+        let along_rows = (
+            Matrix::from_fn(19, 1, |r, _| pick(r)),
+            Matrix::from_fn(1, 1, |_, _| 1.0),
+        );
+        for (w, a_t) in [along_lanes, along_rows] {
+            let (rows, lanes) = (w.rows(), a_t.cols());
+            let bias = vec![0.0; rows];
+            let want: Vec<u64> = (0..rows * lanes)
+                .map(|i| {
+                    let z = 0.0 + w.get(i / lanes, 0) * a_t.get(0, i % lanes) + 0.0;
+                    Activation::Tanh.apply_eval(z).to_bits()
+                })
+                .collect();
+            let ep = Epilogue::Bias(&bias, Some(Activation::Tanh));
+            for got in gemm_bits_per_isa(&w, &a_t, ep) {
+                assert_eq!(got, want, "{rows} rows × {lanes} lanes");
             }
         }
     }

@@ -3,9 +3,9 @@
 //! critic. The paper trains 2×512 networks on TensorFlow; the math here
 //! is identical, only the framework is gone.
 
-use crate::matrix::Matrix;
+use crate::matrix::{Epilogue, Matrix};
 use libra_types::DetRng;
-use serde::{Deserialize, Serialize};
+use serde::{get_field, DeError, Deserialize, Serialize, Value};
 
 /// Hidden-layer activation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -18,21 +18,22 @@ pub enum Activation {
 
 /// Deterministic polynomial `tanh` for the inference hot path.
 ///
-/// libm's `tanh` costs ~20ns per call on the bench machine; at 64+64
-/// hidden units per decision it dominates eval latency and — being one
-/// opaque scalar call per element in *both* the per-flow and the batched
-/// path — caps the policy server's speedup no matter how fast the GEMM
-/// gets. This replacement is `sign(x) · (1 − 2/(e^{2|x|}+1))` with
-/// `e^y = 2^k · e^r` (`r = y − k·ln 2`, `|r| ≤ ln2/2`, degree-11 Taylor,
-/// exponent assembled by bit manipulation): ~25 straight-line f64 ops,
-/// no table, no branch on the hot path. Max observed error vs libm is
-/// ~1e-15 relative; saturation (|x| ≥ 20 → ±1), `±0`, `±∞ → ±1` and NaN
-/// propagation all match libm.
+/// libm's `tanh` costs ~20ns per call and is an opaque call per element,
+/// which at 512+512 hidden units per decision would dominate eval
+/// latency however fast the GEMM gets. This replacement is
+/// `sign(x) · (1 − 2/(e^{2|x|}+1))` with `e^y = 2^k · e^r`
+/// (`r = y − k·ln 2`, `|r| ≤ ln2/2`, degree-11 Taylor, exponent
+/// assembled by bit manipulation): ~25 straight-line f64 ops, no table,
+/// no branch on the hot path, so it inlines into the tile kernel's
+/// epilogue and vectorises across lanes. Max observed error vs libm is
+/// ~1e-15 relative; saturation (|x| ≥ 20 → ±1), `±0`, `±∞ → ±1` and
+/// NaN propagation all match libm.
 ///
-/// It is pure, platform-independent f64 arithmetic, so eval stays
-/// exactly reproducible — the batched-vs-per-flow bit-identity contract
-/// compares two paths that both call *this* function.
-#[inline]
+/// It is pure, platform-independent f64 arithmetic — each SIMD lane runs
+/// the scalar operations exactly — so eval stays exactly reproducible:
+/// the batched-vs-per-flow bit-identity contract compares two paths that
+/// both run *this* function.
+#[inline(always)]
 fn tanh_eval(x: f64) -> f64 {
     const SAT: f64 = 20.0; // tanh(20) rounds to 1.0 in f64
                            // 2^52 + 2^51: adding it rounds to nearest integer and leaves that
@@ -94,10 +95,12 @@ impl Activation {
     /// Training (`forward_cached` + backprop) keeps libm `tanh`, so
     /// trained weights remain a pure function of the training config and
     /// are untouched by inference-path optimizations; eval trades ≤2e-15
-    /// relative activation error for a ~3× cheaper hidden layer. Both
-    /// eval paths — per-flow [`Mlp::forward_into`] and batched
-    /// [`Mlp::forward_batch_into`] — call this same scalar function, so
-    /// the batched-vs-per-flow bit-identity contract is unaffected.
+    /// relative activation error for a cheaper hidden layer. Both eval
+    /// paths — per-flow [`Mlp::forward_into`] and batched
+    /// [`Mlp::forward_batch_into`] — run this function as the tile
+    /// kernel's epilogue, so the batched-vs-per-flow bit-identity
+    /// contract is unaffected.
+    #[inline(always)]
     pub fn apply_eval(self, x: f64) -> f64 {
         match self {
             Activation::Tanh => tanh_eval(x),
@@ -138,11 +141,34 @@ struct Layer {
 }
 
 /// A multi-layer perceptron with linear output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Mlp {
     layers: Vec<Layer>,
     activation: Activation,
     sizes: Vec<usize>,
+}
+
+// Manual serde: a network is checked against its own `sizes` on the way
+// in — layer `i` a `sizes[i+1] × sizes[i]` matrix holding that many
+// elements, and a bias of `sizes[i+1]` — so a truncated or edited file
+// is a parse error, not a panic on the first forward.
+impl Deserialize for Mlp {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let net = Mlp {
+            layers: Deserialize::from_value(get_field(v, "layers")?)?,
+            activation: Deserialize::from_value(get_field(v, "activation")?)?,
+            sizes: Deserialize::from_value(get_field(v, "sizes")?)?,
+        };
+        let shaped = net.sizes.len() == net.layers.len() + 1
+            && net.layers.iter().zip(net.sizes.windows(2)).all(|(l, io)| {
+                let (n_in, n_out) = (io[0], io[1]);
+                (l.w.rows(), l.w.cols(), l.b.len()) == (n_out, n_in, n_out)
+                    && n_out.checked_mul(n_in) == Some(l.w.len())
+            });
+        shaped
+            .then_some(net)
+            .ok_or_else(|| DeError::new("mlp layers disagree with its sizes"))
+    }
 }
 
 /// Gradients with the same shapes as the network's parameters.
@@ -287,16 +313,8 @@ impl Mlp {
         let mut src: &mut Vec<f64> = scratch;
         let mut dst: &mut Vec<f64> = out;
         let n = self.layers.len();
-        for (i, layer) in self.layers.iter().enumerate() {
-            layer.w.matvec_into(src, dst);
-            for (z, b) in dst.iter_mut().zip(&layer.b) {
-                *z += b;
-            }
-            if i + 1 < n {
-                for v in dst.iter_mut() {
-                    *v = self.activation.apply_eval(*v);
-                }
-            }
+        for (w, ep) in self.eval_layers() {
+            w.matvec_then_into(src, ep, dst);
             std::mem::swap(&mut src, &mut dst);
         }
         // The final activation sits in `src`; with an even layer count
@@ -334,12 +352,13 @@ impl Mlp {
             out.reshape(0, last_dim);
             return;
         }
-        let n = self.layers.len();
         let batch = input.rows();
         // Zero-padded to whole 4-lane tiles, so no batch runs the
         // kernel's 1-lane tail — except a batch of one, which stays one
-        // lane: exactly `forward_into`'s computation. Padding lanes take
-        // no bias, so they stay zero and never touch a real lane.
+        // lane: exactly `forward_into`'s computation. Padding lanes go
+        // through the epilogue too (carrying `act(b)` onward), but lanes
+        // are independent columns: no real lane ever reads one, and the
+        // final transpose drops them.
         let lanes = if batch == 1 {
             1
         } else {
@@ -348,27 +367,26 @@ impl Mlp {
         let mut ping = &mut scratch.a;
         let mut pong = &mut scratch.b;
         input.transpose_resized_into(self.sizes[0], lanes, ping);
-        for (i, layer) in self.layers.iter().enumerate() {
-            let last = i + 1 == n;
-            layer.w.matmat_t(ping, pong);
-            // Bias strictly after the full dot product (matching
-            // `forward_into`'s dot-then-bias order); row `r` of the
-            // transposed activation is output feature `r`, so its bias
-            // broadcasts across the batch lanes.
-            for (row, &b) in pong.as_mut_slice().chunks_mut(lanes).zip(&layer.b) {
-                for z in &mut row[..batch] {
-                    *z += b;
-                    if !last {
-                        *z = self.activation.apply_eval(*z);
-                    }
-                }
-            }
+        for (w, ep) in self.eval_layers() {
+            // Row `r` of the transposed activation is output feature `r`,
+            // so the epilogue's bias broadcasts across the batch lanes.
+            w.matmat_t_then(ping, ep, pong);
             std::mem::swap(&mut ping, &mut pong);
         }
         // After the final swap the last activation sits in `ping`,
         // feature-major; hand its real lanes back row-major
         // (`batch × act_dim`).
         ping.transpose_resized_into(batch, last_dim, out);
+    }
+
+    /// Each layer's weights with its eval epilogue: the bias, then the
+    /// hidden activation (none on the linear output layer).
+    fn eval_layers(&self) -> impl Iterator<Item = (&Matrix, Epilogue<'_>)> {
+        let n = self.layers.len();
+        self.layers.iter().enumerate().map(move |(i, l)| {
+            let act = (i + 1 < n).then_some(self.activation);
+            (&l.w, Epilogue::Bias(&l.b, act))
+        })
     }
 
     /// Forward pass keeping intermediate activations for backprop.
@@ -756,6 +774,34 @@ mod tests {
         net.map_params(|_| f64::NAN);
         assert!(!net.params_finite());
         assert!(net.forward(&[0.5, 0.5])[0].is_nan());
+    }
+
+    /// Every way a serialised network can disagree with its own sizes —
+    /// or its matrices with themselves — is a parse error.
+    #[test]
+    fn mis_shaped_network_does_not_deserialise() {
+        let net = Mlp::new(&[3, 4, 2], Activation::Tanh, &mut rng());
+        let json = serde_json::to_string(&net).unwrap();
+        assert!(serde_json::from_str::<Mlp>(&json).is_ok());
+        // Drop the first element of the first array that follows `key`.
+        let drop_first = |key: &str| {
+            let start = json.find(key).unwrap() + key.len();
+            let comma = start + json[start..].find(',').unwrap();
+            format!("{}{}", &json[..start], &json[comma + 1..])
+        };
+        for bad in [
+            drop_first("\"data\":["),
+            drop_first("\"b\":["),
+            json.replacen("\"rows\":4,\"cols\":3", "\"rows\":3,\"cols\":4", 1),
+            json.replace("\"sizes\":[3,4,2]", "\"sizes\":[3,5,2]"),
+            json.replace("\"sizes\":[3,4,2]", "\"sizes\":[3,4,4,2]"),
+            // 4 × (2^62 + 3) wraps to the 12 elements layer 0 holds.
+            json.replacen("\"cols\":3", "\"cols\":4611686018427387907", 1)
+                .replace("\"sizes\":[3,", "\"sizes\":[4611686018427387907,"),
+        ] {
+            assert_ne!(bad, json);
+            assert!(serde_json::from_str::<Mlp>(&bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

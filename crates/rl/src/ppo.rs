@@ -56,11 +56,16 @@ impl PpoWeights {
         (a * a + c * c + s).sqrt()
     }
 
-    /// True when every parameter is finite and the global L2 norm stays
+    /// True when the networks and `log_std` have the sizes `config`
+    /// implies, every parameter is finite and the global L2 norm stays
     /// under `norm_bound` — the corruption check run on load and after
-    /// every PPO update.
+    /// every PPO update. (A network whose layers disagree with its own
+    /// sizes does not deserialise in the first place.)
     pub fn is_valid(&self, norm_bound: f64) -> bool {
-        self.actor.params_finite()
+        self.actor.sizes() == self.config.actor_sizes()
+            && self.critic.sizes() == self.config.critic_sizes()
+            && self.log_std.len() == self.config.act_dim
+            && self.actor.params_finite()
             && self.critic.params_finite()
             && self.log_std.iter().all(|x| x.is_finite())
             && self.l2_norm() <= norm_bound
@@ -401,12 +406,12 @@ impl PpoAgent {
     }
 
     /// Restore an agent from a snapshot, rejecting corrupt weights
-    /// (non-finite parameters or L2 norm above
-    /// [`WEIGHT_NORM_BOUND`]) instead of silently deploying them.
+    /// (shapes other than the config's, non-finite parameters or L2 norm
+    /// above [`WEIGHT_NORM_BOUND`]) instead of silently deploying them.
     pub fn try_from_weights(w: PpoWeights, rng: &mut DetRng) -> Result<Self, String> {
         if !w.is_valid(WEIGHT_NORM_BOUND) {
             return Err(format!(
-                "rejecting PPO weights: non-finite parameters or L2 norm {:.3e} > {:.1e}",
+                "rejecting PPO weights: mis-shaped or non-finite parameters, or L2 norm {:.3e} > {:.1e}",
                 w.l2_norm(),
                 WEIGHT_NORM_BOUND
             ));
@@ -596,6 +601,60 @@ mod tests {
         let mut rng2 = DetRng::new(12);
         assert!(PpoAgent::try_from_weights(good, &mut rng2).is_ok());
         assert!(PpoAgent::try_from_weights(bad, &mut rng2).is_err());
+    }
+
+    /// Serialise a small agent's weights, apply `defect` to the JSON, and
+    /// check the result is refused — a parse error, or weights that fail
+    /// `is_valid` and that `try_from_weights` rejects — instead of
+    /// deployed to panic on the first `act_eval`.
+    fn assert_mis_shape_refused(defect: impl FnOnce(&str) -> String) {
+        let mut rng = DetRng::new(16);
+        let config = PpoConfig {
+            hidden: vec![8, 8],
+            ..PpoConfig::new(4, 1)
+        };
+        let json = serde_json::to_string(&PpoAgent::new(config, &mut rng).weights()).unwrap();
+        let bad = defect(&json);
+        assert_ne!(bad, json, "defect not applied");
+        if let Ok(w) = serde_json::from_str::<PpoWeights>(&bad) {
+            assert!(!w.is_valid(WEIGHT_NORM_BOUND));
+            assert!(PpoAgent::try_from_weights(w, &mut rng).is_err());
+        }
+    }
+
+    /// `json` without the first element of the first array after `key`.
+    fn drop_first(json: &str, key: &str) -> String {
+        let start = json.find(key).unwrap() + key.len();
+        let comma = start + json[start..].find(',').unwrap();
+        format!("{}{}", &json[..start], &json[comma + 1..])
+    }
+
+    #[test]
+    fn weight_matrix_short_of_rows_x_cols_is_refused() {
+        // The actor's first layer is the first `data` array in the file.
+        assert_mis_shape_refused(|j| drop_first(j, "\"data\":["));
+    }
+
+    #[test]
+    fn bias_short_of_rows_is_refused() {
+        assert_mis_shape_refused(|j| drop_first(j, "\"b\":["));
+    }
+
+    #[test]
+    fn layers_other_than_the_config_sizes_are_refused() {
+        assert_mis_shape_refused(|j| j.replacen("\"obs_dim\":4", "\"obs_dim\":5", 1));
+    }
+
+    #[test]
+    fn transposed_weight_matrix_is_refused() {
+        assert_mis_shape_refused(|j| {
+            j.replacen("\"rows\":8,\"cols\":4", "\"rows\":4,\"cols\":8", 1)
+        });
+    }
+
+    #[test]
+    fn log_std_other_than_act_dim_is_refused() {
+        assert_mis_shape_refused(|j| j.replacen("\"log_std\":[", "\"log_std\":[0.0,", 1));
     }
 
     #[test]

@@ -33,8 +33,8 @@ cargo build --release --offline
 echo "==> cargo test (workspace)"
 cargo test --workspace --offline -q
 
-echo "==> nn identity suites, optimized (the tile kernel's SIMD instantiations as shipped)"
-cargo test --release --offline -q -p libra-nn
+echo "==> nn + rl identity suites, optimized (the tile kernel's SIMD instantiations as shipped)"
+cargo test --release --offline -q -p libra-nn -p libra-rl
 
 echo "==> chaos self-test (supervised sweep under injected faults)"
 cargo test --release --offline -q -p libra-bench --test supervisor
