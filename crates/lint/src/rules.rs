@@ -544,6 +544,7 @@ const HOT_FNS: &[&str] = &[
     "dequeue",
     "detect_reorder_losses",
     "push",
+    "push_lane",
     "pop",
 ];
 

@@ -252,8 +252,6 @@ pub struct FlowSender {
 
     next_send_time: Instant,
     last_progress: Instant,
-    /// Generation counter for RTO events; stale events are ignored.
-    pub rto_generation: u64,
     /// Earliest pacer wake currently sitting in the event queue, used to
     /// deduplicate wake events (without this, every pacing-limited pump
     /// would spawn an immortal chain of spurious wakes).
@@ -341,7 +339,6 @@ impl FlowSender {
             init_rtt,
             next_send_time: Instant::ZERO,
             last_progress: start,
-            rto_generation: 0,
             pending_wake: None,
             tracker: MiTracker::new(start),
             has_mi_clock,

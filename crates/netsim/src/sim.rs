@@ -316,6 +316,19 @@ impl FlowConfig {
     }
 }
 
+/// Goodput-series bin width of every flow.
+const METRICS_BIN: Duration = Duration::from_millis(100);
+
+/// Wheel lane of [`Event::ServiceDone`]: at most one is pending, and each
+/// is scheduled at or after the previous one's completion, under every
+/// link, trace and fault plan.
+const SERVICE_LANE: usize = 0;
+/// Wheel lane of clean-path [`Event::AckArrive`]s (`!merge_acks`): each
+/// is due one link completion plus twice the one-way delay, so their due
+/// times never decrease. Fault-plan duplicates and jittered ACKs never
+/// reach it (both imply `merge_acks`).
+const ACK_LANE: usize = 1;
+
 #[derive(Debug)]
 enum Event {
     FlowStart(FlowId),
@@ -328,7 +341,7 @@ enum Event {
     /// merging is enabled (fault plans or ACK jitter).
     AckBatch(FlowId),
     MiTick(FlowId),
-    RtoCheck(FlowId, u64),
+    RtoCheck(FlowId),
     QueueSample,
 }
 
@@ -344,8 +357,9 @@ enum Event {
 /// conservative dirty rule); a closed batch stops accepting merges and a
 /// later same-`(flow, t)` ACK opens a fresh batch behind the intervening
 /// event. Batching is only enabled when fault plans or ACK jitter can
-/// actually produce same-instant ACKs — the clean path's arrival times
-/// strictly increase, so it schedules plain [`Event::AckArrive`]s.
+/// actually clump ACKs; on the clean path arrival times never decrease
+/// (equal completion times are possible), so it schedules plain
+/// [`Event::AckArrive`]s on a wheel lane.
 struct AckBatch {
     at: Instant,
     /// Accepting merges. Cleared by the dirty rule or at dispatch.
@@ -520,8 +534,9 @@ pub struct Simulation {
     /// so the emit path never allocates.
     emit_scratch: Vec<Packet>,
     /// Whether same-instant ACKs are merged into [`AckBatch`]es. Enabled
-    /// only when fault plans or ACK jitter can produce ties; the clean
-    /// path keeps its original one-event-per-ACK schedule untouched.
+    /// only when fault plans or ACK jitter can reorder ACKs; on the clean
+    /// path ACK times never decrease, so each ACK stays one event and
+    /// rides [`ACK_LANE`].
     merge_acks: bool,
     /// Pending ACK batches per flow (index-aligned with `flows`), in
     /// creation order. Not time-ordered under jitter — dispatch scans for
@@ -550,7 +565,6 @@ pub struct Simulation {
     stochastic_drops: u64,
     queue_samples: Welford,
     sample_period: Duration,
-    metrics_bin: Duration,
 }
 
 impl Simulation {
@@ -632,13 +646,7 @@ impl Simulation {
             stochastic_drops: 0,
             queue_samples: Welford::new(),
             sample_period: Duration::from_millis(50),
-            metrics_bin: Duration::from_millis(100),
         }
-    }
-
-    /// Override the goodput-series bin width (default 100 ms).
-    pub fn set_metrics_bin(&mut self, bin: Duration) {
-        self.metrics_bin = bin;
     }
 
     /// Attach a shared policy service (e.g. `libra_rl::PolicyServer`).
@@ -664,7 +672,7 @@ impl Simulation {
             cfg.start,
             cfg.stop,
             init_rtt,
-            self.metrics_bin,
+            METRICS_BIN,
         );
         sender.measure_compute = cfg.measure_compute;
         if self.cfg.trace {
@@ -686,10 +694,9 @@ impl Simulation {
         if sender.has_mi_clock() {
             self.schedule(cfg.start + init_rtt, Event::MiTick(id));
         }
-        self.schedule(
-            cfg.start + Duration::from_millis(200),
-            Event::RtoCheck(id, 0),
-        );
+        // The flow's one pending RTO check: each dispatch schedules at
+        // most one successor.
+        self.schedule(cfg.start + Duration::from_millis(200), Event::RtoCheck(id));
         self.flows.push(sender);
         self.ack_batches.push(VecDeque::new());
         id
@@ -705,11 +712,18 @@ impl Simulation {
             self.close_open_batches_at(at);
         }
         self.eseq += 1;
-        self.events.push(TimedEntry {
+        let entry = TimedEntry {
             at,
             seq: self.eseq,
             event,
-        });
+        };
+        // The two constant-delay kinds skip the slots: their due times
+        // never decrease in schedule order (see `SERVICE_LANE`, `ACK_LANE`).
+        match entry.event {
+            Event::ServiceDone => self.events.push_lane(SERVICE_LANE, entry),
+            Event::AckArrive(_) if !self.merge_acks => self.events.push_lane(ACK_LANE, entry),
+            _ => self.events.push(entry),
+        }
     }
 
     /// Seal every ACK batch still open at exactly `at` (cold path: only
@@ -937,14 +951,8 @@ impl Simulation {
                 }
             }
             Event::MiTick(id) => self.dispatch_mi_ticks(id, until),
-            Event::RtoCheck(id, generation) => {
-                let flow = &mut self.flows[id.index()];
-                if generation < flow.rto_generation {
-                    return; // stale
-                }
-                let fired = flow.on_rto_check(self.now);
-                flow.rto_generation += 1;
-                let gen = flow.rto_generation;
+            Event::RtoCheck(id) => {
+                let fired = self.flows[id.index()].on_rto_check(self.now);
                 let next = if fired {
                     self.now + self.flows[id.index()].rto()
                 } else {
@@ -952,7 +960,7 @@ impl Simulation {
                 };
                 let next = next.max(self.now + Duration::from_millis(10));
                 if next <= until {
-                    self.schedule(next, Event::RtoCheck(id, gen));
+                    self.schedule(next, Event::RtoCheck(id));
                 }
                 if fired {
                     self.pump_flow(id);
@@ -1016,7 +1024,9 @@ impl Simulation {
                 _ => {
                     // Popped one too far: hand it back under its original
                     // `(at, seq)` key, so anything phase 3 schedules
-                    // earlier than it still dispatches first.
+                    // earlier than it still dispatches first. (A lane
+                    // entry comes back through the slots; its lane stays
+                    // sorted, so the order is exact either way.)
                     self.events.push(entry);
                     break;
                 }
@@ -1205,8 +1215,8 @@ impl Simulation {
                 if self.merge_acks {
                     self.enqueue_ack(ack, ack_at);
                 } else {
-                    // Clean path: arrival times strictly increase, so
-                    // merging is impossible — keep the original schedule.
+                    // Clean path: completion + 2 × one-way delay, so
+                    // arrival times never decrease — one event per ACK.
                     self.schedule(ack_at, Event::AckArrive(ack));
                 }
             }

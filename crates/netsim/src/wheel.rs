@@ -34,22 +34,33 @@
 //!
 //! Insertion is a `xor` + `leading_zeros` + a list link. Extraction
 //! drains a tiny *near-heap* holding only the current 4 µs slot; when it
-//! empties, occupancy bitmaps find the next populated slot across all
-//! levels and either dump it into the near-heap (level 0) or cascade it
-//! down one level (levels ≥ 1). Every event cascades at most
-//! `LEVELS - 1` times, so the amortized cost per event is constant.
+//! empties, occupancy bitmaps find the next populated slot (the lowest
+//! level with an occupied slot ahead of the cursor) and either dump it
+//! into the near-heap (level 0) or cascade it down one level (levels
+//! ≥ 1). Every event cascades at most `LEVELS - 1` times, so the
+//! amortized cost per event is constant.
+//!
+//! # Lanes
+//!
+//! Beside the slots sit [`LANES`] FIFO *lanes* for event streams whose
+//! due times never decrease in push order (the simulator's link
+//! completions and clean-path ACKs, which are most of its events).
+//! [`TimerWheel::push_lane`] appends to a lane: no slab node, no
+//! cascade, no near-heap traffic. `pop` returns the smallest of the
+//! near-heap head and the lane heads on the same `(at, seq)` key.
 //!
 //! # Storage
 //!
-//! Every resident entry lives in one slab (`Vec<Node<E>>`) and is named
-//! by its `u32` index; vacated nodes thread a free list, so the slab's
-//! length is the resident high-water mark and steady state never touches
-//! the allocator. A slot is the head index of an intrusive singly-linked
+//! Every entry outside the lanes lives in one slab (`Vec<Node<E>>`) and
+//! is named by its `u32` index; vacated nodes thread a free list, so the
+//! slab's length is the resident high-water mark and steady state never
+//! touches the allocator (nor do the lanes, ring buffers that keep their
+//! capacity). A slot is the head index of an intrusive singly-linked
 //! list through the nodes, so cascading a slot relinks indices and the
 //! payload never moves between `push` and `pop`. The near and overflow
 //! heaps hold 24-byte `(at, seq, index)` keys rather than whole entries.
-//! (List order within a slot is LIFO and irrelevant: every entry passes
-//! through the near-heap, which alone decides pop order.)
+//! (List order within a slot is LIFO and irrelevant: every slot entry
+//! passes through the near-heap, which decides its pop order.)
 //!
 //! # Determinism
 //!
@@ -64,21 +75,30 @@
 //! * Overflow events differ from the cursor above byte 3, so they sort
 //!   after every event resident in the wheel and are only consulted
 //!   when the wheel is empty.
+//! * A lane is sorted by `(at, seq)`: `seq` grows with every push and
+//!   `at` never decreases along the lane. So its head is its minimum,
+//!   and the merged pop is the heap's order provided the wheel never
+//!   cascades past a lane head: with the near-heap dry, a lane head in
+//!   a slot *strictly* before the next occupied one precedes every
+//!   wheel entry and pops without moving the cursor; otherwise the
+//!   wheel advances to that slot and the heads are compared again.
 //!
 //! # The oracle
 //!
 //! Under the `checked-invariants` feature the wheel carries a keys-only
 //! shadow `BinaryHeap` — the reference scheduler it replaced — that
-//! mirrors every push, and every pop asserts that the wheel returned the
-//! shadow's `(at, seq)` minimum. Every suite `scripts/ci.sh` runs with
-//! that feature (netsim, core, `policy_server`, `policy_chaos`,
+//! mirrors every push (lane pushes included), and every pop asserts that
+//! the wheel returned the shadow's `(at, seq)` minimum; a lane push that
+//! would unsort its lane is a hard assert. Every suite `scripts/ci.sh`
+//! runs with that feature (netsim, core, `policy_server`,
+//! `policy_chaos`, the pinned `determinism` goldens,
 //! `tests/wheel_equivalence.rs`) therefore checks each pop of each run
 //! against the heap; the in-crate tests below also replay synthetic
-//! streams against an explicit heap in every build.
+//! streams, lanes included, against an explicit heap in every build.
 
 use libra_types::Instant;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Log2 of the level-0 slot width in nanoseconds.
 const GRAIN_BITS: u32 = 12;
@@ -88,6 +108,8 @@ const SLOTS: usize = 256;
 const LEVELS: usize = 4;
 /// Bitmap words per level (256 slots / 64 bits).
 const WORDS: usize = SLOTS / 64;
+/// FIFO lanes beside the slots (see "Lanes").
+pub(crate) const LANES: usize = 2;
 
 /// One scheduled event: the timestamp, the global schedule sequence
 /// number (tie-break), and the payload.
@@ -156,7 +178,9 @@ pub struct TimerWheel<E> {
     /// than everything in the wheel, so a plain min-heap suffices — the
     /// calendar-queue fallback for far-future timers.
     overflow: BinaryHeap<Key>,
-    /// Total resident events.
+    /// FIFO lanes, each sorted by `(at, seq)` (see "Lanes").
+    lanes: [VecDeque<TimedEntry<E>>; LANES],
+    /// Total resident events, lanes included.
     len: usize,
     /// The reference scheduler, keys only (see "The oracle").
     #[cfg(feature = "checked-invariants")]
@@ -174,6 +198,7 @@ impl<E> TimerWheel<E> {
             occ: [[0; WORDS]; LEVELS],
             near: BinaryHeap::with_capacity(64),
             overflow: BinaryHeap::new(),
+            lanes: Default::default(),
             len: 0,
             #[cfg(feature = "checked-invariants")]
             shadow: BinaryHeap::new(),
@@ -224,6 +249,25 @@ impl<E> TimerWheel<E> {
         self.place(n);
     }
 
+    /// Append an entry to FIFO lane `lane` (`< LANES`). O(1), and the
+    /// entry never enters the slots. The caller promises the lane stays
+    /// sorted: `(at, seq)` not below the lane's last entry — true of any
+    /// stream whose due times never decrease in push order, since `seq`
+    /// grows with every push. `checked-invariants` asserts it.
+    pub(crate) fn push_lane(&mut self, lane: usize, entry: TimedEntry<E>) {
+        let fifo = &mut self.lanes[lane];
+        #[cfg(feature = "checked-invariants")]
+        {
+            assert!(
+                fifo.back().is_none_or(|b| b <= &entry),
+                "timer wheel lane push went backwards"
+            );
+            self.shadow.push(Reverse((entry.at, entry.seq)));
+        }
+        fifo.push_back(entry);
+        self.len += 1;
+    }
+
     /// Link resident node `n` where its due time belongs relative to the
     /// cursor: the near-heap, a wheel slot, or the overflow heap.
     fn place(&mut self, n: u32) {
@@ -252,8 +296,15 @@ impl<E> TimerWheel<E> {
 
     /// Extract the globally minimum `(at, seq)` entry. Amortized O(1).
     pub fn pop(&mut self) -> Option<TimedEntry<E>> {
+        let lane = self.lane_head();
         loop {
-            if let Some(Reverse((at, seq, n))) = self.near.pop() {
+            if let Some(&Reverse((at, seq, n))) = self.near.peek() {
+                if let Some((l, head)) = lane {
+                    if head < (at, seq) {
+                        return Some(self.pop_lane(l));
+                    }
+                }
+                self.near.pop();
                 self.len -= 1;
                 let node = &mut self.nodes[n as usize];
                 let event = node
@@ -263,64 +314,91 @@ impl<E> TimerWheel<E> {
                 node.next = self.free;
                 self.free = n;
                 #[cfg(feature = "checked-invariants")]
-                assert_eq!(
-                    self.shadow.pop(),
-                    Some(Reverse((at, seq))),
-                    "timer wheel popped out of the reference heap's order"
-                );
+                self.check_shadow(at, seq);
                 return Some(TimedEntry { at, seq, event });
             }
-            if self.len == 0 {
-                return None;
+            // The near-heap is dry. Never cascade past a lane head: one
+            // strictly before the next occupied slot precedes every wheel
+            // entry, so it pops and the cursor stays put.
+            let next = self.next_slot();
+            if let Some((l, (at, _))) = lane {
+                if next.is_none_or(|(abs, _, _)| at.nanos() >> GRAIN_BITS < abs) {
+                    return Some(self.pop_lane(l));
+                }
             }
-            self.advance();
+            let (abs, level, idx) = next?;
+            self.advance(abs, level, idx);
         }
     }
 
-    /// The near-heap is dry: move the cursor to the next populated slot.
-    /// Level 0 slots dump straight into the near-heap; higher-level slots
-    /// cascade one level down (splitting on the next byte of the slot
-    /// number). Each event is relinked at most `LEVELS - 1` times in its
-    /// life.
-    fn advance(&mut self) {
-        // Find, per level, the next occupied slot index strictly after the
-        // cursor's position at that level; the lowest level with a hit at
-        // the smallest absolute time wins. The radix-prefix invariant
-        // makes the comparison easy: a level-k candidate's absolute slot
-        // is the cursor with byte k replaced and lower bytes zeroed, and
-        // any level-k slot at an index ≤ the cursor's byte k would have
-        // been drained already (events are always inserted strictly ahead
-        // of the cursor at their level's byte).
-        let mut best: Option<(u64, usize, usize)> = None; // (abs_slot, level, idx)
+    /// The lane whose head has the smallest `(at, seq)`, with that key.
+    #[inline]
+    fn lane_head(&self) -> Option<(usize, (Instant, u64))> {
+        let mut best: Option<(usize, (Instant, u64))> = None;
+        for (l, fifo) in self.lanes.iter().enumerate() {
+            if let Some(e) = fifo.front() {
+                if best.is_none_or(|(_, key)| (e.at, e.seq) < key) {
+                    best = Some((l, (e.at, e.seq)));
+                }
+            }
+        }
+        best
+    }
+
+    fn pop_lane(&mut self, lane: usize) -> TimedEntry<E> {
+        self.len -= 1;
+        let entry = self.lanes[lane]
+            .pop_front()
+            .expect("lane_head named an empty lane");
+        #[cfg(feature = "checked-invariants")]
+        self.check_shadow(entry.at, entry.seq);
+        entry
+    }
+
+    #[cfg(feature = "checked-invariants")]
+    fn check_shadow(&mut self, at: Instant, seq: u64) {
+        assert_eq!(
+            self.shadow.pop(),
+            Some(Reverse((at, seq))),
+            "timer wheel popped out of the reference heap's order"
+        );
+    }
+
+    /// The next populated slot after the cursor, as `(abs, level, idx)`:
+    /// `abs` is the first level-0 slot number it covers. The lowest level
+    /// with a hit wins: a level-k candidate keeps every byte of the
+    /// cursor above k and raises byte k, so it lies beyond all of level
+    /// k − 1's window. With the wheel's levels empty, the overflow heap's
+    /// head is the candidate (`level == LEVELS`).
+    fn next_slot(&self) -> Option<(u64, usize, usize)> {
         for level in 0..LEVELS {
             let pos = ((self.cursor >> (8 * level)) & 0xFF) as usize;
             if let Some(idx) = self.next_occupied(level, pos) {
                 let keep_mask = u64::MAX << (8 * (level + 1)); // bytes above k
                 let abs = (self.cursor & keep_mask) | ((idx as u64) << (8 * level));
-                if best.is_none_or(|(b, _, _)| abs < b) {
-                    best = Some((abs, level, idx));
-                }
-                // A populated lower level closer than any higher-level
-                // boundary always wins, but a higher-level slot can still
-                // be nearer when the lower levels are empty far ahead —
-                // so all levels are compared (4 bitmap scans, cheap).
+                return Some((abs, level, idx));
             }
         }
-        let Some((abs, level, idx)) = best else {
-            // Wheel empty but len > 0: pull the earliest overflow entry
-            // back in. Its slot now shares a prefix with the cursor once
-            // the cursor jumps to it.
-            if let Some(key) = self.overflow.pop() {
-                let Reverse((at, _, _)) = key;
-                self.cursor = at.nanos() >> GRAIN_BITS;
-                self.near.push(key);
-                // Re-home any other overflow entries that the new cursor
-                // position brought inside the wheel horizon.
-                self.rehome_overflow();
-            }
-            return;
-        };
+        self.overflow
+            .peek()
+            .map(|&Reverse((at, _, _))| (at.nanos() >> GRAIN_BITS, LEVELS, 0))
+    }
+
+    /// Move the cursor to the slot [`Self::next_slot`] found. Level 0
+    /// slots dump straight into the near-heap; higher-level slots cascade
+    /// one level down (splitting on the next byte of the slot number).
+    /// Each event is relinked at most `LEVELS - 1` times in its life.
+    fn advance(&mut self, abs: u64, level: usize, idx: usize) {
         self.cursor = abs;
+        if level == LEVELS {
+            // Wheel levels empty: pull the earliest overflow entry back
+            // in (its slot is the cursor now), then re-home any other
+            // overflow entries the jump brought inside the horizon.
+            let key = self.overflow.pop().expect("next_slot peeked it");
+            self.near.push(key);
+            self.rehome_overflow();
+            return;
+        }
         let mut n = std::mem::replace(&mut self.slots[level * SLOTS + idx], NIL);
         self.clear_bit(level, idx);
         // Level 0: every node of the slot now lies at or before the
@@ -527,6 +605,189 @@ mod tests {
         // node's heap key from its (now wrong) due time.
         wheel.nodes[0].at = Instant::from_nanos(3_500_000);
         while wheel.pop().is_some() {}
+    }
+
+    /// A wheel and the reference heap fed the same pushes, the wheel's
+    /// either into a lane or into the slots.
+    struct Paired {
+        wheel: TimerWheel<u64>,
+        heap: BinaryHeap<Reverse<TimedEntry<u64>>>,
+        seq: u64,
+    }
+
+    impl Paired {
+        fn new() -> Self {
+            Paired {
+                wheel: TimerWheel::new(),
+                heap: BinaryHeap::new(),
+                seq: 0,
+            }
+        }
+
+        /// Push at `at` into `lane` (`None`: the slots).
+        fn push(&mut self, lane: Option<usize>, at: u64) {
+            match lane {
+                Some(l) => self.wheel.push_lane(l, entry(at, self.seq)),
+                None => self.wheel.push(entry(at, self.seq)),
+            }
+            self.heap.push(Reverse(entry(at, self.seq)));
+            self.seq += 1;
+        }
+
+        /// Pop both; they must agree. Returns the popped due time.
+        fn pop(&mut self) -> Option<u64> {
+            let want = self.heap.pop().map(|Reverse(e)| (e.at, e.seq));
+            let got = self.wheel.pop().map(|e| (e.at, e.seq));
+            assert_eq!(got, want, "wheel with lanes left the heap's order");
+            assert_eq!(self.wheel.len(), self.heap.len());
+            want.map(|(at, _)| at.nanos())
+        }
+
+        fn drain(&mut self) {
+            while self.pop().is_some() {}
+        }
+    }
+
+    #[test]
+    fn lanes_interleaved_with_wheel_pushes_match_heap() {
+        // The simulator's pattern: pop, then schedule successors at ≥ now
+        // into the slots (any scale) and into the lanes (each lane
+        // non-decreasing, equal due times included).
+        let mut rng = DetRng::new(0x1A4E);
+        for scale in [12u32, 20, 30, 46] {
+            let mut p = Paired::new();
+            let mut tail = [0u64; LANES];
+            for t in 0..32u64 {
+                p.push(None, t << (scale - 6));
+            }
+            let mut now = 0;
+            for _ in 0..20_000 {
+                for _ in 0..rng.uniform_u64(0, 4) {
+                    let bits = rng.uniform_u64(0, scale as u64 + 1);
+                    let delta = rng.uniform_u64(0, 1 << bits);
+                    match rng.uniform_u64(0, 4) as usize {
+                        LANES.. => p.push(None, now + delta),
+                        l => {
+                            // Half the lane pushes repeat the tail's time.
+                            let at = tail[l].max(now) + delta * rng.uniform_u64(0, 2);
+                            tail[l] = at;
+                            p.push(Some(l), at);
+                        }
+                    }
+                }
+                match p.pop() {
+                    Some(at) => now = at,
+                    None => p.push(None, now + 1),
+                }
+            }
+            p.drain();
+        }
+    }
+
+    #[test]
+    fn lane_and_wheel_ties_in_one_slot_break_on_seq() {
+        // Same 4 µs slot, different nanoseconds: the wheel entry (slot 1)
+        // is due first although the lane head shares its slot.
+        let mut p = Paired::new();
+        p.push(None, 5_000);
+        p.push(Some(0), 6_000);
+        p.push(Some(1), 4_500);
+        p.drain();
+        // Same nanosecond, across the near-heap, both lanes and a
+        // level-1 slot: `seq` alone decides.
+        for at in [7_000u64, 3_000_000] {
+            let mut p = Paired::new();
+            p.push(Some(1), at);
+            p.push(None, at);
+            p.push(Some(0), at);
+            p.push(None, at);
+            p.push(Some(1), at);
+            p.push(Some(0), at);
+            p.drain();
+        }
+        // The near-heap holds the slot's entries while a lane head ties
+        // one of them on `at` with a lower `seq`.
+        let mut p = Paired::new();
+        p.push(None, 9_000);
+        p.push(Some(0), 9_100);
+        p.push(None, 9_100);
+        p.push(None, 9_050);
+        p.drain();
+    }
+
+    #[test]
+    fn repushed_entry_with_lanes_non_empty_matches_heap() {
+        // The decision-tick gather's pop-one-too-far push-back (see
+        // `repushed_entry_and_earlier_pushes_match_heap_order`) while
+        // both lanes hold entries before and after the re-pushed one;
+        // the re-pushed entry may itself have come off a lane.
+        let mut rng = DetRng::new(0x7A9E);
+        for gap in [1u64 << 10, 1 << 16, 1 << 24, 1 << 34, 1 << 45] {
+            for round in 0..4u64 {
+                let mut p = Paired::new();
+                let mut tail = [0u64; LANES];
+                for k in 0..8u64 {
+                    p.push(None, gap + k * (gap / 4 + 1));
+                    for (l, t) in tail.iter_mut().enumerate() {
+                        *t += rng.uniform_u64(0, gap / 2 + 2) * ((k + l as u64 + round) % 2);
+                        p.push(Some(l), *t);
+                    }
+                }
+                for _ in 0..round * 3 {
+                    p.pop();
+                }
+                let popped = p.wheel.pop().expect("resident");
+                let want = p.heap.pop().expect("resident").0;
+                assert_eq!((popped.at, popped.seq), (want.at, want.seq));
+                p.wheel.push(popped);
+                p.heap.push(Reverse(want));
+                let now = p.heap.peek().map_or(0, |Reverse(e)| e.at.nanos());
+                for _ in 0..24 {
+                    // Slots: earlier than, equal to and later than the
+                    // re-pushed entry; lanes: onward from their tails.
+                    match rng.uniform_u64(0, 3) as usize {
+                        LANES.. => p.push(None, rng.uniform_u64(0, 2 * gap)),
+                        l => {
+                            tail[l] = tail[l].max(now) + rng.uniform_u64(0, gap);
+                            p.push(Some(l), tail[l]);
+                        }
+                    }
+                }
+                p.drain();
+            }
+        }
+    }
+
+    #[test]
+    fn overflow_entries_behind_lanes_match_heap() {
+        // Only overflow-range entries in the slots' care: the lanes must
+        // drain ahead of them, interleave where due times cross, and the
+        // overflow re-homing must not disturb the lanes.
+        let far = 50_000_000_000_000u64; // ~13.9 h, beyond the horizon
+        let mut p = Paired::new();
+        p.push(None, far + 7);
+        p.push(None, far);
+        p.push(None, 2 * far);
+        for k in 0..6u64 {
+            p.push(Some(0), k * far / 2);
+            p.push(Some(1), far + k);
+        }
+        p.push(None, far + 1);
+        for _ in 0..5 {
+            p.pop();
+        }
+        p.push(None, far + 3);
+        p.push(Some(1), far + 5);
+        p.drain();
+    }
+
+    #[cfg(feature = "checked-invariants")]
+    #[test]
+    #[should_panic(expected = "lane push went backwards")]
+    fn decreasing_lane_push_is_refused() {
+        let mut wheel = TimerWheel::new();
+        wheel.push_lane(1, entry(2_000, 0));
+        wheel.push_lane(1, entry(1_999, 1));
     }
 
     #[test]

@@ -41,7 +41,7 @@ cargo test --release --offline -q -p libra-bench --test supervisor
 
 # Under checked-invariants the timer wheel carries the binary heap it
 # replaced as a shadow and asserts every pop against it, so the next
-# three steps are also the scheduler oracle's coverage
+# four steps are also the scheduler oracle's coverage
 # (netsim's tests/wheel_equivalence.rs exists only under the feature).
 echo "==> cargo test (netsim+core, runtime invariant asserts + scheduler oracle armed)"
 cargo test --offline -q -p libra-netsim -p libra-core \
@@ -53,6 +53,10 @@ cargo test --offline -q -p libra-bench --test policy_server \
 
 echo "==> policy-chaos gate (every fault kind, runtime invariant asserts armed)"
 cargo test --release --offline -q -p libra-bench --test policy_chaos \
+    --features libra-netsim/checked-invariants,libra-core/checked-invariants
+
+echo "==> pinned determinism goldens (scheduler oracle armed)"
+cargo test --release --offline -q -p libra-bench --test determinism \
     --features libra-netsim/checked-invariants,libra-core/checked-invariants
 
 echo "==> queue-ledger properties under checked-invariants (all disciplines)"
