@@ -16,8 +16,11 @@ use libra_bench::{
     run, run_spec, run_sweep_with, spec_digest, trace_to_jsonl, Cca, ModelStore, PolicyChaosSpec,
     RunSpec, RunSummary, POLICY_QUANTUM,
 };
-use libra_netsim::{LinkConfig, SimConfig};
-use libra_types::{Duration, Preference, Rate};
+use libra_netsim::{
+    lte_link, wan_link, FaultKind, FaultPlan, GilbertElliott, LinkConfig, LteScenario, SimConfig,
+    WanScenario,
+};
+use libra_types::{DetRng, Duration, Instant, Preference, Rate};
 
 fn wired(mbps: f64) -> LinkConfig {
     LinkConfig::constant(Rate::from_mbps(mbps), Duration::from_millis(40), 1.0)
@@ -172,13 +175,102 @@ fn golden_runs() -> Vec<(&'static str, RunSpec, u64, u64)> {
     ]
 }
 
-/// The golden table: every digest was recorded by running the thirteen
-/// hand-written `run_*` builders this table's one builder replaced, so a
-/// mismatch means the run path changed what a spec *means*.
+/// Runs whose ACKs do not arrive in completion order: jittered trace
+/// links, a wired link carrying every [`FaultKind`] in overlapping
+/// windows, and a served fleet whose ACKs a compression window clumps
+/// onto the policy grid. The table above runs on clean wired links
+/// only, so these rows pin the jittered and faulted ACK paths. Recorded
+/// at the commit that still merged same-instant ACKs into batches.
+fn jittered_and_faulted_runs() -> Vec<(&'static str, RunSpec, u64, u64)> {
+    let libra = Cca::CLibra(Preference::Default);
+    let ms = Duration::from_millis;
+    let at = Instant::from_millis;
+    let eight_s = Duration::from_secs(8);
+    let lte = lte_link(LteScenario::Walking, eight_s, &mut DetRng::new(60));
+    let wan = wan_link(WanScenario::InterContinental, eight_s, &mut DetRng::new(62));
+    let every_fault = FaultPlan::none()
+        .with(at(1000), at(1300), FaultKind::LinkFlap)
+        .with(
+            at(500),
+            at(3000),
+            FaultKind::Reorder {
+                probability: 0.2,
+                extra_delay: ms(15),
+            },
+        )
+        .with(
+            at(1500),
+            at(4000),
+            FaultKind::Duplicate { probability: 0.2 },
+        )
+        .with(
+            at(2000),
+            at(4500),
+            FaultKind::AckCompression { flush_every: ms(5) },
+        )
+        .with(at(2500), at(3500), FaultKind::DelaySpike { extra: ms(30) })
+        .with(
+            at(3000),
+            at(5000),
+            FaultKind::BurstLoss(GilbertElliott::new(0.05, 0.4, 0.0, 0.3)),
+        );
+    let compression = FaultPlan::none().with(
+        at(500),
+        at(4500),
+        FaultKind::AckCompression {
+            flush_every: ms(10),
+        },
+    );
+    vec![
+        (
+            "lte walking",
+            RunSpec::single(Cca::Cubic, lte, 8, 61),
+            0xa898_cb7b_c70c_f362,
+            0x7605_de71_45bb_8724,
+        ),
+        (
+            "wan fleet",
+            RunSpec::fleet(Cca::Cubic, vec![Cca::Bbr, Cca::NewReno], wan, 8, 63),
+            0xc520_d261_bf79_aec8,
+            0x8b6b_e382_46ee_8c99,
+        ),
+        (
+            "every fault kind",
+            RunSpec::staggered(
+                Cca::Cubic,
+                wired(48.0).with_faults(every_fault),
+                4,
+                ms(250),
+                6,
+                64,
+            ),
+            0xf6be_36aa_bcc3_4ad7,
+            0x8343_89e0_d4ac_d8a8,
+        ),
+        (
+            "batched ack compression",
+            RunSpec::fleet(
+                libra,
+                vec![libra, libra, Cca::Cubic],
+                wired(48.0).with_faults(compression),
+                5,
+                65,
+            )
+            .with_batched(),
+            0xaf5a_9860_d81a_fe28,
+            0xd68a_9494_a8c4_dc69,
+        ),
+    ]
+}
+
+/// The golden tables: every digest of the first was recorded by running
+/// the thirteen hand-written `run_*` builders its one builder replaced,
+/// so a mismatch means the run path changed what a spec *means*; the
+/// second pins the ACK paths the first never takes.
 #[test]
 fn golden_run_digests_are_pinned() {
     let store = ModelStore::ephemeral(1);
-    for (name, spec, want, _) in golden_runs() {
+    for (name, spec, want, _) in golden_runs().into_iter().chain(jittered_and_faulted_runs()) {
         let json = serde_json::to_string(&run_spec(&store, &spec)).expect("serialize");
         let got = fnv1a(&json);
         assert_eq!(got, want, "{name}: run digest drifted (got {got:#018x})");
@@ -240,7 +332,7 @@ fn unserved_coinciding_ticks_are_pinned() {
 /// the digest of one spec per workload kind is pinned.
 #[test]
 fn spec_digests_are_pinned() {
-    for (name, spec, _, want) in golden_runs() {
+    for (name, spec, _, want) in golden_runs().into_iter().chain(jittered_and_faulted_runs()) {
         let got = spec_digest(&spec);
         assert_eq!(got, want, "{name}: spec digest drifted (got {got:#018x})");
     }

@@ -532,9 +532,12 @@ pub struct NoPerPacketAlloc;
 
 /// The per-packet / per-ACK hot set: every function the event loop
 /// enters for each packet emission, queue transit, service completion,
-/// or ACK delivery. Names, not paths, so a hot function moving between
-/// files stays covered.
+/// or ACK delivery, plus the simulator's `schedule` and `dispatch`,
+/// which every event passes through. Names, not paths, so a hot function
+/// moving between files stays covered.
 const HOT_FNS: &[&str] = &[
+    "schedule",
+    "dispatch",
     "emit_packet",
     "on_ack_packet",
     "admit_packet",

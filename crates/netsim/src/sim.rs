@@ -29,7 +29,6 @@ use libra_types::{
     RingRecorder, TraceEvent, TraceSink, Tracer, Welford, LINK_FLOW,
 };
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Bottleneck-link configuration.
@@ -323,10 +322,10 @@ const METRICS_BIN: Duration = Duration::from_millis(100);
 /// is scheduled at or after the previous one's completion, under every
 /// link, trace and fault plan.
 const SERVICE_LANE: usize = 0;
-/// Wheel lane of clean-path [`Event::AckArrive`]s (`!merge_acks`): each
-/// is due one link completion plus twice the one-way delay, so their due
-/// times never decrease. Fault-plan duplicates and jittered ACKs never
-/// reach it (both imply `merge_acks`).
+/// Wheel lane of [`Event::AckArrive`]s while `acks_in_order` holds (no
+/// fault plan, no ACK jitter): each is due one link completion plus
+/// twice the one-way delay, so their due times never decrease. Jittered,
+/// fault-shifted and duplicated ACKs take the slots.
 const ACK_LANE: usize = 1;
 
 #[derive(Debug)]
@@ -336,36 +335,9 @@ enum Event {
     PacerWake(FlowId),
     ServiceDone,
     AckArrive(AckPacket),
-    /// Deliver the batch of same-timestamp ACKs queued for this flow at
-    /// the event's time (see [`AckBatch`]). Only scheduled when ACK
-    /// merging is enabled (fault plans or ACK jitter).
-    AckBatch(FlowId),
     MiTick(FlowId),
     RtoCheck(FlowId),
     QueueSample,
-}
-
-/// ACKs for one flow that all arrive at the same instant, delivered by a
-/// single [`Event::AckBatch`] pop instead of one heap event each.
-///
-/// Exactness: merging ACK `b` into an earlier ACK `a`'s batch (same flow,
-/// same arrival time `t`) reproduces the heap's dispatch order iff no
-/// other event was scheduled at exactly `t` between `a`'s scheduling and
-/// `b`'s — otherwise that event's sequence number would interleave
-/// between them. [`Simulation::schedule`] therefore closes every open
-/// batch at time `t` whenever *any* event is scheduled at `t` (the
-/// conservative dirty rule); a closed batch stops accepting merges and a
-/// later same-`(flow, t)` ACK opens a fresh batch behind the intervening
-/// event. Batching is only enabled when fault plans or ACK jitter can
-/// actually clump ACKs; on the clean path arrival times never decrease
-/// (equal completion times are possible), so it schedules plain
-/// [`Event::AckArrive`]s on a wheel lane.
-struct AckBatch {
-    at: Instant,
-    /// Accepting merges. Cleared by the dirty rule or at dispatch.
-    open: bool,
-    first: AckPacket,
-    rest: Vec<AckPacket>,
 }
 
 /// Results for one flow after a run.
@@ -533,18 +505,11 @@ pub struct Simulation {
     /// Scratch buffer for [`FlowSender::try_emit`], reused across pumps
     /// so the emit path never allocates.
     emit_scratch: Vec<Packet>,
-    /// Whether same-instant ACKs are merged into [`AckBatch`]es. Enabled
-    /// only when fault plans or ACK jitter can reorder ACKs; on the clean
-    /// path ACK times never decrease, so each ACK stays one event and
-    /// rides [`ACK_LANE`].
-    merge_acks: bool,
-    /// Pending ACK batches per flow (index-aligned with `flows`), in
-    /// creation order. Not time-ordered under jitter — dispatch scans for
-    /// the first batch matching the event's timestamp.
-    ack_batches: Vec<VecDeque<AckBatch>>,
-    /// `(at_nanos, flow)` of batches still accepting merges — the dirty
-    /// list the close-on-schedule rule walks. Nearly always tiny.
-    open_ats: Vec<(u64, u32)>,
+    /// The lane gate: with no fault plan and no ACK jitter, ACKs are
+    /// scheduled in due-time order and ride [`ACK_LANE`]. Either one can
+    /// shift an ACK ahead of one scheduled before it, so each ACK then
+    /// takes the slots — still one event per ACK.
+    acks_in_order: bool,
     /// Shared batched-inference service for learned controllers. When
     /// attached, decision ticks go through the two-phase submit/resolve
     /// boundary and same-instant ticks share one forward pass.
@@ -605,7 +570,7 @@ impl Simulation {
         let jitter_rng = root.fork("ack-jitter");
         let faults_rng = root.fork("faults");
         let aqm_rng = root.fork("aqm");
-        let merge_acks = faults_active || !link.ack_jitter.is_zero();
+        let acks_in_order = !faults_active && link.ack_jitter.is_zero();
         Simulation {
             now: Instant::ZERO,
             events: TimerWheel::new(),
@@ -633,9 +598,7 @@ impl Simulation {
             cap_cursor: 0,
             flows: Vec::new(),
             emit_scratch: Vec::with_capacity(64),
-            merge_acks,
-            ack_batches: Vec::new(),
-            open_ats: Vec::new(),
+            acks_in_order,
             policy: None,
             policy_requests: Vec::new(),
             mi_ticks: Vec::new(),
@@ -698,19 +661,10 @@ impl Simulation {
         // most one successor.
         self.schedule(cfg.start + Duration::from_millis(200), Event::RtoCheck(id));
         self.flows.push(sender);
-        self.ack_batches.push(VecDeque::new());
         id
     }
 
     fn schedule(&mut self, at: Instant, event: Event) {
-        // The dirty rule behind exact ACK batching: scheduling *any*
-        // event at time `t` seals every batch still open at `t`, because
-        // this event's sequence number now sits between the batch's
-        // existing members and any future merge candidate (see
-        // [`AckBatch`]). `open_ats` is empty on the clean path.
-        if !self.open_ats.is_empty() {
-            self.close_open_batches_at(at);
-        }
         self.eseq += 1;
         let entry = TimedEntry {
             at,
@@ -721,28 +675,8 @@ impl Simulation {
         // never decrease in schedule order (see `SERVICE_LANE`, `ACK_LANE`).
         match entry.event {
             Event::ServiceDone => self.events.push_lane(SERVICE_LANE, entry),
-            Event::AckArrive(_) if !self.merge_acks => self.events.push_lane(ACK_LANE, entry),
+            Event::AckArrive(_) if self.acks_in_order => self.events.push_lane(ACK_LANE, entry),
             _ => self.events.push(entry),
-        }
-    }
-
-    /// Seal every ACK batch still open at exactly `at` (cold path: only
-    /// reached when fault plans or jitter have batches in flight).
-    fn close_open_batches_at(&mut self, at: Instant) {
-        let nanos = at.nanos();
-        let mut i = 0;
-        while i < self.open_ats.len() {
-            let (t, flow) = self.open_ats[i];
-            if t == nanos {
-                for batch in self.ack_batches[flow as usize].iter_mut() {
-                    if batch.open && batch.at == at {
-                        batch.open = false;
-                    }
-                }
-                self.open_ats.swap_remove(i);
-            } else {
-                i += 1;
-            }
         }
     }
 
@@ -923,32 +857,6 @@ impl Simulation {
                 let id = ack.flow;
                 let _losses = self.flows[id.index()].on_ack_packet(&ack, self.now);
                 self.pump_flow(id);
-            }
-            Event::AckBatch(id) => {
-                // Jitter can schedule a later batch for an earlier time,
-                // so the per-flow deque is not time-ordered: find the
-                // first batch due now (creation order matches event seq
-                // order among equal timestamps) rather than pop_front.
-                let deque = &mut self.ack_batches[id.index()];
-                let pos = deque
-                    .iter()
-                    .position(|b| b.at == self.now)
-                    .expect("AckBatch event without a matching batch");
-                let batch = deque.remove(pos).expect("position() verified the index");
-                if batch.open {
-                    // Still on the dirty list: retire its entry.
-                    let nanos = self.now.nanos();
-                    self.open_ats.retain(|&(t, f)| t != nanos || f != id.0);
-                }
-                // Per-ACK processing is identical to the unbatched world:
-                // each ACK is followed by its own pump (coalescing the
-                // pumps would diverge from the heap's dispatch order).
-                self.flows[id.index()].on_ack_packet(&batch.first, self.now);
-                self.pump_flow(id);
-                for ack in &batch.rest {
-                    self.flows[id.index()].on_ack_packet(ack, self.now);
-                    self.pump_flow(id);
-                }
             }
             Event::MiTick(id) => self.dispatch_mi_ticks(id, until),
             Event::RtoCheck(id) => {
@@ -1212,42 +1120,12 @@ impl Simulation {
                 if let Some(after) = fate.duplicate_after {
                     self.schedule(ack_at + after, Event::AckArrive(ack));
                 }
-                if self.merge_acks {
-                    self.enqueue_ack(ack, ack_at);
-                } else {
-                    // Clean path: completion + 2 × one-way delay, so
-                    // arrival times never decrease — one event per ACK.
-                    self.schedule(ack_at, Event::AckArrive(ack));
-                }
+                self.schedule(ack_at, Event::AckArrive(ack));
             }
         }
         if !self.queue.is_empty() {
             self.start_service();
         }
-    }
-
-    /// Route an ACK through the batching layer: merge into the flow's
-    /// open batch at `at` if one survives, else open a fresh batch (its
-    /// dispatch event is scheduled *before* the batch is marked open, so
-    /// the dirty rule cannot seal it prematurely — but it does seal any
-    /// other batch still open at `at`, as exactness demands).
-    fn enqueue_ack(&mut self, ack: AckPacket, at: Instant) {
-        let fi = ack.flow.index();
-        if let Some(batch) = self.ack_batches[fi]
-            .iter_mut()
-            .find(|b| b.open && b.at == at)
-        {
-            batch.rest.push(ack);
-            return;
-        }
-        self.schedule(at, Event::AckBatch(ack.flow));
-        self.ack_batches[fi].push_back(AckBatch {
-            at,
-            open: true,
-            first: ack,
-            rest: Vec::new(),
-        });
-        self.open_ats.push((at.nanos(), ack.flow.0));
     }
 
     fn finalize(mut self, until: Instant) -> SimReport {
@@ -1276,7 +1154,7 @@ impl Simulation {
         fault_report.link_flaps = self
             .flap_windows
             .iter()
-            .filter(|&&(from, _)| from < until)
+            .filter(|&&(from, to)| from < to && from < until)
             .count() as u64;
         let recorders = self.recorders;
         let flows = self
@@ -1553,7 +1431,7 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
-    use crate::faults::FaultKind;
+    use crate::faults::{FaultEvent, FaultKind};
     use crate::loss::GilbertElliott;
     use libra_types::{AckEvent, LossEvent};
 
@@ -1666,6 +1544,26 @@ mod fault_tests {
         // Flaps start at 2 s, 22.2 s, 42.4 s, 62.6 s — only the first is
         // inside the 10 s horizon.
         assert_eq!(rep.faults.link_flaps, 1);
+    }
+
+    #[test]
+    fn empty_flap_windows_are_not_counted() {
+        // Zero-width and inverted windows never take the link down (the
+        // capacity overlay drops them), so only the real one counts.
+        let flap = |from: u64, to: u64| FaultEvent {
+            from: Instant::from_millis(from),
+            to: Instant::from_millis(to),
+            kind: FaultKind::LinkFlap,
+        };
+        let plan = FaultPlan {
+            events: vec![flap(1000, 1000), flap(2000, 1500), flap(3000, 3200)],
+        };
+        let link = LinkConfig::constant(Rate::from_mbps(10.0), Duration::from_millis(40), 1.0)
+            .with_faults(plan);
+        let until = Instant::from_secs(5);
+        let mut sim = Simulation::new(link, 1);
+        sim.add_flow(FlowConfig::whole_run(Box::new(Fixed(50_000)), until));
+        assert_eq!(sim.run(until).faults.link_flaps, 1);
     }
 
     #[test]

@@ -1,21 +1,30 @@
-//! MI-clock elision is unobservable: a classic controller (whose
-//! `mi_duration` is `Duration::MAX`, so the simulator schedules it no MI
-//! ticks and feeds no `MiTracker`) must produce byte-for-byte the report
-//! it produces when wrapped in [`ForceMi`], which answers `srtt` and so
-//! keeps the full tick → close → `on_mi` → pump machinery running.
+//! Two transformations that must be unobservable, checked by one
+//! harness over one scenario table: each twin run must produce
+//! byte-for-byte the report of the bare run.
 //!
-//! The argument (DESIGN.md, "Scale-out event core"): window, pacing rate
-//! and next-send time change only inside events that already end in a
-//! pump, so a tick's pump has nothing to send, and deleting ticks
-//! renumbers event sequence numbers without reordering any surviving
-//! pair. The one theoretical exception — a tick landing on the exact
-//! nanosecond of the same flow's pending pacer wake with another flow's
-//! event sequenced between them — is what the tie-dense synchronized
-//! incast below hunts for.
+//! **MI-clock elision.** A classic controller (whose `mi_duration` is
+//! `Duration::MAX`, so the simulator schedules it no MI ticks and feeds
+//! no `MiTracker`) must match itself wrapped in [`ForceMi`], which
+//! answers `srtt` and so keeps the full tick → close → `on_mi` → pump
+//! machinery running. The argument (DESIGN.md, "Scale-out event core"):
+//! window, pacing rate and next-send time change only inside events that
+//! already end in a pump, so a tick's pump has nothing to send, and
+//! deleting ticks renumbers event sequence numbers without reordering
+//! any surviving pair. The one theoretical exception — a tick landing on
+//! the exact nanosecond of the same flow's pending pacer wake with
+//! another flow's event sequenced between them — is what the tie-dense
+//! synchronized incast below hunts for.
+//!
+//! **Inert fault plans.** A plan whose windows never open — zero-width
+//! windows of every [`FaultKind`], or windows past the horizon — must
+//! match no plan at all. A non-empty plan moves every ACK off the
+//! in-order ACK lane onto the wheel's slots, so this also checks that
+//! the two routes dispatch ACKs in the same order.
 
 use libra_classic::{Bbr, Cubic, NewReno, Vegas};
 use libra_netsim::{
-    FaultKind, FaultPlan, FlowConfig, LinkConfig, QueueConfig, SimConfig, SimReport, Simulation,
+    FaultKind, FaultPlan, FlowConfig, GilbertElliott, LinkConfig, QueueConfig, SimConfig,
+    SimReport, Simulation,
 };
 use libra_types::{
     AckEvent, CongestionControl, Duration, Instant, LossEvent, MiStats, Rate, SendEvent,
@@ -155,6 +164,66 @@ fn fingerprint(report: &SimReport) -> String {
     s
 }
 
+/// The run a bare run is compared against.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Twin {
+    /// The bare run itself.
+    Bare,
+    /// Every controller wrapped in [`ForceMi`].
+    ForcedMi,
+    /// The link's plan plus a zero-width window of every [`FaultKind`].
+    ZeroWidthPlan,
+    /// The link's plan plus a window of every [`FaultKind`] past `until`.
+    LatePlan,
+}
+
+const TWINS: [Twin; 3] = [Twin::ForcedMi, Twin::ZeroWidthPlan, Twin::LatePlan];
+
+/// One fault of every kind, each certain to act on any ACK it sees.
+fn every_fault_kind() -> [FaultKind; 6] {
+    [
+        FaultKind::LinkFlap,
+        FaultKind::Reorder {
+            probability: 1.0,
+            extra_delay: Duration::from_millis(5),
+        },
+        FaultKind::Duplicate { probability: 1.0 },
+        FaultKind::AckCompression {
+            flush_every: Duration::from_millis(4),
+        },
+        FaultKind::DelaySpike {
+            extra: Duration::from_millis(20),
+        },
+        FaultKind::BurstLoss(GilbertElliott::new(1.0, 0.0, 1.0, 1.0)),
+    ]
+}
+
+/// Extend `plan` with windows that never open before `until`.
+fn add_inert_windows(plan: &mut FaultPlan, twin: Twin, until: Instant) {
+    for (i, kind) in every_fault_kind().into_iter().enumerate() {
+        let (from, to) = match twin {
+            // Spread through the run, so each sits among live traffic.
+            Twin::ZeroWidthPlan => {
+                let at = Instant::from_nanos(until.nanos() / 7 * (i as u64 + 1));
+                (at, at)
+            }
+            // A flap acts through the capacity schedule, which the run
+            // only integrates up to `until`, so it may start there. The
+            // other kinds act on packets leaving service, and a service
+            // completion at exactly `until` still dispatches.
+            Twin::LatePlan => {
+                let from = match kind {
+                    FaultKind::LinkFlap => until,
+                    _ => until + Duration::from_nanos(1),
+                };
+                (from, until + Duration::from_secs(1))
+            }
+            Twin::Bare | Twin::ForcedMi => return,
+        };
+        plan.push(from, to, kind);
+    }
+}
+
 /// One scenario: `flows` controllers of one kind, starts `stagger` apart.
 struct Scenario {
     name: &'static str,
@@ -165,12 +234,14 @@ struct Scenario {
 }
 
 impl Scenario {
-    fn run(&self, classic: Classic, force_mi: bool, seed: u64, cfg: SimConfig) -> SimReport {
+    fn run(&self, classic: Classic, twin: Twin, seed: u64, cfg: SimConfig) -> SimReport {
         let until = Instant::from_secs(self.secs);
-        let mut sim = Simulation::with_config((self.link)(), seed, cfg);
+        let mut link = (self.link)();
+        add_inert_windows(&mut link.faults, twin, until);
+        let mut sim = Simulation::with_config(link, seed, cfg);
         for i in 0..self.flows {
             sim.add_flow(FlowConfig::new(
-                classic.build(force_mi),
+                classic.build(twin == Twin::ForcedMi),
                 Instant::ZERO + self.stagger * i as u64,
                 until,
             ));
@@ -178,19 +249,21 @@ impl Scenario {
         sim.run(until)
     }
 
-    /// Bare ≡ forced for every classic × seed (under
+    /// Bare ≡ every twin for every classic × seed (under
     /// `checked-invariants` each run also checks every pop against the
     /// wheel's reference heap).
-    fn assert_elision_unobservable(&self) {
+    fn assert_twins_match(&self) {
         for classic in CLASSICS {
             for seed in [1u64, 42, 9001] {
-                let bare = fingerprint(&self.run(classic, false, seed, SimConfig::default()));
-                let forced = fingerprint(&self.run(classic, true, seed, SimConfig::default()));
-                assert_eq!(
-                    bare, forced,
-                    "{}: {classic:?} diverged from its MI-clocked twin at seed {seed}",
-                    self.name
-                );
+                let bare = fingerprint(&self.run(classic, Twin::Bare, seed, SimConfig::default()));
+                for twin in TWINS {
+                    let got = fingerprint(&self.run(classic, twin, seed, SimConfig::default()));
+                    assert_eq!(
+                        bare, got,
+                        "{}: {classic:?} diverged from its {twin:?} twin at seed {seed}",
+                        self.name
+                    );
+                }
             }
         }
     }
@@ -207,7 +280,7 @@ fn clean_droptail() {
         stagger: STAGGERED,
         secs: 6,
     }
-    .assert_elision_unobservable();
+    .assert_twins_match();
 }
 
 #[test]
@@ -222,7 +295,7 @@ fn codel() {
         stagger: STAGGERED,
         secs: 6,
     }
-    .assert_elision_unobservable();
+    .assert_twins_match();
 }
 
 #[test]
@@ -240,7 +313,7 @@ fn jittered_lossy() {
         stagger: STAGGERED,
         secs: 6,
     }
-    .assert_elision_unobservable();
+    .assert_twins_match();
 }
 
 #[test]
@@ -274,7 +347,7 @@ fn faulted() {
         stagger: STAGGERED,
         secs: 6,
     }
-    .assert_elision_unobservable();
+    .assert_twins_match();
 }
 
 #[test]
@@ -288,7 +361,7 @@ fn synchronized_incast_256() {
         stagger: Duration::ZERO,
         secs: 1,
     }
-    .assert_elision_unobservable();
+    .assert_twins_match();
 }
 
 #[test]
@@ -308,8 +381,8 @@ fn bare_classics_close_no_monitor_intervals() {
             .count()
     };
     for classic in CLASSICS {
-        let bare = scenario.run(classic, false, 3, SimConfig::traced());
-        let forced = scenario.run(classic, true, 3, SimConfig::traced());
+        let bare = scenario.run(classic, Twin::Bare, 3, SimConfig::traced());
+        let forced = scenario.run(classic, Twin::ForcedMi, 3, SimConfig::traced());
         assert_eq!(mi_closes(&bare), 0, "{classic:?} closed an MI");
         assert!(
             mi_closes(&forced) > 10,

@@ -7,8 +7,8 @@
 //! never pass without the oracle. The in-crate `wheel` unit tests replay
 //! synthetic event streams; this integration test replays whole
 //! simulations — multi-flow, AQM, jitter, stochastic loss, fault
-//! injection (the merge-ack path), synchronized incast — with every pop
-//! of every run checked against the heap.
+//! injection (ACKs off the in-order lane), synchronized incast — with
+//! every pop of every run checked against the heap.
 #![cfg(feature = "checked-invariants")]
 
 use libra_netsim::{FaultKind, FaultPlan, FlowConfig, LinkConfig, QueueConfig, Simulation};
@@ -85,7 +85,7 @@ fn codel_runs_are_identical() {
 
 #[test]
 fn jittered_lossy_runs_are_identical() {
-    // ACK jitter arms the merge-ack path; stochastic loss adds
+    // ACK jitter sends every ACK to the slots; stochastic loss adds
     // retransmission timers. Wheel and shadow heap must agree through it.
     assert_equivalent(
         "jitter+loss",
@@ -105,7 +105,7 @@ fn jittered_lossy_runs_are_identical() {
 fn faulted_runs_are_identical() {
     // Reordering + duplication + a flap: the densest event soup the
     // simulator produces (held-back ACKs, duplicate deliveries, dead
-    // link windows) — and the batched-ACK bookkeeping runs throughout.
+    // link windows) — every one of those ACKs scheduled in the slots.
     assert_equivalent(
         "faults",
         || {
