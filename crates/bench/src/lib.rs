@@ -14,7 +14,8 @@
 //! * [`search`] — adversarial scenario search: seeded mutation of corpus
 //!   specs toward low-utility / unfair / guardrail-tripping runs.
 //! * [`policychaos`] — serde-round-trippable policy-boundary fault
-//!   plans, compiled into `libra_types::PolicyFaultPlan` at run build.
+//!   plans, compiled at run build into the generic
+//!   `libra_types::FaultPlan<PolicyFaultKind>` plus its injection seed.
 //! * [`mod@run`] — the one run path: `RunSpec` (controller × link × flow
 //!   layout × seed), `Workload::slots` (the one flow layout) and `run`
 //!   (the one `Simulation` builder).
@@ -40,7 +41,6 @@ pub mod policychaos;
 pub mod registry;
 pub mod run;
 pub mod search;
-pub mod shard;
 pub mod spec;
 pub mod summary;
 pub mod supervisor;
@@ -57,7 +57,6 @@ pub use search::{
     evaluate_candidate, load_pins, objective_of, pin_failures, search, write_pin, Candidate,
     Objective, PinnedRegression, SearchConfig, SearchOutcome,
 };
-pub use shard::{run_sharded_with, shard_seed, ShardPlan, ShardedReport};
 pub use spec::{
     buffer_sweep_link, cca_from_name, datacenter_spec, fairness_link, fig1_specs,
     fig7_cellular_specs, fig7_wired_specs, fiveg_spec, loss_sweep_link, lte_tmobile_spec,

@@ -1,18 +1,19 @@
-//! Serde-round-trippable policy-fault plans: the declarative form of
-//! [`libra_types::PolicyFaultPlan`] that sweeps, chaos tests and pinned
-//! regressions carry.
+//! Serde-round-trippable policy-fault plans: the declarative form of a
+//! [`FaultPlan<PolicyFaultKind>`] plus its injection seed, as sweeps,
+//! chaos tests and pinned regressions carry it.
 //!
-//! [`PolicyFaultPlan`] itself lives in `libra-types` next to the
-//! simulator boundary and is deliberately serde-free (it holds typed
-//! [`Duration`]s and probability-carrying enum variants). This module is
-//! the bench-side bridge: a flat `{seed, events: [{kind, from_ms,
-//! to_ms, probability}]}` shape that round-trips through the vendored
-//! serde, validates its labels eagerly, and compiles into the typed
-//! plan at run-build time. Pin files under `tests/pinned/` embed this
-//! spec, so a discovered policy-fault regression replays the identical
-//! fault schedule forever.
+//! The typed plan is the generic fault schedule in `libra-types`,
+//! shared with the link plane, and is deliberately serde-free (it holds
+//! typed `Instant`s and probability-carrying enum variants). This
+//! module is the bench-side bridge: a flat `{seed, events: [{kind,
+//! from_ms, to_ms, probability}]}` shape that round-trips through the
+//! vendored serde, validates its labels eagerly, and compiles into the
+//! typed plan and the seed the `PolicyServer` arms its stream with at
+//! run-build time. Pin files under `tests/pinned/` embed this spec, so
+//! a discovered policy-fault regression replays the identical fault
+//! schedule forever.
 
-use libra_types::{Instant, PolicyFaultKind, PolicyFaultPlan};
+use libra_types::{FaultPlan, Instant, PolicyFaultKind};
 use serde::{Deserialize, Serialize};
 
 /// One fault window in declarative form. `kind` is a
@@ -34,7 +35,8 @@ pub struct PolicyChaosEvent {
 }
 
 /// A full declarative fault plan: the injection RNG seed plus the
-/// fault windows. Compiles to [`PolicyFaultPlan`] via [`compile`].
+/// fault windows. Compiles to a [`FaultPlan<PolicyFaultKind>`] and the
+/// seed via [`compile`].
 ///
 /// [`compile`]: PolicyChaosSpec::compile
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -117,10 +119,11 @@ impl PolicyChaosSpec {
         Ok(())
     }
 
-    /// Compile into the typed plan the `PolicyServer` consumes.
-    pub fn compile(&self) -> Result<PolicyFaultPlan, String> {
+    /// Compile into the typed plan the `PolicyServer` consumes, paired
+    /// with the seed of its injection stream.
+    pub fn compile(&self) -> Result<(FaultPlan<PolicyFaultKind>, u64), String> {
         self.validate()?;
-        let mut plan = PolicyFaultPlan::new(self.seed);
+        let mut plan = FaultPlan::none();
         for e in &self.events {
             let kind = kind_of(&e.kind, e.probability)?;
             plan.push(
@@ -129,7 +132,7 @@ impl PolicyChaosSpec {
                 kind,
             );
         }
-        Ok(plan)
+        Ok((plan, self.seed))
     }
 }
 
@@ -159,10 +162,10 @@ mod tests {
 
     #[test]
     fn standard_mix_compiles_to_all_six_kinds() {
-        let plan = PolicyChaosSpec::standard(3, 10)
+        let (plan, seed) = PolicyChaosSpec::standard(3, 10)
             .compile()
             .expect("compiles");
-        assert_eq!(plan.seed, 3);
+        assert_eq!(seed, 3);
         let labels: Vec<&str> = plan.events.iter().map(|e| e.kind.label()).collect();
         for expect in [
             "response-drop",
@@ -201,7 +204,7 @@ mod tests {
 
     #[test]
     fn empty_spec_compiles_to_a_noop_plan() {
-        let plan = PolicyChaosSpec::new(7).compile().expect("compiles");
+        let (plan, _) = PolicyChaosSpec::new(7).compile().expect("compiles");
         assert!(plan.is_empty());
     }
 }

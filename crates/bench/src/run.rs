@@ -278,7 +278,7 @@ pub fn run(store: &ModelStore, spec: &RunSpec, mut cfg: SimConfig) -> SimReport 
         cfg.mi_quantum = cfg.mi_quantum.or(Some(POLICY_QUANTUM));
         if let Some(chaos) = &spec.policy_faults {
             match chaos.compile() {
-                Ok(plan) => server.set_faults(plan),
+                Ok((plan, seed)) => server.set_faults(plan, seed),
                 // An invalid plan is a spec-authoring bug; the supervisor's
                 // per-attempt guard converts this into a typed job failure.
                 // lint: allow(panic)

@@ -14,9 +14,12 @@
 //!    1 vs N workers, and a journal resume after a mid-line truncation
 //!    reproduces the uninterrupted bytes — including the new fault
 //!    counters, which must round-trip through the journal.
+//! 4. **Inert plan**: a plan whose windows all open at or after the
+//!    run's end is attached but idle, and serializes byte-identically to
+//!    the same batched run with no plan.
 
 use libra_bench::{
-    merged_slots_json, merged_trace, run, run_sweep_supervised_with, run_sweep_with,
+    merged_slots_json, merged_trace, run, run_spec, run_sweep_supervised_with, run_sweep_with,
     validate_finite, Cca, Journal, ModelStore, PolicyChaosSpec, RunSpec, RunSummary, SweepPolicy,
 };
 use libra_netsim::{LinkConfig, SimConfig};
@@ -117,6 +120,34 @@ fn every_fault_kind_survives() {
             }
         }
     }
+}
+
+#[test]
+fn inert_plan_matches_no_plan() {
+    let store = ModelStore::ephemeral(44);
+    let secs = 3;
+    let end_ms = secs * 1000;
+    let inert = KINDS
+        .iter()
+        .fold(PolicyChaosSpec::new(77), |plan, &(kind, probability)| {
+            plan.with(kind, end_ms, end_ms + 1000, probability)
+        });
+    let base = RunSpec::staggered(
+        Cca::CLibra(Preference::Default),
+        wired(48.0),
+        6,
+        Duration::from_millis(50),
+        secs,
+        19,
+    )
+    .with_batched();
+    let bare = run_spec(&store, &base);
+    let idle = run_spec(&store, &base.clone().with_policy_faults(inert));
+    assert_eq!(
+        serde_json::to_string(&bare).expect("summary serializes"),
+        serde_json::to_string(&idle).expect("summary serializes"),
+        "an idle policy plan changed the run"
+    );
 }
 
 fn faulted_specs(secs: u64) -> Vec<RunSpec> {

@@ -533,8 +533,9 @@ pub struct NoPerPacketAlloc;
 /// The per-packet / per-ACK hot set: every function the event loop
 /// enters for each packet emission, queue transit, service completion,
 /// or ACK delivery, plus the simulator's `schedule` and `dispatch`,
-/// which every event passes through. Names, not paths, so a hot function
-/// moving between files stays covered.
+/// which every event passes through, and the fault engine's `ack_fate`,
+/// which every ACK passes through while a link plan is attached. Names,
+/// not paths, so a hot function moving between files stays covered.
 const HOT_FNS: &[&str] = &[
     "schedule",
     "dispatch",
@@ -542,6 +543,7 @@ const HOT_FNS: &[&str] = &[
     "on_ack_packet",
     "admit_packet",
     "on_service_done",
+    "ack_fate",
     "try_emit",
     "enqueue_with_ecn",
     "dequeue",

@@ -71,19 +71,9 @@ impl CapacitySchedule {
         if outages.is_empty() {
             return self.clone();
         }
-        let mut windows: Vec<(Instant, Instant)> =
-            outages.iter().copied().filter(|(a, b)| a < b).collect();
-        windows.sort();
-        // Coalesce overlapping/adjacent windows so each resume point is
-        // genuinely outside every outage.
-        let mut merged: Vec<(Instant, Instant)> = Vec::new();
-        for (a, b) in windows {
-            match merged.last_mut() {
-                Some(last) if a <= last.1 => last.1 = last.1.max(b),
-                _ => merged.push((a, b)),
-            }
-        }
-        let windows = merged;
+        // Coalesced, so each resume point is genuinely outside every
+        // outage.
+        let windows = merge_outages(outages.iter().copied());
         let mut segments = Vec::new();
         for &(start, rate) in &self.segments {
             if windows.iter().any(|&(a, b)| a <= start && start < b) {
@@ -241,6 +231,25 @@ impl CapacitySchedule {
         }
         out
     }
+}
+
+/// The outages `windows` actually cause: empty and inverted windows
+/// dropped, the rest sorted and overlapping or adjacent ones coalesced.
+/// Both the capacity overlay and the link-flap count read this, so a
+/// flap is counted once per outage the link really goes through.
+pub(crate) fn merge_outages(
+    windows: impl IntoIterator<Item = (Instant, Instant)>,
+) -> Vec<(Instant, Instant)> {
+    let mut sorted: Vec<(Instant, Instant)> = windows.into_iter().filter(|(a, b)| a < b).collect();
+    sorted.sort();
+    let mut merged: Vec<(Instant, Instant)> = Vec::new();
+    for (a, b) in sorted {
+        match merged.last_mut() {
+            Some(last) if a <= last.1 => last.1 = last.1.max(b),
+            _ => merged.push((a, b)),
+        }
+    }
+    merged
 }
 
 #[cfg(test)]

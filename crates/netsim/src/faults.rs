@@ -1,19 +1,22 @@
-//! Deterministic fault injection for the bottleneck link.
+//! Deterministic fault injection for the bottleneck link: the link
+//! plane's kinds over the one generic schedule.
 //!
-//! A [`FaultPlan`] schedules composable fault events over simulated time:
-//! first-class link flaps (trains of down/up cycles), packet-reordering
-//! windows, packet duplication, ACK compression/batching, one-way-delay
-//! spikes, and Gilbert–Elliott burst-loss episodes. Every fault draws
-//! from an RNG stream forked off the simulation seed, so a run with a
-//! plan is exactly as reproducible as one without; and every fault type
-//! increments a counter in [`FaultReport`] so tests can assert the fault
-//! actually fired.
+//! A [`FaultPlan`] (`libra_types::FaultPlan<FaultKind>`, the schedule the
+//! policy plane shares) lays composable fault windows over simulated
+//! time: first-class link flaps (trains of down/up cycles),
+//! packet-reordering windows, packet duplication, ACK
+//! compression/batching, one-way-delay spikes, and Gilbert–Elliott
+//! burst-loss episodes. Every fault draws from an RNG stream forked off
+//! the simulation seed, so a run with a plan is exactly as reproducible
+//! as one without; and every fault type increments a counter in
+//! [`FaultReport`] so tests can assert the fault actually fired.
 //!
 //! Semantics at the simulator:
 //!
 //! - **LinkFlap** windows are overlaid on the capacity schedule as
 //!   zero-rate segments before the run starts — packets in service wait
-//!   the outage out exactly like a trace-driven blackout.
+//!   the outage out exactly like a trace-driven blackout. Overlapping or
+//!   adjacent flap windows merge into one outage and count as one flap.
 //! - **Reorder** delays a packet's ACK by `extra_delay` with probability
 //!   `probability`, so later packets' ACKs overtake it (exercising the
 //!   sender's dup-ACK/reorder-window machinery).
@@ -30,6 +33,12 @@
 
 use crate::loss::GilbertElliott;
 use libra_types::{DetRng, Duration, Instant};
+
+/// A link fault active on `[from, to)`.
+pub type FaultEvent = libra_types::FaultEvent<FaultKind>;
+
+/// A schedule of link faults attached to a [`crate::LinkConfig`].
+pub type FaultPlan = libra_types::FaultPlan<FaultKind>;
 
 /// One kind of injectable fault.
 #[derive(Debug, Clone)]
@@ -80,81 +89,6 @@ impl FaultKind {
     }
 }
 
-/// A fault active on `[from, to)`.
-#[derive(Debug, Clone)]
-pub struct FaultEvent {
-    /// Window start (inclusive).
-    pub from: Instant,
-    /// Window end (exclusive).
-    pub to: Instant,
-    /// What happens inside the window.
-    pub kind: FaultKind,
-}
-
-impl FaultEvent {
-    /// Is the event active at `t`?
-    pub fn active_at(&self, t: Instant) -> bool {
-        self.from <= t && t < self.to
-    }
-}
-
-/// A schedule of fault events attached to a [`crate::LinkConfig`].
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    /// The scheduled events, in no particular order.
-    pub events: Vec<FaultEvent>,
-}
-
-impl FaultPlan {
-    /// A plan with no faults.
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// True when the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Add one event (builder style).
-    pub fn with(mut self, from: Instant, to: Instant, kind: FaultKind) -> Self {
-        self.push(from, to, kind);
-        self
-    }
-
-    /// Add one event.
-    pub fn push(&mut self, from: Instant, to: Instant, kind: FaultKind) {
-        debug_assert!(from <= to, "fault window ends before it starts");
-        self.events.push(FaultEvent { from, to, kind });
-    }
-
-    /// Append a train of `count` link flaps: down for `down`, up for
-    /// `up`, starting at `start`.
-    pub fn flap_train(
-        mut self,
-        start: Instant,
-        down: Duration,
-        up: Duration,
-        count: usize,
-    ) -> Self {
-        let mut t = start;
-        for _ in 0..count {
-            self = self.with(t, t + down, FaultKind::LinkFlap);
-            t += down + up;
-        }
-        self
-    }
-
-    /// The flap outage windows, for overlaying on a capacity schedule.
-    pub fn outage_windows(&self) -> Vec<(Instant, Instant)> {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::LinkFlap))
-            .map(|e| (e.from, e.to))
-            .collect()
-    }
-}
-
 /// Per-fault-type counters, reported in [`crate::SimReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultReport {
@@ -188,7 +122,7 @@ impl FaultReport {
 /// dedicated RNG stream. Owned by the simulation.
 #[derive(Debug)]
 pub(crate) struct FaultEngine {
-    events: Vec<FaultEvent>,
+    plan: FaultPlan,
     rng: DetRng,
     pub(crate) report: FaultReport,
 }
@@ -218,7 +152,7 @@ impl FaultEngine {
     /// count), so the report starts all-zero here.
     pub(crate) fn new(plan: &FaultPlan, rng: DetRng) -> Self {
         FaultEngine {
-            events: plan.events.clone(),
+            plan: plan.clone(),
             rng,
             report: FaultReport::default(),
         }
@@ -228,7 +162,7 @@ impl FaultEngine {
     /// whose undisturbed arrival would be `ack_at`. Returns the fate and
     /// the (possibly shifted) arrival time.
     pub(crate) fn ack_fate(&mut self, now: Instant, ack_at: Instant) -> (AckFate, Instant) {
-        if self.events.is_empty() {
+        if self.plan.is_empty() {
             return (AckFate::CLEAN, ack_at);
         }
         let mut fate = AckFate::CLEAN;
@@ -236,11 +170,8 @@ impl FaultEngine {
         // Each event type draws from the shared fault stream only while
         // its window is active, in schedule order — deterministic under
         // the run seed.
-        for i in 0..self.events.len() {
-            if !self.events[i].active_at(now) {
-                continue;
-            }
-            match &mut self.events[i].kind {
+        for event in self.plan.active_mut(now) {
+            match &mut event.kind {
                 FaultKind::LinkFlap => {}
                 FaultKind::Reorder {
                     probability,
@@ -278,10 +209,7 @@ impl FaultEngine {
         if fate.dropped {
             return (fate, when);
         }
-        for event in &self.events {
-            if !event.active_at(now) {
-                continue;
-            }
+        for event in self.plan.active(now) {
             if let FaultKind::AckCompression { flush_every } = event.kind {
                 if flush_every.is_zero() {
                     continue;
@@ -305,13 +233,14 @@ mod tests {
 
     #[test]
     fn flap_train_builds_windows() {
-        let plan = FaultPlan::none().flap_train(
+        let plan = FaultPlan::none().train(
             Instant::from_secs(5),
             Duration::from_secs(1),
             Duration::from_secs(2),
             3,
+            FaultKind::LinkFlap,
         );
-        let w = plan.outage_windows();
+        let w: Vec<_> = plan.events.iter().map(|e| (e.from, e.to)).collect();
         assert_eq!(w.len(), 3);
         assert_eq!(w[0], (Instant::from_secs(5), Instant::from_secs(6)));
         assert_eq!(w[1], (Instant::from_secs(8), Instant::from_secs(9)));

@@ -16,8 +16,8 @@
 //! a lost packet still consumed queue space and capacity.
 
 use crate::aqm::{AnyQueue, QueueConfig, QueueDiscipline};
-use crate::capacity::CapacitySchedule;
-use crate::faults::{FaultEngine, FaultPlan, FaultReport};
+use crate::capacity::{merge_outages, CapacitySchedule};
+use crate::faults::{FaultEngine, FaultKind, FaultPlan, FaultReport};
 use crate::loss::LossProcess;
 use crate::packet::{AckPacket, FlowId, Packet};
 use crate::pool::{PacketHandle, PacketPool};
@@ -495,6 +495,7 @@ pub struct Simulation {
     /// False when the fault plan is empty — lets the per-packet ACK path
     /// skip the fault engine entirely.
     faults_active: bool,
+    /// The link-flap outages, merged as the capacity overlay sees them.
     flap_windows: Vec<(Instant, Instant)>,
     /// Cached capacity-segment index for the service loop. Service starts
     /// are monotone in time, so the segment advances amortized-O(1)
@@ -541,7 +542,13 @@ impl Simulation {
     /// Like [`Simulation::new`], with explicit simulation-level knobs.
     pub fn with_config(link: LinkConfig, seed: u64, cfg: SimConfig) -> Self {
         let mut root = DetRng::new(seed);
-        let flap_windows = link.faults.outage_windows();
+        let flap_windows = merge_outages(
+            link.faults
+                .events
+                .iter()
+                .filter(|e| matches!(e.kind, FaultKind::LinkFlap))
+                .map(|e| (e.from, e.to)),
+        );
         let faults_active = !link.faults.is_empty();
         // Scheduled fault windows are known up front; record them once at
         // construction so the timeline shows what the link will do without
@@ -1154,7 +1161,7 @@ impl Simulation {
         fault_report.link_flaps = self
             .flap_windows
             .iter()
-            .filter(|&&(from, to)| from < to && from < until)
+            .filter(|&&(from, _)| from < until)
             .count() as u64;
         let recorders = self.recorders;
         let flows = self
@@ -1431,7 +1438,7 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
-    use crate::faults::{FaultEvent, FaultKind};
+    use crate::faults::FaultEvent;
     use crate::loss::GilbertElliott;
     use libra_types::{AckEvent, LossEvent};
 
@@ -1449,11 +1456,12 @@ mod fault_tests {
 
     fn kitchen_sink_plan() -> FaultPlan {
         FaultPlan::none()
-            .flap_train(
+            .train(
                 Instant::from_secs(2),
                 Duration::from_millis(500),
                 Duration::from_millis(1500),
                 2,
+                FaultKind::LinkFlap,
             )
             .with(
                 Instant::from_secs(6),
@@ -1529,11 +1537,12 @@ mod fault_tests {
 
     #[test]
     fn flaps_only_count_inside_horizon() {
-        let plan = FaultPlan::none().flap_train(
+        let plan = FaultPlan::none().train(
             Instant::from_secs(2),
             Duration::from_millis(200),
             Duration::from_secs(20),
             4,
+            FaultKind::LinkFlap,
         );
         let link = LinkConfig::constant(Rate::from_mbps(10.0), Duration::from_millis(40), 1.0)
             .with_faults(plan);
@@ -1567,6 +1576,34 @@ mod fault_tests {
     }
 
     #[test]
+    fn merged_flap_windows_count_as_one_flap() {
+        // Two overlapping windows and one adjacent to them take the link
+        // down once: the overlay merges them into [1 s, 2.5 s).
+        let plan = FaultPlan::none()
+            .with(
+                Instant::from_millis(1000),
+                Instant::from_millis(1600),
+                FaultKind::LinkFlap,
+            )
+            .with(
+                Instant::from_millis(1400),
+                Instant::from_millis(2000),
+                FaultKind::LinkFlap,
+            )
+            .with(
+                Instant::from_millis(2000),
+                Instant::from_millis(2500),
+                FaultKind::LinkFlap,
+            );
+        let link = LinkConfig::constant(Rate::from_mbps(10.0), Duration::from_millis(40), 1.0)
+            .with_faults(plan);
+        let until = Instant::from_secs(5);
+        let mut sim = Simulation::new(link, 1);
+        sim.add_flow(FlowConfig::whole_run(Box::new(Fixed(50_000)), until));
+        assert_eq!(sim.run(until).faults.link_flaps, 1);
+    }
+
+    #[test]
     fn flap_blackout_reduces_delivery_then_recovers() {
         let clean = {
             let link = LinkConfig::constant(Rate::from_mbps(10.0), Duration::from_millis(40), 1.0);
@@ -1577,11 +1614,12 @@ mod fault_tests {
         };
         let flapped = {
             let link = LinkConfig::constant(Rate::from_mbps(10.0), Duration::from_millis(40), 1.0)
-                .with_faults(FaultPlan::none().flap_train(
+                .with_faults(FaultPlan::none().train(
                     Instant::from_secs(3),
                     Duration::from_secs(2),
                     Duration::from_secs(1),
                     1,
+                    FaultKind::LinkFlap,
                 ));
             let until = Instant::from_secs(10);
             let mut sim = Simulation::new(link, 5);

@@ -29,8 +29,9 @@
 //!   with an empty action — the resolve side's fallback sentinel. The
 //!   rest of the batch is served exactly as if the bad request never
 //!   arrived.
-//! * **Fault injection.** An optional seed-deterministic
-//!   [`PolicyFaultPlan`] injects boundary faults (drops, deadline
+//! * **Fault injection.** An optional
+//!   [`FaultPlan<PolicyFaultKind>`](FaultPlan), attached with its
+//!   injection seed, injects boundary faults (drops, deadline
 //!   misses, NaN/wrong-dim corruption, weight corruption with snapshot
 //!   rollback, stuck replays) on a dedicated RNG stream. With no plan
 //!   attached the injection path is a single `Option` check — faults-off
@@ -40,7 +41,7 @@
 use crate::ppo::{PpoAgent, WEIGHT_NORM_BOUND};
 use libra_nn::{BatchScratch, Matrix};
 use libra_types::{
-    DetRng, PolicyFaultKind, PolicyFaultPlan, PolicyFaultReport, PolicyRequest, PolicyService,
+    DetRng, FaultPlan, PolicyFaultKind, PolicyFaultReport, PolicyRequest, PolicyService,
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -53,10 +54,10 @@ struct Group {
     obs_dim: usize,
 }
 
-/// Runtime state for an attached [`PolicyFaultPlan`]: the dedicated RNG
-/// stream, injection counters, and per-window caches.
+/// Runtime state for an attached fault plan: the dedicated RNG stream,
+/// injection counters, and per-window caches.
 struct FaultState {
-    plan: PolicyFaultPlan,
+    plan: FaultPlan<PolicyFaultKind>,
     rng: DetRng,
     report: PolicyFaultReport,
     /// `flow → first in-window action` for [`PolicyFaultKind::StuckAction`]
@@ -96,21 +97,23 @@ impl PolicyServer {
 
     /// Attach a fault plan (builder style). An empty plan attaches
     /// nothing, keeping the serving path identical to a plain server.
-    pub fn with_faults(mut self, plan: PolicyFaultPlan) -> Self {
-        self.set_faults(plan);
+    pub fn with_faults(mut self, plan: FaultPlan<PolicyFaultKind>, seed: u64) -> Self {
+        self.set_faults(plan, seed);
         self
     }
 
-    /// Attach a fault plan. An empty plan detaches injection entirely.
-    pub fn set_faults(&mut self, plan: PolicyFaultPlan) {
+    /// Attach a fault plan whose injection draws come from a dedicated
+    /// stream seeded with `seed` (never forked from the simulation, so
+    /// attaching a plan cannot disturb the sim's RNG fork order). An
+    /// empty plan detaches injection entirely.
+    pub fn set_faults(&mut self, plan: FaultPlan<PolicyFaultKind>, seed: u64) {
         if plan.is_empty() {
             self.faults = None;
             return;
         }
-        let rng = DetRng::new(plan.seed);
         self.faults = Some(Box::new(FaultState {
             plan,
-            rng,
+            rng: DetRng::new(seed),
             report: PolicyFaultReport::default(),
             stuck: BTreeMap::new(),
             corrupted: false,
@@ -195,9 +198,8 @@ impl PolicyServer {
         };
         let corrupt_active = faults
             .plan
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, PolicyFaultKind::WeightCorrupt) && e.active_at(now));
+            .active(now)
+            .any(|e| matches!(e.kind, PolicyFaultKind::WeightCorrupt));
         if corrupt_active && !faults.corrupted {
             for g in &self.groups {
                 let mut agent = g.agent.borrow_mut();
@@ -227,9 +229,8 @@ impl PolicyServer {
         let now = batch[0].at;
         let stuck_active = faults
             .plan
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, PolicyFaultKind::StuckAction) && e.active_at(now));
+            .active(now)
+            .any(|e| matches!(e.kind, PolicyFaultKind::StuckAction));
         if !stuck_active && !faults.stuck.is_empty() {
             faults.stuck.clear();
         }
@@ -243,11 +244,11 @@ impl PolicyServer {
                 // weight-corruption miss from a healthy decision.
                 req.fault = Some("weight-corrupt");
             }
-            for i in 0..faults.plan.events.len() {
-                if !faults.plan.events[i].active_at(now) {
-                    continue;
-                }
-                match faults.plan.events[i].kind {
+            // Overlapping stuck windows replay one cache: the arm runs
+            // once per response, at the first stuck window's position.
+            let mut stuck_done = false;
+            for event in faults.plan.active(now) {
+                match event.kind {
                     PolicyFaultKind::ResponseDrop { probability } => {
                         if faults.rng.chance(probability) {
                             req.action.clear();
@@ -278,7 +279,8 @@ impl PolicyServer {
                             faults.report.wrong_dim_actions += 1;
                         }
                     }
-                    PolicyFaultKind::StuckAction => {
+                    PolicyFaultKind::StuckAction if !stuck_done => {
+                        stuck_done = true;
                         if let Some(cached) = faults.stuck.get(&req.flow) {
                             req.action.clear();
                             req.action.extend_from_slice(cached);
@@ -288,7 +290,7 @@ impl PolicyServer {
                             faults.stuck.insert(req.flow, req.action.clone());
                         }
                     }
-                    PolicyFaultKind::WeightCorrupt => {}
+                    PolicyFaultKind::StuckAction | PolicyFaultKind::WeightCorrupt => {}
                 }
             }
         }
@@ -529,12 +531,12 @@ mod tests {
     #[test]
     fn response_drop_clears_actions_inside_window_only() {
         let agent = eval_agent(5);
-        let plan = PolicyFaultPlan::new(77).with(
+        let plan = FaultPlan::none().with(
             Instant::from_secs(1),
             Instant::from_secs(2),
             PolicyFaultKind::ResponseDrop { probability: 1.0 },
         );
-        let mut server = PolicyServer::new().with_faults(plan);
+        let mut server = PolicyServer::new().with_faults(plan, 77);
         server.register(0, &agent);
         let mut before = vec![req_at(0, Instant::ZERO, vec![0.1; 4])];
         server.evaluate(&mut before);
@@ -553,7 +555,7 @@ mod tests {
     fn nan_and_wrong_dim_faults_corrupt_served_actions() {
         let agent = eval_agent(6);
         let w = Duration::from_secs(1);
-        let plan = PolicyFaultPlan::new(3)
+        let plan = FaultPlan::none()
             .with(
                 Instant::ZERO,
                 Instant::ZERO + w,
@@ -564,7 +566,7 @@ mod tests {
                 Instant::from_secs(5) + w,
                 PolicyFaultKind::WrongDim { probability: 1.0 },
             );
-        let mut server = PolicyServer::new().with_faults(plan);
+        let mut server = PolicyServer::new().with_faults(plan, 3);
         server.register(0, &agent);
         let mut nan = vec![req_at(0, Instant::ZERO, vec![0.1; 4])];
         server.evaluate(&mut nan);
@@ -579,14 +581,41 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_stuck_windows_replay_once_per_response() {
+        let agent = eval_agent(7);
+        let plan = FaultPlan::none()
+            .with(
+                Instant::ZERO,
+                Instant::from_secs(10),
+                PolicyFaultKind::StuckAction,
+            )
+            .with(
+                Instant::ZERO,
+                Instant::from_secs(8),
+                PolicyFaultKind::StuckAction,
+            );
+        let mut server = PolicyServer::new().with_faults(plan, 1);
+        server.register(0, &agent);
+        let mut first = vec![req_at(0, Instant::ZERO, vec![0.1; 4])];
+        server.evaluate(&mut first);
+        assert!(first[0].fault.is_none(), "first in-window action is live");
+        assert_eq!(server.fault_report().stuck_actions, 0);
+        let mut later = vec![req_at(0, Instant::from_secs(4), vec![0.9; 4])];
+        server.evaluate(&mut later);
+        assert_eq!(later[0].fault, Some("stuck-action"));
+        assert_eq!(later[0].action, first[0].action);
+        assert_eq!(server.fault_report().stuck_actions, 1);
+    }
+
+    #[test]
     fn stuck_window_replays_first_in_window_action() {
         let agent = eval_agent(7);
-        let plan = PolicyFaultPlan::new(1).with(
+        let plan = FaultPlan::none().with(
             Instant::ZERO,
             Instant::from_secs(10),
             PolicyFaultKind::StuckAction,
         );
-        let mut server = PolicyServer::new().with_faults(plan);
+        let mut server = PolicyServer::new().with_faults(plan, 1);
         server.register(0, &agent);
         let mut first = vec![req_at(0, Instant::ZERO, vec![0.1; 4])];
         server.evaluate(&mut first);
@@ -608,12 +637,12 @@ mod tests {
     #[test]
     fn weight_corruption_window_poisons_then_rolls_back() {
         let agent = eval_agent(8);
-        let plan = PolicyFaultPlan::new(2).with(
+        let plan = FaultPlan::none().with(
             Instant::from_secs(1),
             Instant::from_secs(2),
             PolicyFaultKind::WeightCorrupt,
         );
-        let mut server = PolicyServer::new().with_faults(plan);
+        let mut server = PolicyServer::new().with_faults(plan, 2);
         server.register(0, &agent);
         let mut before = vec![req_at(0, Instant::ZERO, vec![0.1; 4])];
         server.evaluate(&mut before);
@@ -637,12 +666,12 @@ mod tests {
     fn fault_injection_is_deterministic_under_the_plan_seed() {
         let run = |seed: u64| -> Vec<Option<&'static str>> {
             let agent = eval_agent(9);
-            let plan = PolicyFaultPlan::new(seed).with(
+            let plan = FaultPlan::none().with(
                 Instant::ZERO,
                 Instant::from_secs(60),
                 PolicyFaultKind::ResponseDrop { probability: 0.5 },
             );
-            let mut server = PolicyServer::new().with_faults(plan);
+            let mut server = PolicyServer::new().with_faults(plan, seed);
             server.register(0, &agent);
             (0..64)
                 .map(|t| {

@@ -18,13 +18,16 @@
 //!   the application-preference profiles built on it,
 //! * a seeded, forkable deterministic [`rng`],
 //! * the [`job`] failure taxonomy used by supervised sweep execution,
-//! * the [`policy`] service boundary and seed-deterministic
-//!   [`policyfault`] schedules injected at it,
+//! * the one seed-deterministic fault schedule, [`faultplan`], shared by
+//!   the link and policy fault planes,
+//! * the [`policy`] service boundary and the [`policyfault`] kinds
+//!   injected at it,
 //! * structured decision [`trace`] events, sinks and the [`trace::Tracer`]
 //!   handle threaded through controllers and the simulator.
 
 pub mod cca;
 pub mod events;
+pub mod faultplan;
 pub mod job;
 pub mod policy;
 pub mod policyfault;
@@ -37,9 +40,10 @@ pub mod utility;
 
 pub use cca::CongestionControl;
 pub use events::{AckEvent, LossEvent, LossKind, SendEvent};
+pub use faultplan::{FaultEvent, FaultPlan};
 pub use job::{JobError, JobFailure};
 pub use policy::{PolicyRequest, PolicyService};
-pub use policyfault::{PolicyFaultEvent, PolicyFaultKind, PolicyFaultPlan, PolicyFaultReport};
+pub use policyfault::{PolicyFaultKind, PolicyFaultReport};
 pub use rng::DetRng;
 pub use stats::{jain_index, Ewma, MiStats, MiTracker, P2Quantile, Welford};
 pub use time::{Duration, Instant};

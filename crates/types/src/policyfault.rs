@@ -1,14 +1,17 @@
 //! Deterministic fault injection for the policy-service boundary.
 //!
-//! A [`PolicyFaultPlan`] schedules fault windows over simulated time at
-//! the `PolicyService` boundary, mirroring the netsim link-layer
-//! `FaultPlan` design: response drops, responses delayed past the
-//! resolve deadline, NaN/inf-corrupted action vectors, wrong-dimension
-//! outputs, transient weight corruption, and stuck (stale, repeated)
-//! actions. The plan carries its own seed: the serving side forks a
-//! dedicated [`crate::DetRng`] stream from it, so injection never
-//! perturbs the simulation's RNG fork order and a faults-off run is
-//! byte-identical to one with no plan attached.
+//! The policy plane's fault kinds: a [`FaultPlan<PolicyFaultKind>`]
+//! (the one generic schedule, shared with the link plane) schedules
+//! windows over simulated time at the `PolicyService` boundary —
+//! response drops, responses delayed past the resolve deadline,
+//! NaN/inf-corrupted action vectors, wrong-dimension outputs, transient
+//! weight corruption, and stuck (stale, repeated) actions. The serving
+//! side is handed the injection seed when the plan is attached and
+//! builds a dedicated [`crate::DetRng`] stream from it, so injection
+//! never perturbs the simulation's RNG fork order and a faults-off run
+//! is byte-identical to one with no plan attached.
+//!
+//! [`FaultPlan<PolicyFaultKind>`]: crate::FaultPlan
 //!
 //! Semantics at the policy server:
 //!
@@ -30,8 +33,6 @@
 //! - **StuckAction** replays each flow's first in-window action for the
 //!   rest of the window: the server looks alive but is serving stale
 //!   decisions.
-
-use crate::{Duration, Instant};
 
 /// One kind of injectable policy-boundary fault.
 #[derive(Debug, Clone)]
@@ -81,85 +82,6 @@ impl PolicyFaultKind {
     }
 }
 
-/// A policy fault active on `[from, to)`.
-#[derive(Debug, Clone)]
-pub struct PolicyFaultEvent {
-    /// Window start (inclusive).
-    pub from: Instant,
-    /// Window end (exclusive).
-    pub to: Instant,
-    /// What happens inside the window.
-    pub kind: PolicyFaultKind,
-}
-
-impl PolicyFaultEvent {
-    /// Is the event active at `t`?
-    pub fn active_at(&self, t: Instant) -> bool {
-        self.from <= t && t < self.to
-    }
-}
-
-/// A seed-deterministic schedule of policy-boundary fault windows.
-#[derive(Debug, Clone, Default)]
-pub struct PolicyFaultPlan {
-    /// Seed for the dedicated injection RNG stream. Owned by the plan
-    /// (not forked from the simulation) so attaching a plan never
-    /// disturbs the sim's RNG fork order.
-    pub seed: u64,
-    /// The scheduled events, in no particular order.
-    pub events: Vec<PolicyFaultEvent>,
-}
-
-impl PolicyFaultPlan {
-    /// A plan with no faults.
-    pub fn none() -> Self {
-        PolicyFaultPlan::default()
-    }
-
-    /// An empty plan with its injection stream seeded.
-    pub fn new(seed: u64) -> Self {
-        PolicyFaultPlan {
-            seed,
-            events: Vec::new(),
-        }
-    }
-
-    /// True when the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Add one event (builder style).
-    pub fn with(mut self, from: Instant, to: Instant, kind: PolicyFaultKind) -> Self {
-        self.push(from, to, kind);
-        self
-    }
-
-    /// Add one event.
-    pub fn push(&mut self, from: Instant, to: Instant, kind: PolicyFaultKind) {
-        debug_assert!(from <= to, "policy fault window ends before it starts");
-        self.events.push(PolicyFaultEvent { from, to, kind });
-    }
-
-    /// Append a train of `count` windows of `kind`-shaped faults: active
-    /// for `active`, quiet for `quiet`, starting at `start`.
-    pub fn window_train(
-        mut self,
-        start: Instant,
-        active: Duration,
-        quiet: Duration,
-        count: usize,
-        kind: PolicyFaultKind,
-    ) -> Self {
-        let mut t = start;
-        for _ in 0..count {
-            self = self.with(t, t + active, kind.clone());
-            t += active + quiet;
-        }
-        self
-    }
-}
-
 /// Per-fault-type injection counters, kept by the policy server.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PolicyFaultReport {
@@ -195,10 +117,11 @@ impl PolicyFaultReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Duration, FaultEvent, FaultPlan, Instant};
 
     #[test]
     fn event_window_is_half_open() {
-        let e = PolicyFaultEvent {
+        let e = FaultEvent {
             from: Instant::from_secs(1),
             to: Instant::from_secs(2),
             kind: PolicyFaultKind::StuckAction,
@@ -235,7 +158,7 @@ mod tests {
 
     #[test]
     fn window_train_builds_windows() {
-        let plan = PolicyFaultPlan::new(9).window_train(
+        let plan = FaultPlan::none().train(
             Instant::from_secs(5),
             Duration::from_secs(1),
             Duration::from_secs(2),
@@ -245,14 +168,12 @@ mod tests {
         assert_eq!(plan.events.len(), 3);
         assert_eq!(plan.events[1].from, Instant::from_secs(8));
         assert_eq!(plan.events[1].to, Instant::from_secs(9));
-        assert_eq!(plan.seed, 9);
     }
 
     #[test]
     fn empty_plan_is_empty() {
-        assert!(PolicyFaultPlan::none().is_empty());
-        assert!(PolicyFaultPlan::new(3).is_empty());
-        assert!(!PolicyFaultPlan::new(3)
+        assert!(FaultPlan::<PolicyFaultKind>::none().is_empty());
+        assert!(!FaultPlan::none()
             .with(
                 Instant::ZERO,
                 Instant::from_secs(1),

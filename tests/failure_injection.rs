@@ -83,11 +83,12 @@ fn libra_recovers_from_blackout() {
 /// whole series into NaN. Starved records must simply be skipped.
 #[test]
 fn blackout_does_not_poison_normalized_utility_series() {
-    let plan = FaultPlan::none().flap_train(
+    let plan = FaultPlan::none().train(
         Instant::from_secs(5),
         Duration::from_secs(3),
         Duration::from_secs(4),
         2,
+        FaultKind::LinkFlap,
     );
     let link = LinkConfig::constant(Rate::from_mbps(20.0), Duration::from_millis(20), 1.0)
         .with_faults(plan);
@@ -280,11 +281,12 @@ fn degenerate_agent_trips_guardrail_consistently() {
 fn nan_poisoned_libra_tracks_cubic_through_kitchen_sink_faults() {
     let plan = || {
         FaultPlan::none()
-            .flap_train(
+            .train(
                 Instant::from_secs(20),
                 Duration::from_secs(2),
                 Duration::from_secs(3),
                 2,
+                FaultKind::LinkFlap,
             )
             .with(
                 Instant::from_secs(35),
