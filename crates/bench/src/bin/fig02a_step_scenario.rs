@@ -2,7 +2,7 @@
 //! 10 s; 80 ms minimum RTT; 1 BDP buffer) for Proteus, Clean-Slate
 //! Libra, Libra and Orca.
 
-use libra_bench::{run_spec, series_csv, step_spec, BenchArgs, Cca, ModelStore, RunSpec, Table};
+use libra_bench::{run_figure, series_csv, step_spec, BenchArgs, Cca, ModelStore, RunSpec, Table};
 use libra_types::Preference;
 
 fn main() {
@@ -21,9 +21,16 @@ fn main() {
         "Fig. 2a summary: step-scenario tracking",
         &["cca", "utilization", "avg delay (ms)", "loss"],
     );
-    for cca in ccas {
-        let link = scenario.link(args.seed);
-        let rep = run_spec(&store, &RunSpec::single(cca, link, secs, args.seed));
+    let specs = ccas
+        .iter()
+        .map(|&cca| RunSpec::single(cca, scenario.link(args.seed), secs, args.seed))
+        .collect();
+    let slots = run_figure("fig02a_step_scenario", &args, &store, specs);
+    for (cca, slot) in ccas.iter().zip(&slots) {
+        let Ok(rep) = slot else {
+            summary.failed_row(cca.label());
+            continue;
+        };
         let f = &rep.flows[0];
         summary.row(vec![
             cca.label(),

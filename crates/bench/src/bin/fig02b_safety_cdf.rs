@@ -3,7 +3,7 @@
 //! and Orca, 100 repeats in the paper.
 
 use libra_bench::{
-    lte_tmobile_spec, run_spec, series_csv, BenchArgs, Cca, ModelStore, RunSpec, Table,
+    lte_tmobile_spec, run_figure, series_csv, BenchArgs, Cca, ModelStore, RunSpec, Table,
 };
 use libra_types::Preference;
 
@@ -25,13 +25,24 @@ fn main() {
         &["cca", "mean", "p10", "p90", "range"],
     );
     let mut series = Vec::new();
-    for cca in ccas {
-        let mut utils: Vec<f64> = (0..repeats)
-            .map(|k| {
-                let link = scenario.link(args.seed + k);
-                run_spec(&store, &RunSpec::single(cca, link, secs, args.seed + k)).utilization
-            })
-            .collect();
+    let specs = ccas
+        .iter()
+        .flat_map(|&cca| {
+            let scenario = &scenario;
+            (args.seed..args.seed + repeats)
+                .map(move |seed| RunSpec::single(cca, scenario.link(seed), secs, seed))
+        })
+        .collect();
+    let slots = run_figure("fig02b_safety_cdf", &args, &store, specs);
+    for (cca, runs) in ccas.iter().zip(slots.chunks(repeats as usize)) {
+        let Ok(mut utils) = runs
+            .iter()
+            .map(|run| run.as_ref().map(|s| s.utilization))
+            .collect::<Result<Vec<f64>, _>>()
+        else {
+            table.failed_row(cca.label());
+            continue;
+        };
         utils.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let n = utils.len();
         let q = |p: f64| utils[((n - 1) as f64 * p).round() as usize];

@@ -1,7 +1,7 @@
 //! Fig. 8 — Throughput-vs-time while following a varying LTE capacity
 //! (user movement): C-Libra, B-Libra, Proteus, CUBIC, BBR, Orca.
 
-use libra_bench::{run_spec, series_csv, BenchArgs, Cca, ModelStore, RunSpec, Table};
+use libra_bench::{run_figure, series_csv, BenchArgs, Cca, ModelStore, RunSpec, Table};
 use libra_netsim::{lte_link, LteScenario};
 use libra_types::{DetRng, Duration, Instant, Preference};
 
@@ -26,9 +26,16 @@ fn main() {
         "Fig. 8: tracking a moving-user LTE trace",
         &["cca", "utilization", "avg delay (ms)"],
     );
-    for cca in ccas {
-        let spec = RunSpec::single(cca, link_for(args.seed), secs, args.seed);
-        let rep = run_spec(&store, &spec);
+    let specs = ccas
+        .iter()
+        .map(|&cca| RunSpec::single(cca, link_for(args.seed), secs, args.seed))
+        .collect();
+    let slots = run_figure("fig08_lte_tracking", &args, &store, specs);
+    for (cca, slot) in ccas.iter().zip(&slots) {
+        let Ok(rep) = slot else {
+            table.failed_row(cca.label());
+            continue;
+        };
         table.row(vec![
             cca.label(),
             format!("{:.3}", rep.utilization),

@@ -1,19 +1,8 @@
 //! Fig. 9 — Buffer-size sweep (10 KB – 1 MB on 60 Mbps / 100 ms):
 //! utilization vs. average delay. CUBIC's delay explodes with buffer
 //! depth; Libra stays insensitive.
-//!
-//! All `(buffer, cca)` cells are independent runs fanned out over the
-//! sweep workers (`LIBRA_JOBS` to override the count) under the
-//! supervised runner: a panicking or livelocked cell renders as `—`
-//! instead of killing the campaign, every completed cell is
-//! checkpointed to the sweep journal, and `--resume` restores
-//! journaled cells instead of re-running them. Results merge in job
-//! order so the table is identical at any parallelism.
 
-use libra_bench::{
-    buffer_sweep_link, run_sweep_supervised_with, worker_count, BenchArgs, Cca, Journal,
-    ModelStore, RunSpec, SweepPolicy, Table,
-};
+use libra_bench::{buffer_sweep_link, run_figure, BenchArgs, Cca, ModelStore, RunSpec, Table};
 use libra_types::{Bytes, Preference};
 
 fn main() {
@@ -53,42 +42,16 @@ fn main() {
             })
         })
         .collect();
-    let mut journal = match Journal::for_bin("fig09_buffer_sweep", args.resume) {
-        Ok(j) => Some(j),
-        Err(e) => {
-            eprintln!("[journal] unavailable ({e}); running without checkpoints");
-            None
-        }
-    };
-    let report = run_sweep_supervised_with(
-        &store,
-        specs,
-        worker_count(),
-        &SweepPolicy::default(),
-        None,
-        journal.as_mut(),
-    );
-    let restored = report.restored.iter().filter(|&&r| r).count();
-    if restored > 0 {
-        eprintln!("[journal] restored {restored} completed cell(s) from a previous run");
-    }
-    if report.failures() > 0 {
-        eprintln!(
-            "[journal] {} cell(s) failed after retries; shown as —",
-            report.failures()
-        );
-    }
-    for (bi, &kb) in buffers_kb.iter().enumerate() {
+    let slots = run_figure("fig09_buffer_sweep", &args, &store, specs);
+    for (&kb, cells) in buffers_kb.iter().zip(slots.chunks(ccas.len())) {
         let mut row = vec![format!("{kb}KB")];
-        for (ci, _) in ccas.iter().enumerate() {
-            row.push(match &report.slots[bi * ccas.len() + ci] {
-                Ok(summary) => {
-                    let m = summary.headline();
-                    format!("{:.2}|{:.0}", m.utilization, m.avg_rtt_ms)
-                }
-                Err(_) => "—".into(),
-            });
-        }
+        row.extend(cells.iter().map(|cell| match cell {
+            Ok(summary) => {
+                let m = summary.headline();
+                format!("{:.2}|{:.0}", m.utilization, m.avg_rtt_ms)
+            }
+            Err(_) => "—".into(),
+        }));
         table.row(row);
     }
     table.emit("fig09_buffer_sweep");

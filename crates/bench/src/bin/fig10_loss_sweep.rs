@@ -1,18 +1,8 @@
 //! Fig. 10 — Stochastic-loss sweep (0–10 %): link utilization. B-Libra
 //! (loss-agnostic BBR inside) stays high; C-Libra recovers CUBIC's
 //! erroneous reductions through the evaluation stage.
-//!
-//! All `(loss, cca)` cells fan out over the sweep workers under the
-//! supervised runner: a panicking or livelocked cell renders as `—`
-//! instead of killing the campaign, every completed cell is
-//! checkpointed to the sweep journal, and `--resume` restores
-//! journaled cells instead of re-running them. Results merge in job
-//! order so the table is identical at any parallelism.
 
-use libra_bench::{
-    loss_sweep_link, run_sweep_supervised_with, worker_count, BenchArgs, Cca, Journal, ModelStore,
-    RunSpec, SweepPolicy, Table,
-};
+use libra_bench::{loss_sweep_link, run_figure, BenchArgs, Cca, ModelStore, RunSpec, Table};
 use libra_types::Preference;
 
 fn main() {
@@ -52,39 +42,13 @@ fn main() {
             })
         })
         .collect();
-    let mut journal = match Journal::for_bin("fig10_loss_sweep", args.resume) {
-        Ok(j) => Some(j),
-        Err(e) => {
-            eprintln!("[journal] unavailable ({e}); running without checkpoints");
-            None
-        }
-    };
-    let report = run_sweep_supervised_with(
-        &store,
-        specs,
-        worker_count(),
-        &SweepPolicy::default(),
-        None,
-        journal.as_mut(),
-    );
-    let restored = report.restored.iter().filter(|&&r| r).count();
-    if restored > 0 {
-        eprintln!("[journal] restored {restored} completed cell(s) from a previous run");
-    }
-    if report.failures() > 0 {
-        eprintln!(
-            "[journal] {} cell(s) failed after retries; shown as —",
-            report.failures()
-        );
-    }
-    for (li, &p) in losses.iter().enumerate() {
+    let slots = run_figure("fig10_loss_sweep", &args, &store, specs);
+    for (&p, cells) in losses.iter().zip(slots.chunks(ccas.len())) {
         let mut row = vec![format!("{:.0}%", p * 100.0)];
-        for (ci, _) in ccas.iter().enumerate() {
-            row.push(match &report.slots[li * ccas.len() + ci] {
-                Ok(summary) => format!("{:.3}", summary.headline().utilization),
-                Err(_) => "—".into(),
-            });
-        }
+        row.extend(cells.iter().map(|cell| match cell {
+            Ok(summary) => format!("{:.3}", summary.headline().utilization),
+            Err(_) => "—".into(),
+        }));
         table.row(row);
     }
     table.emit("fig10_loss_sweep");

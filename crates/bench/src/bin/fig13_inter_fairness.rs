@@ -2,7 +2,7 @@
 //! 48 Mbps / 100 ms / 1 BDP link with one CUBIC flow. Libra must not
 //! starve CUBIC (unlike Aurora-style pure-RL schemes).
 
-use libra_bench::{fairness_link, run_spec, BenchArgs, Cca, ModelStore, RunSpec, Table};
+use libra_bench::{fairness_link, run_figure, BenchArgs, Cca, ModelStore, RunSpec, Table};
 use libra_types::{jain_index, Preference};
 
 fn main() {
@@ -24,9 +24,16 @@ fn main() {
         "Fig. 13: inter-protocol fairness vs CUBIC",
         &["cca under test", "test share", "cubic share", "jain index"],
     );
-    for cca in ccas {
-        let spec = RunSpec::pair(cca, Cca::Cubic, fairness_link(), secs, args.seed);
-        let rep = run_spec(&store, &spec);
+    let specs = ccas
+        .iter()
+        .map(|&cca| RunSpec::pair(cca, Cca::Cubic, fairness_link(), secs, args.seed))
+        .collect();
+    let slots = run_figure("fig13_inter_fairness", &args, &store, specs);
+    for (cca, slot) in ccas.iter().zip(&slots) {
+        let Ok(rep) = slot else {
+            table.failed_row(cca.label());
+            continue;
+        };
         let a = rep.flows[0].goodput_mbps;
         let b = rep.flows[1].goodput_mbps;
         let total = (a + b).max(1e-9);

@@ -2,12 +2,9 @@
 //! on a 48 Mbps / 100 ms / 1 BDP link. Reports the third flow's
 //! convergence time, post-convergence deviation and average throughput,
 //! plus the per-flow throughput series.
-//!
-//! One staggered run per CCA, fanned out over the sweep workers and
-//! merged in CCA order (identical output at any `LIBRA_JOBS`).
 
 use libra_bench::{
-    convergence_stats, fairness_link, run_sweep, series_csv, BenchArgs, Cca, ModelStore, RunSpec,
+    convergence_stats, fairness_link, run_figure, series_csv, BenchArgs, Cca, ModelStore, RunSpec,
     Table,
 };
 use libra_types::{Duration, Preference};
@@ -49,8 +46,12 @@ fn main() {
             )
         })
         .collect();
-    let results = run_sweep(&store, specs);
-    for (cca, rep) in ccas.iter().zip(&results) {
+    let slots = run_figure("fig15_tab05_convergence", &args, &store, specs);
+    for (cca, slot) in ccas.iter().zip(&slots) {
+        let Ok(rep) = slot else {
+            table.failed_row(cca.label());
+            continue;
+        };
         let third = &rep.flows[2];
         let stats = convergence_stats(&third.goodput_series, 10.0, 5.0);
         table.row(vec![

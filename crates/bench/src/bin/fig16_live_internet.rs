@@ -4,7 +4,7 @@
 //! CUBIC and Orca. Libra is reported with its throughput- and
 //! delay-oriented profiles, showing the flexibility span.
 
-use libra_bench::{run_repeated, wan_specs, BenchArgs, Cca, ModelStore, Table};
+use libra_bench::{run_figure, wan_specs, BenchArgs, Cca, ModelStore, RunMetrics, RunSpec, Table};
 use libra_types::Preference;
 
 fn main() {
@@ -22,33 +22,45 @@ fn main() {
         Cca::Cubic,
         Cca::Orca,
     ];
-    for scenario in wan_specs(secs) {
+    let scenarios = wan_specs(secs);
+    let base = args.seed * 17;
+    let specs = scenarios
+        .iter()
+        .flat_map(|scenario| {
+            ccas.iter().flat_map(move |&cca| {
+                (base..base + repeats)
+                    .map(move |seed| RunSpec::single(cca, scenario.link(seed), secs, seed))
+            })
+        })
+        .collect();
+    let slots = run_figure("fig16_live_internet", &args, &store, specs);
+    let mut cells = slots.chunks(repeats as usize).map(RunMetrics::mean_of);
+    for scenario in &scenarios {
         let mut rows = Vec::new();
         let mut best_tput = 0.0f64;
         let mut best_delay = f64::INFINITY;
         for &cca in &ccas {
-            let (m, _) = run_repeated(
-                cca,
-                &store,
-                |seed| scenario.link(seed),
-                secs,
-                args.seed * 17,
-                repeats,
-            );
-            best_tput = best_tput.max(m.goodput_mbps);
-            best_delay = best_delay.min(m.avg_rtt_ms);
-            rows.push((cca.label(), m.goodput_mbps, m.avg_rtt_ms, m.loss));
+            let cell = cells.next().expect("one cell per scenario × cca");
+            if let Some(m) = cell {
+                best_tput = best_tput.max(m.goodput_mbps);
+                best_delay = best_delay.min(m.avg_rtt_ms);
+            }
+            rows.push((cca.label(), cell));
         }
         let mut table = Table::new(
             &format!("Fig. 16 ({}): normalized performance", scenario.name),
             &["cca", "norm. throughput", "norm. delay", "loss"],
         );
-        for (label, tput, delay, loss) in rows {
+        for (label, cell) in rows {
+            let Some(m) = cell else {
+                table.failed_row(label);
+                continue;
+            };
             table.row(vec![
                 label,
-                format!("{:.3}", tput / best_tput),
-                format!("{:.3}", delay / best_delay),
-                format!("{:.3}", loss),
+                format!("{:.3}", m.goodput_mbps / best_tput),
+                format!("{:.3}", m.avg_rtt_ms / best_delay),
+                format!("{:.3}", m.loss),
             ]);
         }
         table.emit(&format!("fig16_{}", scenario.name.replace('-', "_")));

@@ -6,7 +6,8 @@
 //! inner CCAs) this offline oracle.
 
 use libra_bench::{
-    lte_tmobile_spec, run_spec, series_csv, BenchArgs, Cca, FlowSummary, ModelStore, RunSpec, Table,
+    lte_tmobile_spec, run_figure, series_csv, BenchArgs, Cca, FlowSummary, ModelStore, RunSpec,
+    Table,
 };
 use libra_types::{Preference, UtilityParams};
 
@@ -63,24 +64,29 @@ fn main() {
     let store = ModelStore::new(args.seed);
     let params = UtilityParams::default();
     let scenario = lte_tmobile_spec(secs);
-    let solo = |cca| {
-        run_spec(
-            &store,
-            &RunSpec::single(cca, scenario.link(args.seed), secs, args.seed),
-        )
-    };
+    // The one Clean-Slate run both ideals share, then each pair's Libra
+    // and classic run.
+    let specs = [
+        Cca::CleanSlateLibra,
+        Cca::CLibra(Preference::Default),
+        Cca::Cubic,
+        Cca::BLibra(Preference::Default),
+        Cca::Bbr,
+    ]
+    .map(|cca| RunSpec::single(cca, scenario.link(args.seed), secs, args.seed))
+    .into();
+    let slots = run_figure("fig18_ideal_comparison", &args, &store, specs);
     let mut table = Table::new(
         "Fig. 18: mean normalized utility, Libra vs ideal offline combination",
         &["pair", "libra", "ideal", "libra/ideal"],
     );
     let mut all_series = Vec::new();
-    for (tag, libra_cca, classic_cca) in [
-        ("C", Cca::CLibra(Preference::Default), Cca::Cubic),
-        ("B", Cca::BLibra(Preference::Default), Cca::Bbr),
-    ] {
-        let libra_rep = solo(libra_cca);
-        let classic_rep = solo(classic_cca);
-        let cl_rep = solo(Cca::CleanSlateLibra);
+    let (cl_slot, pair_slots) = slots.split_first().expect("the Clean-Slate run");
+    for (tag, runs) in ["C", "B"].into_iter().zip(pair_slots.chunks(2)) {
+        let (Ok(libra_rep), Ok(classic_rep), Ok(cl_rep)) = (&runs[0], &runs[1], cl_slot) else {
+            table.failed_row(format!("{tag}-Libra vs {tag}-Ideal"));
+            continue;
+        };
         let u_libra = utility_series(&libra_rep.flows[0], &params);
         let u_classic = utility_series(&classic_rep.flows[0], &params);
         let u_cl = utility_series(&cl_rep.flows[0], &params);

@@ -3,16 +3,16 @@
 //! summary view a Pantheon run would give you.
 //!
 //! The full `cca × family × repeat` grid (hundreds of independent runs)
-//! fans out over the sweep workers; per-cell Welford accumulators are
-//! folded in job (seed) order, so the table is byte-identical to the
-//! sequential path for any `LIBRA_JOBS`.
+//! is one supervised sweep; per-cell Welford means are folded in seed
+//! order. The two appendices are traced runs, which a journal cannot
+//! restore, so they run directly.
 
-use libra_bench::{parallel_map, run_spec, BenchArgs, Cca, ModelStore, RunSpec, Table};
+use libra_bench::{run_figure, run_spec, BenchArgs, Cca, ModelStore, RunMetrics, RunSpec, Table};
 use libra_netsim::{
     fiveg_link, lte_link, satellite_link, step_link, wan_link, wired_link, LinkConfig, LteScenario,
     WanScenario,
 };
-use libra_types::{DetRng, Duration, Preference, Welford};
+use libra_types::{DetRng, Duration, Preference};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -67,26 +67,6 @@ fn main() {
             }),
         ),
     ];
-    let ccas = [
-        Cca::NewReno,
-        Cca::Cubic,
-        Cca::Bbr,
-        Cca::Vegas,
-        Cca::Westwood,
-        Cca::Illinois,
-        Cca::Copa,
-        Cca::Sprout,
-        Cca::Remy,
-        Cca::Indigo,
-        Cca::Vivace,
-        Cca::Proteus,
-        Cca::Aurora,
-        Cca::Orca,
-        Cca::ModRl,
-        Cca::CleanSlateLibra,
-        Cca::CLibra(Preference::Default),
-        Cca::BLibra(Preference::Default),
-    ];
     let mut header = vec!["cca".to_string()];
     header.extend(families.iter().map(|(n, _)| n.to_string()));
     let hdr: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
@@ -94,42 +74,26 @@ fn main() {
         "Report card: utilization | mean delay (ms) per CCA × scenario",
         &hdr,
     );
-    // Train/load every model once before fanning out.
-    for cca in ccas {
-        if cca.needs_model() {
-            drop(cca.build(&store));
-        }
-    }
-    // One job per (cca, family, repeat); links built eagerly on the
-    // coordinator because scenario closures are not Sync.
-    let mut jobs: Vec<(usize, usize, u64, LinkConfig)> = Vec::new();
-    for (ci, _) in ccas.iter().enumerate() {
-        for (fi, (_, link_of)) in families.iter().enumerate() {
-            for k in 0..repeats {
-                let seed = args.seed * 7 + k;
-                jobs.push((ci, fi, seed, link_of(seed)));
-            }
-        }
-    }
-    let results = parallel_map(jobs, |(ci, fi, seed, link)| {
-        let spec = RunSpec::single(ccas[ci], link, secs, seed);
-        (ci, fi, run_spec(&store, &spec).headline())
-    });
-    // Fold per-cell accumulators in job order (= seed order per cell).
-    let mut util = vec![vec![Welford::new(); families.len()]; ccas.len()];
-    let mut rtt = vec![vec![Welford::new(); families.len()]; ccas.len()];
-    for (ci, fi, m) in results {
-        util[ci][fi].update(m.utilization);
-        rtt[ci][fi].update(m.avg_rtt_ms);
-    }
-    for (ci, cca) in ccas.iter().enumerate() {
+    let specs = Cca::ALL
+        .iter()
+        .flat_map(|&cca| {
+            families.iter().flat_map(move |(_, link_of)| {
+                (0..repeats).map(move |k| {
+                    let seed = args.seed * 7 + k;
+                    RunSpec::single(cca, link_of(seed), secs, seed)
+                })
+            })
+        })
+        .collect();
+    let slots = run_figure("full_report", &args, &store, specs);
+    let mut cells = slots.chunks(repeats as usize).map(RunMetrics::mean_of);
+    for cca in Cca::ALL {
         let mut row = vec![cca.label()];
-        for fi in 0..families.len() {
-            row.push(format!(
-                "{:.2}|{:.0}",
-                util[ci][fi].mean(),
-                rtt[ci][fi].mean()
-            ));
+        for _ in &families {
+            let cell = cells.next().expect("one cell per cca × family");
+            row.push(cell.map_or("—".into(), |m| {
+                format!("{:.2}|{:.0}", m.utilization, m.avg_rtt_ms)
+            }));
         }
         table.row(row);
     }

@@ -3,7 +3,7 @@
 //! networks (two wired, two LTE). Libra's spread should be a fraction
 //! of Orca's.
 
-use libra_bench::{run_spec, BenchArgs, Cca, ModelStore, RunSpec, Table};
+use libra_bench::{run_figure, BenchArgs, Cca, ModelStore, RunSpec, Table};
 use libra_netsim::{lte_link, wired_link, LteScenario};
 use libra_types::{DetRng, Duration, Preference, Welford};
 
@@ -40,19 +40,29 @@ fn main() {
         "Tab. 6: utilization statistics over repeated trials",
         &["stat", "Wired#1", "Wired#2", "LTE#1", "LTE#2"],
     );
-    let mut all: Vec<(&str, Vec<Welford>)> = Vec::new();
-    for (tag, cca) in ccas {
-        let mut per_net = Vec::new();
-        for (_, link_of) in &networks {
-            let mut w = Welford::new();
-            for k in 0..trials {
-                let spec = RunSpec::single(cca, link_of(args.seed + k), secs, args.seed + k);
-                w.update(run_spec(&store, &spec).utilization);
-            }
-            per_net.push(w);
+    let specs = ccas
+        .iter()
+        .flat_map(|&(_, cca)| {
+            networks.iter().flat_map(move |(_, link_of)| {
+                (args.seed..args.seed + trials)
+                    .map(move |seed| RunSpec::single(cca, link_of(seed), secs, seed))
+            })
+        })
+        .collect();
+    let slots = run_figure("tab06_safety", &args, &store, specs);
+    // Per (cca, network): the trials' utilization, folded in seed order;
+    // `None` when any trial failed.
+    let mut cells = slots.chunks(trials as usize).map(|runs| {
+        let mut w = Welford::new();
+        for run in runs {
+            w.update(run.as_ref().ok()?.utilization);
         }
-        all.push((tag, per_net));
-    }
+        Some(w)
+    });
+    let all: Vec<(&str, Vec<Option<Welford>>)> = ccas
+        .iter()
+        .map(|&(tag, _)| (tag, cells.by_ref().take(networks.len()).collect()))
+        .collect();
     for (stat, f) in [
         ("Mean", (|w: &Welford| w.mean()) as fn(&Welford) -> f64),
         ("Range", |w| w.range()),
@@ -61,7 +71,7 @@ fn main() {
         for (tag, per_net) in &all {
             let mut row = vec![format!("{stat}{tag}")];
             for w in per_net {
-                row.push(format!("{:.3}", f(w)));
+                row.push(w.as_ref().map_or("—".into(), |w| format!("{:.3}", f(w))));
             }
             table.row(row);
         }

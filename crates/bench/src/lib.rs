@@ -21,10 +21,11 @@
 //!   (the one `Simulation` builder).
 //! * [`summary`] — the serializable `RunSummary` of a finished run, its
 //!   headline `RunMetrics`, and Tab. 5's convergence statistics.
-//! * [`sweep`] — deterministic parallel fan-out of independent runs
+//! * [`sweep`] — deterministic parallel fan-out of independent jobs
 //!   (`LIBRA_JOBS` workers, results merged in job order).
 //! * [`supervisor`] — panic isolation, per-job budgets, bounded retries
-//!   with deterministic backoff, and `Result`-shaped merged slots.
+//!   with deterministic backoff, and `Result`-shaped merged slots;
+//!   `run_figure`, the figure binaries' one journaled sweep.
 //! * [`journal`] — append-only JSONL checkpoint journal behind
 //!   `--resume` (one flushed line per completed job).
 //! * [`output`] — aligned tables + CSV artifacts (`target/experiments/`).
@@ -65,12 +66,10 @@ pub use spec::{
 };
 pub use summary::{convergence_stats, ConvergenceStats, FlowSummary, RunMetrics, RunSummary};
 pub use supervisor::{
-    merged_slots_json, run_sweep_supervised, run_sweep_supervised_with, slot_from_value,
-    slot_to_value, FaultyScenario, SlotResult, SweepPolicy, SweepReport,
+    merged_slots_json, run_figure, run_sweep_supervised_with, slot_from_value, slot_to_value,
+    FaultyScenario, SlotResult, SweepPolicy, SweepReport,
 };
-pub use sweep::{
-    parallel_map, parallel_map_with, run_repeated, run_sweep, run_sweep_with, worker_count,
-};
+pub use sweep::{parallel_map, parallel_map_with, worker_count};
 pub use tracing::{
     decision_timeline, merged_trace, stage_occupancy, stage_occupancy_table, trace_to_jsonl,
     validate_finite, ALL_STAGES,

@@ -89,12 +89,6 @@ impl ModelStore {
         self.seed
     }
 
-    /// Override training effort (used by fast smoke binaries).
-    pub fn with_train_config(mut self, cfg: TrainConfig) -> Self {
-        self.train = cfg;
-        self
-    }
-
     /// A fresh RNG stream for agent restoration, derived from the store
     /// seed. Eval-mode agents never draw from it (deterministic mean
     /// actions), so handing each caller an identical fresh stream keeps

@@ -37,6 +37,14 @@ impl Table {
         self.rows.push(cells);
     }
 
+    /// Append a row for a cell whose run failed: `label`, then `—` in
+    /// every other column.
+    pub fn failed_row(&mut self, label: String) {
+        let mut cells = vec![label];
+        cells.resize(self.header.len(), "—".into());
+        self.row(cells);
+    }
+
     /// Render to an aligned string.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();

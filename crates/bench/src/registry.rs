@@ -52,6 +52,30 @@ pub enum Cca {
 }
 
 impl Cca {
+    /// Every controller at its default preference, in declaration order:
+    /// the report card's rows, and the list [`crate::cca_from_name`]
+    /// inverts [`Cca::label`] over.
+    pub const ALL: [Cca; 18] = [
+        Cca::NewReno,
+        Cca::Cubic,
+        Cca::Bbr,
+        Cca::Vegas,
+        Cca::Westwood,
+        Cca::Illinois,
+        Cca::Copa,
+        Cca::Sprout,
+        Cca::Remy,
+        Cca::Indigo,
+        Cca::Vivace,
+        Cca::Proteus,
+        Cca::Aurora,
+        Cca::Orca,
+        Cca::ModRl,
+        Cca::CleanSlateLibra,
+        Cca::CLibra(Preference::Default),
+        Cca::BLibra(Preference::Default),
+    ];
+
     /// The headline comparison set of Fig. 7.
     pub fn headline_set() -> Vec<Cca> {
         vec![

@@ -19,7 +19,7 @@ use libra_netsim::{
     datacenter_link, fiveg_link, leo_link, lte_link, satellite_link, step_link, wan_link,
     wired_link, LinkConfig, LteScenario, QueueConfig, WanScenario,
 };
-use libra_types::{Bytes, DetRng, Duration, Preference, Rate};
+use libra_types::{Bytes, DetRng, Duration, Rate};
 use serde::{Deserialize, Serialize};
 
 /// Serializable mirror of [`LteScenario`].
@@ -333,31 +333,11 @@ pub enum WorkloadSpec {
     },
 }
 
-/// Parse a CCA display label (as produced by [`Cca::label`]) back into
-/// the registry enum. Preference-suffixed Libra labels are not accepted —
-/// the corpus speaks the default-preference dialect.
+/// Parse a CCA display label back into the registry enum: the inverse
+/// of [`Cca::label`] over [`Cca::ALL`]. Preference-suffixed Libra labels
+/// are not accepted — the corpus speaks the default-preference dialect.
 pub fn cca_from_name(name: &str) -> Option<Cca> {
-    Some(match name {
-        "NewReno" => Cca::NewReno,
-        "CUBIC" => Cca::Cubic,
-        "BBR" => Cca::Bbr,
-        "Vegas" => Cca::Vegas,
-        "Westwood" => Cca::Westwood,
-        "Illinois" => Cca::Illinois,
-        "Copa" => Cca::Copa,
-        "Sprout" => Cca::Sprout,
-        "Remy" => Cca::Remy,
-        "Indigo" => Cca::Indigo,
-        "Vivace" => Cca::Vivace,
-        "Proteus" => Cca::Proteus,
-        "Aurora" => Cca::Aurora,
-        "Orca" => Cca::Orca,
-        "Mod. RL" => Cca::ModRl,
-        "CL-Libra" => Cca::CleanSlateLibra,
-        "C-Libra" => Cca::CLibra(Preference::Default),
-        "B-Libra" => Cca::BLibra(Preference::Default),
-        _ => return None,
-    })
+    Cca::ALL.into_iter().find(|c| c.label() == name)
 }
 
 /// One zoo entry: a named, fully declarative scenario.
@@ -1086,7 +1066,7 @@ mod tests {
 
     #[test]
     fn cca_names_round_trip() {
-        for c in Cca::headline_set() {
+        for c in Cca::ALL {
             assert_eq!(cca_from_name(&c.label()), Some(c), "{}", c.label());
         }
     }

@@ -3,8 +3,9 @@
 //! single-flow [`RunMetrics`] headline, and Tab. 5's convergence
 //! statistics over a goodput series.
 
+use crate::supervisor::SlotResult;
 use libra_netsim::SimReport;
-use libra_types::TraceEvent;
+use libra_types::{TraceEvent, Welford};
 use serde::{get_field, DeError, Deserialize, Serialize, Value};
 
 /// The headline metrics of one single-flow run.
@@ -24,6 +25,32 @@ pub struct RunMetrics {
     pub loss: f64,
     /// Controller compute per simulated second (µs/s) — the CPU proxy.
     pub compute_us_per_s: f64,
+}
+
+impl RunMetrics {
+    /// The Welford mean of each headline metric over one cell's repeated
+    /// runs, folded in run order (the paper averages repeats). `None` if
+    /// any run failed: the cell renders as `—`.
+    pub fn mean_of(runs: &[SlotResult]) -> Option<RunMetrics> {
+        let runs: Vec<RunMetrics> = runs
+            .iter()
+            .map(|run| run.as_ref().ok().map(RunSummary::headline))
+            .collect::<Option<_>>()?;
+        let mean = |metric: fn(&RunMetrics) -> f64| {
+            let mut w = Welford::new();
+            runs.iter().for_each(|m| w.update(metric(m)));
+            w.mean()
+        };
+        Some(RunMetrics {
+            utilization: mean(|m| m.utilization),
+            avg_rtt_ms: mean(|m| m.avg_rtt_ms),
+            p95_rtt_ms: mean(|m| m.p95_rtt_ms),
+            max_rtt_ms: mean(|m| m.max_rtt_ms),
+            goodput_mbps: mean(|m| m.goodput_mbps),
+            loss: mean(|m| m.loss),
+            compute_us_per_s: mean(|m| m.compute_us_per_s),
+        })
+    }
 }
 
 /// Send-safe per-flow results (everything [`libra_netsim::FlowReport`]
@@ -139,7 +166,8 @@ impl Deserialize for FlowSummary {
 }
 
 /// Send-safe summary of one finished run, serialized for the
-/// determinism tests and merged in job order by [`crate::run_sweep`].
+/// determinism tests and merged in job order by
+/// [`crate::run_sweep_supervised_with`].
 #[derive(Debug, Clone)]
 pub struct RunSummary {
     /// The spec's display label.

@@ -2,13 +2,15 @@
 //! bounded retries with deterministic backoff, and journaled
 //! checkpoint-resume.
 //!
-//! The bare runner in [`crate::sweep`] treats every job as infallible —
-//! one panicking or livelocked run aborts the whole campaign. This
-//! module wraps each job in a per-attempt `catch_unwind`, classifies
+//! The claim engine in [`crate::sweep`] fans jobs out and merges them in
+//! job order, but neither retries nor checkpoints. This module wraps
+//! each job in a per-attempt `catch_unwind`, classifies
 //! whatever comes out into the [`JobError`] taxonomy, retries with
 //! decorrelated-jitter backoff seeded from the job's own deterministic
 //! RNG (so a rerun of the same campaign retries identically), and
 //! merges `Result`-shaped slots so partial campaigns are first-class.
+//! [`run_figure`] is the figure binaries' one entry point: each binary
+//! runs its whole spec list as one journaled sweep.
 //!
 //! Failure classification is shared between real and injected faults: a
 //! simulator watchdog aborts by panicking with a
@@ -21,6 +23,7 @@ use crate::models::ModelStore;
 use crate::run::{run_spec_budgeted, RunSpec};
 use crate::summary::RunSummary;
 use crate::sweep::{claim_map, warm_models, worker_count, JobVerdict};
+use crate::BenchArgs;
 use libra_netsim::{BudgetKind, BudgetTrip, SimBudget};
 use libra_types::{DetRng, JobError, JobFailure};
 use serde::{Serialize, Value};
@@ -310,15 +313,6 @@ fn unreachable_json(e: serde_json::Error) -> String {
     panic!("slot serialization failed: {e}")
 }
 
-/// Supervised sweep at the default worker count, no chaos, no journal.
-pub fn run_sweep_supervised(
-    store: &ModelStore,
-    specs: Vec<RunSpec>,
-    policy: &SweepPolicy,
-) -> SweepReport {
-    run_sweep_supervised_with(store, specs, worker_count(), policy, None, None)
-}
-
 /// Fully-parameterized supervised sweep.
 ///
 /// * `chaos` — test-only deterministic fault injection.
@@ -429,6 +423,50 @@ pub fn run_sweep_supervised_with(
     }
 }
 
+/// Run one figure binary's whole spec list as a single supervised,
+/// journaled sweep: `name`'s journal (restored from when `args.resume`),
+/// [`worker_count`] workers, the default [`SweepPolicy`]. Returns one
+/// slot per spec, in spec order; a failed slot renders as `—`.
+///
+/// Call it once per binary with every spec built up front: opening a
+/// second journal under the same name truncates the first.
+pub fn run_figure(
+    name: &str,
+    args: &BenchArgs,
+    store: &ModelStore,
+    specs: Vec<RunSpec>,
+) -> Vec<SlotResult> {
+    let mut journal = match Journal::for_bin(name, args.resume) {
+        Ok(j) => Some(j),
+        Err(e) => {
+            eprintln!("[journal] unavailable ({e}); running without checkpoints");
+            None
+        }
+    };
+    let report = run_sweep_supervised_with(
+        store,
+        specs,
+        worker_count(),
+        &SweepPolicy::default(),
+        None,
+        journal.as_mut(),
+    );
+    let restored = report.restored.iter().filter(|&&r| r).count();
+    if restored > 0 {
+        eprintln!(
+            "[journal] restored {restored} of {} run(s) from the journal",
+            report.slots.len()
+        );
+    }
+    if report.failures() > 0 {
+        eprintln!(
+            "[journal] {} run(s) failed after retries; their cells show —",
+            report.failures()
+        );
+    }
+    report.slots
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,7 +513,10 @@ mod tests {
     fn clean_supervised_sweep_matches_bare_sweep() {
         let store = ModelStore::ephemeral(1);
         let specs = quick_specs(4);
-        let bare = crate::sweep::run_sweep_with(&store, specs.clone(), 2);
+        let bare: Vec<RunSummary> = specs
+            .iter()
+            .map(|spec| crate::run::run_spec(&store, spec))
+            .collect();
         let report =
             run_sweep_supervised_with(&store, specs, 2, &SweepPolicy::default(), None, None);
         assert_eq!(report.failures(), 0);

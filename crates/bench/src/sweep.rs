@@ -29,10 +29,8 @@
 
 use crate::models::ModelStore;
 use crate::registry::Cca;
-use crate::run::{run_spec, RunSpec};
-use crate::summary::{RunMetrics, RunSummary};
-use libra_netsim::LinkConfig;
-use libra_types::{JobError, JobFailure, Welford};
+use crate::run::RunSpec;
+use libra_types::{JobError, JobFailure};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -234,66 +232,6 @@ where
     .collect()
 }
 
-/// Run every spec, fanned out over [`worker_count`] threads; results
-/// come back in spec order.
-pub fn run_sweep(store: &ModelStore, specs: Vec<RunSpec>) -> Vec<RunSummary> {
-    run_sweep_with(store, specs, worker_count())
-}
-
-/// [`run_sweep`] with an explicit worker count.
-pub fn run_sweep_with(store: &ModelStore, specs: Vec<RunSpec>, workers: usize) -> Vec<RunSummary> {
-    warm_models(store, &specs);
-    parallel_map_with(specs, workers, |spec| run_spec(store, &spec))
-}
-
-/// Average metrics across `repeats` seeds (the paper averages 5 runs).
-///
-/// Trials fan out over the sweep workers; links are built eagerly on the
-/// calling thread (scenario builders are not `Sync`) and the Welford
-/// accumulators are folded in seed order, so results are byte-identical
-/// to a sequential loop for any worker count.
-pub fn run_repeated(
-    cca: Cca,
-    store: &ModelStore,
-    link_of: impl Fn(u64) -> LinkConfig,
-    secs: u64,
-    base_seed: u64,
-    repeats: u64,
-) -> (RunMetrics, Welford) {
-    let specs = (base_seed..base_seed + repeats)
-        .map(|seed| RunSpec::single(cca, link_of(seed), secs, seed))
-        .collect();
-    let trials = run_sweep(store, specs);
-    let mut util = Welford::new();
-    let mut rtt = Welford::new();
-    let mut p95rtt = Welford::new();
-    let mut maxrtt = Welford::new();
-    let mut goodput = Welford::new();
-    let mut loss = Welford::new();
-    let mut compute = Welford::new();
-    for m in trials.iter().map(RunSummary::headline) {
-        util.update(m.utilization);
-        rtt.update(m.avg_rtt_ms);
-        p95rtt.update(m.p95_rtt_ms);
-        maxrtt.update(m.max_rtt_ms);
-        goodput.update(m.goodput_mbps);
-        loss.update(m.loss);
-        compute.update(m.compute_us_per_s);
-    }
-    (
-        RunMetrics {
-            utilization: util.mean(),
-            avg_rtt_ms: rtt.mean(),
-            p95_rtt_ms: p95rtt.mean(),
-            max_rtt_ms: maxrtt.mean(),
-            goodput_mbps: goodput.mean(),
-            loss: loss.mean(),
-            compute_us_per_s: compute.mean(),
-        },
-        util,
-    )
-}
-
 /// Train/load every model the sweep needs once, up front, so workers
 /// start from a warm cache instead of serializing on the training lock.
 /// The supervisor also calls this *before* arming any fault injection:
@@ -311,6 +249,7 @@ pub(crate) fn warm_models(store: &ModelStore, specs: &[RunSpec]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use libra_netsim::LinkConfig;
     use libra_types::{Duration, Rate};
 
     #[test]
@@ -422,9 +361,16 @@ mod tests {
         let specs: Vec<RunSpec> = (0..4)
             .map(|k| RunSpec::single(Cca::Cubic, link(), 5, 10 + k))
             .collect();
-        let out = run_sweep_with(&store, specs, 2);
-        assert_eq!(out.len(), 4);
-        for s in &out {
+        let report = crate::run_sweep_supervised_with(
+            &store,
+            specs,
+            2,
+            &crate::SweepPolicy::default(),
+            None,
+            None,
+        );
+        assert_eq!(report.slots.len(), 4);
+        for s in report.slots.iter().map(|s| s.as_ref().expect("clean run")) {
             assert_eq!(s.flows.len(), 1);
             assert!(s.flows[0].delivered_bytes > 0);
         }

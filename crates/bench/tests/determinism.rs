@@ -13,8 +13,8 @@
 //!    instead of silently skewing every figure.
 
 use libra_bench::{
-    run, run_spec, run_sweep_with, spec_digest, trace_to_jsonl, Cca, ModelStore, PolicyChaosSpec,
-    RunSpec, RunSummary, POLICY_QUANTUM,
+    run, run_spec, run_sweep_supervised_with, spec_digest, trace_to_jsonl, Cca, ModelStore,
+    PolicyChaosSpec, RunSpec, RunSummary, SweepPolicy, POLICY_QUANTUM,
 };
 use libra_netsim::{
     lte_link, wan_link, FaultKind, FaultPlan, GilbertElliott, LinkConfig, LteScenario, SimConfig,
@@ -40,7 +40,12 @@ fn mixed_specs() -> Vec<RunSpec> {
 }
 
 fn sweep_json(store: &ModelStore, specs: Vec<RunSpec>, workers: usize) -> String {
-    let results: Vec<RunSummary> = run_sweep_with(store, specs, workers);
+    let results: Vec<RunSummary> =
+        run_sweep_supervised_with(store, specs, workers, &SweepPolicy::default(), None, None)
+            .slots
+            .into_iter()
+            .map(|slot| slot.expect("clean run"))
+            .collect();
     serde_json::to_string(&results).expect("serialize sweep results")
 }
 

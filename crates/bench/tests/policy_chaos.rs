@@ -19,8 +19,8 @@
 //!    the same batched run with no plan.
 
 use libra_bench::{
-    merged_slots_json, merged_trace, run, run_spec, run_sweep_supervised_with, run_sweep_with,
-    validate_finite, Cca, Journal, ModelStore, PolicyChaosSpec, RunSpec, RunSummary, SweepPolicy,
+    merged_slots_json, merged_trace, run, run_spec, run_sweep_supervised_with, validate_finite,
+    Cca, Journal, ModelStore, PolicyChaosSpec, RunSpec, RunSummary, SweepPolicy,
 };
 use libra_netsim::{LinkConfig, SimConfig};
 use libra_types::{Duration, Preference, Rate, TraceEvent};
@@ -186,8 +186,15 @@ fn faulted_specs(secs: u64) -> Vec<RunSpec> {
 fn faulted_sweeps_are_byte_identical_across_worker_counts() {
     let store = ModelStore::ephemeral(42);
     let specs = faulted_specs(4);
-    let one = run_sweep_with(&store, specs.clone(), 1);
-    let many = run_sweep_with(&store, specs, 4);
+    let sweep = |specs, workers| -> Vec<RunSummary> {
+        run_sweep_supervised_with(&store, specs, workers, &SweepPolicy::default(), None, None)
+            .slots
+            .into_iter()
+            .map(|slot| slot.expect("clean run"))
+            .collect()
+    };
+    let one = sweep(specs.clone(), 1);
+    let many = sweep(specs, 4);
     assert_eq!(one.len(), many.len());
     let mut injected = 0;
     for (a, b) in one.iter().zip(&many) {

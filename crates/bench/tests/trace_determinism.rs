@@ -8,7 +8,10 @@
 //!    sweep is byte-identical for 1 vs N workers (index-ordered merge +
 //!    the deterministic `(at_ns, source, emit order)` sort key).
 
-use libra_bench::{run, run_sweep_with, trace_to_jsonl, validate_finite, Cca, ModelStore, RunSpec};
+use libra_bench::{
+    run, run_sweep_supervised_with, trace_to_jsonl, validate_finite, Cca, ModelStore, RunSpec,
+    SweepPolicy,
+};
 use libra_core::{Candidate, Libra};
 use libra_netsim::{LinkConfig, SimConfig};
 use libra_types::{CandidateKind, Duration, Preference, Rate, TraceEvent};
@@ -105,11 +108,19 @@ fn traced_sweep_jsonl_is_byte_identical_across_workers() {
     };
     let jsonl = |workers: usize| {
         let store = ModelStore::ephemeral(5);
-        run_sweep_with(&store, specs(), workers)
-            .iter()
-            .map(|s| trace_to_jsonl(&s.trace))
-            .collect::<Vec<_>>()
-            .join("---\n")
+        run_sweep_supervised_with(
+            &store,
+            specs(),
+            workers,
+            &SweepPolicy::default(),
+            None,
+            None,
+        )
+        .slots
+        .iter()
+        .map(|s| trace_to_jsonl(&s.as_ref().expect("clean run").trace))
+        .collect::<Vec<_>>()
+        .join("---\n")
     };
     let sequential = jsonl(1);
     assert!(!sequential.is_empty());

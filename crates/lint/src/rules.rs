@@ -366,7 +366,7 @@ impl Rule for ThreadDiscipline {
             false, // tests may exercise thread-safety directly
             "threads",
             "thread creation outside the deterministic sweep runner \
-             (bench/src/sweep.rs); route the work through run_sweep/\
+             (bench/src/sweep.rs); route the work through run_figure/\
              parallel_map or waive with `// lint: allow(threads)`",
             out,
         );

@@ -5,11 +5,13 @@
 #   scripts/run_all_experiments.sh           # full (tens of minutes cold;
 #                                            # trained models are cached)
 #   scripts/run_all_experiments.sh --quick   # reduced sweep (~2 min)
-#   scripts/run_all_experiments.sh --resume  # restore completed jobs from
+#   scripts/run_all_experiments.sh --resume  # restore completed runs from
 #                                            # the sweep journals under
 #                                            # target/experiments/journal/
-#                                            # (interrupted campaigns pick
-#                                            # up where they stopped)
+#                                            # (every binary that runs its
+#                                            # specs through run_figure
+#                                            # picks up where it stopped;
+#                                            # the rest re-run)
 #
 # Stdout tables are also written to target/experiments/*.csv.
 set -euo pipefail
