@@ -17,8 +17,8 @@ use libra_bench::{
     PolicyChaosSpec, RunSpec, RunSummary, SweepPolicy, POLICY_QUANTUM,
 };
 use libra_netsim::{
-    lte_link, wan_link, FaultKind, FaultPlan, GilbertElliott, LinkConfig, LteScenario, SimConfig,
-    WanScenario,
+    lte_link, step_link, wan_link, FaultKind, FaultPlan, GilbertElliott, LinkConfig, LteScenario,
+    SimConfig, WanScenario,
 };
 use libra_types::{DetRng, Duration, Instant, Preference, Rate};
 
@@ -268,14 +268,66 @@ fn jittered_and_faulted_runs() -> Vec<(&'static str, RunSpec, u64, u64)> {
     ]
 }
 
+/// Paced single-flow runs in the report sweep's shapes: learned arms and
+/// Libra's evaluate and exploit stages send at a paced rate, so most of
+/// these runs' events are pacer wakes and RTO checks on the trace links
+/// the sweep draws from. Recorded at the commit that still scheduled
+/// every pacer wake and RTO check through the wheel's slots.
+fn paced_single_flow_runs() -> Vec<(&'static str, RunSpec, u64, u64)> {
+    let eight_s = Duration::from_secs(8);
+    let lte = |seed| lte_link(LteScenario::Walking, eight_s, &mut DetRng::new(seed));
+    let wan = wan_link(WanScenario::InterContinental, eight_s, &mut DetRng::new(72));
+    vec![
+        (
+            "orca lte walking",
+            RunSpec::single(Cca::Orca, lte(70), 8, 71),
+            0xf325_e3fb_3595_80e8,
+            0xdefb_835e_e7ea_f212,
+        ),
+        (
+            "c-libra wan",
+            RunSpec::single(Cca::CLibra(Preference::Default), wan, 8, 73),
+            0xbc33_2dc5_c1ae_9508,
+            0xf945_1510_7381_1cb0,
+        ),
+        (
+            "c-libra latency2 step",
+            RunSpec::single(Cca::CLibra(Preference::Latency2), step_link(eight_s), 8, 74),
+            0x627c_ae35_5a63_c413,
+            0xb5ca_0771_deb0_e3e2,
+        ),
+        (
+            "bbr wired",
+            RunSpec::single(Cca::Bbr, wired(24.0), 8, 75),
+            0x7a1b_590c_cc5d_adf1,
+            0xa42f_949f_0531_025f,
+        ),
+        (
+            "aurora lte walking",
+            RunSpec::single(Cca::Aurora, lte(76), 8, 77),
+            0x05c8_e73d_622a_b82f,
+            0xe9a5_372b_f66b_17de,
+        ),
+    ]
+}
+
+/// Every golden table, in order.
+fn golden_tables() -> impl Iterator<Item = (&'static str, RunSpec, u64, u64)> {
+    golden_runs()
+        .into_iter()
+        .chain(jittered_and_faulted_runs())
+        .chain(paced_single_flow_runs())
+}
+
 /// The golden tables: every digest of the first was recorded by running
 /// the thirteen hand-written `run_*` builders its one builder replaced,
 /// so a mismatch means the run path changed what a spec *means*; the
-/// second pins the ACK paths the first never takes.
+/// second pins the ACK paths the first never takes; the third pins the
+/// paced single-flow runs that make up the report sweep.
 #[test]
 fn golden_run_digests_are_pinned() {
     let store = ModelStore::ephemeral(1);
-    for (name, spec, want, _) in golden_runs().into_iter().chain(jittered_and_faulted_runs()) {
+    for (name, spec, want, _) in golden_tables() {
         let json = serde_json::to_string(&run_spec(&store, &spec)).expect("serialize");
         let got = fnv1a(&json);
         assert_eq!(got, want, "{name}: run digest drifted (got {got:#018x})");
@@ -337,7 +389,7 @@ fn unserved_coinciding_ticks_are_pinned() {
 /// the digest of one spec per workload kind is pinned.
 #[test]
 fn spec_digests_are_pinned() {
-    for (name, spec, _, want) in golden_runs().into_iter().chain(jittered_and_faulted_runs()) {
+    for (name, spec, _, want) in golden_tables() {
         let got = spec_digest(&spec);
         assert_eq!(got, want, "{name}: spec digest drifted (got {got:#018x})");
     }
