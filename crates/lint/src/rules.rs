@@ -531,9 +531,10 @@ impl Rule for BoundedRetry {
 pub struct NoPerPacketAlloc;
 
 /// The per-packet / per-ACK hot set: every function the event loop
-/// enters for each packet emission, queue transit, service completion,
-/// or ACK delivery, plus the simulator's `schedule` and `dispatch`,
-/// which every event passes through, and the fault engine's `ack_fate`,
+/// enters for each packet emission (`pump_flow`), queue transit, service
+/// start or completion, ACK delivery or RTO check, plus the simulator's
+/// `schedule` and `dispatch`, which every event passes through (with the
+/// wheel's lane admission test), and the fault engine's `ack_fate`,
 /// which every ACK passes through while a link plan is attached. Names,
 /// not paths, so a hot function moving between files stays covered.
 const HOT_FNS: &[&str] = &[
@@ -550,7 +551,11 @@ const HOT_FNS: &[&str] = &[
     "detect_reorder_losses",
     "push",
     "push_lane",
+    "lane_accepts",
     "pop",
+    "pump_flow",
+    "start_service",
+    "on_rto_check",
 ];
 
 /// Heap-allocation constructors. `Vec::with_capacity` is deliberately

@@ -69,7 +69,7 @@ pub fn lte_trace(scenario: LteScenario, total: Duration, rng: &mut DetRng) -> Ca
     let mut x = mean;
     let mut fade_left = 0usize;
     for k in 0..steps {
-        let t = Instant::from_secs_f64_approx(k as f64 * dt);
+        let t = Instant::ZERO + Duration::from_secs_f64(k as f64 * dt);
         if fade_left > 0 {
             fade_left -= 1;
             segments.push((t, Rate::from_mbps(0.5)));
@@ -85,16 +85,6 @@ pub fn lte_trace(scenario: LteScenario, total: Duration, rng: &mut DetRng) -> Ca
         segments.push((t, Rate::from_mbps(x)));
     }
     CapacitySchedule::from_segments(segments)
-}
-
-// Small private helper so `lte_trace` reads naturally.
-trait FromSecsApprox {
-    fn from_secs_f64_approx(s: f64) -> Instant;
-}
-impl FromSecsApprox for Instant {
-    fn from_secs_f64_approx(s: f64) -> Instant {
-        Instant::from_nanos((s * 1e9).round() as u64)
-    }
 }
 
 /// The paper's Sec. 2 / Fig. 1 wired scenarios: constant capacity,

@@ -8,6 +8,22 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+/// `x.round() as u64` for every `f64`, bit for bit, without libm's
+/// `round`: truncate, then add 1 when the exact fractional part is at
+/// least one half. The saturating cast sends NaN and negatives to 0 and
+/// anything at or above 2⁶⁴ to `u64::MAX`. Below 2⁵³ both `t as f64` and
+/// `x - t` are exact; from 2⁵³ up `x` is an integer, so its fraction is
+/// 0 (or, past 2⁶⁴, large against the saturated `t`).
+#[inline]
+fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 /// A point in simulated time (nanoseconds since the start of the run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Instant(u64);
@@ -94,7 +110,7 @@ impl Duration {
         if s <= 0.0 || !s.is_finite() {
             return Duration::ZERO;
         }
-        Duration((s * 1e9).round() as u64)
+        Duration(round_u64(s * 1e9))
     }
 
     /// Raw nanoseconds.
@@ -123,7 +139,7 @@ impl Duration {
         if factor <= 0.0 || !factor.is_finite() {
             return Duration::ZERO;
         }
-        Duration((self.0 as f64 * factor).round() as u64)
+        Duration(round_u64(self.0 as f64 * factor))
     }
 
     /// Saturating subtraction.
@@ -242,6 +258,60 @@ impl fmt::Display for Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn assert_rounds_like_libm(x: f64) {
+        assert_eq!(
+            round_u64(x),
+            x.round() as u64,
+            "{x:e} ({:#018x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn integer_round_matches_libm_at_the_boundaries() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut xs = vec![
+            0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            two(63),
+            two(64),
+            two(65),
+            f64::MAX,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            1e9 * 0.123456789,
+        ];
+        for e in 51..=53 {
+            for k in [
+                two(e) - 2.0,
+                two(e) - 1.0,
+                two(e),
+                two(e) + 1.0,
+                two(e) + 2.0,
+            ] {
+                xs.push(k + 0.5);
+            }
+        }
+        for x in xs {
+            for y in [x, x.next_up(), x.next_down()] {
+                assert_rounds_like_libm(y);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn integer_round_matches_libm_on_non_negative_bit_patterns(bits in 0u64..=i64::MAX as u64) {
+            assert_rounds_like_libm(f64::from_bits(bits));
+        }
+    }
 
     #[test]
     fn constructors_agree() {

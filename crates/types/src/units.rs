@@ -65,9 +65,10 @@ impl Rate {
         Duration::from_secs_f64(bytes as f64 * 8.0 / self.0)
     }
 
-    /// Bytes deliverable in `dur` at this rate.
+    /// Bytes deliverable in `dur` at this rate, rounded down (the cast
+    /// truncates, which is `floor` for a non-negative product).
     pub fn bytes_in(self, dur: Duration) -> u64 {
-        (self.bytes_per_sec() * dur.as_secs_f64()).floor() as u64
+        (self.bytes_per_sec() * dur.as_secs_f64()) as u64
     }
 
     /// Average rate given a byte count over a span. Zero span gives zero.
@@ -197,7 +198,7 @@ impl Bytes {
     /// The bandwidth-delay product for `rate` × `rtt`, rounded down to whole
     /// bytes (used to size "1 BDP" buffers).
     pub fn bdp(rate: Rate, rtt: Duration) -> Bytes {
-        Bytes((rate.bytes_per_sec() * rtt.as_secs_f64()).floor() as u64)
+        Bytes((rate.bytes_per_sec() * rtt.as_secs_f64()) as u64)
     }
 
     /// Saturating subtraction.
