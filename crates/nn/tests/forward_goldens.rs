@@ -21,8 +21,10 @@ const AURORA: [usize; 4] = [24, 64, 64, 1];
 
 /// `(batch size, digest of forward_batch over that batch)` at `PAPER`.
 /// The sizes straddle every tile edge: below, at and above multiples of
-/// 4, 8 and 16 lanes, plus `rl_fleet`'s mean batch (41).
-const BATCH_GOLDENS: [(usize, u64); 15] = [
+/// 4, 8 and 16 lanes, plus `rl_fleet`'s mean batch (41) and two batches
+/// (128, 256) beyond its largest (78), where a hidden product split into
+/// row chunks has work for every thread.
+const BATCH_GOLDENS: [(usize, u64); 17] = [
     (1, 0xc06e_f13b_3162_86de),
     (2, 0xbcc6_c002_336c_9cc1),
     (3, 0x622c_9aac_548c_4f13),
@@ -38,6 +40,8 @@ const BATCH_GOLDENS: [(usize, u64); 15] = [
     (41, 0xbaac_6c92_bcf6_5f8c),
     (64, 0x2a5e_37b6_48bf_8999),
     (71, 0xfc82_2d7b_a31a_b92a),
+    (128, 0xb668_9931_f22a_46ea),
+    (256, 0x25d8_e23e_6af3_a31c),
 ];
 
 /// Digest of `forward_into` over `INPUTS` inputs, per geometry.
