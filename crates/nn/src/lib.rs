@@ -17,6 +17,7 @@
 pub mod adam;
 pub mod matrix;
 pub mod mlp;
+mod par;
 
 pub use adam::Adam;
 pub use matrix::Matrix;
