@@ -382,7 +382,10 @@ pub struct FlowReport {
     pub rtt_p95_ms: f64,
     /// ECN congestion echoes received.
     pub ecn_echoes: u64,
-    /// Wall-clock nanoseconds spent inside the controller.
+    /// Wall-clock nanoseconds spent inside the controller. A batched
+    /// policy forward's wall time, which may be spread over two cores,
+    /// is split evenly over the flows in the batch: this is elapsed
+    /// time, not CPU time.
     pub compute_ns: u64,
     /// Policy responses touched by an injected boundary fault (0 without
     /// a policy fault plan).
