@@ -4,7 +4,9 @@
 use crate::mlp::{Mlp, MlpGrad};
 use serde::{Deserialize, Serialize};
 
-/// Adam state: first/second-moment estimates per parameter.
+/// Adam state: first/second-moment estimates per parameter, allocated
+/// by the first [`step`](Adam::step) (a fresh optimiser's moments are all
+/// zero, so building them then changes no value).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
     lr: f64,
@@ -18,19 +20,15 @@ pub struct Adam {
 
 impl Adam {
     /// Standard coefficients (`β1 = 0.9, β2 = 0.999, ε = 1e-8`).
-    pub fn new(net: &Mlp, lr: f64) -> Self {
-        let shapes: Vec<usize> = {
-            let grad = net.zero_grad();
-            Mlp::grad_slices(&grad).iter().map(|s| s.len()).collect()
-        };
+    pub fn new(lr: f64) -> Self {
         Adam {
             lr,
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
             t: 0,
-            m: shapes.iter().map(|&n| vec![0.0; n]).collect(),
-            v: shapes.iter().map(|&n| vec![0.0; n]).collect(),
+            m: Vec::new(),
+            v: Vec::new(),
         }
     }
 
@@ -54,12 +52,17 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let grads: Vec<Vec<f64>> = Mlp::grad_slices(grad).iter().map(|s| s.to_vec()).collect();
+        let grads = Mlp::grad_slices(grad);
+        if self.m.is_empty() {
+            self.m = grads.iter().map(|g| vec![0.0; g.len()]).collect();
+            self.v = grads.iter().map(|g| vec![0.0; g.len()]).collect();
+        }
         let params = net.params_mut();
         assert_eq!(params.len(), grads.len(), "optimizer/net shape mismatch");
+        assert_eq!(self.m.len(), grads.len(), "optimizer/net shape mismatch");
         for ((slice, g), (m, v)) in params
             .into_iter()
-            .zip(&grads)
+            .zip(grads)
             .zip(self.m.iter_mut().zip(self.v.iter_mut()))
         {
             assert_eq!(slice.len(), g.len());
@@ -113,7 +116,7 @@ mod tests {
         };
         let mut net_sgd = make(&mut r);
         let mut net_adam = net_sgd.clone();
-        let mut adam = Adam::new(&net_adam, 3e-3);
+        let mut adam = Adam::new(3e-3);
         train(&mut net_sgd, None, 1500);
         train(&mut net_adam, Some(&mut adam), 1500);
         let (ls, la) = (loss(&net_sgd), loss(&net_adam));
@@ -124,9 +127,7 @@ mod tests {
 
     #[test]
     fn lr_setter() {
-        let mut r = DetRng::new(2);
-        let net = Mlp::new(&[1, 2, 1], Activation::Tanh, &mut r);
-        let mut a = Adam::new(&net, 1e-3);
+        let mut a = Adam::new(1e-3);
         assert_eq!(a.lr(), 1e-3);
         a.set_lr(5e-4);
         assert_eq!(a.lr(), 5e-4);

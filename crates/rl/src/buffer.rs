@@ -40,8 +40,10 @@ pub struct RolloutBuffer {
 
 impl RolloutBuffer {
     /// Empty buffer.
-    pub fn new() -> Self {
-        RolloutBuffer::default()
+    pub const fn new() -> Self {
+        RolloutBuffer {
+            transitions: Vec::new(),
+        }
     }
 
     /// Append one transition.

@@ -1,0 +1,97 @@
+//! An eval agent's footprint, measured rather than read off the type:
+//! building a 2×512 `PpoAgent`, switching it to eval and serving one
+//! 64-row batch may allocate the actor and the batch's activation
+//! buffers, and nothing of the learner — no critic, no optimiser moments,
+//! no gradient buffers, not even as temporaries.
+//!
+//! One test only: the counter is process-global.
+
+use libra_nn::{BatchScratch, Matrix};
+use libra_rl::{PpoAgent, PpoConfig};
+use libra_types::DetRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+// Statistics only: neither publishes other data, so `Relaxed`.
+static ARMED: AtomicBool = AtomicBool::new(false);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator plus a counter of bytes requested.
+struct CountingAlloc;
+
+fn note(bytes: usize) {
+    if ARMED.load(Ordering::Relaxed) {
+        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter never touches
+// the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: the caller's `layout` obligations pass straight through.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as the signature's — `layout` is forwarded unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: the caller's `layout` obligations pass straight through.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as the signature's — `layout` is forwarded unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+    // `layout`; the caller guarantees `new_size` is valid.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as the signature's — all three are forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+    // `layout`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as the signature's — both are forwarded unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const OBS: usize = 24;
+const ROWS: usize = 64;
+
+#[test]
+fn eval_agent_allocates_only_its_actor_and_batch_buffers() {
+    let config = PpoConfig::paper_sized(OBS, 1);
+    let sizes = config.actor_sizes();
+    let obs = Matrix::from_fn(ROWS, OBS, |r, c| ((r * OBS + c) % 17) as f64 / 17.0 - 0.5);
+    let mut out = Matrix::zeros(0, 0);
+    let mut scratch = BatchScratch::new();
+
+    ARMED.store(true, Ordering::Relaxed);
+    let mut agent = PpoAgent::new(config, &mut DetRng::new(5));
+    agent.set_eval(true);
+    agent.act_eval_batch(&obs, &mut out, &mut scratch);
+    ARMED.store(false, Ordering::Relaxed);
+    let bytes = BYTES.load(Ordering::Relaxed);
+
+    let f64s = std::mem::size_of::<f64>();
+    let actor: usize = sizes.windows(2).map(|io| io[0] * io[1] + io[1]).sum();
+    // Feature-major input, the two widest activations ping-ponging, and
+    // the row-major output: `ROWS` lanes each.
+    let widest = sizes[1..sizes.len() - 1].iter().max().copied().unwrap_or(0);
+    let batch = ROWS * (OBS + 2 * widest + sizes[sizes.len() - 1]);
+    let budget = (actor + batch) * f64s * 105 / 100;
+    assert!(
+        bytes as usize <= budget,
+        "{bytes} bytes allocated, budget {budget} (actor {} + batch {} bytes, 5 % slack)",
+        actor * f64s,
+        batch * f64s
+    );
+    assert_eq!((out.rows(), out.cols()), (ROWS, 1));
+}
