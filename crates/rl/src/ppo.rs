@@ -871,6 +871,107 @@ mod tests {
         }
     }
 
+    /// Collect `steps` transitions from a fixed synthetic environment:
+    /// observations and rewards drawn from `env`, an episode ending
+    /// every 10 steps.
+    fn synthetic_rollout(agent: &mut PpoAgent, env: &mut DetRng, steps: usize) {
+        for t in 0..steps {
+            let obs: Vec<f64> = (0..agent.config().obs_dim)
+                .map(|_| env.uniform_range(-1.0, 1.0))
+                .collect();
+            agent.act(&obs);
+            agent.give_reward(env.uniform_range(-1.0, 1.0), t % 10 == 9);
+        }
+    }
+
+    /// `(FNV-1a of the weights' Debug form, clip fractions)` after two
+    /// updates on [`synthetic_rollout`]s: 70 transitions (minibatches of
+    /// 64 and 6), then 65 (64 and a one-sample minibatch). Before the
+    /// first update the actor is scaled by 1.25, so its ratios leave the
+    /// clip range and some samples pass no policy gradient.
+    fn updated_agent_digest(config: PpoConfig) -> (u64, [f64; 2]) {
+        use std::fmt::Write;
+        let mut agent = PpoAgent::new(config, &mut DetRng::new(23));
+        let mut env = DetRng::new(29);
+        synthetic_rollout(&mut agent, &mut env, 70);
+        agent.map_actor_params(|x| x * 1.25);
+        let first = agent.update(None);
+        synthetic_rollout(&mut agent, &mut env, 65);
+        let last_obs = vec![0.25; agent.config().obs_dim];
+        let second = agent.update(Some(&last_obs));
+        assert_eq!((first.samples, second.samples), (70, 65));
+        assert_eq!(agent.weight_restores(), 0);
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        write!(h, "{:?}", agent.weights()).unwrap();
+        (h.0, [first.clip_fraction, second.clip_fraction])
+    }
+
+    /// The weights after two PPO updates — partial last minibatches, a
+    /// one-sample minibatch and clipped samples, at 2×64 and at 2×512
+    /// (whose hidden-layer products cross the split threshold) —
+    /// against digests recorded with the per-sample backward.
+    #[test]
+    fn update_is_pinned() {
+        let cases = [
+            (PpoConfig::new(24, 1), 0xa74a_5e6c_0522_9c0fu64),
+            (PpoConfig::paper_sized(24, 1), 0x05cd_3308_d9b6_4787),
+        ];
+        for (config, want) in cases {
+            let (got, clip) = updated_agent_digest(config.clone());
+            assert!(
+                clip.iter().all(|&c| c > 0.0 && c < 1.0),
+                "{:?}: clip fractions {clip:?} should be strictly inside (0, 1)",
+                config.hidden
+            );
+            assert_eq!(
+                got, want,
+                "update digest drifted for {:?} (got {got:#018x})",
+                config.hidden
+            );
+        }
+    }
+
+    /// A sample whose observation is NaN has a NaN ratio, so it passes
+    /// no policy gradient: a minibatch step moves the actor on the other
+    /// samples and leaves it finite, and only the critic, which every
+    /// sample trains, turns non-finite.
+    #[test]
+    fn nan_observation_passes_no_policy_gradient() {
+        let config = PpoConfig::new(3, 1);
+        let mut agent = PpoAgent::new(config.clone(), &mut DetRng::new(17));
+        agent.act(&[0.0; 3]);
+        let batch: Vec<Sample> = (0..6)
+            .map(|i| Sample {
+                obs: if i == 2 {
+                    vec![f64::NAN; 3]
+                } else {
+                    vec![0.1 * i as f64 - 0.2; 3]
+                },
+                action: vec![0.1 * i as f64],
+                logp_old: -0.5,
+                advantage: if i % 2 == 0 { 0.8 } else { -0.6 },
+                ret: 0.5,
+            })
+            .collect();
+        let before = agent.actor.param_l2_norm();
+        let (critic, learner) = Learner::built(
+            &mut agent.learner,
+            &mut agent.critic,
+            &agent.config,
+            &agent.actor,
+        );
+        learner.minibatch_step(
+            &config,
+            &mut agent.actor,
+            critic,
+            &mut agent.log_std,
+            &batch,
+        );
+        assert!(!critic.params_finite(), "the NaN sample trains the critic");
+        assert!(agent.actor.params_finite(), "and passes the actor nothing");
+        assert_ne!(agent.actor.param_l2_norm(), before, "the others do");
+    }
+
     #[test]
     fn param_count_includes_everything() {
         let mut rng = DetRng::new(10);
