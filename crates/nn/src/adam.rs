@@ -60,18 +60,24 @@ impl Adam {
         let params = net.params_mut();
         assert_eq!(params.len(), grads.len(), "optimizer/net shape mismatch");
         assert_eq!(self.m.len(), grads.len(), "optimizer/net shape mismatch");
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         for ((slice, g), (m, v)) in params
             .into_iter()
             .zip(grads)
             .zip(self.m.iter_mut().zip(self.v.iter_mut()))
         {
-            assert_eq!(slice.len(), g.len());
-            for i in 0..slice.len() {
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g[i];
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g[i] * g[i];
-                let mhat = m[i] / bc1;
-                let vhat = v[i] / bc2;
-                slice[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            // Equal lengths once per slice, then one zipped loop with no
+            // bounds check per element, so it vectorises.
+            assert!(
+                slice.len() == g.len() && m.len() == g.len() && v.len() == g.len(),
+                "optimizer/net shape mismatch"
+            );
+            for (((p, &g), m), v) in slice.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *p -= lr * mhat / (vhat.sqrt() + eps);
             }
         }
     }

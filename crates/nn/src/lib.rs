@@ -21,4 +21,4 @@ mod par;
 
 pub use adam::Adam;
 pub use matrix::Matrix;
-pub use mlp::{Activation, BatchScratch, ForwardCache, Mlp, MlpGrad};
+pub use mlp::{Activation, BatchCache, BatchScratch, ForwardCache, Mlp, MlpGrad};

@@ -1,10 +1,14 @@
 //! A minimal dense-matrix type — just enough linear algebra for small
 //! fully-connected networks. Row-major `f64` storage, no BLAS.
 //!
-//! Every dense forward product runs one register-tiled kernel:
-//! [`Matrix::matmat_t`] over `lanes` = batch size (the policy server's
-//! batched forward), [`Matrix::matvec`] / [`Matrix::matvec_into`] over
-//! one lane (per-flow eval and the training forward). A tile holds its
+//! Every dense product runs one register-tiled kernel:
+//! [`Matrix::matmat_t`] over `lanes` = batch size, [`Matrix::matvec`] /
+//! [`Matrix::matvec_into`] over one lane (per-flow eval and the
+//! per-sample training forward). It serves training as well as eval: a
+//! minibatch's forward is one `matmat_t` per layer over one lane per
+//! sample, and its backward two per layer, the weight gradient `Δ · Xᵀ`
+//! (the shared index running over the samples) and the next delta
+//! `Wᵀ · Δ` (see [`crate::Mlp::backward_batch`]). A tile holds its
 //! accumulators in registers across the whole shared dimension; each
 //! output element starts at `0.0` and adds `w[r][c] * x[c][s]` in
 //! ascending `c` with a separate multiply and add, never FMA. That one
@@ -14,7 +18,8 @@
 //! and with no target feature (4 × 4) — and each call runs the widest one
 //! the host supports. The eval forward's bias and activation run as the
 //! kernel's epilogue, a pass over each finished row block inside the same
-//! instantiation, so the activation vectorises across lanes.
+//! instantiation, so the activation vectorises across lanes; training
+//! takes the bare product and applies libm's activation after it.
 //!
 //! A batched product of at least 2²¹ multiply-adds (the 2×512 hidden
 //! layer from 8 lanes; the input layer only from 171) runs the same
@@ -24,8 +29,9 @@
 //! chunk's rows see exactly the addends and epilogue they would in one
 //! call, so the result is bit-identical at any thread count and claim
 //! order; a one-core host has no helpers and runs every chunk on the
-//! caller. Everything else (the training backward included) stays
-//! naive: clarity wins.
+//! caller. No 2×64 product, training's included, reaches the threshold.
+//! The per-sample reference backward ([`Matrix::add_outer`],
+//! [`Matrix::t_matvec`]) stays naive: clarity wins.
 
 use crate::mlp::Activation;
 use crate::par;
@@ -211,6 +217,24 @@ impl Matrix {
                 };
             }
         }
+    }
+
+    /// Keep only the columns `keep` (strictly ascending), in place: column
+    /// `j` afterwards is column `keep[j]` before. Each element moves to an
+    /// index no later than its own, in ascending order, so no element is
+    /// overwritten before it is read.
+    pub fn keep_cols(&mut self, keep: &[usize]) {
+        assert!(
+            keep.windows(2).all(|w| w[0] < w[1]) && keep.last().is_none_or(|&c| c < self.cols),
+            "keep_cols needs ascending columns in range"
+        );
+        let (cols, k) = (self.cols, keep.len());
+        for r in 0..self.rows {
+            for (j, &c) in keep.iter().enumerate() {
+                self.data[r * k + j] = self.data[r * cols + c];
+            }
+        }
+        self.reshape(self.rows, k);
     }
 
     /// `selfᵀ · y` for a column vector `y` (len == rows). Output len == cols.
@@ -533,6 +557,25 @@ mod tests {
         m.add_outer(&[1.0, 0.0], &[1.0, 1.0, 1.0], -3.0);
         assert_eq!(m.get(0, 0), 0.0);
         assert_eq!(m.get(1, 2), 10.0);
+    }
+
+    #[test]
+    fn keep_cols_compacts_in_place() {
+        let mut m = Matrix::from_fn(3, 5, |r, c| (r * 10 + c) as f64);
+        m.keep_cols(&[0, 2, 3]);
+        assert_eq!((m.rows(), m.cols()), (3, 3));
+        assert_eq!(
+            m.as_slice(),
+            &[0.0, 2.0, 3.0, 10.0, 12.0, 13.0, 20.0, 22.0, 23.0]
+        );
+        m.keep_cols(&[]);
+        assert_eq!((m.rows(), m.cols(), m.len()), (3, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "keep_cols needs ascending columns in range")]
+    fn keep_cols_rejects_unsorted_columns() {
+        Matrix::zeros(2, 4).keep_cols(&[2, 1]);
     }
 
     #[test]

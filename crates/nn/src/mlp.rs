@@ -227,6 +227,44 @@ impl ForwardCache {
     }
 }
 
+/// A minibatch's training forward, kept for [`Mlp::backward_batch`]:
+/// every layer's activations feature-major (`dim × lanes`, one lane per
+/// sample), plus the backward's reused working matrices. Buffers grow on
+/// first use and are reused across minibatches.
+#[derive(Debug, Clone, Default)]
+pub struct BatchCache {
+    /// `acts[0]` is the input; `acts[i]` the output of layer `i-1`.
+    acts: Vec<Matrix>,
+    /// The delta being propagated, and the next one.
+    delta: Matrix,
+    spare: Matrix,
+    /// A layer's input sample-major (`lanes × dim`), and a transposed
+    /// weight matrix.
+    x: Matrix,
+    w_t: Matrix,
+}
+
+impl BatchCache {
+    /// Empty cache; buffers grow on first use.
+    pub fn new() -> Self {
+        BatchCache::default()
+    }
+
+    /// The network output, `out_dim × lanes`.
+    pub fn output(&self) -> &Matrix {
+        self.acts.last().expect("forward_cached_batch ran")
+    }
+
+    /// Keep only the lanes `keep` (strictly ascending) of every layer, in
+    /// place, so a backward over a subset of the forward's samples needs
+    /// no second forward.
+    pub fn keep_lanes(&mut self, keep: &[usize]) {
+        for a in &mut self.acts {
+            a.keep_cols(keep);
+        }
+    }
+}
+
 /// Reused ping-pong matrices for [`Mlp::forward_batch_into`]. One pair
 /// serves any batch size and network shape — the matrices reshape in
 /// place, so a long-lived policy server allocates only while batches are
@@ -409,6 +447,42 @@ impl Mlp {
         ForwardCache { activations }
     }
 
+    /// [`Mlp::forward_cached`] over a minibatch: `input` holds one sample
+    /// per column (`sizes[0] × lanes`), and `cache` receives every
+    /// layer's activations in that layout.
+    ///
+    /// Each layer is the bare [`Matrix::matmat_t`], then `+ b[r]`, then
+    /// the libm [`Activation::apply`] on hidden layers, element by
+    /// element — `forward_cached`'s operations in its order, so every
+    /// lane is that sample's `forward_cached` bit for bit. (The eval
+    /// epilogue's polynomial tanh would not be: training stays on libm.)
+    pub fn forward_cached_batch(&self, input: &Matrix, cache: &mut BatchCache) {
+        assert_eq!(input.rows(), self.sizes[0], "input size mismatch");
+        let (n, lanes) = (self.layers.len(), input.cols());
+        cache.acts.resize_with(n + 1, Matrix::default);
+        let first = &mut cache.acts[0];
+        first.reshape(input.rows(), lanes);
+        first.as_mut_slice().copy_from_slice(input.as_slice());
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (done, next) = cache.acts.split_at_mut(i + 1);
+            let z = &mut next[0];
+            layer.w.matmat_t(&done[i], z);
+            let act = (i + 1 < n).then_some(self.activation);
+            for (row, &b) in z
+                .as_mut_slice()
+                .chunks_exact_mut(lanes.max(1))
+                .zip(&layer.b)
+            {
+                for v in row {
+                    *v += b;
+                    if let Some(act) = act {
+                        *v = act.apply(*v);
+                    }
+                }
+            }
+        }
+    }
+
     /// A zero gradient with this network's shapes.
     pub fn zero_grad(&self) -> MlpGrad {
         MlpGrad {
@@ -423,7 +497,9 @@ impl Mlp {
 
     /// Backpropagate `d(loss)/d(output)` through the cached forward pass,
     /// accumulating parameter gradients into `grad` and returning
-    /// `d(loss)/d(input)`.
+    /// `d(loss)/d(input)`. One sample at a time: the naive reference that
+    /// [`Mlp::backward_batch`], which training runs, is pinned against
+    /// (`tests/backward_equivalence.rs`).
     pub fn backward(
         &self,
         cache: &ForwardCache,
@@ -448,6 +524,64 @@ impl Mlp {
             delta = self.layers[i].w.t_matvec(&delta);
         }
         delta
+    }
+
+    /// A minibatch's gradient, *written* into `grad`: the sum over the
+    /// lanes of `cache` (the last [`Mlp::forward_cached_batch`], maybe
+    /// narrowed by [`BatchCache::keep_lanes`]) of what [`Mlp::backward`]
+    /// accumulates for one sample. `output_grad` holds each lane's
+    /// `d(loss)/d(output)` as a column (`out_dim × lanes`). The input
+    /// gradient, which no training step reads, is not computed.
+    ///
+    /// Per layer, two products on the forward's tile kernel: the weight
+    /// gradient `Δ · Xᵀ`, whose shared index runs over the lanes in
+    /// order, and the next delta `Wᵀ · Δ`; the bias gradient is each
+    /// row's lane sum from `0.0`. So every element takes the products of
+    /// `grad.clear()` + `backward` lane by lane, from the same `0.0`, in
+    /// the same order — except that `backward` skips a zero delta where
+    /// the kernel adds its `±0` product. That changes nothing while every
+    /// operand is finite: a sum started at `+0.0` is never `−0.0`, and
+    /// `x + ±0 = x` for any other `x`. The result is then per-lane
+    /// `backward`'s bit for bit.
+    pub fn backward_batch(&self, cache: &mut BatchCache, output_grad: &Matrix, grad: &mut MlpGrad) {
+        let (n, lanes) = (self.layers.len(), output_grad.cols());
+        assert_eq!(
+            output_grad.rows(),
+            *self.sizes.last().expect("sizes"),
+            "output grad size mismatch"
+        );
+        let BatchCache {
+            acts,
+            delta,
+            spare,
+            x,
+            w_t,
+        } = cache;
+        assert!(
+            acts.len() == n + 1 && acts[0].cols() == lanes,
+            "cache and output grad lanes mismatch"
+        );
+        delta.reshape(output_grad.rows(), lanes);
+        delta.as_mut_slice().copy_from_slice(output_grad.as_slice());
+        for i in (0..n).rev() {
+            // Hidden layers: fold the activation derivative into delta.
+            if i + 1 < n {
+                for (d, &y) in delta.as_mut_slice().iter_mut().zip(acts[i + 1].as_slice()) {
+                    *d *= self.activation.derivative_from_output(y);
+                }
+            }
+            acts[i].transpose_into(x);
+            delta.matmat_t(x, &mut grad.w[i]);
+            for (r, g) in grad.b[i].iter_mut().enumerate() {
+                let row = &delta.as_slice()[r * lanes..(r + 1) * lanes];
+                *g = row.iter().fold(0.0, |acc, d| acc + d);
+            }
+            if i > 0 {
+                self.layers[i].w.transpose_into(w_t);
+                w_t.matmat_t(delta, spare);
+                std::mem::swap(delta, spare);
+            }
+        }
     }
 
     /// Apply `params += -lr · grad` (plain SGD step; Adam lives in

@@ -10,7 +10,7 @@
 
 use crate::buffer::{RolloutBuffer, Sample, Transition};
 use crate::config::PpoConfig;
-use libra_nn::{Activation, Adam, BatchScratch, Matrix, Mlp, MlpGrad};
+use libra_nn::{Activation, Adam, BatchCache, BatchScratch, Matrix, Mlp, MlpGrad};
 use libra_types::DetRng;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -124,12 +124,30 @@ struct Learner {
     log_std_m: Vec<f64>,
     log_std_v: Vec<f64>,
     log_std_t: u64,
-    // Re-zeroed per minibatch.
+    // Rewritten per minibatch.
     actor_grad: MlpGrad,
     critic_grad: MlpGrad,
+    minibatch: MinibatchScratch,
     buffer: RolloutBuffer,
     // Pending transition: filled by `act`, completed by the next reward.
     pending: Option<(Vec<f64>, Vec<f64>, f64, f64)>, // (obs, action, logp, value)
+}
+
+/// A minibatch in the feature-major layout of the batched training
+/// pass (one lane per sample), reused across minibatches.
+#[derive(Default)]
+struct MinibatchScratch {
+    /// Observations, `obs_dim × lanes`.
+    obs: Matrix,
+    actor: BatchCache,
+    critic: BatchCache,
+    /// `d(loss)/d(mean)` of the lanes in `kept`, and `d(loss)/d(value)`.
+    dmean: Matrix,
+    dvalue: Matrix,
+    /// Lanes that pass the actor a gradient, ascending.
+    kept: Vec<usize>,
+    /// One lane's action mean.
+    mean: Vec<f64>,
 }
 
 impl Learner {
@@ -155,6 +173,7 @@ impl Learner {
             log_std_t: 0,
             actor_grad: actor.zero_grad(),
             critic_grad: critic.zero_grad(),
+            minibatch: MinibatchScratch::default(),
             buffer: RolloutBuffer::new(),
             pending: None,
         }
@@ -170,8 +189,12 @@ impl Learner {
         self.log_std_t = 0;
     }
 
-    /// One clipped-surrogate step over `batch`, through the reused
-    /// gradient buffers.
+    /// One clipped-surrogate step over `batch`: a batched forward of the
+    /// actor and the critic over the whole minibatch, the per-sample
+    /// ratio, clipping and `log_std` terms in sample order, then one
+    /// batched backward per network. The actor's backward runs only the
+    /// samples that pass it a gradient (`dlogp != 0`), gathered in sample
+    /// order, exactly the samples the per-sample `Mlp::backward` ran.
     fn minibatch_step(
         &mut self,
         config: &PpoConfig,
@@ -181,18 +204,30 @@ impl Learner {
         batch: &[Sample],
     ) -> UpdateStats {
         let m = batch.len() as f64;
-        self.actor_grad.clear();
-        self.critic_grad.clear();
+        let t = &mut self.minibatch;
+        t.obs.reshape(config.obs_dim, batch.len());
+        for (s, sample) in batch.iter().enumerate() {
+            for (c, &x) in sample.obs.iter().enumerate() {
+                t.obs.set(c, s, x);
+            }
+        }
+        actor.forward_cached_batch(&t.obs, &mut t.actor);
+        critic.forward_cached_batch(&t.obs, &mut t.critic);
+        t.dmean.reshape(config.act_dim, batch.len());
+        t.dvalue.reshape(1, batch.len());
+        t.kept.clear();
         let mut log_std_grad = vec![0.0; config.act_dim];
         let mut stats = UpdateStats {
             samples: batch.len(),
             ..Default::default()
         };
-        for s in batch {
+        for (lane, s) in batch.iter().enumerate() {
             // ---- policy ----
-            let cache = actor.forward_cached(&s.obs);
-            let mean = cache.output().to_vec();
-            let (logp, entropy) = logp_and_entropy(log_std, &mean, &s.action);
+            let out = t.actor.output();
+            t.mean.clear();
+            t.mean.extend((0..config.act_dim).map(|i| out.get(i, lane)));
+            let mean = &t.mean;
+            let (logp, entropy) = logp_and_entropy(log_std, mean, &s.action);
             let ratio = (logp - s.logp_old).exp();
             let clipped = ratio.clamp(1.0 - config.clip, 1.0 + config.clip);
             let surr1 = ratio * s.advantage;
@@ -211,32 +246,29 @@ impl Learner {
                 0.0
             };
             if dlogp != 0.0 {
-                // d logp / d mean_i = (a_i − μ_i)/σ_i².
-                let mut dmean = Vec::with_capacity(mean.len());
                 for i in 0..mean.len() {
+                    // d logp / d mean_i = (a_i − μ_i)/σ_i².
                     let var = (2.0 * log_std[i]).exp();
-                    dmean.push(dlogp * (s.action[i] - mean[i]) / var);
+                    t.dmean.set(i, lane, dlogp * (s.action[i] - mean[i]) / var);
                     // d logp / d logσ_i = z² − 1.
                     let z2 = (s.action[i] - mean[i]).powi(2) / var;
                     log_std_grad[i] += dlogp * (z2 - 1.0);
                 }
-                actor.backward(&cache, &dmean, &mut self.actor_grad);
+                t.kept.push(lane);
             }
             // Entropy bonus: d(−c·H)/d logσ = −c (mean-field, per sample).
             for g in log_std_grad.iter_mut() {
                 *g += -config.ent_coef / m;
             }
             // ---- value ----
-            let vcache = critic.forward_cached(&s.obs);
-            let v = vcache.output()[0];
-            let err = v - s.ret;
+            let err = t.critic.output().get(0, lane) - s.ret;
             stats.value_loss += err * err / m;
-            critic.backward(
-                &vcache,
-                &[2.0 * config.vf_coef * err / m],
-                &mut self.critic_grad,
-            );
+            t.dvalue.set(0, lane, 2.0 * config.vf_coef * err / m);
         }
+        t.actor.keep_lanes(&t.kept);
+        t.dmean.keep_cols(&t.kept);
+        actor.backward_batch(&mut t.actor, &t.dmean, &mut self.actor_grad);
+        critic.backward_batch(&mut t.critic, &t.dvalue, &mut self.critic_grad);
         // Gradient clipping (actor and critic separately).
         for (net_grad, limit) in [
             (&mut self.actor_grad, config.max_grad_norm),
