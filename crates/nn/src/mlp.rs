@@ -231,7 +231,7 @@ impl ForwardCache {
 /// every layer's activations feature-major (`dim × lanes`, one lane per
 /// sample), plus the backward's reused working matrices. Buffers grow on
 /// first use and are reused across minibatches.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct BatchCache {
     /// `acts[0]` is the input; `acts[i]` the output of layer `i-1`.
     acts: Vec<Matrix>,

@@ -127,7 +127,9 @@ struct Learner {
     // Rewritten per minibatch.
     actor_grad: MlpGrad,
     critic_grad: MlpGrad,
-    minibatch: MinibatchScratch,
+    // Boxed: every agent, eval agents included, holds its `Option<Learner>`
+    // inline, and the scratch would add 536 bytes to each.
+    minibatch: Box<MinibatchScratch>,
     buffer: RolloutBuffer,
     // Pending transition: filled by `act`, completed by the next reward.
     pending: Option<(Vec<f64>, Vec<f64>, f64, f64)>, // (obs, action, logp, value)
@@ -173,7 +175,7 @@ impl Learner {
             log_std_t: 0,
             actor_grad: actor.zero_grad(),
             critic_grad: critic.zero_grad(),
-            minibatch: MinibatchScratch::default(),
+            minibatch: Box::default(),
             buffer: RolloutBuffer::new(),
             pending: None,
         }
@@ -207,6 +209,7 @@ impl Learner {
         let t = &mut self.minibatch;
         t.obs.reshape(config.obs_dim, batch.len());
         for (s, sample) in batch.iter().enumerate() {
+            assert_eq!(sample.obs.len(), config.obs_dim, "obs dim mismatch");
             for (c, &x) in sample.obs.iter().enumerate() {
                 t.obs.set(c, s, x);
             }
