@@ -574,6 +574,8 @@ impl Mlp {
             delta.matmat_t(x, &mut grad.w[i]);
             for (r, g) in grad.b[i].iter_mut().enumerate() {
                 let row = &delta.as_slice()[r * lanes..(r + 1) * lanes];
+                // From `+0.0`, as `clear()` starts it: `sum()` starts at
+                // `−0.0`, so an all-`−0` row would come out `−0.0`.
                 *g = row.iter().fold(0.0, |acc, d| acc + d);
             }
             if i > 0 {
