@@ -12,12 +12,7 @@ fn main() {
     let args = BenchArgs::parse();
     let episodes = args.scaled(240, 20) as usize;
     // The paper's Sec. 4.2 default environment.
-    let env = EnvRanges {
-        capacity_mbps: (100.0, 100.0),
-        rtt_ms: (100.0, 100.0),
-        buffer_kb: (1250, 1250), // 1 BDP = 100 Mbps × 100 ms = 1.25 MB
-        loss: (0.0, 0.0),
-    };
+    let env = EnvRanges::fixed(100.0, 100.0, 1250);
     let designs: Vec<(&'static str, StateSpace)> = vec![
         ("Aurora", StateSpace::aurora()),
         ("RL-TCP", StateSpace::rl_tcp()),
@@ -36,14 +31,7 @@ fn main() {
     for (name, state) in designs {
         let labels: Vec<&str> = state.features.iter().map(|f| f.label()).collect();
         let cfg = config_for_state_space(name, state.clone());
-        let tc = TrainConfig {
-            episodes,
-            episode_secs: 8,
-            env: env.clone(),
-            seed: args.seed,
-            update_every: 2,
-        };
-        let r = train_rl_cca(&cfg, &tc);
+        let r = train_rl_cca(&cfg, &TrainConfig::new(episodes, env.clone(), args.seed));
         let tail = tail_reward(&r.curve);
         table.row(vec![
             name.to_string(),

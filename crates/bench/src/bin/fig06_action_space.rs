@@ -8,12 +8,7 @@ use libra_learned::{tail_reward, train_rl_cca, ActionSpace, EnvRanges, RlCcaConf
 fn main() {
     let args = BenchArgs::parse();
     let episodes = args.scaled(240, 20) as usize;
-    let env = EnvRanges {
-        capacity_mbps: (100.0, 100.0),
-        rtt_ms: (100.0, 100.0),
-        buffer_kb: (1250, 1250),
-        loss: (0.0, 0.0),
-    };
+    let env = EnvRanges::fixed(100.0, 100.0, 1250);
     let designs: Vec<(&'static str, ActionSpace)> = vec![
         ("AIAD scale=1", ActionSpace::Aiad { scale: 1.0 }),
         ("AIAD scale=5", ActionSpace::Aiad { scale: 5.0 }),
@@ -33,14 +28,7 @@ fn main() {
             action,
             ..RlCcaConfig::libra_rl()
         };
-        let tc = TrainConfig {
-            episodes,
-            episode_secs: 8,
-            env: env.clone(),
-            seed: args.seed,
-            update_every: 2,
-        };
-        let r = train_rl_cca(&cfg, &tc);
+        let r = train_rl_cca(&cfg, &TrainConfig::new(episodes, env.clone(), args.seed));
         // Early-learning indicator: mean reward of the first half.
         let half = &r.curve[..r.curve.len() / 2];
         let half_mean = if half.is_empty() {

@@ -4,38 +4,13 @@
 
 use libra_bench::{BenchArgs, Table};
 use libra_learned::{
-    config_for_state_space, train_rl_cca, EnvRanges, Feature, StateSpace, TrainConfig,
+    config_for_state_space, tail_means, train_rl_cca, EnvRanges, Feature, StateSpace, TrainConfig,
 };
-
-/// Summary of one trained configuration over the tail of training.
-struct Summary {
-    reward: f64,
-    tput: f64,
-    latency: f64,
-    loss: f64,
-}
-
-fn summarize(curve: &[libra_learned::EpisodeLog]) -> Summary {
-    let n = (curve.len() / 4).max(1);
-    let tail = &curve[curve.len() - n..];
-    let m = tail.len() as f64;
-    Summary {
-        reward: tail.iter().map(|e| e.reward).sum::<f64>() / m,
-        tput: tail.iter().map(|e| e.utilization).sum::<f64>() / m,
-        latency: tail.iter().map(|e| e.rtt_ms).sum::<f64>() / m,
-        loss: tail.iter().map(|e| e.loss).sum::<f64>() / m,
-    }
-}
 
 fn main() {
     let args = BenchArgs::parse();
     let episodes = args.scaled(200, 16) as usize;
-    let env = EnvRanges {
-        capacity_mbps: (100.0, 100.0),
-        rtt_ms: (100.0, 100.0),
-        buffer_kb: (1250, 1250),
-        loss: (0.0, 0.0),
-    };
+    let env = EnvRanges::fixed(100.0, 100.0, 1250);
     use Feature::*;
     // The paper's Tab. 2 rows: baseline ± feature groups.
     let variants: Vec<(&'static str, Vec<Feature>)> = vec![
@@ -131,18 +106,11 @@ fn main() {
     let mut results = Vec::new();
     for (name, feats) in &variants {
         let cfg = config_for_state_space("tab2", StateSpace::new(feats.clone(), 8));
-        let tc = TrainConfig {
-            episodes,
-            episode_secs: 8,
-            env: env.clone(),
-            seed: args.seed,
-            update_every: 2,
-        };
-        let r = train_rl_cca(&cfg, &tc);
-        results.push((*name, summarize(&r.curve)));
+        let r = train_rl_cca(&cfg, &TrainConfig::new(episodes, env.clone(), args.seed));
+        results.push((*name, tail_means(&r.curve)));
     }
     let base = &results[0].1;
-    let (b_r, b_t, b_l, b_x) = (base.reward, base.tput, base.latency, base.loss);
+    let (b_r, b_t, b_l, b_x) = (base.reward, base.utilization, base.rtt_ms, base.loss);
     let mut table = Table::new(
         "Tab. 2: deltas vs baseline {(iv),(vi),(vii),(viii),(ix)}",
         &["state", "Δreward", "Δthroughput", "Δlatency", "Δloss"],
@@ -158,8 +126,8 @@ fn main() {
         table.row(vec![
             name.to_string(),
             pct(s.reward, b_r),
-            pct(s.tput, b_t),
-            pct(s.latency, b_l),
+            pct(s.utilization, b_t),
+            pct(s.rtt_ms, b_l),
             pct(s.loss, b_x.max(1e-4)),
         ]);
     }

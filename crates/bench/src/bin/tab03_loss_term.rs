@@ -3,17 +3,14 @@
 //! paper measures 37.5 % loss and ~2× latency).
 
 use libra_bench::{BenchArgs, Table};
-use libra_learned::{train_rl_cca, EnvRanges, RewardSource, RewardSpec, RlCcaConfig, TrainConfig};
+use libra_learned::{
+    tail_means, train_rl_cca, EnvRanges, RewardSource, RewardSpec, RlCcaConfig, TrainConfig,
+};
 
 fn main() {
     let args = BenchArgs::parse();
     let episodes = args.scaled(200, 16) as usize;
-    let env = EnvRanges {
-        capacity_mbps: (100.0, 100.0),
-        rtt_ms: (100.0, 100.0),
-        buffer_kb: (1250, 1250),
-        loss: (0.0, 0.0),
-    };
+    let env = EnvRanges::fixed(100.0, 100.0, 1250);
     let variants = [("with loss rate", true), ("w/o loss rate", false)];
     let mut table = Table::new(
         "Tab. 3: loss term in the reward",
@@ -28,28 +25,13 @@ fn main() {
             }),
             ..RlCcaConfig::libra_rl()
         };
-        let tc = TrainConfig {
-            episodes,
-            episode_secs: 8,
-            env: env.clone(),
-            seed: args.seed,
-            update_every: 2,
-        };
-        let r = train_rl_cca(&cfg, &tc);
-        let n = (r.curve.len() / 4).max(1);
-        let tail = &r.curve[r.curve.len() - n..];
-        let m = tail.len() as f64;
+        let r = train_rl_cca(&cfg, &TrainConfig::new(episodes, env.clone(), args.seed));
+        let tail = tail_means(&r.curve);
         table.row(vec![
             name.to_string(),
-            format!(
-                "{:.1}",
-                100.0 * tail.iter().map(|e| e.utilization).sum::<f64>() / m
-            ),
-            format!("{:.0}", tail.iter().map(|e| e.rtt_ms).sum::<f64>() / m),
-            format!(
-                "{:.2}%",
-                100.0 * tail.iter().map(|e| e.loss).sum::<f64>() / m
-            ),
+            format!("{:.1}", 100.0 * tail.utilization),
+            format!("{:.0}", tail.rtt_ms),
+            format!("{:.2}%", 100.0 * tail.loss),
         ]);
     }
     table.emit("tab03_loss_term");

@@ -2,9 +2,9 @@
 //! and loss at similar throughput, and helps (but does not fix)
 //! fairness — the observation that motivates the combined framework.
 
-use libra_bench::{BenchArgs, ModelStore, ScenarioSpec, Table};
+use libra_bench::{BenchArgs, ScenarioSpec, Table};
 use libra_learned::{
-    train_rl_cca, EnvRanges, RewardSource, RewardSpec, RlCca, RlCcaConfig, TrainConfig,
+    tail_means, train_rl_cca, EnvRanges, RewardSource, RewardSpec, RlCca, RlCcaConfig, TrainConfig,
 };
 use libra_netsim::{FlowConfig, Simulation};
 use libra_rl::PpoAgent;
@@ -15,13 +15,7 @@ use std::rc::Rc;
 fn main() {
     let args = BenchArgs::parse();
     let episodes = args.scaled(200, 16) as usize;
-    let env = EnvRanges {
-        capacity_mbps: (100.0, 100.0),
-        rtt_ms: (100.0, 100.0),
-        buffer_kb: (1250, 1250),
-        loss: (0.0, 0.0),
-    };
-    let _ = ModelStore::ephemeral(0); // keep harness deps honest
+    let env = EnvRanges::fixed(100.0, 100.0, 1250);
     let mut table = Table::new(
         "Tab. 4: r vs Δr",
         &[
@@ -41,17 +35,8 @@ fn main() {
             }),
             ..RlCcaConfig::libra_rl()
         };
-        let tc = TrainConfig {
-            episodes,
-            episode_secs: 8,
-            env: env.clone(),
-            seed: args.seed,
-            update_every: 2,
-        };
-        let r = train_rl_cca(&cfg, &tc);
-        let n = (r.curve.len() / 4).max(1);
-        let tail = &r.curve[r.curve.len() - n..];
-        let m = tail.len() as f64;
+        let r = train_rl_cca(&cfg, &TrainConfig::new(episodes, env.clone(), args.seed));
+        let tail = tail_means(&r.curve);
         // Fairness: two trained flows share a 100 Mbps link.
         let until = Instant::from_secs(args.scaled(30, 8));
         let link = ScenarioSpec::shared_constant(100.0).link(args.seed);
@@ -66,15 +51,9 @@ fn main() {
         let rep = sim.run(until);
         table.row(vec![
             name.to_string(),
-            format!(
-                "{:.1}",
-                100.0 * tail.iter().map(|e| e.utilization).sum::<f64>() / m
-            ),
-            format!("{:.0}", tail.iter().map(|e| e.rtt_ms).sum::<f64>() / m),
-            format!(
-                "{:.2}%",
-                100.0 * tail.iter().map(|e| e.loss).sum::<f64>() / m
-            ),
+            format!("{:.1}", 100.0 * tail.utilization),
+            format!("{:.0}", tail.rtt_ms),
+            format!("{:.2}%", 100.0 * tail.loss),
             format!("{:.3}", rep.jain_index()),
         ]);
     }

@@ -14,18 +14,6 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Training effort for cached models. Enough to get competent (not
-/// perfect) policies in a few minutes per model on a laptop.
-fn default_train_config(seed: u64) -> TrainConfig {
-    TrainConfig {
-        episodes: 360,
-        episode_secs: 8,
-        env: EnvRanges::quick(),
-        seed,
-        update_every: 2,
-    }
-}
-
 /// Where cached models live (`target/models` next to the workspace).
 pub fn model_dir() -> PathBuf {
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -84,7 +72,9 @@ impl ModelStore {
         ModelStore {
             seed,
             ephemeral: false,
-            train: default_train_config(seed),
+            // Enough to get competent (not perfect) policies in a few
+            // minutes per model on a laptop.
+            train: TrainConfig::new(360, EnvRanges::quick(), seed),
             cache: Mutex::new(BTreeMap::new()),
         }
     }
@@ -95,11 +85,9 @@ impl ModelStore {
             seed,
             ephemeral: true,
             train: TrainConfig {
-                episodes: 2,
                 episode_secs: 2,
-                env: EnvRanges::quick(),
-                seed,
                 update_every: 1,
+                ..TrainConfig::new(2, EnvRanges::quick(), seed)
             },
             cache: Mutex::new(BTreeMap::new()),
         }

@@ -51,4 +51,4 @@ pub use equilibrium::DroptailGame;
 pub use guardrail::{Guardrail, GuardrailParams};
 pub use libra::Libra;
 pub use params::{EvalOrder, LibraParams};
-pub use train::{quick_train_config, train_libra, LibraTrainResult, LibraVariant};
+pub use train::{quick_train_config, train_libra, LibraVariant};

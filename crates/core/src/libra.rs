@@ -198,29 +198,7 @@ impl Libra {
     /// Clean-Slate Libra: the framework without a classic CCA (the CL
     /// benchmark that motivates the combination).
     pub fn clean_slate(agent: Rc<RefCell<PpoAgent>>) -> Self {
-        let rl = RlCca::new(RlCcaConfig::libra_rl(), agent);
-        let params = LibraParams::for_cubic();
-        Libra {
-            name: "CL-Libra",
-            params,
-            classic: None,
-            rl,
-            stage: Stage::Startup,
-            x_prev: Rate::from_mbps(2.0),
-            ordered: Vec::new(),
-            measured: Vec::new(),
-            eval_sent: Vec::new(),
-            u_prev: None,
-            explore_agg: ExploreAgg::default(),
-            log: CycleLog::new(),
-            srtt: Duration::ZERO,
-            now: Instant::ZERO,
-            cycles: 0,
-            guardrail: Guardrail::new(params.guardrail),
-            rl_invalid_seen: 0,
-            rl_fallback_seen: 0,
-            tracer: Tracer::disabled(),
-        }
+        Libra::new("CL-Libra", None, LibraParams::for_cubic(), agent)
     }
 
     /// Libra over an arbitrary classic CCA (Sec. 7's Westwood/Illinois
@@ -231,11 +209,21 @@ impl Libra {
         params: LibraParams,
         agent: Rc<RefCell<PpoAgent>>,
     ) -> Self {
+        Libra::new(name, Some(classic), params, agent)
+    }
+
+    /// Libra over `classic`, or Clean-Slate without one.
+    pub(crate) fn new(
+        name: &'static str,
+        classic: Option<Box<dyn CongestionControl>>,
+        params: LibraParams,
+        agent: Rc<RefCell<PpoAgent>>,
+    ) -> Self {
         let rl = RlCca::new(RlCcaConfig::libra_rl(), agent);
         Libra {
             name,
             params,
-            classic: Some(classic),
+            classic,
             rl,
             stage: Stage::Startup,
             x_prev: Rate::from_mbps(2.0),

@@ -34,7 +34,7 @@ pub use remy::Remy;
 pub use rl_cca::{RewardSource, RlCca, RlCcaConfig};
 pub use sprout::Sprout;
 pub use trainer::{
-    config_for_state_space, tail_reward, train_orca, train_rl_cca, EnvRanges, EpisodeLog,
-    TrainConfig, TrainResult,
+    config_for_state_space, tail_means, tail_reward, train_episodes, train_orca, train_rl_cca,
+    EnvRanges, EpisodeLog, TailMeans, TrainConfig, TrainResult,
 };
 pub use vivace::{Pcc, PccFlavour};

@@ -33,8 +33,10 @@ cargo build --release --offline
 echo "==> cargo test (workspace)"
 cargo test --workspace --offline -q
 
-echo "==> nn + rl identity suites, optimized (the tile kernel's SIMD instantiations as shipped)"
-cargo test --release --offline -q -p libra-nn -p libra-rl
+# Cached models under target/models/ are trained by release binaries,
+# so the training pins (learned, core) run optimized too.
+echo "==> nn + rl + learned + core identity suites, optimized (SIMD kernels and training pins as shipped)"
+cargo test --release --offline -q -p libra-nn -p libra-rl -p libra-learned -p libra-core
 
 echo "==> chaos self-test (supervised sweep under injected faults)"
 cargo test --release --offline -q -p libra-bench --test supervisor

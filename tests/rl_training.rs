@@ -7,16 +7,8 @@ use std::{cell::RefCell, rc::Rc};
 
 fn quick(episodes: usize, seed: u64) -> TrainConfig {
     TrainConfig {
-        episodes,
         episode_secs: 5,
-        env: EnvRanges {
-            capacity_mbps: (20.0, 20.0),
-            rtt_ms: (50.0, 50.0),
-            buffer_kb: (125, 125),
-            loss: (0.0, 0.0),
-        },
-        seed,
-        update_every: 2,
+        ..TrainConfig::new(episodes, EnvRanges::fixed(20.0, 50.0, 125), seed)
     }
 }
 
