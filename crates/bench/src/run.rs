@@ -451,9 +451,9 @@ mod tests {
         // Mouse 2 (starts at 12 s) is silent before its arrival.
         let early: f64 = rep.flows[3]
             .goodput_series
-            .iter()
+            .points()
             .filter(|(t, _)| *t < 11.5)
-            .map(|(_, v)| *v)
+            .map(|(_, v)| v)
             .sum();
         assert_eq!(early, 0.0);
     }

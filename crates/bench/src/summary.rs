@@ -363,7 +363,7 @@ impl RunSummary {
                     max_rtt_ms: f.rtt_ms.max(),
                     loss_fraction: f.loss_fraction,
                     ecn_echoes: f.ecn_echoes,
-                    goodput_series: f.goodput_series.clone(),
+                    goodput_series: f.goodput_series.points().collect(),
                     rtt_series: f.rtt_series.clone(),
                     compute_ns: f.compute_ns,
                 })

@@ -230,9 +230,28 @@ impl StateSpace {
         }
     }
 
-    /// Extract one step's normalized feature scalars.
-    pub fn extract(&self, obs: &MiObservation) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.step_width());
+    /// Append the step for `obs` to `steps`, keeping the last `history`.
+    /// Once the history is full, the step it evicts is refilled in place,
+    /// so a decision allocates nothing.
+    pub(crate) fn push_step(&self, steps: &mut VecDeque<Vec<f64>>, obs: &MiObservation) {
+        let mut step = if steps.len() >= self.history {
+            steps.pop_front()
+        } else {
+            None
+        }
+        .unwrap_or_default();
+        self.extract_into(obs, &mut step);
+        steps.push_back(step);
+        while steps.len() > self.history {
+            steps.pop_front();
+        }
+    }
+
+    /// Write one step's normalized feature scalars into `out`, replacing
+    /// its contents.
+    pub fn extract_into(&self, obs: &MiObservation, out: &mut Vec<f64>) {
+        out.clear();
+        out.reserve(self.step_width());
         for f in &self.features {
             match f {
                 Feature::AckInterarrivalEwma => {
@@ -275,7 +294,6 @@ impl StateSpace {
                 Feature::DeliveryRate => out.push((obs.mi.delivery_rate / obs.x_max).min(4.0)),
             }
         }
-        out
     }
 }
 
@@ -430,13 +448,31 @@ mod tests {
     #[test]
     fn extract_matches_width_and_normalization() {
         let ss = StateSpace::tab2_baseline();
-        let v = ss.extract(&obs(50.0, 40.0, 100, 0.02));
+        let mut v = vec![7.0; 9];
+        ss.extract_into(&obs(50.0, 40.0, 100, 0.02), &mut v);
         assert_eq!(v.len(), ss.step_width());
         // (iv) = 50/100, (vi).0 = 100/50, (vii) = 0.02, (ix) = 40/100.
         assert!((v[0] - 0.5).abs() < 1e-12);
         assert!((v[1] - 2.0).abs() < 1e-12);
         assert!((v[3] - 0.02).abs() < 1e-12);
         assert!((v[5] - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn full_history_refills_the_evicted_step() {
+        let ss = StateSpace::orca();
+        let mut steps = VecDeque::new();
+        for i in 0..ss.history {
+            ss.push_step(&mut steps, &obs(10.0 + i as f64, 10.0, 40, 0.0));
+        }
+        let oldest = steps[0].as_ptr();
+        let newest = obs(99.0, 10.0, 40, 0.0);
+        ss.push_step(&mut steps, &newest);
+        assert_eq!(steps.len(), ss.history);
+        assert_eq!(steps.back().map(|s| s.as_ptr()), Some(oldest));
+        let mut fresh = Vec::new();
+        ss.extract_into(&newest, &mut fresh);
+        assert_eq!(steps.back(), Some(&fresh));
     }
 
     #[test]
@@ -453,7 +489,9 @@ mod tests {
             StateSpace::orca(),
             StateSpace::pcc(),
         ] {
-            for x in ss.extract(&o) {
+            let mut v = Vec::new();
+            ss.extract_into(&o, &mut v);
+            for x in v {
                 assert!(x.is_finite() && x.abs() <= 10.0, "{x}");
             }
         }

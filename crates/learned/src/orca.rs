@@ -24,6 +24,8 @@ pub struct Orca {
     action: ActionSpace,
     reward: RewardSpec,
     history: std::collections::VecDeque<Vec<f64>>,
+    /// The agent's input, rewritten from `history` at each decision.
+    policy_state: Vec<f64>,
     x_max: Rate,
     d_min: Duration,
     prev_raw: f64,
@@ -56,6 +58,7 @@ impl Orca {
                 ..RewardSpec::default()
             },
             history: std::collections::VecDeque::new(),
+            policy_state: Vec::new(),
             x_max: Rate::from_mbps(10.0), // running max, floored at the training range's bottom
             d_min: Duration::ZERO,
             prev_raw: 0.0,
@@ -123,16 +126,12 @@ impl CongestionControl for Orca {
         };
         let (reward, raw) = self.reward.compute(&obs, self.prev_raw);
         self.prev_raw = raw;
-        let step = self.state.extract(&obs);
-        self.history.push_back(step);
-        while self.history.len() > self.state.history {
-            self.history.pop_front();
-        }
-        let mut state = Vec::new();
-        self.state.write_history(&self.history, &mut state);
+        self.state.push_step(&mut self.history, &obs);
+        self.state
+            .write_history(&self.history, &mut self.policy_state);
         let mut agent = self.agent.borrow_mut();
         agent.give_reward(reward, false);
-        let a = agent.act(&state)[0];
+        let a = agent.act(&self.policy_state)[0];
         drop(agent);
         // Rescale CUBIC's base window: cwnd ← cwnd · 2^a, clamped to the
         // deployable range (repeated ×4 rescales would otherwise compound

@@ -343,11 +343,7 @@ impl CongestionControl for RlCca {
             }
             RewardSource::Utility(params) => params.evaluate_mi(mi),
         };
-        let step = self.config.state.extract(&obs);
-        self.history.push_back(step);
-        while self.history.len() > self.config.state.history {
-            self.history.pop_front();
-        }
+        self.config.state.push_step(&mut self.history, &obs);
         // A degenerate MI can yield a non-finite reward (e.g. a zero-length
         // interval); feed the agent a neutral value rather than poisoning
         // its advantages.

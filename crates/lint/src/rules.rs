@@ -535,8 +535,11 @@ pub struct NoPerPacketAlloc;
 /// start or completion, ACK delivery or RTO check, plus the simulator's
 /// `schedule` and `dispatch`, which every event passes through (with the
 /// wheel's lane admission test), and the fault engine's `ack_fate`,
-/// which every ACK passes through while a link plan is attached. Names,
-/// not paths, so a hot function moving between files stays covered.
+/// which every ACK passes through while a link plan is attached. The
+/// per-decision set follows: every monitor-interval tick passes through
+/// `dispatch_mi_ticks`, the sender's three `mi_tick_*` phases and
+/// `close_mi`. Names, not paths, so a hot function moving between files
+/// stays covered.
 const HOT_FNS: &[&str] = &[
     "schedule",
     "dispatch",
@@ -556,6 +559,11 @@ const HOT_FNS: &[&str] = &[
     "pump_flow",
     "start_service",
     "on_rto_check",
+    "dispatch_mi_ticks",
+    "mi_tick_submit",
+    "mi_tick_resolve",
+    "mi_tick_finish",
+    "close_mi",
 ];
 
 /// Heap-allocation constructors. `Vec::with_capacity` is deliberately
@@ -676,6 +684,20 @@ mod tests {
             "fn try_emit(&mut self) {\n    let out = Vec::new();\n    drop(out);\n}\n",
         );
         assert!(other_crate.is_empty(), "{other_crate:?}");
+        // The per-decision functions are hot too.
+        for name in [
+            "dispatch_mi_ticks",
+            "mi_tick_submit",
+            "mi_tick_resolve",
+            "mi_tick_finish",
+            "close_mi",
+        ] {
+            let decision = findings(
+                "crates/netsim/src/demo.rs",
+                &format!("fn {name}(&mut self) {{\n    let state = vec![0.0; 8];\n}}\n"),
+            );
+            assert_eq!(decision.len(), 1, "{name}: {decision:?}");
+        }
         // Waived audited cold branch inside a hot function: clean.
         let waived = findings(
             "crates/netsim/src/demo.rs",

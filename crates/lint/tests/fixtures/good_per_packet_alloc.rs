@@ -1,7 +1,7 @@
 //! lint-fixture: crates/netsim/src/demo.rs
 //! Clean: hot functions use caller-owned scratch buffers; setup paths
 //! may allocate freely; an audited cold branch inside a hot function
-//! carries the waiver.
+//! carries the waiver, as does a trace-only string on the decision path.
 
 pub struct Demo {
     scratch: Vec<u64>,
@@ -30,5 +30,14 @@ impl Demo {
             drop(drained);
         }
         self.scratch.pop()
+    }
+
+    pub fn mi_tick_submit(&mut self, state: &mut Vec<f64>, tracing: bool) -> Option<String> {
+        // Per-decision path: refills the caller's buffer.
+        state.clear();
+        state.extend(self.scratch.iter().map(|&x| x as f64));
+        // Audited trace-only line: built only while tracing is on.
+        // lint: allow(no-per-packet-alloc)
+        tracing.then(|| "decision".to_string())
     }
 }

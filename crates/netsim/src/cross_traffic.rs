@@ -181,10 +181,10 @@ mod tests {
         assert!((g - 5.0).abs() < 1.5, "goodput {g}");
         // The series must contain both busy and idle bins.
         let bins = &rep.flows[0].goodput_series;
-        assert!(bins.iter().any(|&(_, v)| v > 8.0));
+        assert!(bins.points().any(|(_, v)| v > 8.0));
         assert!(bins
-            .iter()
-            .filter(|&&(t, _)| t > 1.0)
-            .any(|&(_, v)| v < 1.0));
+            .points()
+            .filter(|&(t, _)| t > 1.0)
+            .any(|(_, v)| v < 1.0));
     }
 }

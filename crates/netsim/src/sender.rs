@@ -169,11 +169,14 @@ impl OutstandingWindow {
     }
 }
 
-/// Time-series metrics with a fixed bin width.
+/// Bytes per fixed-width bin of absolute sim time: the flow's goodput
+/// series. The time axis is implied by the bin index, so a report
+/// carries the bins themselves and [`points`](BinSeries::points)
+/// derives `(seconds, Mbps)` on read.
 #[derive(Debug, Clone)]
 pub struct BinSeries {
     bin: Duration,
-    bins: Vec<f64>,
+    pub(crate) bins: Vec<f64>,
     /// The bin the last `add` landed in, as `(index, start ns, end ns)`:
     /// ACKs inside it skip the division.
     cur: (usize, u64, u64),
@@ -213,23 +216,15 @@ impl BinSeries {
         self.bins[idx] += value;
     }
 
-    /// `(bin-center seconds, accumulated value)` pairs.
-    pub fn points(&self) -> Vec<(f64, f64)> {
+    /// `(bin-center seconds, Mbps)` pairs, computed from the bytes per
+    /// bin on each read; bin `i` spans `[i·w, (i+1)·w)` of absolute sim
+    /// time, so a late-starting flow's series leads with empty bins.
+    pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         let w = self.bin.as_secs_f64();
         self.bins
             .iter()
             .enumerate()
-            .map(|(i, &v)| ((i as f64 + 0.5) * w, v))
-            .collect()
-    }
-
-    /// Accumulated bytes per bin converted to Mbps.
-    pub fn points_as_mbps(&self) -> Vec<(f64, f64)> {
-        let w = self.bin.as_secs_f64();
-        self.points()
-            .into_iter()
-            .map(|(t, bytes)| (t, bytes * 8.0 / w / 1e6))
-            .collect()
+            .map(move |(i, &bytes)| ((i as f64 + 0.5) * w, bytes * 8.0 / w / 1e6))
     }
 
     /// The configured bin width.
@@ -1128,11 +1123,28 @@ mod tests {
 
     #[test]
     fn bin_series_mbps() {
+        // The reference: bin centre and Mbps, in exactly this operation
+        // order (figure tables and journals pin these bits).
+        fn spelled_out(b: &BinSeries) -> Vec<(f64, f64)> {
+            let w = b.bin.as_secs_f64();
+            let mut out = Vec::new();
+            for (i, &bytes) in b.bins.iter().enumerate() {
+                out.push(((i as f64 + 0.5) * w, bytes * 8.0 / w / 1e6));
+            }
+            out
+        }
+        fn bits(pts: impl IntoIterator<Item = (f64, f64)>) -> Vec<(u64, u64)> {
+            pts.into_iter()
+                .map(|(t, v)| (t.to_bits(), v.to_bits()))
+                .collect()
+        }
+
         let mut b = BinSeries::with_horizon(Duration::from_millis(100), Instant::from_secs(1));
         b.add(Instant::from_millis(50), 125_000.0); // 125 kB in first bin
-        let pts = b.points_as_mbps();
+        let pts: Vec<_> = b.points().collect();
         assert_eq!(pts.len(), 1);
         assert!((pts[0].1 - 10.0).abs() < 1e-9); // 125 kB / 100 ms = 10 Mbps
+        assert_eq!(bits(b.points()), bits(spelled_out(&b)));
 
         // Either side of a bin edge, and back into an earlier bin.
         for (ns, v) in [
@@ -1144,6 +1156,20 @@ mod tests {
             b.add(Instant::from_nanos(ns), v);
         }
         assert_eq!(b.bins, [125_009.0, 2.0, 4.0]);
+        assert_eq!(bits(b.points()), bits(spelled_out(&b)));
+
+        // A late start leads with empty bins at their own centres, and a
+        // width that is not a power of two exercises the rounding.
+        let mut late = BinSeries::with_horizon(Duration::from_millis(30), Instant::from_secs(1));
+        late.add(Instant::from_millis(95), 1500.0);
+        late.add(Instant::from_millis(119), 3000.0);
+        late.add(Instant::from_millis(120), 0.1);
+        assert_eq!(late.bins, [0.0, 0.0, 0.0, 4500.0, 0.1]);
+        assert_eq!(bits(late.points()), bits(spelled_out(&late)));
+        assert_eq!(late.points().count(), 5);
+        assert!(late.points().take(3).all(|(_, mbps)| mbps == 0.0));
+        let (t, mbps) = late.points().nth(3).expect("bin 3");
+        assert!((t - 0.105).abs() < 1e-12 && (mbps - 1.2).abs() < 1e-9);
     }
 
     #[test]

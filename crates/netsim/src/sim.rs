@@ -22,7 +22,7 @@ use crate::loss::LossProcess;
 use crate::packet::{AckPacket, FlowId, Packet};
 use crate::pool::{PacketHandle, PacketPool};
 use crate::queue::{EcnConfig, Enqueue};
-use crate::sender::FlowSender;
+use crate::sender::{BinSeries, FlowSender};
 use crate::wheel::{TimedEntry, TimerWheel};
 use libra_types::{
     Bytes, CongestionControl, DetRng, Duration, Instant, PolicyRequest, PolicyService, Rate,
@@ -373,8 +373,10 @@ pub struct FlowReport {
     pub rtt_ms: Welford,
     /// Fraction of resolved packets that were lost.
     pub loss_fraction: f64,
-    /// `(seconds, Mbps)` goodput series.
-    pub goodput_series: Vec<(f64, f64)>,
+    /// Goodput series: bytes delivered per bin of absolute sim time,
+    /// moved from the sender at finalize;
+    /// [`points`](BinSeries::points) yields `(seconds, Mbps)`.
+    pub goodput_series: BinSeries,
     /// Sparse `(seconds, ms)` RTT series.
     pub rtt_series: Vec<(f64, f64)>,
     /// Streaming P² estimate of the 95th-percentile RTT in milliseconds
@@ -1041,6 +1043,8 @@ impl Simulation {
                     flow.tracer.emit_with(|| TraceEvent::PolicyFault {
                         flow: id.0,
                         at_ns,
+                        // Built only when tracing is on, once per fault.
+                        // lint: allow(no-per-packet-alloc)
                         fault: fault.to_string(),
                     });
                 }
@@ -1227,7 +1231,7 @@ impl Simulation {
                     avg_goodput: f.avg_goodput(span),
                     rtt_ms: f.rtt_stats,
                     loss_fraction: f.loss_fraction(),
-                    goodput_series: f.goodput_bins.points_as_mbps(),
+                    goodput_series: f.goodput_bins,
                     rtt_series: f.rtt_series,
                     rtt_p95_ms: f.rtt_p95.get(),
                     ecn_echoes: f.ecn_echoes,
@@ -1390,6 +1394,7 @@ mod tests {
             Instant::from_secs(5),
             until,
         ));
+        let storage = sim.flows[1].goodput_bins.bins.as_ptr();
         let rep = sim.run(until);
         // Late flow delivered roughly half of what the early one did.
         let r = rep.flows[1].delivered_bytes as f64 / rep.flows[0].delivered_bytes as f64;
@@ -1397,11 +1402,16 @@ mod tests {
         // Its goodput series is empty before 5 s.
         let early_bytes: f64 = rep.flows[1]
             .goodput_series
-            .iter()
+            .points()
             .filter(|(t, _)| *t < 4.5)
-            .map(|(_, v)| *v)
+            .map(|(_, v)| v)
             .sum();
         assert_eq!(early_bytes, 0.0);
+        // The report holds the sender's own bins: reserved for the whole
+        // horizon, never reallocated during the run, moved (not copied)
+        // at finalize.
+        assert!(!rep.flows[1].goodput_series.bins.is_empty());
+        assert_eq!(rep.flows[1].goodput_series.bins.as_ptr(), storage);
     }
 
     #[test]
@@ -1667,9 +1677,9 @@ mod fault_tests {
         // Data still flows after the outage ends at 5 s.
         let post: f64 = flapped.flows[0]
             .goodput_series
-            .iter()
-            .filter(|&&(t, _)| t > 6.0)
-            .map(|&(_, v)| v)
+            .points()
+            .filter(|&(t, _)| t > 6.0)
+            .map(|(_, v)| v)
             .sum();
         assert!(post > 0.0, "no traffic after the flap");
     }

@@ -41,9 +41,9 @@ fn main() {
     let value_at = |flow: usize, t: f64| -> f64 {
         report.flows[flow]
             .goodput_series
-            .iter()
-            .filter(|&&(ts, _)| (ts - t).abs() < 1.0)
-            .map(|&(_, v)| v)
+            .points()
+            .filter(|&(ts, _)| (ts - t).abs() < 1.0)
+            .map(|(_, v)| v)
             .sum::<f64>()
             / 10.0
     };
@@ -63,9 +63,9 @@ fn main() {
         .iter()
         .map(|f| {
             f.goodput_series
-                .iter()
-                .filter(|&&(ts, _)| ts > 12.0)
-                .map(|&(_, v)| v)
+                .points()
+                .filter(|&(ts, _)| ts > 12.0)
+                .map(|(_, v)| v)
                 .sum::<f64>()
         })
         .collect();

@@ -131,9 +131,9 @@ fn cross_traffic_squeezes_libra_but_it_recovers() {
     let mean_in = |a: f64, b: f64| -> f64 {
         let pts: Vec<f64> = libra_flow
             .goodput_series
-            .iter()
-            .filter(|&&(t, _)| t >= a && t < b)
-            .map(|&(_, v)| v)
+            .points()
+            .filter(|&(t, _)| t >= a && t < b)
+            .map(|(_, v)| v)
             .collect();
         pts.iter().sum::<f64>() / pts.len().max(1) as f64
     };

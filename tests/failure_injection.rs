@@ -47,9 +47,9 @@ fn cubic_recovers_from_blackout() {
     // Traffic resumed after the outage: bytes delivered in (8s, 20s).
     let post: f64 = f
         .goodput_series
-        .iter()
-        .filter(|&&(t, _)| t > 9.0)
-        .map(|&(_, v)| v)
+        .points()
+        .filter(|&(t, _)| t > 9.0)
+        .map(|(_, v)| v)
         .sum();
     assert!(post > 0.0, "no post-blackout traffic");
     assert!(f.lost_packets > 0, "blackout must cost packets");
@@ -61,9 +61,9 @@ fn libra_recovers_from_blackout() {
     let f = &rep.flows[0];
     let post: f64 = f
         .goodput_series
-        .iter()
-        .filter(|&&(t, _)| t > 9.0)
-        .map(|&(_, v)| v)
+        .points()
+        .filter(|&(t, _)| t > 9.0)
+        .map(|(_, v)| v)
         .sum();
     assert!(post > 0.0, "Libra should resume after the outage");
     // No-ACK cycles must not have corrupted the cycle log.
@@ -183,9 +183,9 @@ fn b_libra_and_clean_slate_recover_from_blackout() {
         let f = &rep.flows[0];
         let post: f64 = f
             .goodput_series
-            .iter()
-            .filter(|&&(t, _)| t > 9.0)
-            .map(|&(_, v)| v)
+            .points()
+            .filter(|&(t, _)| t > 9.0)
+            .map(|(_, v)| v)
             .sum();
         assert!(post > 0.0, "seed {seed}: no post-blackout traffic");
         let libra = f
@@ -364,9 +364,9 @@ fn flow_stop_quiesces_cleanly() {
     // First flow stopped at 5 s: no goodput afterwards.
     let late: f64 = rep.flows[0]
         .goodput_series
-        .iter()
-        .filter(|&&(t, _)| t > 6.0)
-        .map(|&(_, v)| v)
+        .points()
+        .filter(|&(t, _)| t > 6.0)
+        .map(|(_, v)| v)
         .sum();
     assert_eq!(late, 0.0);
     assert!(rep.flows[1].delivered_bytes > 0);
