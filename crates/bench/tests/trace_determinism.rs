@@ -12,20 +12,12 @@ use libra_bench::{
     run, run_sweep_supervised_with, trace_to_jsonl, validate_finite, Cca, ModelStore, RunSpec,
     SweepPolicy,
 };
-use libra_core::{Candidate, Libra};
+use libra_core::Libra;
 use libra_netsim::{LinkConfig, SimConfig};
 use libra_types::{CandidateKind, Duration, Preference, Rate, TraceEvent};
 
 fn wired(mbps: f64) -> LinkConfig {
     LinkConfig::constant(Rate::from_mbps(mbps), Duration::from_millis(40), 1.0)
-}
-
-fn kind_of(c: Candidate) -> CandidateKind {
-    match c {
-        Candidate::Prev => CandidateKind::Prev,
-        Candidate::Classic => CandidateKind::Classic,
-        Candidate::Learned => CandidateKind::Learned,
-    }
 }
 
 /// The fixed-seed two-flow C-Libra acceptance run: every cycle decision
@@ -73,7 +65,7 @@ fn traced_run_reconstructs_cycle_log() {
             assert_eq!(*f, fi as u32);
             assert_eq!(*at_ns, rec.at.nanos());
             assert_eq!(*u_prev, rec.u_prev);
-            assert_eq!(*winner, kind_of(rec.winner));
+            assert_eq!(*winner, rec.winner);
             assert_eq!(*rate_mbps, rec.rate_mbps);
             assert_eq!(*early_exit, rec.early_exit);
             // Per-candidate measured utilities match the record's.

@@ -1,32 +1,10 @@
 //! Per-cycle telemetry: which candidate won, the utilities measured, and
 //! the decision-fraction accounting behind Fig. 17 and Fig. 18.
 
-use libra_types::Instant;
-
-/// The three candidate rates of a control cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Candidate {
-    /// The previous cycle's base rate `x_prev`.
-    Prev,
-    /// The classic CCA's decision `x_cl`.
-    Classic,
-    /// The learning-based CCA's decision `x_rl`.
-    Learned,
-}
-
-impl Candidate {
-    /// Table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Candidate::Prev => "x_prev",
-            Candidate::Classic => "x_cl",
-            Candidate::Learned => "x_rl",
-        }
-    }
-}
+use libra_types::{trace::CandidateKind, Instant};
 
 /// One completed control cycle.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CycleRecord {
     /// When the cycle's decision was taken.
     pub at: Instant,
@@ -40,7 +18,7 @@ pub struct CycleRecord {
     /// Utility measured for `x_rl` (`None` if feedback was missing).
     pub u_learned: Option<f64>,
     /// The winning candidate applied as the next base rate.
-    pub winner: Candidate,
+    pub winner: CandidateKind,
     /// The winning rate in Mbps.
     pub rate_mbps: f64,
     /// Whether the cycle left exploration early (threshold trip).
@@ -57,14 +35,12 @@ impl CycleRecord {
             .into_iter()
             .flatten()
             .filter(|u| u.is_finite())
-            .fold(None, |best: Option<f64>, u| {
-                Some(best.map_or(u, |b| b.max(u)))
-            })
+            .reduce(f64::max)
     }
 }
 
 /// Accumulated cycle log.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CycleLog {
     records: Vec<CycleRecord>,
 }
@@ -137,11 +113,11 @@ impl CycleLog {
             return (0.0, 0.0, 0.0);
         }
         let n = self.records.len() as f64;
-        let count = |c: Candidate| self.records.iter().filter(|r| r.winner == c).count() as f64 / n;
+        let count = |c| self.records.iter().filter(|r| r.winner == c).count() as f64 / n;
         (
-            count(Candidate::Prev),
-            count(Candidate::Learned),
-            count(Candidate::Classic),
+            count(CandidateKind::Prev),
+            count(CandidateKind::Learned),
+            count(CandidateKind::Classic),
         )
     }
 
@@ -184,7 +160,7 @@ impl CycleLog {
 mod tests {
     use super::*;
 
-    fn rec(winner: Candidate, at_s: u64) -> CycleRecord {
+    fn rec(winner: CandidateKind, at_s: u64) -> CycleRecord {
         CycleRecord {
             at: Instant::from_secs(at_s),
             u_prev: Some(1.0),
@@ -199,10 +175,10 @@ mod tests {
     #[test]
     fn fractions_sum_to_one() {
         let mut log = CycleLog::new();
-        log.push(rec(Candidate::Prev, 1));
-        log.push(rec(Candidate::Classic, 2));
-        log.push(rec(Candidate::Classic, 3));
-        log.push(rec(Candidate::Learned, 4));
+        log.push(rec(CandidateKind::Prev, 1));
+        log.push(rec(CandidateKind::Classic, 2));
+        log.push(rec(CandidateKind::Classic, 3));
+        log.push(rec(CandidateKind::Learned, 4));
         let (p, r, c) = log.fractions();
         assert!((p - 0.25).abs() < 1e-12);
         assert!((r - 0.25).abs() < 1e-12);
@@ -211,7 +187,7 @@ mod tests {
 
     #[test]
     fn best_utility_takes_max() {
-        let r = rec(Candidate::Classic, 1);
+        let r = rec(CandidateKind::Classic, 1);
         assert_eq!(r.best_utility(), Some(2.0));
         let r2 = CycleRecord {
             u_classic: None,
@@ -228,7 +204,7 @@ mod tests {
             u_prev: None,
             u_classic: None,
             u_learned: None,
-            ..rec(Candidate::Prev, 1)
+            ..rec(CandidateKind::Prev, 1)
         };
         assert_eq!(starved.best_utility(), None);
         // Non-finite measurements never win (or poison) the max.
@@ -236,7 +212,7 @@ mod tests {
             u_prev: Some(f64::NEG_INFINITY),
             u_classic: Some(0.25),
             u_learned: Some(f64::NAN),
-            ..rec(Candidate::Classic, 2)
+            ..rec(CandidateKind::Classic, 2)
         };
         assert_eq!(poisoned.best_utility(), Some(0.25));
     }
@@ -244,9 +220,13 @@ mod tests {
     #[test]
     fn normalized_series_in_unit_range() {
         let mut log = CycleLog::new();
-        for (i, w) in [Candidate::Prev, Candidate::Classic, Candidate::Learned]
-            .iter()
-            .enumerate()
+        for (i, w) in [
+            CandidateKind::Prev,
+            CandidateKind::Classic,
+            CandidateKind::Learned,
+        ]
+        .iter()
+        .enumerate()
         {
             let mut r = rec(*w, i as u64);
             r.u_prev = Some(i as f64 * 3.0);
@@ -269,12 +249,12 @@ mod tests {
                 u_prev: None,
                 u_classic: None,
                 u_learned: None,
-                ..rec(Candidate::Prev, i)
+                ..rec(CandidateKind::Prev, i)
             });
         }
         assert!(log.normalized_utility_series().is_empty());
         // A single starved cycle between measured ones is skipped, not NaN.
-        log.push(rec(Candidate::Classic, 5));
+        log.push(rec(CandidateKind::Classic, 5));
         let s = log.normalized_utility_series();
         assert_eq!(s.len(), 1);
         assert!(s.iter().all(|&(t, u)| t.is_finite() && u.is_finite()));
@@ -285,7 +265,7 @@ mod tests {
     #[should_panic(expected = "non-finite")]
     fn checked_mode_rejects_nan_rate() {
         let mut log = CycleLog::new();
-        let mut r = rec(Candidate::Prev, 1);
+        let mut r = rec(CandidateKind::Prev, 1);
         r.rate_mbps = f64::NAN;
         log.push(r);
     }
@@ -295,8 +275,8 @@ mod tests {
     #[should_panic(expected = "time went backwards")]
     fn checked_mode_rejects_time_reversal() {
         let mut log = CycleLog::new();
-        log.push(rec(Candidate::Prev, 5));
-        log.push(rec(Candidate::Prev, 3));
+        log.push(rec(CandidateKind::Prev, 5));
+        log.push(rec(CandidateKind::Prev, 3));
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl Guardrail {
         }
     }
 
-    /// The configured tunables.
-    pub fn params(&self) -> &GuardrailParams {
-        &self.params
-    }
-
     /// Is the RL arm currently benched?
     pub fn is_degraded(&self) -> bool {
         matches!(self.state, State::Degraded { .. })
@@ -129,38 +124,45 @@ impl Guardrail {
     }
 
     /// Record `delta` rejected RL actions observed since the last call
-    /// (from [`libra_learned::RlCca::invalid_actions`]); a clean interval
-    /// resets the streak. May trip degraded mode.
-    pub fn on_invalid_actions(&mut self, now: Instant, delta: u64) {
+    /// (see [`libra_learned::Resolution::Rejected`]); a clean interval
+    /// resets the streak. Returns `true` when this tripped degraded mode.
+    pub fn on_invalid_actions(&mut self, now: Instant, delta: u64) -> bool {
         if self.is_degraded() {
-            return;
+            return false;
         }
         if delta == 0 {
             self.consecutive_invalid = 0;
-            return;
+            return false;
         }
         self.consecutive_invalid = self
             .consecutive_invalid
             .saturating_add(delta.min(u32::MAX as u64) as u32);
-        if self.consecutive_invalid >= self.params.max_invalid_actions {
-            self.trip(now);
+        if self.consecutive_invalid < self.params.max_invalid_actions {
+            return false;
         }
+        self.trip(now);
+        true
     }
 
     /// Record one completed control cycle's measured utilities. A cycle
     /// where the learned arm measurably loses to the classic arm counts
     /// toward the regression streak; a cycle where it holds its own
-    /// resets the streak. May trip degraded mode.
-    pub fn on_cycle(&mut self, now: Instant, u_learned: Option<f64>, u_classic: Option<f64>) {
+    /// resets the streak. Returns `true` when this tripped degraded mode.
+    pub fn on_cycle(
+        &mut self,
+        now: Instant,
+        u_learned: Option<f64>,
+        u_classic: Option<f64>,
+    ) -> bool {
         if self.is_degraded() {
-            return;
+            return false;
         }
         match (u_learned, u_classic) {
             (Some(l), Some(c)) if l < c => {
                 self.consecutive_regressions += 1;
                 if self.consecutive_regressions >= self.params.max_utility_regressions {
                     self.trip(now);
-                    return;
+                    return true;
                 }
             }
             (Some(_), Some(_)) => self.consecutive_regressions = 0,
@@ -171,6 +173,7 @@ impl Guardrail {
         if self.healthy_cycles >= self.params.recovery_cycles {
             self.next_backoff_mis = self.params.backoff_initial_mis.max(1);
         }
+        false
     }
 
     /// Tick once per monitor interval while degraded. Returns `true`
@@ -222,11 +225,12 @@ mod tests {
     #[test]
     fn invalid_action_streak_trips() {
         let mut g = Guardrail::new(GuardrailParams::default());
-        g.on_invalid_actions(at(10), 1);
-        g.on_invalid_actions(at(20), 1);
+        assert!(!g.on_invalid_actions(at(10), 1));
+        assert!(!g.on_invalid_actions(at(20), 1));
         assert!(!g.is_degraded());
-        g.on_invalid_actions(at(30), 1);
+        assert!(g.on_invalid_actions(at(30), 1), "the third rejection trips");
         assert!(g.is_degraded());
+        assert!(!g.on_invalid_actions(at(40), 1), "already degraded");
         assert_eq!(g.trips(), 1);
     }
 
@@ -250,9 +254,12 @@ mod tests {
         g.on_cycle(at(20), Some(1.0), Some(2.0));
         g.on_cycle(at(30), Some(3.0), Some(2.0)); // learned wins: reset
         g.on_cycle(at(40), Some(1.0), Some(2.0));
-        g.on_cycle(at(50), Some(1.0), Some(2.0));
+        assert!(!g.on_cycle(at(50), Some(1.0), Some(2.0)));
         assert!(!g.is_degraded());
-        g.on_cycle(at(60), Some(1.0), Some(2.0));
+        assert!(
+            g.on_cycle(at(60), Some(1.0), Some(2.0)),
+            "the third regression trips"
+        );
         assert!(g.is_degraded());
     }
 

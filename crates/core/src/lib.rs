@@ -15,7 +15,10 @@
 //! ```
 //!
 //! * [`Libra`] — the controller (C-Libra, B-Libra, Clean-Slate, or any
-//!   classic CCA via [`Libra::with_classic`]).
+//!   classic CCA via [`Libra::with_classic`]): the adapter that feeds
+//!   the live arms to the cycle.
+//! * [`cycle`] — Alg. 1's explore → evaluate → exploit machine as a
+//!   plain-data [`cycle::Cycle`].
 //! * [`LibraParams`] — stage durations, EI length, switch threshold, and
 //!   application-preference profiles.
 //! * [`guardrail`] — runtime health tracking for the learned arm:
@@ -40,13 +43,14 @@
 //! ```
 
 pub mod accounting;
+pub mod cycle;
 pub mod equilibrium;
 pub mod guardrail;
 pub mod libra;
 pub mod params;
 pub mod train;
 
-pub use accounting::{Candidate, CycleLog, CycleRecord};
+pub use accounting::{CycleLog, CycleRecord};
 pub use equilibrium::DroptailGame;
 pub use guardrail::{Guardrail, GuardrailParams};
 pub use libra::Libra;

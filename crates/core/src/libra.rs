@@ -1,38 +1,25 @@
-//! The Libra controller: the three-stage control cycle of Alg. 1.
+//! The Libra controller: the adapter between the live arms and the
+//! three-stage [`Cycle`] of Alg. 1.
 //!
-//! ```text
-//!        ┌────────────── one control cycle ──────────────────┐
-//!        │ EXPLORE (k RTT)   EVAL (2 EIs)    EXPLOIT (k RTT) │
-//! rate:  │ classic from      x_lo then x_hi  x_prev          │
-//!        │ base x_prev       (lower first)                   │
-//!        │ RL acts per MI                                    │
-//!        └───────────────────────────────────────────────────┘
-//! ```
-//!
-//! * **Exploration** — the applied rate follows the classic CCA's per-ACK
-//!   updates starting from the base rate `x_prev`; the RL component makes
-//!   per-MI decisions as a backup. Exploration exits early when the two
-//!   candidates diverge by more than `switch_frac × x_prev`.
-//! * **Evaluation** — the two candidate rates are each applied for one
-//!   evaluation interval, *lower rate first* to avoid the self-inflicted
-//!   side effect of Fig. 4; the exploration stage's statistics are folded
-//!   into `u(x_prev)`.
-//! * **Exploitation** — the sender returns to `x_prev` while the
-//!   candidates' ACKs arrive; the first two exploitation MIs carry the
-//!   feedback of the two evaluation intervals (one RTT late), and at the
-//!   end of the stage the candidate with the highest utility becomes the
-//!   next cycle's base rate.
-//!
-//! The DRL agent only runs during exploration — the source of Libra's
-//! overhead reduction (Remark 5).
+//! [`Cycle`] is the algorithm as plain data: the stage, `x_prev`, the
+//! candidate slots and their measurements, `u(x_prev)`'s aggregate and
+//! the cycle log. [`Libra`] owns everything that touches a live
+//! controller: the classic arm (`None` for Clean-Slate), the RL arm and
+//! its submit/resolve split, the [`Guardrail`] with its degraded mode,
+//! and the tracer. At each MI close it lets the RL arm act (exploration
+//! only — the source of Libra's overhead reduction, Remark 5), feeds the
+//! cycle what both arms now propose, and carries out what comes back:
+//! re-base the arms, trace the stage and the decision, score the cycle
+//! on the guardrail.
 
-use crate::accounting::{Candidate, CycleLog, CycleRecord};
+use crate::accounting::{CycleLog, CycleRecord};
+use crate::cycle::{Arms, Candidates, Cycle, Stage};
 use crate::guardrail::Guardrail;
 use crate::params::LibraParams;
-use libra_classic::{Bbr, Cubic};
-use libra_learned::{RlCca, RlCcaConfig};
+use crate::train::LibraVariant;
+use libra_learned::{Resolution, RlCca, RlCcaConfig};
 use libra_rl::{PpoAgent, PpoConfig};
-use libra_types::trace::{CandidateKind, CandidateSample, GuardrailStep, TraceEvent, TraceStage};
+use libra_types::trace::{CandidateSample, GuardrailStep, TraceEvent, TraceStage};
 use libra_types::{
     cca::rate_based_cwnd, AckEvent, CongestionControl, Duration, Instant, LossEvent, MiStats, Rate,
     SendEvent, Tracer,
@@ -40,130 +27,17 @@ use libra_types::{
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// RTT-gradient noise floor for the evaluation stage's utility inputs.
-///
-/// With β = 900, a measurement-noise gradient of ±0.002 already swings
-/// the utility by more than the whole throughput term, turning candidate
-/// selection into a coin flip (and, because the RL candidate can propose
-/// ×½ while the classic proposes at most ×1.25, a coin flip is an
-/// exponentially *collapsing* random walk). The kernel implementation
-/// reads its gradient from the smoothed RTT, which denoises implicitly;
-/// here small measured slopes are clamped to zero before Eq. 1. Real
-/// congestion produces gradients of ≈(S−C)/C ≈ 0.1–0.3, far above the
-/// floor.
-const GRAD_NOISE_FLOOR: f64 = 0.01;
-
-fn denoise_gradient(g: f64) -> f64 {
-    if g.abs() < GRAD_NOISE_FLOOR {
-        0.0
-    } else {
-        g
-    }
-}
-
-/// The trace-level mirror of [`Candidate`].
-fn trace_kind(c: Candidate) -> CandidateKind {
-    match c {
-        Candidate::Prev => CandidateKind::Prev,
-        Candidate::Classic => CandidateKind::Classic,
-        Candidate::Learned => CandidateKind::Learned,
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Stage {
-    /// Follow the classic CCA's startup (slow start / BBR STARTUP).
-    Startup,
-    /// Exploration stage; counts remaining EI-sized ticks.
-    Explore { ticks_left: u32, early_exit: bool },
-    /// Evaluation stage; `index` selects which ordered candidate is being
-    /// applied.
-    Eval { index: usize, early_exit: bool },
-    /// Exploitation stage; `tick` counts from 0.
-    Exploit { tick: u32, early_exit: bool },
-}
-
-/// Aggregate several exploration MIs into the statistics behind
-/// `u(x_prev)`.
-#[derive(Debug, Clone, Default)]
-struct ExploreAgg {
-    sent_bytes: u64,
-    lost_bytes: u64,
-    acked_bytes: u64,
-    secs: f64,
-    grad_weighted: f64,
-    grad_weight: f64,
-}
-
-impl ExploreAgg {
-    fn clear(&mut self) {
-        *self = ExploreAgg::default();
-    }
-
-    fn add(&mut self, mi: &MiStats) {
-        let d = mi.duration().as_secs_f64();
-        self.sent_bytes += mi.sent_bytes;
-        self.lost_bytes += mi.lost_bytes;
-        self.acked_bytes += mi.acked_bytes;
-        self.secs += d;
-        self.grad_weighted += mi.rtt_gradient * d;
-        self.grad_weight += d;
-    }
-
-    fn utility(&self, params: &libra_types::UtilityParams) -> Option<f64> {
-        if self.acked_bytes == 0 || self.secs <= 0.0 {
-            return None;
-        }
-        let rate_mbps = self.sent_bytes as f64 * 8.0 / self.secs / 1e6;
-        let grad = if self.grad_weight > 0.0 {
-            denoise_gradient(self.grad_weighted / self.grad_weight)
-        } else {
-            0.0
-        };
-        let denom = self.acked_bytes + self.lost_bytes;
-        let loss = if denom > 0 {
-            self.lost_bytes as f64 / denom as f64
-        } else {
-            0.0
-        };
-        Some(params.evaluate(rate_mbps, grad, loss))
-    }
-}
-
 /// The Libra congestion controller (the paper's primary contribution).
 pub struct Libra {
     name: &'static str,
-    params: LibraParams,
     /// The inner classic CCA; `None` for Clean-Slate Libra.
     classic: Option<Box<dyn CongestionControl>>,
     /// The inner RL component (Sec. 4.2 formulation).
     rl: RlCca,
-    stage: Stage,
-    x_prev: Rate,
-    /// Candidates in evaluation order (lower rate first).
-    ordered: Vec<(Candidate, Rate)>,
-    /// Utilities measured for `ordered` candidates via exploitation-stage
-    /// feedback.
-    measured: Vec<Option<f64>>,
-    /// Whether each candidate's evaluation MI actually put data on the
-    /// wire. Exploitation feedback for a candidate whose EI sent nothing
-    /// (blackout, pacer stall) describes *other* traffic and is rejected,
-    /// keeping the tick→index mapping honest.
-    eval_sent: Vec<bool>,
-    u_prev: Option<f64>,
-    explore_agg: ExploreAgg,
-    log: CycleLog,
+    cycle: Cycle,
+    guardrail: Guardrail,
     srtt: Duration,
     now: Instant,
-    cycles: u64,
-    guardrail: Guardrail,
-    /// `rl.invalid_actions()` as of the previous observation, so each MI
-    /// feeds only the delta to the guardrail.
-    rl_invalid_seen: u64,
-    /// `rl.fallback_ticks()` as of the previous observation; deltas are
-    /// emitted as [`TraceEvent::Fallback`] witnesses of the ladder's
-    /// stale-action rung.
-    rl_fallback_seen: u64,
     /// Structured decision tracing; disabled (one branch per emit site)
     /// unless the host attaches a sink.
     tracer: Tracer,
@@ -177,28 +51,18 @@ impl Libra {
 
     /// C-Libra: CUBIC underneath, 1-RTT stages.
     pub fn c_libra(agent: Rc<RefCell<PpoAgent>>) -> Self {
-        Libra::with_classic(
-            "C-Libra",
-            Box::new(Cubic::new(1500)),
-            LibraParams::for_cubic(),
-            agent,
-        )
+        LibraVariant::Cubic.build(agent)
     }
 
     /// B-Libra: BBR underneath, 3-RTT exploration/exploitation.
     pub fn b_libra(agent: Rc<RefCell<PpoAgent>>) -> Self {
-        Libra::with_classic(
-            "B-Libra",
-            Box::new(Bbr::new(1500)),
-            LibraParams::for_bbr(),
-            agent,
-        )
+        LibraVariant::Bbr.build(agent)
     }
 
     /// Clean-Slate Libra: the framework without a classic CCA (the CL
     /// benchmark that motivates the combination).
     pub fn clean_slate(agent: Rc<RefCell<PpoAgent>>) -> Self {
-        Libra::new("CL-Libra", None, LibraParams::for_cubic(), agent)
+        LibraVariant::CleanSlate.build(agent)
     }
 
     /// Libra over an arbitrary classic CCA (Sec. 7's Westwood/Illinois
@@ -219,52 +83,40 @@ impl Libra {
         params: LibraParams,
         agent: Rc<RefCell<PpoAgent>>,
     ) -> Self {
-        let rl = RlCca::new(RlCcaConfig::libra_rl(), agent);
         Libra {
             name,
-            params,
             classic,
-            rl,
-            stage: Stage::Startup,
-            x_prev: Rate::from_mbps(2.0),
-            ordered: Vec::new(),
-            measured: Vec::new(),
-            eval_sent: Vec::new(),
-            u_prev: None,
-            explore_agg: ExploreAgg::default(),
-            log: CycleLog::new(),
+            rl: RlCca::new(RlCcaConfig::libra_rl(), agent),
+            cycle: Cycle::new(params),
+            guardrail: Guardrail::new(params.guardrail),
             srtt: Duration::ZERO,
             now: Instant::ZERO,
-            cycles: 0,
-            guardrail: Guardrail::new(params.guardrail),
-            rl_invalid_seen: 0,
-            rl_fallback_seen: 0,
             tracer: Tracer::disabled(),
         }
     }
 
     /// Swap in an application-preference utility profile (Fig. 11).
     pub fn with_preference(mut self, pref: libra_types::Preference) -> Self {
-        self.params = self.params.with_preference(pref);
+        self.cycle = Cycle::new(self.cycle.params().with_preference(pref));
         self
     }
 
     /// Override the cycle parameters (the Fig. 19 / Tab. 7 sensitivity
     /// sweeps).
     pub fn with_params(mut self, params: LibraParams) -> Self {
-        self.params = params;
+        self.cycle = Cycle::new(params);
         self.guardrail = Guardrail::new(params.guardrail);
         self
     }
 
     /// Cycle telemetry.
     pub fn log(&self) -> &CycleLog {
-        &self.log
+        self.cycle.log()
     }
 
     /// Completed control cycles.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.cycle.log().len() as u64
     }
 
     /// RL inference count (overhead telemetry).
@@ -274,7 +126,7 @@ impl Libra {
 
     /// Current base sending rate.
     pub fn base_rate(&self) -> Rate {
-        self.x_prev
+        self.cycle.base()
     }
 
     /// Times the guardrail tripped into degraded mode.
@@ -303,50 +155,48 @@ impl Libra {
         self.rl.invalid_actions()
     }
 
-    /// Missing/invalid RL responses bridged by the degradation ladder's
-    /// last-good action replay (delegated telemetry).
-    pub fn rl_fallback_ticks(&self) -> u64 {
-        self.rl.fallback_ticks()
-    }
-
     fn effective_srtt(&self) -> Duration {
         self.srtt.max(Duration::from_millis(10))
     }
 
-    fn classic_rate(&self) -> Rate {
-        match &self.classic {
-            Some(c) => c.rate_estimate(self.effective_srtt()),
-            None => self.x_prev,
+    /// What both arms propose right now, as the cycle reads them.
+    fn arms(&self) -> Arms {
+        let srtt = self.effective_srtt();
+        Arms {
+            x_cl: self.classic.as_ref().map(|c| c.rate_estimate(srtt)),
+            classic_startup: self.classic.as_ref().is_some_and(|c| c.in_startup()),
+            x_rl: self.rl.current_rate(),
         }
     }
 
-    /// The rate Libra is applying right now, per stage.
+    /// The rate Libra is applying right now. While degraded the classic
+    /// arm has full control, whatever stage the idle cycle is in.
     fn applied_rate(&self) -> Rate {
-        match self.stage {
-            // During exploration the classic's *pacing* behaviour applies
-            // (BBR's probing gains included — Sec. 4.3 inherits the first
-            // three RTTs of its gain cycle); `x_cl` as a candidate remains
-            // the gain-stripped estimate.
-            Stage::Startup | Stage::Explore { .. } => match &self.classic {
-                Some(c) => c.pacing_rate().unwrap_or_else(|| self.classic_rate()),
-                None => self.x_prev,
-            },
-            Stage::Eval { index, .. } => self
-                .ordered
-                .get(index)
-                .map(|&(_, r)| r)
-                .unwrap_or(self.x_prev),
-            Stage::Exploit { .. } => self.x_prev,
+        let apply = if self.guardrail.is_degraded() {
+            None
+        } else {
+            self.cycle.apply()
+        };
+        match (apply, &self.classic) {
+            (Some(r), _) => r,
+            // Following the classic means its *pacing* behaviour (BBR's
+            // probing gains included — Sec. 4.3 inherits the first three
+            // RTTs of its gain cycle); `x_cl` as a candidate remains the
+            // gain-stripped estimate.
+            (None, Some(c)) => c
+                .pacing_rate()
+                .unwrap_or_else(|| c.rate_estimate(self.effective_srtt())),
+            (None, None) => self.cycle.base(),
         }
     }
 
     /// Rate-finiteness invariant (`checked-invariants` feature): after
-    /// every ACK both the base rate and the stage-applied rate must be
-    /// finite and positive. A NaN or infinite rate here would silently
-    /// poison utility comparisons for the rest of the cycle.
+    /// every ACK both the base rate and the applied rate must be finite
+    /// and positive. A NaN or infinite rate here would silently poison
+    /// utility comparisons for the rest of the cycle.
     #[cfg(feature = "checked-invariants")]
     fn check_rate_sanity(&self) {
-        let base = self.x_prev.mbps();
+        let base = self.cycle.base().mbps();
         assert!(
             base.is_finite() && base > 0.0,
             "libra base rate x_prev non-finite or non-positive after ACK: {base}"
@@ -362,27 +212,13 @@ impl Libra {
     #[inline(always)]
     fn check_rate_sanity(&self) {}
 
-    fn begin_cycle(&mut self) {
-        self.explore_agg.clear();
-        self.ordered.clear();
-        self.measured.clear();
-        self.eval_sent.clear();
-        self.u_prev = None;
-        let srtt = self.effective_srtt();
+    /// Re-base both arms on the cycle's base rate.
+    fn rebase_arms(&mut self, srtt: Duration) {
+        let x_prev = self.cycle.base();
         if let Some(c) = &mut self.classic {
-            c.set_rate(self.x_prev, srtt);
+            c.set_rate(x_prev, srtt);
         }
-        self.rl.set_rate(self.x_prev, srtt);
-        self.stage = Stage::Explore {
-            ticks_left: self.params.explore_ticks(),
-            early_exit: false,
-        };
-        // While degraded the cycle machinery idles (the classic arm has
-        // control), so the stage timeline stays in `Degraded` even though
-        // the stage field is reset for the eventual re-probe.
-        if !self.guardrail.is_degraded() {
-            self.emit_stage(TraceStage::Explore);
-        }
+        self.rl.set_rate(x_prev, srtt);
     }
 
     fn emit_stage(&self, stage: TraceStage) {
@@ -401,167 +237,110 @@ impl Libra {
         });
     }
 
-    fn enter_eval(&mut self, early_exit: bool) {
-        // A non-finite aggregate (degenerate inputs) is treated as
-        // missing feedback, never stored: a starved or broken exploration
-        // must not masquerade as a −∞ measurement.
-        self.u_prev = self
-            .explore_agg
-            .utility(&self.params.utility)
-            .filter(|u| u.is_finite());
-        let x_rl = self.rl.current_rate();
-        let mut cands = vec![(Candidate::Learned, x_rl)];
-        if self.classic.is_some() {
-            cands.push((Candidate::Classic, self.classic_rate()));
-        }
-        // Lower rate first (Sec. 4.1's evaluation-order principle);
-        // the reverse order exists only as an ablation. `total_cmp` keeps
-        // the sort well-defined even if a candidate rate were ever NaN.
-        cands.sort_by(|a, b| a.1.mbps().total_cmp(&b.1.mbps()));
-        if self.params.eval_order == crate::params::EvalOrder::HigherFirst {
-            cands.reverse();
-        }
-        self.measured = vec![None; cands.len()];
-        self.eval_sent = vec![false; cands.len()];
-        self.ordered = cands;
-        self.stage = Stage::Eval {
-            index: 0,
-            early_exit,
-        };
-        self.emit_stage(TraceStage::Eval);
+    fn emit_trip(&self) {
+        self.emit_guardrail(GuardrailStep::Trip);
+        self.emit_stage(TraceStage::Degraded);
     }
 
-    fn decide(&mut self, early_exit: bool) {
-        let mut u_classic = None;
-        let mut u_learned = None;
-        for (i, &(cand, _)) in self.ordered.iter().enumerate() {
-            match cand {
-                Candidate::Classic => u_classic = self.measured[i],
-                Candidate::Learned => u_learned = self.measured[i],
-                Candidate::Prev => {}
-            }
-        }
-        // Highest utility wins; missing feedback falls back to x_prev
-        // (the Sec. 3 no-ACK rule). Ties favour x_prev (stability).
-        // A NaN utility can never win: `u > best` is false for NaN.
-        let mut winner = Candidate::Prev;
-        let mut best = self.u_prev.unwrap_or(f64::NEG_INFINITY);
-        let mut rate = self.x_prev;
-        for (i, &(cand, r)) in self.ordered.iter().enumerate() {
-            if let Some(u) = self.measured[i] {
-                if u > best {
-                    best = u;
-                    winner = cand;
-                    rate = r;
-                }
-            }
-        }
-        self.log.push(CycleRecord {
-            at: self.now,
-            u_prev: self.u_prev,
-            u_classic,
-            u_learned,
-            winner,
-            rate_mbps: rate.mbps(),
-            early_exit,
-        });
+    fn emit_decision(&self, rec: &CycleRecord, candidates: &Candidates) {
         self.tracer.emit_with(|| TraceEvent::CycleDecision {
             flow: self.tracer.flow(),
-            at_ns: self.now.nanos(),
-            candidates: self
-                .ordered
+            at_ns: rec.at.nanos(),
+            candidates: candidates
+                .as_slice()
                 .iter()
-                .zip(&self.measured)
-                .map(|(&(cand, r), &utility)| CandidateSample {
-                    kind: trace_kind(cand),
-                    rate_mbps: r.mbps(),
-                    utility,
+                .map(|s| CandidateSample {
+                    kind: s.kind,
+                    rate_mbps: s.rate.mbps(),
+                    utility: s.utility,
                 })
                 .collect(),
-            u_prev: self.u_prev,
-            winner: trace_kind(winner),
-            rate_mbps: rate.mbps(),
-            early_exit,
+            u_prev: rec.u_prev,
+            winner: rec.winner,
+            rate_mbps: rec.rate_mbps,
+            early_exit: rec.early_exit,
         });
-        let trips_before = self.guardrail.trips();
-        self.guardrail.on_cycle(self.now, u_learned, u_classic);
-        if self.guardrail.trips() > trips_before {
-            self.emit_guardrail(GuardrailStep::Trip);
-            self.emit_stage(TraceStage::Degraded);
-        }
-        self.x_prev = rate.max(Rate::from_kbps(80.0));
-        self.cycles += 1;
-        // When the cycle just tripped the guardrail, degraded mode takes
-        // over on the next MI; begin_cycle still resets the machinery so
-        // the re-probe resumes cleanly.
-        self.begin_cycle();
     }
 
-    fn divergence_trips(&self) -> bool {
-        if self.classic.is_none() {
-            return false;
-        }
-        let th = self.x_prev.scale(self.params.switch_frac);
-        self.classic_rate().abs_diff(self.rl.current_rate()) >= th && !th.is_zero()
-    }
-
-    /// The Explore-stage bookkeeping that follows the RL decision (or
-    /// the RL component's skipping one): fold the MI into `u(x_prev)`'s
-    /// aggregate and feed rejected-action deltas to the guardrail.
-    /// Returns `true` when the guardrail just benched the RL arm — the
-    /// tick must stop there.
-    fn explore_post_rl(&mut self, mi: &MiStats) -> bool {
-        self.explore_agg.add(mi);
-        // Feed rejected-action deltas to the guardrail; a streak of
-        // non-finite actions benches the RL arm.
-        let invalid = self.rl.invalid_actions();
-        let delta = invalid - self.rl_invalid_seen;
-        self.rl_invalid_seen = invalid;
-        if delta > 0 {
-            self.tracer.emit_with(|| TraceEvent::RlInvalidActions {
-                flow: self.tracer.flow(),
-                at_ns: self.now.nanos(),
-                count: delta,
-            });
-        }
-        // Witness the ladder's stale-action rung: missing/invalid
-        // responses the RL member bridged with its last-good action.
-        let fallback = self.rl.fallback_ticks();
-        let fallback_delta = fallback - self.rl_fallback_seen;
-        self.rl_fallback_seen = fallback;
-        if fallback_delta > 0 {
-            self.tracer.emit_with(|| TraceEvent::Fallback {
-                flow: self.tracer.flow(),
-                at_ns: self.now.nanos(),
-                ticks: fallback_delta,
-            });
-        }
-        let trips_before = self.guardrail.trips();
-        self.guardrail.on_invalid_actions(self.now, delta);
-        if self.guardrail.is_degraded() {
-            if self.guardrail.trips() > trips_before {
-                self.emit_guardrail(GuardrailStep::Trip);
-                self.emit_stage(TraceStage::Degraded);
+    /// Feed the closed MI to the cycle and carry out its output.
+    fn advance_cycle(&mut self, mi: &MiStats) {
+        let out = self.cycle.advance(mi, self.arms());
+        if let Some((rec, candidates)) = &out.decided {
+            self.emit_decision(rec, candidates);
+            if self
+                .guardrail
+                .on_cycle(self.now, rec.u_learned, rec.u_classic)
+            {
+                self.emit_trip();
             }
-            return true;
         }
-        false
+        if out.entered == Some(TraceStage::Explore) {
+            self.rebase_arms(self.effective_srtt());
+        }
+        // When the cycle just tripped the guardrail, degraded mode takes
+        // over on the next MI and the stage timeline stays `Degraded`
+        // until the re-probe.
+        if let Some(stage) = out.entered {
+            if !self.guardrail.is_degraded() {
+                self.emit_stage(stage);
+            }
+        }
     }
 
-    /// Advance the Explore stage by one tick: divergence early-exit,
-    /// countdown, or transition into Eval.
-    fn explore_advance(&mut self, ticks_left: u32, early_exit: bool) {
-        let left = ticks_left.saturating_sub(1);
-        if self.divergence_trips() {
-            self.enter_eval(true);
-        } else if left == 0 {
-            self.enter_eval(early_exit);
-        } else {
-            self.stage = Stage::Explore {
-                ticks_left: left,
-                early_exit,
-            };
+    /// The rest of an exploration tick once the RL arm has acted
+    /// (`Some` with what its resolve did) or skipped acting (`None`, its
+    /// own startup): witness the degradation ladder, count rejections on
+    /// the guardrail, then advance the cycle — unless the guardrail just
+    /// benched the RL arm.
+    fn explore_after_rl(&mut self, mi: &MiStats, resolved: Option<Resolution>) {
+        match resolved {
+            Some(Resolution::Rejected) => self.tracer.emit_with(|| TraceEvent::RlInvalidActions {
+                flow: self.tracer.flow(),
+                at_ns: self.now.nanos(),
+                count: 1,
+            }),
+            // The ladder's stale-action rung bridged a missing/invalid
+            // response with the last-good action.
+            Some(Resolution::Replayed) => self.tracer.emit_with(|| TraceEvent::Fallback {
+                flow: self.tracer.flow(),
+                at_ns: self.now.nanos(),
+                ticks: 1,
+            }),
+            Some(Resolution::Applied) | None => {}
         }
+        let rejected = u64::from(resolved == Some(Resolution::Rejected));
+        if self.guardrail.on_invalid_actions(self.now, rejected) {
+            self.emit_trip();
+            return;
+        }
+        self.advance_cycle(mi);
+    }
+
+    /// One MI in degraded mode: the classic arm has full control (see
+    /// [`applied_rate`](Self::applied_rate)) and the cycle idles while
+    /// the guardrail counts down its backoff. On re-probe the PPO
+    /// weights are validated (and restored from the last good snapshot
+    /// if corrupt) before a fresh cycle begins.
+    fn degraded_tick(&mut self) {
+        if let Some(c) = &self.classic {
+            // Track the classic arm so the next cycle resumes from a
+            // sane base rate.
+            self.cycle.set_base(c.rate_estimate(self.effective_srtt()));
+        }
+        if !self.guardrail.tick_degraded(self.now) {
+            self.emit_guardrail(GuardrailStep::DegradedTick);
+            return;
+        }
+        self.emit_guardrail(GuardrailStep::Reprobe);
+        let bound = self.cycle.params().guardrail.weight_norm_bound;
+        let restores_before = self.rl.agent().borrow().weight_restores();
+        self.rl.agent().borrow_mut().validate_or_restore(bound);
+        if self.rl.agent().borrow().weight_restores() > restores_before {
+            self.emit_guardrail(GuardrailStep::Restore);
+        }
+        self.cycle.begin();
+        self.rebase_arms(self.effective_srtt());
+        self.emit_stage(TraceStage::Explore);
     }
 }
 
@@ -607,199 +386,68 @@ impl CongestionControl for Libra {
         }
     }
 
-    /// The per-MI stage machine. An Explore tick whose RL component owes
+    /// The per-MI adapter. An exploration tick whose RL component owes
     /// a decision writes the RL state vector into `policy_state` and
     /// returns `true`; the tick then completes in
     /// [`mi_resolve`](CongestionControl::mi_resolve) with the action —
     /// the policy server's, or the one
     /// [`on_mi`](CongestionControl::on_mi) fetched itself. Every other
-    /// stage (and every tick the RL component skips) runs to completion
-    /// here and returns `false`.
+    /// tick runs to completion here and returns `false`.
     fn mi_submit(&mut self, mi: &MiStats, policy_state: &mut Vec<f64>) -> bool {
         self.now = mi.end;
-        // Degraded mode: the classic arm has full control (see
-        // `cwnd_bytes`/`pacing_rate`); the cycle machinery idles while
-        // the guardrail counts down its backoff. On re-probe the PPO
-        // weights are validated (and restored from the last good
-        // snapshot if corrupt) before the cycle resumes.
         if self.guardrail.is_degraded() {
-            if self.classic.is_some() {
-                // Track the classic arm so the next cycle resumes from a
-                // sane base rate.
-                self.x_prev = self.classic_rate();
-            }
-            if self.guardrail.tick_degraded(self.now) {
-                self.emit_guardrail(GuardrailStep::Reprobe);
-                let bound = self.params.guardrail.weight_norm_bound;
-                let restores_before = self.rl.agent().borrow().weight_restores();
-                self.rl.agent().borrow_mut().validate_or_restore(bound);
-                if self.rl.agent().borrow().weight_restores() > restores_before {
-                    self.emit_guardrail(GuardrailStep::Restore);
-                }
-                // Discard rejections accrued before the bench.
-                self.rl_invalid_seen = self.rl.invalid_actions();
-                self.rl_fallback_seen = self.rl.fallback_ticks();
-                self.begin_cycle();
-            } else {
-                self.emit_guardrail(GuardrailStep::DegradedTick);
-            }
+            self.degraded_tick();
             return false;
         }
-        match self.stage {
-            Stage::Startup => {
-                let done = match &self.classic {
-                    Some(c) => !c.in_startup(),
-                    None => !mi.is_ack_starved(),
-                };
-                if done {
-                    self.x_prev = match &self.classic {
-                        Some(_) => self.classic_rate(),
-                        None => mi.delivery_rate.max(Rate::from_mbps(1.0)),
-                    };
-                    self.begin_cycle();
-                }
-                false
-            }
-            Stage::Explore {
-                ticks_left,
-                early_exit,
-            } => {
-                if !mi.is_ack_starved() {
-                    // RL acts (this is where Libra pays for inference).
-                    if self.rl.mi_submit(mi, policy_state) {
-                        // Decision owed; the tick completes in
-                        // `mi_resolve`.
-                        return true;
-                    }
-                    // RL skipped inference (its own startup); the tick
-                    // completes here.
-                    if self.explore_post_rl(mi) {
-                        return false;
-                    }
-                } // else: skip the RL action, keep x_rl (Sec. 3).
-                self.explore_advance(ticks_left, early_exit);
-                false
-            }
-            Stage::Eval { index, early_exit } => {
-                // This MI applied `ordered[index]`; its feedback arrives
-                // during the exploitation stage. The index advances
-                // exactly once per evaluation MI — also for a starved
-                // one, to keep the positional tick→index mapping — but a
-                // candidate whose EI put nothing on the wire is flagged
-                // so the late feedback slot is rejected rather than
-                // credited with another interval's traffic.
-                if index < self.eval_sent.len() {
-                    self.eval_sent[index] = mi.sent_bytes > 0;
-                }
-                if index + 1 < self.ordered.len() {
-                    self.stage = Stage::Eval {
-                        index: index + 1,
-                        early_exit,
-                    };
-                } else {
-                    self.stage = Stage::Exploit {
-                        tick: 0,
-                        early_exit,
-                    };
-                    self.emit_stage(TraceStage::Exploit);
-                }
-                false
-            }
-            Stage::Exploit { tick, early_exit } => {
-                // Exploitation MIs 0..n carry the candidates' feedback
-                // (their ACKs arrive one RTT after the EIs). Feedback is
-                // accepted only when the candidate's own EI sent data;
-                // a non-finite utility is missing feedback, not a value.
-                let idx = tick as usize;
-                if idx < self.ordered.len() && self.eval_sent[idx] && !mi.is_ack_starved() {
-                    let x = self.ordered[idx].1.mbps();
-                    let u = self.params.utility.evaluate(
-                        x,
-                        denoise_gradient(mi.rtt_gradient),
-                        mi.loss_rate,
-                    );
-                    if u.is_finite() {
-                        self.measured[idx] = Some(u);
-                    }
-                }
-                let next = tick + 1;
-                if next >= self.params.exploit_ticks().max(self.ordered.len() as u32) {
-                    self.decide(early_exit);
-                } else {
-                    self.stage = Stage::Exploit {
-                        tick: next,
-                        early_exit,
-                    };
-                }
-                false
-            }
+        // An ACK-starved MI skips the RL action and keeps x_rl (Sec. 3).
+        if !self.cycle.queries_rl() || mi.is_ack_starved() {
+            self.advance_cycle(mi);
+            return false;
         }
+        // RL acts (this is where Libra pays for inference).
+        if self.rl.mi_submit(mi, policy_state) {
+            return true;
+        }
+        self.explore_after_rl(mi, None);
+        false
     }
 
     fn mi_resolve(&mut self, stats: &MiStats, action: &[f64]) {
-        // Complete the Explore tick suspended in `mi_submit`: apply the
-        // action, then the post-decision bookkeeping.
-        self.rl.mi_resolve(stats, action);
-        if let Stage::Explore {
-            ticks_left,
-            early_exit,
-        } = self.stage
-        {
-            if self.explore_post_rl(stats) {
-                return;
-            }
-            self.explore_advance(ticks_left, early_exit);
-        }
+        let resolved = self.rl.resolve(action);
+        self.explore_after_rl(stats, Some(resolved));
     }
 
     fn mi_duration(&self, srtt: Duration) -> Duration {
-        let base = match self.stage {
+        let base = match self.cycle.stage() {
             Stage::Startup => srtt,
-            _ => srtt.mul_f64(self.params.ei_rtts),
+            _ => srtt.mul_f64(self.cycle.params().ei_rtts),
         };
         base.max(Duration::from_millis(5))
     }
 
     fn cwnd_bytes(&self) -> u64 {
-        if self.guardrail.is_degraded() {
-            return match &self.classic {
-                Some(c) => c.cwnd_bytes(),
-                None => rate_based_cwnd(self.x_prev, self.effective_srtt(), 1500),
-            };
-        }
-        match (&self.stage, &self.classic) {
-            (Stage::Startup, Some(c)) => c.cwnd_bytes(),
+        let classic_owns = self.guardrail.is_degraded() || self.cycle.stage() == Stage::Startup;
+        match &self.classic {
+            Some(c) if classic_owns => c.cwnd_bytes(),
             _ => rate_based_cwnd(self.applied_rate(), self.effective_srtt(), 1500),
         }
     }
 
     fn pacing_rate(&self) -> Option<Rate> {
-        if self.guardrail.is_degraded() {
-            return match &self.classic {
-                Some(c) => c.pacing_rate().or(Some(self.classic_rate())),
-                None => Some(self.x_prev),
-            };
-        }
-        match (&self.stage, &self.classic) {
-            (Stage::Startup, Some(c)) => c.pacing_rate().or(Some(self.classic_rate())),
-            _ => Some(self.applied_rate()),
-        }
+        Some(self.applied_rate())
     }
 
     fn rate_estimate(&self, _srtt: Duration) -> Rate {
-        self.x_prev
+        self.cycle.base()
     }
 
     fn set_rate(&mut self, rate: Rate, srtt: Duration) {
-        self.x_prev = rate;
-        if let Some(c) = &mut self.classic {
-            c.set_rate(rate, srtt);
-        }
-        self.rl.set_rate(rate, srtt);
+        self.cycle.set_base(rate);
+        self.rebase_arms(srtt);
     }
 
     fn in_startup(&self) -> bool {
-        self.stage == Stage::Startup
+        self.cycle.stage() == Stage::Startup
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -816,7 +464,7 @@ impl CongestionControl for Libra {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use libra_types::DetRng;
+    use libra_types::{trace::CandidateKind, DetRng};
 
     fn agent(seed: u64) -> Rc<RefCell<PpoAgent>> {
         let mut rng = DetRng::new(seed);
@@ -914,14 +562,12 @@ mod tests {
         // Run exploration (2 ticks).
         l.on_mi(&mi(100, 125, 5.0, 50, 0.0));
         l.on_mi(&mi(125, 150, 5.0, 50, 0.0));
-        match l.stage {
-            Stage::Eval { index: 0, .. } => {}
-            s => panic!("expected eval, got {s:?}"),
-        }
-        assert!(l.ordered.len() == 2);
-        assert!(l.ordered[0].1 <= l.ordered[1].1, "lower rate first");
+        assert_eq!(l.cycle.stage(), Stage::Eval { index: 0 });
+        let cands = l.cycle.candidates();
+        assert!(cands.len() == 2);
+        assert!(cands[0].rate <= cands[1].rate, "lower rate first");
         // Applied rate during the first EI is the lower candidate.
-        assert_eq!(l.pacing_rate().unwrap(), l.ordered[0].1);
+        assert_eq!(l.pacing_rate().unwrap(), cands[0].rate);
     }
 
     #[test]
@@ -930,10 +576,11 @@ mod tests {
         into_cycle(&mut l);
         l.on_mi(&mi(100, 125, 5.0, 50, 0.0));
         l.on_mi(&mi(125, 150, 5.0, 50, 0.0));
-        let lo = l.ordered[0].1;
+        let lo = l.cycle.candidates()[0].rate;
+        let hi = l.cycle.candidates()[1].rate;
         // Eval ticks.
         l.on_mi(&mi(150, 175, lo.mbps(), 50, 0.0));
-        l.on_mi(&mi(175, 200, l.ordered[1].1.mbps(), 50, 0.0));
+        l.on_mi(&mi(175, 200, hi.mbps(), 50, 0.0));
         // Exploit tick 0: clean feedback for the low candidate; tick 1:
         // heavy loss for the high one.
         l.on_mi(&mi(200, 225, 5.0, 50, 0.0));
@@ -942,10 +589,8 @@ mod tests {
         let rec = l.log().records()[0];
         // The high candidate's measured utility must be the lossy one —
         // and the winner must not be the high candidate.
-        let hi_cand = l.ordered.last();
-        let _ = hi_cand;
         assert!(
-            rec.winner == Candidate::Prev
+            rec.winner == CandidateKind::Prev
                 || rec.rate_mbps <= lo.mbps() + 1e-9
                 || rec.best_utility().is_some_and(|u| u > 0.0)
         );
@@ -956,9 +601,9 @@ mod tests {
             let u_prev = rec.u_prev.expect("exploration had feedback");
             let max_u = ucl.max(url).max(u_prev);
             let won_u = match rec.winner {
-                Candidate::Prev => u_prev,
-                Candidate::Classic => ucl,
-                Candidate::Learned => url,
+                CandidateKind::Prev => u_prev,
+                CandidateKind::Classic => ucl,
+                CandidateKind::Learned => url,
             };
             assert!((won_u - max_u).abs() < 1e-9, "winner has max utility");
         }
@@ -979,7 +624,7 @@ mod tests {
         l.on_mi(&MiStats::empty(Instant::from_millis(250)));
         assert_eq!(l.cycles(), 1);
         let rec = l.log().records()[0];
-        assert_eq!(rec.winner, Candidate::Prev);
+        assert_eq!(rec.winner, CandidateKind::Prev);
         assert!(l.base_rate().abs_diff(x_prev) < Rate::from_kbps(1.0));
     }
 
@@ -990,26 +635,28 @@ mod tests {
         // Explore (2 ticks).
         l.on_mi(&mi(100, 125, 5.0, 50, 0.0));
         l.on_mi(&mi(125, 150, 5.0, 50, 0.0));
-        let first = l.ordered[0].0;
-        let second = l.ordered[1].0;
+        let [first, second] = [0, 1].map(|i| l.cycle.candidates()[i]);
         // Candidate 0's evaluation MI puts nothing on the wire (blackout
         // or pacer stall); candidate 1's is normal. The index still
         // advances, keeping the positional mapping.
         l.on_mi(&MiStats::empty(Instant::from_millis(175)));
-        l.on_mi(&mi(175, 200, l.ordered[1].1.mbps(), 50, 0.0));
+        l.on_mi(&mi(175, 200, second.rate.mbps(), 50, 0.0));
         // Both exploitation MIs carry ACKs (from other in-flight data).
         // Tick 0 must NOT be credited to the candidate that never sent.
         l.on_mi(&mi(200, 225, 5.0, 50, 0.0));
         l.on_mi(&mi(225, 250, 5.0, 50, 0.0));
         assert_eq!(l.cycles(), 1);
         let rec = l.log().records()[0];
-        let u_of = |c: Candidate| match c {
-            Candidate::Classic => rec.u_classic,
-            Candidate::Learned => rec.u_learned,
-            Candidate::Prev => rec.u_prev,
+        let u_of = |c: CandidateKind| match c {
+            CandidateKind::Classic => rec.u_classic,
+            CandidateKind::Learned => rec.u_learned,
+            CandidateKind::Prev => rec.u_prev,
         };
-        assert_eq!(u_of(first), None, "dead EI must yield no feedback");
-        assert!(u_of(second).is_some(), "live EI keeps its feedback slot");
+        assert_eq!(u_of(first.kind), None, "dead EI must yield no feedback");
+        assert!(
+            u_of(second.kind).is_some(),
+            "live EI keeps its feedback slot"
+        );
     }
 
     #[test]
@@ -1084,15 +731,14 @@ mod tests {
             l.on_ack(&ack(k, 50));
         }
         // Force cycle start regardless of BBR's internal state.
-        l.x_prev = Rate::from_mbps(10.0);
-        l.begin_cycle();
+        l.cycle.set_base(Rate::from_mbps(10.0));
+        l.cycle.begin();
+        l.rebase_arms(l.effective_srtt());
         // Make the RL rate diverge hard from the classic.
         l.rl.set_rate(Rate::from_mbps(40.0), Duration::from_millis(50));
         l.on_mi(&mi(100, 125, 10.0, 50, 0.0));
-        match l.stage {
-            Stage::Eval { early_exit, .. } => assert!(early_exit),
-            s => panic!("expected early eval, got {s:?}"),
-        }
+        // One exploration tick of six: only the divergence rule leaves.
+        assert_eq!(l.cycle.stage(), Stage::Eval { index: 0 });
     }
 
     #[test]
@@ -1105,7 +751,7 @@ mod tests {
         // Explore 2 ticks.
         l.on_mi(&mi(50, 75, 5.0, 50, 0.0));
         l.on_mi(&mi(75, 100, 5.0, 50, 0.0));
-        assert_eq!(l.ordered.len(), 1);
+        assert_eq!(l.cycle.candidates().len(), 1);
         // One eval tick, then exploit.
         l.on_mi(&mi(100, 125, 5.0, 50, 0.0));
         l.on_mi(&mi(125, 150, 5.0, 50, 0.0));
@@ -1254,9 +900,10 @@ mod tests {
         l.on_mi(&mi(100, 125, 5.0, 50, 0.0));
         l.on_mi(&mi(125, 150, 5.0, 50, 0.0));
         let learned_idx = l
-            .ordered
+            .cycle
+            .candidates()
             .iter()
-            .position(|&(c, _)| c == Candidate::Learned)
+            .position(|s| s.kind == CandidateKind::Learned)
             .unwrap();
         // Eval ticks.
         l.on_mi(&mi(150, 175, 5.0, 50, 0.0));
@@ -1276,7 +923,7 @@ mod tests {
     #[test]
     fn preference_profile_is_applied() {
         let l = Libra::c_libra(agent(9)).with_preference(libra_types::Preference::Throughput2);
-        assert_eq!(l.params.utility.alpha, 3.0);
+        assert_eq!(l.cycle.params().utility.alpha, 3.0);
     }
 
     #[test]

@@ -108,6 +108,19 @@ impl RlCcaConfig {
     }
 }
 
+/// Which rung of the degradation ladder took a policy action
+/// ([`RlCca::resolve`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resolution {
+    /// A valid action, applied and cached as the last good one.
+    Applied,
+    /// A missing or invalid action bridged by replaying the last good one.
+    Replayed,
+    /// A missing or invalid action with no replay left; counted in
+    /// [`RlCca::invalid_actions`].
+    Rejected,
+}
+
 /// A PPO-driven rate-based congestion controller.
 ///
 /// The agent is shared via `Rc<RefCell<…>>` so a trainer (or Libra) can
@@ -131,12 +144,10 @@ pub struct RlCca {
     decisions: u64,
     invalid_actions: u64,
     in_slow_start: bool,
-    // Degradation-ladder state: the last validated action, how many
-    // consecutive ticks it has been replayed, and a lifetime replay
-    // count for reports.
-    last_good: Vec<f64>,
+    // Degradation-ladder state: the last validated action and how many
+    // consecutive ticks it has been replayed.
+    last_good: Option<f64>,
     stale_served: u32,
-    fallback_ticks: u64,
 }
 
 impl RlCca {
@@ -167,9 +178,8 @@ impl RlCca {
             decisions: 0,
             invalid_actions: 0,
             in_slow_start: true,
-            last_good: Vec::new(),
+            last_good: None,
             stale_served: 0,
-            fallback_ticks: 0,
         }
     }
 
@@ -183,12 +193,6 @@ impl RlCca {
     /// feeds Libra's guardrail.
     pub fn invalid_actions(&self) -> u64 {
         self.invalid_actions
-    }
-
-    /// Missing/invalid policy responses bridged by replaying the
-    /// last-good cached action (the degradation ladder's middle rung).
-    pub fn fallback_ticks(&self) -> u64 {
-        self.fallback_ticks
     }
 
     /// Access the shared agent.
@@ -212,7 +216,8 @@ impl RlCca {
     }
 
     /// Apply a policy action to the rate — the tail of a decision and
-    /// the degradation ladder's resolve-side anchor:
+    /// the degradation ladder's resolve-side anchor — and say which rung
+    /// took it:
     ///
     /// 1. a validated action (right dimension, finite) is cached and
     ///    applied;
@@ -222,35 +227,34 @@ impl RlCca {
     /// 3. past the staleness bound — or with nothing cached — the
     ///    rejection is counted so an arbiter above (Libra's guardrail)
     ///    can pin the flow to the classic CCA and re-probe with backoff.
-    fn apply_action(&mut self, action: &[f64]) {
+    pub fn resolve(&mut self, action: &[f64]) -> Resolution {
         // A NaN/inf action means the policy network is corrupt; a wrong
         // dimension or an empty slice means the serving boundary failed.
         // `Rate` would silently clamp NaN to zero, so the raw output must
         // be validated *before* conversion.
-        let valid = action.len() == 1 && action[0].is_finite();
-        if valid {
-            self.last_good.clear();
-            self.last_good.extend_from_slice(action);
+        let (applied, resolution) = if action.len() == 1 && action[0].is_finite() {
+            self.last_good = Some(action[0]);
             self.stale_served = 0;
-            self.rate = self
-                .config
-                .action
-                .apply(self.rate, action[0])
-                .clamp(self.config.min_rate, self.config.max_rate);
             self.decisions += 1;
-            return;
-        }
-        if !self.last_good.is_empty() && self.stale_served < self.config.stale_limit {
-            self.stale_served += 1;
-            self.fallback_ticks += 1;
-            self.rate = self
-                .config
-                .action
-                .apply(self.rate, self.last_good[0])
-                .clamp(self.config.min_rate, self.config.max_rate);
-            return;
-        }
-        self.invalid_actions += 1;
+            (action[0], Resolution::Applied)
+        } else {
+            match self.last_good {
+                Some(last) if self.stale_served < self.config.stale_limit => {
+                    self.stale_served += 1;
+                    (last, Resolution::Replayed)
+                }
+                _ => {
+                    self.invalid_actions += 1;
+                    return Resolution::Rejected;
+                }
+            }
+        };
+        self.rate = self
+            .config
+            .action
+            .apply(self.rate, applied)
+            .clamp(self.config.min_rate, self.config.max_rate);
+        resolution
     }
 }
 
@@ -354,7 +358,7 @@ impl CongestionControl for RlCca {
     }
 
     fn mi_resolve(&mut self, _stats: &MiStats, action: &[f64]) {
-        self.apply_action(action);
+        self.resolve(action);
     }
 
     fn mi_duration(&self, srtt: Duration) -> Duration {
@@ -578,27 +582,24 @@ mod tests {
         // One healthy decision caches a last-good action.
         let stats = mi(5.0, 50, 0.0);
         assert!(cca.mi_submit(&stats, &mut Vec::new()));
-        cca.mi_resolve(&stats, &[0.05]);
+        assert_eq!(cca.resolve(&[0.05]), Resolution::Applied);
         assert_eq!(cca.decisions(), 1);
         // Missing responses (empty action) ride the cached action for
         // `stale_limit` ticks without counting as invalid…
-        for k in 1..=stale_limit as u64 {
+        for _ in 0..stale_limit {
             assert!(cca.mi_submit(&stats, &mut Vec::new()));
-            cca.mi_resolve(&stats, &[]);
-            assert_eq!(cca.fallback_ticks(), k);
+            assert_eq!(cca.resolve(&[]), Resolution::Replayed);
             assert_eq!(cca.invalid_actions(), 0);
         }
         // …then the staleness bound trips and rejections escalate.
         assert!(cca.mi_submit(&stats, &mut Vec::new()));
-        cca.mi_resolve(&stats, &[]);
-        assert_eq!(cca.fallback_ticks(), stale_limit as u64);
+        assert_eq!(cca.resolve(&[]), Resolution::Rejected);
         assert_eq!(cca.invalid_actions(), 1);
         // A fresh valid action re-arms the ladder.
         assert!(cca.mi_submit(&stats, &mut Vec::new()));
-        cca.mi_resolve(&stats, &[0.02]);
+        assert_eq!(cca.resolve(&[0.02]), Resolution::Applied);
         assert!(cca.mi_submit(&stats, &mut Vec::new()));
-        cca.mi_resolve(&stats, &[f64::NAN]);
-        assert_eq!(cca.fallback_ticks(), stale_limit as u64 + 1);
+        assert_eq!(cca.resolve(&[f64::NAN]), Resolution::Replayed);
         assert_eq!(cca.invalid_actions(), 1);
     }
 

@@ -244,6 +244,7 @@ const FLOAT_GUARD_SCOPE: &[&str] = &[
     "crates/types/src/utility.rs",
     "crates/types/src/stats.rs",
     "crates/core/src/accounting.rs",
+    "crates/core/src/cycle.rs",
     "crates/core/src/libra.rs",
     "crates/core/src/guardrail.rs",
     "crates/core/src/equilibrium.rs",
@@ -523,11 +524,12 @@ impl Rule for BoundedRetry {
 /// functions run millions of times per simulated minute; a heap
 /// allocation there (a `Box`, a fresh `Vec`, a formatted `String`) is
 /// the difference between the slab-pooled engine and the one it
-/// replaced. Inside the named hot functions in `netsim`, allocation
-/// constructors are denied; buffers must be preallocated scratch space
-/// owned by the caller (see `FlowSender::try_emit`) or slab slots from
-/// `PacketPool`. Audited cold branches inside a hot function waive with
-/// `// lint: allow(no-per-packet-alloc)`.
+/// replaced. Inside the named hot functions in `netsim`, and on the
+/// per-MI cycle path in `core`, allocation constructors are denied;
+/// buffers must be preallocated scratch space owned by the caller (see
+/// `FlowSender::try_emit`), slab slots from `PacketPool`, or fixed
+/// arrays (the cycle's candidate slots). Audited cold branches inside a
+/// hot function waive with `// lint: allow(no-per-packet-alloc)`.
 pub struct NoPerPacketAlloc;
 
 /// The per-packet / per-ACK hot set: every function the event loop
@@ -566,6 +568,12 @@ const HOT_FNS: &[&str] = &[
     "close_mi",
 ];
 
+/// `core`'s per-decision set: every MI close enters Libra through
+/// `mi_submit` (and `mi_resolve` when the RL arm acted), which feed the
+/// cycle's one entry point, `advance`; it builds the candidate slots in
+/// `enter_eval` and the cycle's record in `decide`.
+const CORE_HOT_FNS: &[&str] = &["mi_submit", "mi_resolve", "advance", "enter_eval", "decide"];
+
 /// Heap-allocation constructors. `Vec::with_capacity` is deliberately
 /// absent: it only appears in setup paths, and flagging it would push
 /// people toward `Vec::new` + growth, the worse idiom.
@@ -596,12 +604,14 @@ impl Rule for NoPerPacketAlloc {
         "no-per-packet-alloc"
     }
     fn description(&self) -> &'static str {
-        "heap allocation inside a per-packet/per-ACK hot function in netsim"
+        "heap allocation inside a per-packet or per-MI hot function (netsim, core)"
     }
     fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if file.krate != "netsim" {
-            return;
-        }
+        let hot_fns = match file.krate.as_str() {
+            "netsim" => HOT_FNS,
+            "core" => CORE_HOT_FNS,
+            _ => return,
+        };
         for (idx, code) in file.code.iter().enumerate() {
             if file.is_test[idx] {
                 continue;
@@ -615,7 +625,7 @@ impl Rule for NoPerPacketAlloc {
             let Some(name) = fn_name(&file.code[start]) else {
                 continue;
             };
-            if !HOT_FNS.contains(&name) {
+            if !hot_fns.contains(&name) {
                 continue;
             }
             if file.allowed(idx, "no-per-packet-alloc") || file.allowed(idx, "no_per_packet_alloc")
@@ -628,8 +638,8 @@ impl Rule for NoPerPacketAlloc {
                 path: file.path.clone(),
                 line: idx + 1,
                 message: format!(
-                    "heap allocation inside hot function `{name}`; use a \
-                     caller-owned scratch buffer or a PacketPool slot, or waive \
+                    "heap allocation inside hot function `{name}`; use a caller-owned \
+                     scratch buffer, a PacketPool slot or a fixed array, or waive \
                      an audited cold branch with `// lint: allow(no-per-packet-alloc)`"
                 ),
                 excerpt: file.lines[idx].trim().to_string(),
@@ -697,6 +707,28 @@ mod tests {
                 &format!("fn {name}(&mut self) {{\n    let state = vec![0.0; 8];\n}}\n"),
             );
             assert_eq!(decision.len(), 1, "{name}: {decision:?}");
+        }
+        // Core's per-MI cycle path is hot too; netsim's names are not
+        // hot there, nor are core's in netsim.
+        for name in CORE_HOT_FNS {
+            let cycle = findings(
+                "crates/core/src/demo.rs",
+                &format!("fn {name}(&mut self) {{\n    let cands = vec![0.0; 2];\n}}\n"),
+            );
+            assert_eq!(cycle.len(), 1, "{name}: {cycle:?}");
+            assert_eq!(cycle[0].rule, "no-per-packet-alloc");
+        }
+        for (path, name) in [
+            ("crates/core/src/demo.rs", "try_emit"),
+            ("crates/core/src/demo.rs", "on_mi"),
+            ("crates/netsim/src/demo.rs", "enter_eval"),
+            ("crates/learned/src/demo.rs", "mi_submit"),
+        ] {
+            let cold = findings(
+                path,
+                &format!("fn {name}(&mut self) {{\n    let cands = vec![0.0; 2];\n}}\n"),
+            );
+            assert!(cold.is_empty(), "{path} {name}: {cold:?}");
         }
         // Waived audited cold branch inside a hot function: clean.
         let waived = findings(

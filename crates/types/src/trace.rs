@@ -79,9 +79,9 @@ impl GuardrailStep {
     }
 }
 
-/// Which member a candidate rate came from (mirrors the controller's
-/// candidate set without depending on the controller crate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+/// Which member a candidate rate came from: the controller's candidate
+/// set, shared by its cycle log and its trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CandidateKind {
     /// The incumbent rate `x_prev`.
     Prev,
@@ -92,7 +92,7 @@ pub enum CandidateKind {
 }
 
 impl CandidateKind {
-    /// Stable label matching the controller's candidate labels.
+    /// Stable table label.
     pub fn label(self) -> &'static str {
         match self {
             CandidateKind::Prev => "x_prev",

@@ -67,9 +67,9 @@ cargo test --offline -q -p libra --test properties --features checked-invariants
 echo "==> scenario corpus validation (unique names, serde round-trip, determinism)"
 cargo run --release --offline -p libra-bench --bin scenario_registry -- --check
 
-echo "==> figure goldens drift (dev/figure_goldens.md: every deterministic bin's --quick tables)"
+echo "==> figure goldens drift (dev/figure_goldens.md and EXPERIMENTS.md's measured blocks: every deterministic bin's --quick tables)"
 bash scripts/figure_goldens.sh
-git diff --exit-code -- dev/figure_goldens.md
+git diff --exit-code -- dev/figure_goldens.md EXPERIMENTS.md
 
 echo "==> adversarial search smoke (fixed seed, 1 vs N workers byte-identical)"
 cargo run --release --offline -p libra-bench --bin scenario_search -- --quick --seed 5 --selftest

@@ -1,8 +1,9 @@
 //! End-to-end tests of the Libra framework itself: the full controller
 //! over the simulator, across trace families and configurations.
 
-use libra::core::{Candidate, Libra};
+use libra::core::Libra;
 use libra::prelude::*;
+use libra::types::CandidateKind;
 use std::{cell::RefCell, rc::Rc};
 
 fn agent(seed: u64) -> Rc<RefCell<PpoAgent>> {
@@ -61,16 +62,16 @@ fn cycle_log_records_decisions() {
         // `u_prev` is `None` when the exploit stage got no feedback;
         // any measured candidate then beats it.
         let mut best = rec.u_prev.unwrap_or(f64::NEG_INFINITY);
-        let mut who = Candidate::Prev;
+        let mut who = CandidateKind::Prev;
         if let Some(u) = rec.u_classic {
             if u > best {
                 best = u;
-                who = Candidate::Classic;
+                who = CandidateKind::Classic;
             }
         }
         if let Some(u) = rec.u_learned {
             if u > best {
-                who = Candidate::Learned;
+                who = CandidateKind::Learned;
             }
         }
         assert_eq!(rec.winner, who, "winner is argmax in {rec:?}");

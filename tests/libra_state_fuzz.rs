@@ -145,7 +145,7 @@ proptest! {
         }
         // With zero feedback every decided cycle must have kept x_prev.
         for rec in libra.log().records() {
-            prop_assert_eq!(rec.winner, libra::core::Candidate::Prev);
+            prop_assert_eq!(rec.winner, libra::types::CandidateKind::Prev);
         }
         prop_assert!(libra.base_rate().abs_diff(base_before) < Rate::from_kbps(1.0));
     }
