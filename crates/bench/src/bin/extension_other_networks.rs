@@ -6,86 +6,89 @@
 //! network-specific classic CCA (here DCTCP). This binary runs those
 //! three scenarios.
 
-use libra_bench::{datacenter_spec, fiveg_spec, satellite_spec, BenchArgs, Cca, ModelStore, Table};
-use libra_classic::Dctcp;
-use libra_core::{Libra, LibraParams, LibraVariant};
-use libra_netsim::{FlowConfig, Simulation};
-use libra_rl::PpoAgent;
-use libra_types::{CongestionControl, Instant, Preference};
-use std::cell::RefCell;
-use std::rc::Rc;
+use libra_bench::{
+    datacenter_spec, fiveg_spec, run_figure, satellite_spec, BenchArgs, Cca, ModelStore, Table,
+};
+use libra_core::{LibraParams, LibraVariant};
+use libra_types::Preference;
 
 fn main() {
     let args = BenchArgs::parse();
     let secs = args.scaled(30, 8);
     let store = ModelStore::new(args.seed);
 
-    // --- Satellite & 5G: the standard comparison set. ---
-    for spec in [satellite_spec(secs), fiveg_spec(secs)] {
-        let name = spec.name.clone();
+    // Satellite & 5G: the standard comparison set.
+    let networks = [satellite_spec(secs), fiveg_spec(secs)];
+    let ccas = [
+        Cca::Cubic,
+        Cca::Bbr,
+        Cca::Westwood,
+        Cca::CLibra(Preference::Default),
+        Cca::BLibra(Preference::Default),
+    ];
+    // Datacenter: DCTCP standalone vs DCTCP inside Libra.
+    let dc = datacenter_spec(args.scaled(10, 3));
+    let d_libra = Cca::Libra {
+        variant: LibraVariant::Cubic,
+        classic: Some(&Cca::Dctcp),
+        params: LibraParams::for_cubic(),
+    };
+    let dc_ccas = [
+        ("CUBIC", Cca::Cubic),
+        ("DCTCP", Cca::Dctcp),
+        ("D-Libra (DCTCP inside)", d_libra),
+    ];
+    let specs = networks
+        .iter()
+        .flat_map(|spec| ccas.map(|cca| spec.to_run_spec(cca, args.seed)))
+        .chain(dc_ccas.map(|(_, cca)| dc.to_run_spec(cca, args.seed)))
+        .collect();
+    let slots = run_figure("extension_other_networks", &args, &store, specs);
+    let (network_slots, dc_slots) = slots.split_at(networks.len() * ccas.len());
+
+    for (spec, runs) in networks.iter().zip(network_slots.chunks(ccas.len())) {
+        let name = &spec.name;
         let mut table = Table::new(
             &format!("Sec. 7 extension ({name})"),
             &["cca", "utilization", "avg delay (ms)", "loss"],
         );
-        for cca in [
-            Cca::Cubic,
-            Cca::Bbr,
-            Cca::Westwood,
-            Cca::CLibra(Preference::Default),
-            Cca::BLibra(Preference::Default),
-        ] {
-            let until = Instant::from_secs(secs);
-            let mut sim = Simulation::new(spec.link(args.seed), args.seed);
-            sim.add_flow(FlowConfig::whole_run(cca.build(&store), until));
-            let rep = sim.run(until);
-            table.row(vec![
-                cca.label(),
-                format!("{:.3}", rep.link.utilization),
-                format!("{:.1}", rep.flows[0].rtt_ms.mean()),
-                format!("{:.3}", rep.flows[0].loss_fraction),
-            ]);
+        for (cca, run) in ccas.iter().zip(runs) {
+            let mut row = vec![cca.label()];
+            row.extend(match run {
+                Ok(summary) => {
+                    let m = summary.headline();
+                    [
+                        format!("{:.3}", m.utilization),
+                        format!("{:.1}", m.avg_rtt_ms),
+                        format!("{:.3}", m.loss),
+                    ]
+                }
+                Err(_) => ["—".into(), "—".into(), "—".into()],
+            });
+            table.row(row);
         }
         table.emit(&format!("extension_{name}"));
     }
 
-    // --- Datacenter: DCTCP standalone vs DCTCP inside Libra. ---
     let mut table = Table::new(
         "Sec. 7 extension (datacenter, ECN step marking)",
         &["cca", "utilization", "avg delay (µs)", "ecn echoes", "loss"],
     );
-    let until = Instant::from_secs(args.scaled(10, 3));
-    type CcaFactory = Box<dyn Fn(&ModelStore) -> Box<dyn CongestionControl>>;
-    let candidates: Vec<(&str, CcaFactory)> = vec![
-        ("CUBIC", Box::new(|s: &ModelStore| Cca::Cubic.build(s))),
-        ("DCTCP", Box::new(|_| Box::new(Dctcp::new(1500)))),
-        (
-            "D-Libra (DCTCP inside)",
-            Box::new(|s: &ModelStore| {
-                let w = s.libra(LibraVariant::Cubic);
-                let mut agent = PpoAgent::from_weights(w, &mut s.agent_rng());
-                agent.set_eval(true);
-                Box::new(Libra::with_classic(
-                    "D-Libra",
-                    Box::new(Dctcp::new(1500)),
-                    LibraParams::for_cubic(),
-                    Rc::new(RefCell::new(agent)),
-                ))
-            }),
-        ),
-    ];
-    let dc = datacenter_spec(args.scaled(10, 3));
-    for (label, build) in candidates {
-        let mut sim = Simulation::new(dc.link(args.seed), args.seed);
-        let cca = build(&store);
-        sim.add_flow(FlowConfig::whole_run(cca, until));
-        let rep = sim.run(until);
-        table.row(vec![
-            label.to_string(),
-            format!("{:.3}", rep.link.utilization),
-            format!("{:.0}", rep.flows[0].rtt_ms.mean() * 1000.0),
-            format!("{}", rep.flows[0].ecn_echoes),
-            format!("{:.4}", rep.flows[0].loss_fraction),
-        ]);
+    for ((label, _), run) in dc_ccas.iter().zip(dc_slots) {
+        let mut row = vec![label.to_string()];
+        row.extend(match run {
+            Ok(summary) => {
+                let m = summary.headline();
+                [
+                    format!("{:.3}", m.utilization),
+                    format!("{:.0}", m.avg_rtt_ms * 1000.0),
+                    format!("{}", summary.flows[0].ecn_echoes),
+                    format!("{:.4}", m.loss),
+                ]
+            }
+            Err(_) => ["—".into(), "—".into(), "—".into(), "—".into()],
+        });
+        table.row(row);
     }
     table.emit("extension_datacenter");
 }

@@ -5,7 +5,7 @@
 //! per-controller state (see DESIGN.md "Substitutions").
 
 use libra_bench::{lte_tmobile_spec, run_spec, BenchArgs, Cca, ModelStore, RunSpec, Table};
-use libra_core::Libra;
+use libra_core::{Libra, LibraVariant};
 use libra_learned::{Orca, RlCcaConfig};
 use libra_types::Preference;
 
@@ -19,14 +19,25 @@ fn memory_units(cca: Cca) -> f64 {
         (count(&cfg.actor_sizes()) + count(&cfg.critic_sizes())) as f64
     };
     match cca {
-        Cca::Cubic | Cca::Bbr | Cca::NewReno | Cca::Vegas | Cca::Westwood | Cca::Illinois => 64.0,
+        Cca::Cubic
+        | Cca::Bbr
+        | Cca::NewReno
+        | Cca::Vegas
+        | Cca::Westwood
+        | Cca::Illinois
+        | Cca::Dctcp => 64.0,
         Cca::Copa | Cca::Sprout | Cca::Remy | Cca::Indigo => 256.0,
         Cca::Vivace | Cca::Proteus => 128.0,
         Cca::Aurora => ppo(RlCcaConfig::aurora().ppo_config()),
         Cca::ModRl => ppo(RlCcaConfig::mod_rl().ppo_config()),
         Cca::Orca => ppo(Orca::ppo_config()) + 64.0,
-        Cca::CleanSlateLibra => ppo(Libra::ppo_config()),
-        Cca::CLibra(_) | Cca::BLibra(_) => ppo(Libra::ppo_config()) + 64.0,
+        Cca::CleanSlateLibra
+        | Cca::Libra {
+            variant: LibraVariant::CleanSlate,
+            classic: None,
+            ..
+        } => ppo(Libra::ppo_config()),
+        Cca::CLibra(_) | Cca::BLibra(_) | Cca::Libra { .. } => ppo(Libra::ppo_config()) + 64.0,
     }
 }
 

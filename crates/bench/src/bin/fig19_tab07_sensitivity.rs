@@ -2,51 +2,20 @@
 //! combinations `[explore, EI, exploit]` in RTTs, and the switching
 //! threshold (0.1×–0.4×), over the wired and cellular scenario families.
 //!
-//! Every `(parameter point, scenario)` cell is an independent run, so
-//! the whole grid fans out over the sweep workers; links are built
-//! eagerly on the coordinator and per-family sums are folded in job
-//! order, keeping output identical for any `LIBRA_JOBS`.
+//! Every `(parameter point, scenario)` cell is one run of a tuned
+//! C-Libra ([`Cca::Libra`]); both tables' runs go through one
+//! `run_figure` sweep, and per-family sums are folded in spec order,
+//! keeping output identical for any `LIBRA_JOBS`.
 
-use libra_bench::{fig1_specs, parallel_map, BenchArgs, ModelStore, Table};
+use libra_bench::{fig1_specs, run_figure, BenchArgs, Cca, ModelStore, SlotResult, Table};
 use libra_core::{LibraParams, LibraVariant};
-use libra_netsim::{FlowConfig, Simulation};
-use libra_rl::PpoAgent;
-use libra_types::Instant;
-use std::cell::RefCell;
-use std::rc::Rc;
 
-fn run_with_params(
-    params: LibraParams,
-    store: &ModelStore,
-    link: libra_netsim::LinkConfig,
-    secs: u64,
-    seed: u64,
-) -> (f64, f64) {
-    let weights = store.libra(LibraVariant::Cubic);
-    let mut agent = PpoAgent::from_weights(weights, &mut store.agent_rng());
-    agent.set_eval(true);
-    let libra = LibraVariant::Cubic.build_with_params(params, Rc::new(RefCell::new(agent)));
-    let until = Instant::from_secs(secs);
-    let mut sim = Simulation::new(link, seed);
-    sim.add_flow(FlowConfig::whole_run(Box::new(libra), until));
-    let rep = sim.run(until);
-    (rep.link.utilization, rep.flows[0].rtt_ms.mean())
-}
-
-/// Fan a grid of `(params, family, link)` jobs out over the sweep
-/// workers; returns per-job `(row, family, (util, delay))` in job order.
-fn run_grid(
-    store: &ModelStore,
-    jobs: Vec<(usize, usize, LibraParams, libra_netsim::LinkConfig)>,
-    secs: u64,
-    seed: u64,
-) -> Vec<(usize, usize, (f64, f64))> {
-    parallel_map(jobs, |(row, family, params, link)| {
-        (
-            row,
-            family,
-            run_with_params(params, store, link, secs, seed),
-        )
+/// Σ (utilization, delay) over one family's runs, in spec order; `None`
+/// if any of them failed.
+fn family_sums(runs: &[SlotResult]) -> Option<(f64, f64)> {
+    runs.iter().try_fold((0.0, 0.0), |(u, d), run| {
+        let m = run.as_ref().ok()?.headline();
+        Some((u + m.utilization, d + m.avg_rtt_ms))
     })
 }
 
@@ -54,8 +23,6 @@ fn main() {
     let args = BenchArgs::parse();
     let secs = args.scaled(30, 8);
     let store = ModelStore::new(args.seed);
-    // Warm the one model every cell needs before fanning out.
-    let _ = store.libra(LibraVariant::Cubic);
     let scenarios = fig1_specs(secs);
     let (wired, cellular): (Vec<_>, Vec<_>) = scenarios
         .into_iter()
@@ -71,83 +38,75 @@ fn main() {
         (3.0, 0.5),
         (3.0, 1.0),
     ];
-    let mut fig19 = Table::new(
-        "Fig. 19: C-Libra under different stage durations (util | delay ms)",
-        &["duration [k, EI, k] (RTT)", "wired", "cellular"],
-    );
-    let mut jobs = Vec::new();
-    for (row, &(k, ei)) in combos.iter().enumerate() {
-        let params = LibraParams {
+    // Tab. 7: switching thresholds.
+    let fracs = [0.1, 0.2, 0.3, 0.4];
+    let points = combos
+        .iter()
+        .map(|&(k, ei)| LibraParams {
             explore_rtts: k,
             ei_rtts: ei,
             exploit_rtts: k,
             ..LibraParams::for_cubic()
-        };
-        for (family, set) in families.iter().enumerate() {
-            for s in set.iter() {
-                jobs.push((row, family, params, s.link(args.seed)));
-            }
-        }
-    }
-    // sums[row][family] = (Σ util, Σ delay), folded in job order.
-    let mut sums = vec![[(0.0, 0.0); 2]; combos.len()];
-    for (row, family, (u, d)) in run_grid(&store, jobs, secs, args.seed) {
-        sums[row][family].0 += u;
-        sums[row][family].1 += d;
-    }
-    for (row, &(k, ei)) in combos.iter().enumerate() {
-        let cells: Vec<String> = families
-            .iter()
-            .enumerate()
-            .map(|(family, set)| {
-                let n = set.len() as f64;
-                let (u, d) = sums[row][family];
+        })
+        .chain(fracs.iter().map(|&frac| LibraParams {
+            switch_frac: frac,
+            ..LibraParams::for_cubic()
+        }));
+    // One run per (point, family, scenario), in that order.
+    let specs = points
+        .flat_map(|params| {
+            let cca = Cca::Libra {
+                variant: LibraVariant::Cubic,
+                classic: None,
+                params,
+            };
+            families
+                .into_iter()
+                .flatten()
+                .map(move |s| s.to_run_spec(cca, args.seed))
+        })
+        .collect();
+    let slots = run_figure("fig19_tab07_sensitivity", &args, &store, specs);
+    // sums[point][family], folded in spec order.
+    let sums: Vec<[Option<(f64, f64)>; 2]> = slots
+        .chunks(wired.len() + cellular.len())
+        .map(|runs| {
+            let (w, c) = runs.split_at(wired.len());
+            [family_sums(w), family_sums(c)]
+        })
+        .collect();
+    let (fig19_sums, tab7_sums) = sums.split_at(combos.len());
+
+    let mut fig19 = Table::new(
+        "Fig. 19: C-Libra under different stage durations (util | delay ms)",
+        &["duration [k, EI, k] (RTT)", "wired", "cellular"],
+    );
+    for (&(k, ei), cells) in combos.iter().zip(fig19_sums) {
+        let mut row = vec![format!("[{k}, {ei}, {k}]")];
+        row.extend(families.iter().zip(cells).map(|(set, cell)| {
+            let n = set.len() as f64;
+            cell.map_or("—".into(), |(u, d)| {
                 format!("{:.3} | {:.1}", u / n, d / n)
             })
-            .collect();
-        fig19.row(vec![
-            format!("[{k}, {ei}, {k}]"),
-            cells[0].clone(),
-            cells[1].clone(),
-        ]);
+        }));
+        fig19.row(row);
     }
     fig19.emit("fig19_durations");
 
-    // Tab. 7: switching thresholds.
     let mut tab7 = Table::new(
         "Tab. 7: C-Libra under different switching thresholds",
         &["configuration", "link utilization", "avg delay (ms)"],
     );
-    let fracs = [0.1, 0.2, 0.3, 0.4];
-    let mut jobs = Vec::new();
-    for (row, &frac) in fracs.iter().enumerate() {
-        let params = LibraParams {
-            switch_frac: frac,
-            ..LibraParams::for_cubic()
-        };
-        for (family, set) in families.iter().enumerate() {
-            for s in set.iter() {
-                jobs.push((row, family, params, s.link(args.seed)));
-            }
-        }
-    }
-    let mut sums = vec![[(0.0, 0.0); 2]; fracs.len()];
-    for (row, family, (u, d)) in run_grid(&store, jobs, secs, args.seed) {
-        sums[row][family].0 += u;
-        sums[row][family].1 += d;
-    }
     for (family, (tag, set)) in [("Wired", &wired), ("Cellular", &cellular)]
         .into_iter()
         .enumerate()
     {
-        for (row, &frac) in fracs.iter().enumerate() {
+        for (&frac, cells) in fracs.iter().zip(tab7_sums) {
             let n = set.len() as f64;
-            let (u, d) = sums[row][family];
-            tab7.row(vec![
-                format!("{tag}-{frac}x"),
-                format!("{:.1}%", 100.0 * u / n),
-                format!("{:.1}", d / n),
-            ]);
+            let (util, delay) = cells[family].map_or(("—".into(), "—".into()), |(u, d)| {
+                (format!("{:.1}%", 100.0 * u / n), format!("{:.1}", d / n))
+            });
+            tab7.row(vec![format!("{tag}-{frac}x"), util, delay]);
         }
     }
     tab7.emit("tab07_thresholds");

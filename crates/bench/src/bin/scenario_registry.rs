@@ -3,16 +3,16 @@
 //! round-trip equality, deterministic link construction) — the CI gate
 //! guarding the corpus format.
 
-use libra_bench::{zoo_corpus, ScenarioSpec, Table, WorkloadSpec};
+use libra_bench::{zoo_corpus, ScenarioSpec, Table, Workload};
 use libra_types::Instant;
 
 fn workload_cell(spec: &ScenarioSpec) -> String {
     match &spec.workload {
-        WorkloadSpec::Single => "single".into(),
-        WorkloadSpec::Pair { competitor } => format!("pair vs {competitor}"),
-        WorkloadSpec::Staggered { flows, .. } => format!("staggered x{flows}"),
-        WorkloadSpec::Fleet { members } => format!("fleet[{}]", members.len()),
-        WorkloadSpec::Churn { mice, mouse, .. } => format!("{mice} {mouse} mice"),
+        Workload::Single => "single".into(),
+        Workload::Pair { competitor } => format!("pair vs {}", competitor.label()),
+        Workload::Staggered { flows, .. } => format!("staggered x{flows}"),
+        Workload::Fleet { members } => format!("fleet[{}]", members.len()),
+        Workload::Churn { mice, mouse, .. } => format!("{mice} {} mice", mouse.label()),
     }
 }
 

@@ -21,8 +21,9 @@
 //!   (the one `Simulation` builder).
 //! * [`summary`] — the serializable `RunSummary` of a finished run, its
 //!   headline `RunMetrics`, and Tab. 5's convergence statistics.
-//! * [`sweep`] — deterministic parallel fan-out of independent jobs
-//!   (`LIBRA_JOBS` workers, results merged in job order).
+//! * [`sweep`] — the claim engine under every sweep: deterministic
+//!   parallel fan-out of independent jobs (`LIBRA_JOBS` workers, results
+//!   merged in job order).
 //! * [`supervisor`] — panic isolation, per-job budgets, bounded retries
 //!   with deterministic backoff, and `Result`-shaped merged slots;
 //!   `run_figure`, the figure binaries' one journaled sweep.
@@ -52,24 +53,23 @@ pub use journal::{fnv1a, journal_dir, spec_digest, Journal, JournalEntry};
 pub use models::ModelStore;
 pub use output::{f1, f3, pct, series_csv, write_artifact, Table};
 pub use policychaos::{PolicyChaosEvent, PolicyChaosSpec};
-pub use registry::Cca;
+pub use registry::{cca_from_name, Cca};
 pub use run::{run, run_spec, run_spec_budgeted, FlowSlot, RunSpec, Workload, POLICY_QUANTUM};
 pub use search::{
     evaluate_candidate, load_pins, objective_of, pin_failures, search, write_pin, Candidate,
     Objective, PinnedRegression, SearchConfig, SearchOutcome,
 };
 pub use spec::{
-    buffer_sweep_link, cca_from_name, datacenter_spec, fairness_link, fig1_specs,
-    fig7_cellular_specs, fig7_wired_specs, fiveg_spec, loss_sweep_link, lte_tmobile_spec,
-    satellite_spec, step_spec, wan_specs, zoo_corpus, LinkSpec, LteKind, QueueSpec, ScenarioSpec,
-    WorkloadSpec,
+    buffer_sweep_link, datacenter_spec, fairness_link, fig1_specs, fig7_cellular_specs,
+    fig7_wired_specs, fiveg_spec, loss_sweep_link, lte_tmobile_spec, satellite_spec, step_spec,
+    wan_specs, zoo_corpus, LinkSpec, LteKind, QueueSpec, ScenarioSpec,
 };
 pub use summary::{convergence_stats, ConvergenceStats, FlowSummary, RunMetrics, RunSummary};
 pub use supervisor::{
     merged_slots_json, run_figure, run_sweep_supervised_with, slot_from_value, slot_to_value,
     FaultyScenario, SlotResult, SweepPolicy, SweepReport,
 };
-pub use sweep::{parallel_map, parallel_map_with, worker_count};
+pub use sweep::worker_count;
 pub use tracing::{
     decision_timeline, merged_trace, stage_occupancy, stage_occupancy_table, trace_to_jsonl,
     validate_finite, ALL_STAGES,

@@ -2,16 +2,20 @@
 //! uniform factory so experiment binaries can iterate over them.
 
 use crate::models::ModelStore;
-use libra_classic::{Bbr, Copa, Cubic, Illinois, NewReno, Vegas, Westwood};
-use libra_core::{Libra, LibraVariant};
+use libra_classic::{Bbr, Copa, Cubic, Dctcp, Illinois, NewReno, Vegas, Westwood};
+use libra_core::{Libra, LibraParams, LibraVariant};
 use libra_learned::{Indigo, Orca, Pcc, Remy, RlCca, RlCcaConfig, Sprout};
 use libra_rl::PpoAgent;
 use libra_types::{CongestionControl, Preference};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Every congestion controller in the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// A value names one controller and its parameters; no `Eq`/`Ord`,
+/// because a tuned Libra carries `f64` parameters.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Cca {
     /// TCP NewReno.
     NewReno,
@@ -49,12 +53,29 @@ pub enum Cca {
     CLibra(Preference),
     /// B-Libra with a preference profile.
     BLibra(Preference),
+    /// DCTCP (Sec. 7's datacenter extension; not in [`Cca::ALL`]).
+    Dctcp,
+    /// A tuned Libra (not in [`Cca::ALL`]): the RL arm serves
+    /// `variant`'s trained weights, the classic arm is `variant`'s own
+    /// unless `classic` names another controller, and the cycle runs on
+    /// `params`. [`Cca::CLibra`], [`Cca::BLibra`] and
+    /// [`Cca::CleanSlateLibra`] are shorthands for its default spellings.
+    Libra {
+        /// The variant whose trained weights the RL arm serves.
+        variant: LibraVariant,
+        /// A classic arm in place of the variant's own (Sec. 7 runs
+        /// DCTCP inside Libra on the datacenter link).
+        classic: Option<&'static Cca>,
+        /// The cycle parameters (Fig. 19 / Tab. 7 sensitivity, the
+        /// evaluation-order ablation).
+        params: LibraParams,
+    },
 }
 
 impl Cca {
     /// Every controller at its default preference, in declaration order:
-    /// the report card's rows, and the list [`crate::cca_from_name`]
-    /// inverts [`Cca::label`] over.
+    /// the report card's rows, and the list [`cca_from_name`] inverts
+    /// [`Cca::label`] over.
     pub const ALL: [Cca; 18] = [
         Cca::NewReno,
         Cca::Cubic,
@@ -119,20 +140,35 @@ impl Cca {
             Cca::BLibra(Preference::Default) => "B-Libra".into(),
             Cca::CLibra(p) => format!("C-Libra-{}", p.label()),
             Cca::BLibra(p) => format!("B-Libra-{}", p.label()),
+            Cca::Dctcp => "DCTCP".into(),
+            Cca::Libra {
+                classic: Some(c), ..
+            } => format!("Libra over {}", c.label()),
+            Cca::Libra { variant, .. } => variant.label().into(),
         }
+    }
+
+    /// A Libra controller spelled as [`Cca::Libra`]'s fields: the
+    /// variant whose weights it serves, its classic-arm override and its
+    /// cycle parameters. `None` for every other controller.
+    fn as_libra(self) -> Option<(LibraVariant, Option<&'static Cca>, LibraParams)> {
+        let (variant, pref) = match self {
+            Cca::Libra {
+                variant,
+                classic,
+                params,
+            } => return Some((variant, classic, params)),
+            Cca::CleanSlateLibra => (LibraVariant::CleanSlate, Preference::Default),
+            Cca::CLibra(pref) => (LibraVariant::Cubic, pref),
+            Cca::BLibra(pref) => (LibraVariant::Bbr, pref),
+            _ => return None,
+        };
+        Some((variant, None, variant.params().with_preference(pref)))
     }
 
     /// Whether this controller needs a trained PPO agent.
     pub fn needs_model(self) -> bool {
-        matches!(
-            self,
-            Cca::Aurora
-                | Cca::Orca
-                | Cca::ModRl
-                | Cca::CleanSlateLibra
-                | Cca::CLibra(_)
-                | Cca::BLibra(_)
-        )
+        matches!(self, Cca::Aurora | Cca::Orca | Cca::ModRl) || self.as_libra().is_some()
     }
 
     /// A shared eval-mode agent holding this controller's trained
@@ -146,10 +182,7 @@ impl Cca {
             Cca::Aurora => store.aurora(),
             Cca::ModRl => store.mod_rl(),
             Cca::Orca => store.orca(),
-            Cca::CleanSlateLibra => store.libra(LibraVariant::CleanSlate),
-            Cca::CLibra(_) => store.libra(LibraVariant::Cubic),
-            Cca::BLibra(_) => store.libra(LibraVariant::Bbr),
-            _ => return None,
+            _ => store.libra(self.as_libra()?.0),
         };
         let mut agent = PpoAgent::from_weights(w, &mut store.agent_rng());
         agent.set_eval(true);
@@ -158,20 +191,28 @@ impl Cca {
 
     /// Instantiate the controller around a shared eval-mode agent (from
     /// [`Cca::shared_eval_agent`]) instead of a per-flow copy. Classic
-    /// controllers ignore the agent and build normally.
+    /// controllers ignore the agent and build normally. Every Libra,
+    /// shorthand or tuned, is built by the one arm below.
     pub fn build_shared(
         self,
         store: &ModelStore,
         agent: &Rc<RefCell<PpoAgent>>,
     ) -> Box<dyn CongestionControl> {
-        match self {
-            Cca::Aurora => Box::new(RlCca::new(RlCcaConfig::aurora(), Rc::clone(agent))),
-            Cca::ModRl => Box::new(RlCca::new(RlCcaConfig::mod_rl(), Rc::clone(agent))),
-            Cca::Orca => Box::new(Orca::new(Rc::clone(agent))),
-            Cca::CleanSlateLibra => Box::new(Libra::clean_slate(Rc::clone(agent))),
-            Cca::CLibra(pref) => Box::new(Libra::c_libra(Rc::clone(agent)).with_preference(pref)),
-            Cca::BLibra(pref) => Box::new(Libra::b_libra(Rc::clone(agent)).with_preference(pref)),
-            _ => self.build(store),
+        let agent = Rc::clone(agent);
+        match (self, self.as_libra()) {
+            (Cca::Aurora, _) => Box::new(RlCca::new(RlCcaConfig::aurora(), agent)),
+            (Cca::ModRl, _) => Box::new(RlCca::new(RlCcaConfig::mod_rl(), agent)),
+            (Cca::Orca, _) => Box::new(Orca::new(agent)),
+            (_, Some((variant, None, params))) => {
+                Box::new(variant.build_with_params(params, agent))
+            }
+            (_, Some((_, Some(classic), params))) => Box::new(Libra::with_classic(
+                "Libra",
+                classic.build(store),
+                params,
+                agent,
+            )),
+            (_, None) => self.build(store),
         }
     }
 
@@ -196,18 +237,45 @@ impl Cca {
             Cca::Indigo => Box::new(Indigo::new(1500)),
             Cca::Vivace => Box::new(Pcc::vivace()),
             Cca::Proteus => Box::new(Pcc::proteus()),
+            Cca::Dctcp => Box::new(Dctcp::new(1500)),
             Cca::Aurora
             | Cca::Orca
             | Cca::ModRl
             | Cca::CleanSlateLibra
             | Cca::CLibra(_)
-            | Cca::BLibra(_) => {
+            | Cca::BLibra(_)
+            | Cca::Libra { .. } => {
                 let agent = self
                     .shared_eval_agent(store)
                     .expect("model-backed CCAs have trained weights");
                 self.build_shared(store, &agent)
             }
         }
+    }
+}
+
+/// Parse a CCA display label back into the registry enum: the inverse
+/// of [`Cca::label`] over [`Cca::ALL`]. Preference-suffixed, DCTCP and
+/// tuned-Libra labels are not accepted — the corpus speaks the
+/// default-preference dialect.
+pub fn cca_from_name(name: &str) -> Option<Cca> {
+    Cca::ALL.into_iter().find(|c| c.label() == name)
+}
+
+/// A controller serialises as its display label. Only [`Cca::ALL`]'s
+/// labels read back; any other is a typed error.
+impl Serialize for Cca {
+    fn to_value(&self) -> Value {
+        Value::Str(self.label())
+    }
+}
+
+impl Deserialize for Cca {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let Value::Str(label) = v else {
+            return Err(DeError::new("expected a CCA label"));
+        };
+        cca_from_name(label).ok_or_else(|| DeError::new(format!("unknown CCA label {label:?}")))
     }
 }
 
@@ -229,6 +297,19 @@ mod tests {
             assert!(!c.needs_model());
             let b = c.build(&store);
             assert!(!b.name().is_empty());
+        }
+    }
+
+    #[test]
+    fn every_label_round_trips_through_serde() {
+        for c in Cca::ALL {
+            let json = serde_json::to_string(&c).expect("serialize");
+            assert_eq!(json, format!("{:?}", c.label()));
+            let back: Cca = serde_json::from_str(&json).expect("deserialize");
+            assert_eq!(back, c, "{json}");
+        }
+        for unknown in ["\"NoSuchCca\"", "\"DCTCP\"", "\"C-Libra-La-1\"", "3"] {
+            assert!(serde_json::from_str::<Cca>(unknown).is_err(), "{unknown}");
         }
     }
 

@@ -11,15 +11,18 @@ use crate::summary::RunSummary;
 use libra_netsim::{FlowConfig, LinkConfig, SimBudget, SimConfig, SimReport, Simulation};
 use libra_rl::{PolicyServer, PpoAgent};
 use libra_types::{Duration, Instant};
+use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// An eval-mode agent shared by every flow of one run that uses it.
 type SharedAgent = Rc<RefCell<PpoAgent>>;
 
-/// The flow layout of one run.
-#[derive(Debug, Clone)]
+/// The flow layout of one run. It is also the corpus's workload
+/// ([`crate::ScenarioSpec::workload`]): controllers serialise as their
+/// labels, and `stagger`/`period` as whole seconds under the keys
+/// `stagger_secs`/`period_secs`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Workload {
     /// One flow alone on the link.
     Single,
@@ -33,6 +36,7 @@ pub enum Workload {
         /// Number of flows.
         flows: usize,
         /// Start offset between consecutive flows.
+        #[serde(rename = "stagger_secs", with = "whole_secs")]
         stagger: Duration,
     },
     /// A heterogeneous competing fleet: flow 0 is the CCA under test,
@@ -52,12 +56,36 @@ pub enum Workload {
         /// Lifetime of each mouse in seconds.
         mouse_secs: u64,
         /// Inter-arrival spacing between consecutive mice.
+        #[serde(rename = "period_secs", with = "whole_secs")]
         period: Duration,
     },
 }
 
+/// A [`Duration`] as a JSON count of whole seconds. Reading rejects a
+/// count past the `u64` nanosecond clock; a duration that is not whole
+/// seconds writes as a fraction, which does not read back.
+mod whole_secs {
+    use libra_types::Duration;
+    use serde::{DeError, Deserialize, Value};
+
+    pub fn to_value(d: &Duration) -> Value {
+        const NS: u64 = 1_000_000_000;
+        match d.nanos() % NS {
+            0 => Value::Int((d.nanos() / NS) as i64),
+            _ => Value::Float(d.as_secs_f64()),
+        }
+    }
+
+    pub fn from_value(v: &Value) -> Result<Duration, DeError> {
+        let secs = u64::from_value(v)?;
+        secs.checked_mul(1_000_000_000)
+            .map(Duration::from_nanos)
+            .ok_or_else(|| DeError::new(format!("{secs} s overflows the ns clock")))
+    }
+}
+
 /// One flow of a layout: which controller, and when it is alive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSlot {
     /// The controller the flow runs.
     pub cca: Cca,
@@ -148,7 +176,7 @@ pub struct RunSpec {
 pub const POLICY_QUANTUM: Duration = Duration::from_millis(20);
 
 impl RunSpec {
-    fn new(
+    pub(crate) fn new(
         label: String,
         cca: Cca,
         workload: Workload,
@@ -287,12 +315,17 @@ pub fn run(store: &ModelStore, spec: &RunSpec, mut cfg: SimConfig) -> SimReport 
         }
     }
     let mut sim = Simulation::with_config(spec.link.clone(), spec.seed, cfg);
-    let mut agents: BTreeMap<Cca, Option<SharedAgent>> = BTreeMap::new();
+    // One agent per distinct controller of the layout (a handful at most).
+    let mut agents: Vec<(Cca, Option<SharedAgent>)> = Vec::new();
     for slot in spec.slots() {
-        let agent = agents
-            .entry(slot.cca)
-            .or_insert_with(|| slot.cca.shared_eval_agent(store))
-            .clone();
+        let agent = match agents.iter().find(|(cca, _)| *cca == slot.cca) {
+            Some((_, agent)) => agent.clone(),
+            None => {
+                let agent = slot.cca.shared_eval_agent(store);
+                agents.push((slot.cca, agent.clone()));
+                agent
+            }
+        };
         let cca = match &agent {
             Some(agent) => slot.cca.build_shared(store, agent),
             None => slot.cca.build(store),

@@ -22,11 +22,11 @@
 use crate::models::ModelStore;
 use crate::policychaos::PolicyChaosSpec;
 use crate::registry::Cca;
-use crate::run::RunSpec;
-use crate::spec::{zoo_corpus, LinkSpec, QueueSpec, ScenarioSpec, WorkloadSpec};
+use crate::run::{RunSpec, Workload};
+use crate::spec::{zoo_corpus, LinkSpec, QueueSpec, ScenarioSpec};
 use crate::summary::RunSummary;
 use crate::supervisor::{run_sweep_supervised_with, SweepPolicy};
-use libra_types::{DetRng, Preference, UtilityParams};
+use libra_types::{DetRng, Duration, Preference, UtilityParams};
 use serde::{get_field, DeError, Deserialize, Serialize, Value};
 use std::path::Path;
 
@@ -204,9 +204,9 @@ pub fn objective_of(c: &Candidate) -> Option<Objective> {
 
 fn multi_flow(spec: &ScenarioSpec) -> bool {
     match &spec.workload {
-        WorkloadSpec::Single => false,
-        WorkloadSpec::Pair { .. } | WorkloadSpec::Fleet { .. } | WorkloadSpec::Churn { .. } => true,
-        WorkloadSpec::Staggered { flows, .. } => *flows > 1,
+        Workload::Single => false,
+        Workload::Pair { .. } | Workload::Fleet { .. } | Workload::Churn { .. } => true,
+        Workload::Staggered { flows, .. } => *flows > 1,
     }
 }
 
@@ -292,24 +292,24 @@ fn mutate_queue(queue: QueueSpec, nominal_mbps: f64, rng: &mut DetRng) -> QueueS
     }
 }
 
-fn mutate_workload(workload: WorkloadSpec, rng: &mut DetRng) -> WorkloadSpec {
-    let pool = ["CUBIC", "BBR", "Copa", "Vegas", "NewReno"];
-    let pick = |rng: &mut DetRng| pool[rng.uniform_u64(0, pool.len() as u64) as usize].to_string();
+fn mutate_workload(workload: Workload, rng: &mut DetRng) -> Workload {
+    let pool = [Cca::Cubic, Cca::Bbr, Cca::Copa, Cca::Vegas, Cca::NewReno];
+    let pick = |rng: &mut DetRng| pool[rng.uniform_u64(0, pool.len() as u64) as usize];
     match rng.uniform_u64(0, 6) {
-        0 => WorkloadSpec::Pair {
+        0 => Workload::Pair {
             competitor: pick(rng),
         },
         1 => {
             let n = rng.uniform_u64(2, 5) as usize;
-            WorkloadSpec::Fleet {
+            Workload::Fleet {
                 members: (0..n).map(|_| pick(rng)).collect(),
             }
         }
-        2 => WorkloadSpec::Churn {
+        2 => Workload::Churn {
             mouse: pick(rng),
             mice: rng.uniform_u64(2, 7) as usize,
             mouse_secs: rng.uniform_u64(2, 5),
-            period_secs: rng.uniform_u64(3, 7),
+            period: Duration::from_secs(rng.uniform_u64(3, 7)),
         },
         _ => workload,
     }
@@ -887,19 +887,25 @@ mod tests {
         };
         write_pin(&pin, &dir).expect("pin dir is writable");
         assert_eq!(load_pins(&dir).expect("valid pin loads"), vec![pin.clone()]);
-        let unknown_cca = WorkloadSpec::Pair {
-            competitor: "NoSuchCca".into(),
-        };
-        let overflowing = PolicyChaosSpec::new(1).with("nan-action", 0, u64::MAX, 0.5);
-        let mut bad_spec = pin.clone();
-        bad_spec.spec.workload = unknown_cca;
-        pin.policy_chaos = Some(overflowing);
-        for bad in [bad_spec, pin] {
-            write_pin(&bad, &dir).expect("pin dir is writable");
-            let err = load_pins(&dir).expect_err("invalid pin must not load");
+        let rejected = |dir: &Path| {
+            let err = load_pins(dir).expect_err("invalid pin must not load");
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("checked.json"), "{err}");
-        }
+        };
+        // A `Workload` cannot hold an unknown label, so that pin is
+        // written as raw JSON.
+        let mut bad_spec = pin.clone();
+        bad_spec.spec.workload = Workload::Pair {
+            competitor: Cca::Cubic,
+        };
+        let unknown_cca = serde_json::to_string(&bad_spec)
+            .expect("serializes")
+            .replace(r#""competitor":"CUBIC""#, r#""competitor":"NoSuchCca""#);
+        std::fs::write(dir.join("checked.json"), unknown_cca).expect("pin dir is writable");
+        rejected(&dir);
+        pin.policy_chaos = Some(PolicyChaosSpec::new(1).with("nan-action", 0, u64::MAX, 0.5));
+        write_pin(&pin, &dir).expect("pin dir is writable");
+        rejected(&dir);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,7 +14,7 @@
 //! unchanged).
 
 use crate::registry::Cca;
-use crate::run::RunSpec;
+use crate::run::{RunSpec, Workload};
 use libra_netsim::{
     datacenter_link, fiveg_link, leo_link, lte_link, satellite_link, step_link, wan_link,
     wired_link, LinkConfig, LteScenario, QueueConfig, WanScenario,
@@ -297,49 +297,6 @@ impl QueueSpec {
     }
 }
 
-/// Serializable flow layout. Controllers are referenced by their display
-/// label (see [`cca_from_name`]) so a spec stays readable in JSON.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum WorkloadSpec {
-    /// One flow alone on the link.
-    Single,
-    /// Flow 0 under test vs. one competitor.
-    Pair {
-        /// Competitor label, e.g. `"CUBIC"`.
-        competitor: String,
-    },
-    /// `flows` same-CCA flows, staggered starts.
-    Staggered {
-        /// Number of flows.
-        flows: usize,
-        /// Start offset between consecutive flows in seconds.
-        stagger_secs: u64,
-    },
-    /// Heterogeneous fleet: one flow per member label.
-    Fleet {
-        /// Competitor labels, one flow each.
-        members: Vec<String>,
-    },
-    /// Elephant under test vs. short-lived mice.
-    Churn {
-        /// Mouse controller label.
-        mouse: String,
-        /// Number of mice.
-        mice: usize,
-        /// Mouse lifetime in seconds.
-        mouse_secs: u64,
-        /// Inter-arrival spacing in seconds.
-        period_secs: u64,
-    },
-}
-
-/// Parse a CCA display label back into the registry enum: the inverse
-/// of [`Cca::label`] over [`Cca::ALL`]. Preference-suffixed Libra labels
-/// are not accepted — the corpus speaks the default-preference dialect.
-pub fn cca_from_name(name: &str) -> Option<Cca> {
-    Cca::ALL.into_iter().find(|c| c.label() == name)
-}
-
 /// One zoo entry: a named, fully declarative scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
@@ -349,8 +306,8 @@ pub struct ScenarioSpec {
     pub link: LinkSpec,
     /// Queue discipline at the bottleneck buffer.
     pub queue: QueueSpec,
-    /// Flow layout.
-    pub workload: WorkloadSpec,
+    /// Flow layout (controllers appear by label in JSON).
+    pub workload: Workload,
     /// Simulated duration in seconds.
     pub secs: u64,
 }
@@ -362,7 +319,7 @@ impl ScenarioSpec {
             name: name.into(),
             link,
             queue: QueueSpec::Droptail,
-            workload: WorkloadSpec::Single,
+            workload: Workload::Single,
             secs,
         }
     }
@@ -374,7 +331,7 @@ impl ScenarioSpec {
     }
 
     /// Replace the workload (builder style).
-    pub fn with_workload(mut self, workload: WorkloadSpec) -> Self {
+    pub fn with_workload(mut self, workload: Workload) -> Self {
         self.workload = workload;
         self
     }
@@ -418,7 +375,9 @@ impl ScenarioSpec {
 
     /// Structural sanity: non-empty unique-able name, positive duration,
     /// time fields that fit the `u64` nanosecond clock, positive rates,
-    /// resolvable controller labels. Returns the first problem found.
+    /// non-degenerate layouts. Returns the first problem found. (Unknown
+    /// controller labels and stagger/period counts past the clock never
+    /// get this far: reading the JSON rejects them.)
     pub fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() {
             return Err("empty scenario name".into());
@@ -462,45 +421,34 @@ impl ScenarioSpec {
             }
             _ => {}
         }
-        let check = |label: &str| -> Result<(), String> {
-            cca_from_name(label)
-                .map(|_| ())
-                .ok_or_else(|| format!("{}: unknown CCA label {label:?}", self.name))
-        };
         match &self.workload {
-            WorkloadSpec::Single => {}
-            WorkloadSpec::Pair { competitor } => check(competitor)?,
-            WorkloadSpec::Staggered {
-                flows,
-                stagger_secs,
-            } => {
+            Workload::Single | Workload::Pair { .. } => {}
+            Workload::Staggered { flows, stagger } => {
                 if *flows == 0 {
                     return Err(format!("{}: zero flows", self.name));
                 }
-                // With at least one flow this also bounds `stagger_secs`.
-                let last_start = stagger_secs.saturating_mul(*flows as u64);
-                fits("flows × stagger_secs", last_start)?;
+                if stagger.nanos().checked_mul(*flows as u64).is_none() {
+                    return Err(format!(
+                        "{}: flows × stagger_secs overflows the ns clock",
+                        self.name
+                    ));
+                }
             }
-            WorkloadSpec::Fleet { members } => {
+            Workload::Fleet { members } => {
                 if members.is_empty() {
                     return Err(format!("{}: empty fleet", self.name));
                 }
-                for m in members {
-                    check(m)?;
-                }
             }
-            WorkloadSpec::Churn {
-                mouse,
+            Workload::Churn {
                 mice,
                 mouse_secs,
-                period_secs,
+                period,
+                ..
             } => {
-                check(mouse)?;
-                if *mice == 0 || *mouse_secs == 0 || *period_secs == 0 {
+                if *mice == 0 || *mouse_secs == 0 || period.is_zero() {
                     return Err(format!("{}: degenerate churn", self.name));
                 }
                 fits("mouse_secs", *mouse_secs)?;
-                fits("period_secs", *period_secs)?;
             }
         }
         Ok(())
@@ -508,50 +456,11 @@ impl ScenarioSpec {
 
     /// Materialize a [`RunSpec`] putting `cca` under test on this
     /// scenario. The label is `"{name}/{cca}"` so sweep reports group by
-    /// corpus entry. Panics on unresolvable CCA labels — call
-    /// [`ScenarioSpec::validate`] first for a `Result`.
+    /// corpus entry.
     pub fn to_run_spec(&self, cca: Cca, seed: u64) -> RunSpec {
-        let link = self.link(seed);
-        let resolve = |label: &str| {
-            cca_from_name(label).expect("unresolvable CCA label; validate() rejects these")
-        };
-        let spec = match &self.workload {
-            WorkloadSpec::Single => RunSpec::single(cca, link, self.secs, seed),
-            WorkloadSpec::Pair { competitor } => {
-                RunSpec::pair(cca, resolve(competitor), link, self.secs, seed)
-            }
-            WorkloadSpec::Staggered {
-                flows,
-                stagger_secs,
-            } => RunSpec::staggered(
-                cca,
-                link,
-                *flows,
-                Duration::from_secs(*stagger_secs),
-                self.secs,
-                seed,
-            ),
-            WorkloadSpec::Fleet { members } => {
-                let members = members.iter().map(|m| resolve(m)).collect();
-                RunSpec::fleet(cca, members, link, self.secs, seed)
-            }
-            WorkloadSpec::Churn {
-                mouse,
-                mice,
-                mouse_secs,
-                period_secs,
-            } => RunSpec::churn(
-                cca,
-                resolve(mouse),
-                *mice,
-                *mouse_secs,
-                Duration::from_secs(*period_secs),
-                link,
-                self.secs,
-                seed,
-            ),
-        };
-        spec.with_label(format!("{}/{}", self.name, cca.label()))
+        let label = format!("{}/{}", self.name, cca.label());
+        let workload = self.workload.clone();
+        RunSpec::new(label, cca, workload, self.link(seed), self.secs, seed)
     }
 }
 
@@ -811,42 +720,42 @@ pub fn zoo_corpus(secs: u64) -> Vec<ScenarioSpec> {
     // Heterogeneous fleets and churn.
     v.push(
         ScenarioSpec::new("zoo-fleet-mixed", LinkSpec::Wired { mbps: 96.0 }, secs).with_workload(
-            WorkloadSpec::Fleet {
-                members: vec!["BBR".into(), "CUBIC".into(), "Copa".into()],
+            Workload::Fleet {
+                members: vec![Cca::Bbr, Cca::Cubic, Cca::Copa],
             },
         ),
     );
     v.push(
         ScenarioSpec::new("zoo-fleet-bbr-heavy", LinkSpec::Wired { mbps: 96.0 }, secs)
-            .with_workload(WorkloadSpec::Fleet {
-                members: vec!["BBR".into(), "BBR".into(), "CUBIC".into()],
+            .with_workload(Workload::Fleet {
+                members: vec![Cca::Bbr, Cca::Bbr, Cca::Cubic],
             }),
     );
     v.push(
         ScenarioSpec::new("zoo-churn-mice", LinkSpec::Wired { mbps: 48.0 }, secs).with_workload(
-            WorkloadSpec::Churn {
-                mouse: "CUBIC".into(),
+            Workload::Churn {
+                mouse: Cca::Cubic,
                 mice: 4,
                 mouse_secs: 3,
-                period_secs: 5,
+                period: Duration::from_secs(5),
             },
         ),
     );
     v.push(
         ScenarioSpec::new("zoo-churn-under-pie", LinkSpec::Wired { mbps: 48.0 }, secs)
             .with_queue(QueueSpec::pie_default())
-            .with_workload(WorkloadSpec::Churn {
-                mouse: "CUBIC".into(),
+            .with_workload(Workload::Churn {
+                mouse: Cca::Cubic,
                 mice: 4,
                 mouse_secs: 3,
-                period_secs: 5,
+                period: Duration::from_secs(5),
             }),
     );
 
     // Fairness pair on the shared link.
     v.push(
-        ScenarioSpec::shared_constant(48.0).with_workload(WorkloadSpec::Pair {
-            competitor: "CUBIC".into(),
+        ScenarioSpec::shared_constant(48.0).with_workload(Workload::Pair {
+            competitor: Cca::Cubic,
         }),
     );
 
@@ -866,9 +775,9 @@ pub fn zoo_corpus(secs: u64) -> Vec<ScenarioSpec> {
             },
             secs,
         )
-        .with_workload(WorkloadSpec::Staggered {
+        .with_workload(Workload::Staggered {
             flows: 256,
-            stagger_secs: 0,
+            stagger: Duration::ZERO,
         }),
     );
     v.push(
@@ -882,9 +791,9 @@ pub fn zoo_corpus(secs: u64) -> Vec<ScenarioSpec> {
             },
             secs,
         )
-        .with_workload(WorkloadSpec::Staggered {
+        .with_workload(Workload::Staggered {
             flows: 64,
-            stagger_secs: 0,
+            stagger: Duration::ZERO,
         }),
     );
     for n in [64usize, 256, 1000] {
@@ -899,9 +808,9 @@ pub fn zoo_corpus(secs: u64) -> Vec<ScenarioSpec> {
                 },
                 secs,
             )
-            .with_workload(WorkloadSpec::Staggered {
+            .with_workload(Workload::Staggered {
                 flows: n,
-                stagger_secs: 0,
+                stagger: Duration::ZERO,
             }),
         );
     }
@@ -998,13 +907,21 @@ mod tests {
         assert_eq!(loss_sweep_link(0.07).stochastic_loss, 0.07);
     }
 
+    /// Read a single-flow wired spec with `workload` spliced in as raw
+    /// JSON, then validate it: the corpus loader's two steps.
+    fn load(secs: u64, workload: &str) -> Result<ScenarioSpec, String> {
+        let json = format!(
+            r#"{{"name":"t","link":{{"Wired":{{"mbps":24.0}}}},"queue":"Droptail","workload":{workload},"secs":{secs}}}"#
+        );
+        let spec: ScenarioSpec = serde_json::from_str(&json).map_err(|e| e.to_string())?;
+        spec.validate().map(|()| spec)
+    }
+
     #[test]
     fn validation_rejects_bad_specs() {
-        let mut s = ScenarioSpec::new("x", LinkSpec::Wired { mbps: 24.0 }, 10);
-        s.workload = WorkloadSpec::Pair {
-            competitor: "NoSuchCca".into(),
-        };
-        assert!(s.validate().is_err());
+        let err = load(10, r#"{"Pair":{"competitor":"NoSuchCca"}}"#).expect_err("unknown label");
+        assert!(err.contains("unknown CCA label"), "{err}");
+        load(10, r#"{"Pair":{"competitor":"Vegas"}}"#).expect("known label");
         let z = ScenarioSpec::new("y", LinkSpec::Wired { mbps: 0.0 }, 10);
         assert!(z.validate().is_err());
         let mut q = ScenarioSpec::new("z", LinkSpec::Wired { mbps: 24.0 }, 10);
@@ -1018,40 +935,29 @@ mod tests {
     #[test]
     fn time_fields_past_the_ns_clock_are_rejected() {
         let last_s = u64::MAX / 1_000_000_000;
-        let wired = || ScenarioSpec::new("t", LinkSpec::Wired { mbps: 24.0 }, 10);
         let staggered = |flows, stagger_secs| {
-            let mut s = wired();
-            s.workload = WorkloadSpec::Staggered {
-                flows,
-                stagger_secs,
-            };
-            s
+            format!(r#"{{"Staggered":{{"flows":{flows},"stagger_secs":{stagger_secs}}}}}"#)
         };
         let churn = |mouse_secs, period_secs| {
-            let mut s = wired();
-            s.workload = WorkloadSpec::Churn {
-                mouse: "CUBIC".into(),
-                mice: 2,
-                mouse_secs,
-                period_secs,
-            };
-            s
+            format!(
+                r#"{{"Churn":{{"mouse":"CUBIC","mice":2,"mouse_secs":{mouse_secs},"period_secs":{period_secs}}}}}"#
+            )
         };
-        let mut long = wired();
-        long.secs = last_s;
-        let mut endless = wired();
-        endless.secs = u64::MAX;
-        for ok in [long, staggered(1, last_s), churn(last_s, last_s)] {
-            ok.validate().expect("fits the clock");
-        }
-        for (field, bad) in [
-            ("secs", endless),
-            ("stagger_secs", staggered(2, u64::MAX)),
-            ("flows × stagger_secs", staggered(2, last_s)),
-            ("mouse_secs", churn(last_s + 1, 4)),
-            ("period_secs", churn(3, u64::MAX)),
+        for (secs, ok) in [
+            (last_s, r#""Single""#.to_string()),
+            (10, staggered(1, last_s)),
+            (10, churn(last_s, last_s)),
         ] {
-            let err = bad.validate().expect_err(field);
+            load(secs, &ok).expect("fits the clock");
+        }
+        for (field, secs, bad) in [
+            ("secs", u64::MAX, r#""Single""#.to_string()),
+            ("stagger_secs", 10, staggered(2, u64::MAX)),
+            ("flows × stagger_secs", 10, staggered(2, last_s)),
+            ("mouse_secs", 10, churn(last_s + 1, 4)),
+            ("period_secs", 10, churn(3, u64::MAX)),
+        ] {
+            let err = load(secs, &bad).expect_err(field);
             assert!(err.contains("overflows"), "{field}: {err}");
         }
     }
@@ -1067,7 +973,8 @@ mod tests {
     #[test]
     fn cca_names_round_trip() {
         for c in Cca::ALL {
-            assert_eq!(cca_from_name(&c.label()), Some(c), "{}", c.label());
+            let name = c.label();
+            assert_eq!(crate::registry::cca_from_name(&name), Some(c), "{name}");
         }
     }
 }

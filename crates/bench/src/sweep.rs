@@ -31,7 +31,6 @@ use crate::models::ModelStore;
 use crate::registry::Cca;
 use crate::run::RunSpec;
 use libra_types::{JobError, JobFailure};
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -193,54 +192,16 @@ where
         .collect()
 }
 
-/// Map `f` over `jobs` on [`worker_count`] scoped threads, returning
-/// results in job order (byte-identical to `jobs.into_iter().map(f)`).
-pub fn parallel_map<J, T, F>(jobs: Vec<J>, f: F) -> Vec<T>
-where
-    J: Send + Sync + Clone,
-    T: Send,
-    F: Fn(J) -> T + Sync,
-{
-    parallel_map_with(jobs, worker_count(), f)
-}
-
-/// [`parallel_map`] with an explicit worker count (used by the
-/// determinism tests to compare 1 vs N workers).
-pub fn parallel_map_with<J, T, F>(jobs: Vec<J>, workers: usize, f: F) -> Vec<T>
-where
-    J: Send + Sync + Clone,
-    T: Send,
-    F: Fn(J) -> T + Sync,
-{
-    // One clone per executed job (`f` consumes it) — the claim engine
-    // itself borrows jobs in place and never clones on claim or retry.
-    claim_map(
-        jobs,
-        workers,
-        |_, job: &J| JobVerdict::Done(Ok(f(job.clone()))),
-        |_, _| (),
-    )
-    .into_iter()
-    .map(|slot| match slot {
-        Ok(val) => val,
-        // The bare map has no failure channel: a panicking job is
-        // isolated by the engine, then re-raised here on the
-        // coordinator instead of aborting the process from a worker.
-        // lint: allow(panic)
-        Err(fail) => panic!("parallel job failed: {fail}"),
-    })
-    .collect()
-}
-
 /// Train/load every model the sweep needs once, up front, so workers
 /// start from a warm cache instead of serializing on the training lock.
 /// The supervisor also calls this *before* arming any fault injection:
 /// training happens under the store's lock, and a panic while holding
 /// it would poison every subsequent job.
 pub(crate) fn warm_models(store: &ModelStore, specs: &[RunSpec]) {
-    let mut seen: BTreeSet<Cca> = BTreeSet::new();
+    let mut seen: Vec<Cca> = Vec::new();
     for slot in specs.iter().flat_map(RunSpec::slots) {
-        if slot.cca.needs_model() && seen.insert(slot.cca) {
+        if slot.cca.needs_model() && !seen.contains(&slot.cca) {
+            seen.push(slot.cca);
             drop(slot.cca.build(store)); // populates the weight cache
         }
     }
@@ -251,23 +212,6 @@ mod tests {
     use super::*;
     use libra_netsim::LinkConfig;
     use libra_types::{Duration, Rate};
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let jobs: Vec<u64> = (0..64).collect();
-        let seq: Vec<u64> = jobs.iter().map(|&j| j * j).collect();
-        for workers in [1, 2, 3, 8, 64, 200] {
-            let par = parallel_map_with(jobs.clone(), workers, |j| j * j);
-            assert_eq!(par, seq, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_single() {
-        let empty: Vec<u64> = Vec::new();
-        assert!(parallel_map_with(empty, 8, |j: u64| j).is_empty());
-        assert_eq!(parallel_map_with(vec![7u64], 8, |j| j + 1), vec![8]);
-    }
 
     #[test]
     fn worker_count_is_positive() {

@@ -16,6 +16,7 @@ use libra_bench::{
     run, run_spec, run_sweep_supervised_with, spec_digest, trace_to_jsonl, Cca, ModelStore,
     PolicyChaosSpec, RunSpec, RunSummary, SweepPolicy, POLICY_QUANTUM,
 };
+use libra_core::{LibraParams, LibraVariant};
 use libra_netsim::{
     lte_link, step_link, wan_link, FaultKind, FaultPlan, GilbertElliott, LinkConfig, LteScenario,
     SimConfig, WanScenario,
@@ -331,6 +332,54 @@ fn golden_run_digests_are_pinned() {
         let json = serde_json::to_string(&run_spec(&store, &spec)).expect("serialize");
         let got = fnv1a(&json);
         assert_eq!(got, want, "{name}: run digest drifted (got {got:#018x})");
+    }
+}
+
+/// The tuned-Libra `Cca`, spelled with a shorthand's defaults, is that
+/// shorthand — both lower to the one Libra build arm. Every golden
+/// C-Libra row keeps its pinned run digest with the tuned spelling
+/// (`LibraVariant::Cubic`, `LibraParams::for_cubic()` with the row's
+/// preference, no classic override) swapped in, and B-Libra's spelling
+/// (`for_bbr()`) runs byte-identically to `Cca::BLibra`, inline and
+/// served.
+#[test]
+fn tuned_libra_spelled_with_defaults_is_the_shorthand() {
+    let store = ModelStore::ephemeral(1);
+    let digest =
+        |spec: &RunSpec| fnv1a(&serde_json::to_string(&run_spec(&store, spec)).expect("serialize"));
+    let tuned = |variant, params| Cca::Libra {
+        variant,
+        classic: None,
+        params,
+    };
+    let default = LibraParams::for_cubic().with_preference(Preference::Default);
+    assert_eq!(default, LibraParams::for_cubic());
+    let mut checked = 0;
+    for (name, mut spec, want, _) in golden_tables() {
+        let Cca::CLibra(pref) = spec.cca else {
+            continue;
+        };
+        let params = LibraParams::for_cubic().with_preference(pref);
+        spec.cca = tuned(LibraVariant::Cubic, params);
+        let got = digest(&spec);
+        assert_eq!(
+            got, want,
+            "{name}: tuned spelling drifted (got {got:#018x})"
+        );
+        checked += 1;
+    }
+    assert!(checked >= 5, "only {checked} golden C-Libra rows");
+    let b_libra = Cca::BLibra(Preference::Default);
+    for spec in [
+        RunSpec::single(b_libra, wired(24.0), 6, 80),
+        RunSpec::staggered(b_libra, wired(48.0), 3, Duration::from_millis(50), 5, 81)
+            .with_batched(),
+    ] {
+        let spelled = RunSpec {
+            cca: tuned(LibraVariant::Bbr, LibraParams::for_bbr()),
+            ..spec.clone()
+        };
+        assert_eq!(digest(&spelled), digest(&spec), "{}", spec.label);
     }
 }
 

@@ -17,7 +17,7 @@ use crate::cycle::{Arms, Candidates, Cycle, Stage};
 use crate::guardrail::Guardrail;
 use crate::params::LibraParams;
 use crate::train::LibraVariant;
-use libra_learned::{Resolution, RlCca, RlCcaConfig};
+use libra_learned::{Resolution, RlCca, RlCcaConfig, SelfServe};
 use libra_rl::{PpoAgent, PpoConfig};
 use libra_types::trace::{CandidateSample, GuardrailStep, TraceEvent, TraceStage};
 use libra_types::{
@@ -41,6 +41,7 @@ pub struct Libra {
     /// Structured decision tracing; disabled (one branch per emit site)
     /// unless the host attaches a sink.
     tracer: Tracer,
+    serve: SelfServe,
 }
 
 impl Libra {
@@ -92,6 +93,7 @@ impl Libra {
             srtt: Duration::ZERO,
             now: Instant::ZERO,
             tracer: Tracer::disabled(),
+            serve: SelfServe::default(),
         }
     }
 
@@ -376,14 +378,12 @@ impl CongestionControl for Libra {
         self.rl.on_loss(ev);
     }
 
-    /// Self-served decision, derived: submit, then — if the RL component
-    /// owes a decision — ask its agent directly and resolve.
+    /// Self-served decision: [`SelfServe::decide`] over the RL
+    /// component's agent and this controller's buffers.
     fn on_mi(&mut self, mi: &MiStats) {
-        let mut state = Vec::new();
-        if self.mi_submit(mi, &mut state) {
-            let action = self.rl.agent().borrow_mut().act(&state);
-            self.mi_resolve(mi, &action);
-        }
+        let (mut serve, agent) = (std::mem::take(&mut self.serve), self.rl.agent());
+        serve.decide(self, &agent, mi);
+        self.serve = serve;
     }
 
     /// The per-MI adapter. An exploration tick whose RL component owes

@@ -31,7 +31,7 @@ pub use formulation::{ActionSpace, Feature, MiObservation, RewardSpec, StateSpac
 pub use indigo::Indigo;
 pub use orca::Orca;
 pub use remy::Remy;
-pub use rl_cca::{Resolution, RewardSource, RlCca, RlCcaConfig};
+pub use rl_cca::{Resolution, RewardSource, RlCca, RlCcaConfig, SelfServe};
 pub use sprout::Sprout;
 pub use trainer::{
     config_for_state_space, tail_means, tail_reward, train_episodes, train_orca, train_rl_cca,

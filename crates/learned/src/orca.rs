@@ -26,6 +26,10 @@ pub struct Orca {
     history: std::collections::VecDeque<Vec<f64>>,
     /// The agent's input, rewritten from `history` at each decision.
     policy_state: Vec<f64>,
+    /// The agent's output and its forward-pass scratch, reused across
+    /// decisions.
+    policy_action: Vec<f64>,
+    scratch: Vec<f64>,
     x_max: Rate,
     d_min: Duration,
     prev_raw: f64,
@@ -59,6 +63,8 @@ impl Orca {
             },
             history: std::collections::VecDeque::new(),
             policy_state: Vec::new(),
+            policy_action: Vec::new(),
+            scratch: Vec::new(),
             x_max: Rate::from_mbps(10.0), // running max, floored at the training range's bottom
             d_min: Duration::ZERO,
             prev_raw: 0.0,
@@ -131,7 +137,12 @@ impl CongestionControl for Orca {
             .write_history(&self.history, &mut self.policy_state);
         let mut agent = self.agent.borrow_mut();
         agent.give_reward(reward, false);
-        let a = agent.act(&self.policy_state)[0];
+        agent.act_into(
+            &self.policy_state,
+            &mut self.policy_action,
+            &mut self.scratch,
+        );
+        let a = self.policy_action[0];
         drop(agent);
         // Rescale CUBIC's base window: cwnd ← cwnd · 2^a, clamped to the
         // deployable range (repeated ×4 rescales would otherwise compound

@@ -148,6 +148,35 @@ pub struct RlCca {
     // consecutive ticks it has been replayed.
     last_good: Option<f64>,
     stale_served: u32,
+    serve: SelfServe,
+}
+
+/// The buffers of a self-served MI decision — the state vector, the
+/// action, and the forward pass's scratch — which a controller keeps
+/// across decisions so that serving itself allocates nothing in steady
+/// state.
+#[derive(Default)]
+pub struct SelfServe {
+    state: Vec<f64>,
+    action: Vec<f64>,
+    scratch: Vec<f64>,
+}
+
+impl SelfServe {
+    /// The self-served decision, derived: submit, then — if `cca` owes
+    /// a decision — ask `agent` directly and resolve with its action.
+    pub fn decide(
+        &mut self,
+        cca: &mut impl CongestionControl,
+        agent: &RefCell<PpoAgent>,
+        mi: &MiStats,
+    ) {
+        if cca.mi_submit(mi, &mut self.state) {
+            let (action, scratch) = (&mut self.action, &mut self.scratch);
+            agent.borrow_mut().act_into(&self.state, action, scratch);
+            cca.mi_resolve(mi, &self.action);
+        }
+    }
 }
 
 impl RlCca {
@@ -180,6 +209,7 @@ impl RlCca {
             in_slow_start: true,
             last_good: None,
             stale_served: 0,
+            serve: SelfServe::default(),
         }
     }
 
@@ -289,14 +319,12 @@ impl CongestionControl for RlCca {
         // Loss enters through the MI statistics.
     }
 
-    /// Self-served decision, derived: submit, then — if a decision is
-    /// owed — ask the agent directly and resolve with its action.
+    /// Self-served decision: [`SelfServe::decide`] over this
+    /// controller's own agent and buffers.
     fn on_mi(&mut self, mi: &MiStats) {
-        let mut state = Vec::new();
-        if self.mi_submit(mi, &mut state) {
-            let action = self.agent.borrow_mut().act(&state);
-            self.mi_resolve(mi, &action);
-        }
+        let (mut serve, agent) = (std::mem::take(&mut self.serve), self.agent());
+        serve.decide(self, &agent, mi);
+        self.serve = serve;
     }
 
     /// The MI-close body (Alg. 2): bookkeeping up to the point where the

@@ -368,7 +368,7 @@ impl Rule for ThreadDiscipline {
             "threads",
             "thread creation outside the deterministic sweep runner \
              (bench/src/sweep.rs); route the work through run_figure/\
-             parallel_map or waive with `// lint: allow(threads)`",
+             run_sweep_supervised_with or waive with `// lint: allow(threads)`",
             out,
         );
     }
@@ -572,7 +572,14 @@ const HOT_FNS: &[&str] = &[
 /// `mi_submit` (and `mi_resolve` when the RL arm acted), which feed the
 /// cycle's one entry point, `advance`; it builds the candidate slots in
 /// `enter_eval` and the cycle's record in `decide`.
-const CORE_HOT_FNS: &[&str] = &["mi_submit", "mi_resolve", "advance", "enter_eval", "decide"];
+const CORE_HOT_FNS: &[&str] = &[
+    "mi_submit",
+    "mi_resolve",
+    "on_mi",
+    "advance",
+    "enter_eval",
+    "decide",
+];
 
 /// Heap-allocation constructors. `Vec::with_capacity` is deliberately
 /// absent: it only appears in setup paths, and flagging it would push
@@ -720,7 +727,6 @@ mod tests {
         }
         for (path, name) in [
             ("crates/core/src/demo.rs", "try_emit"),
-            ("crates/core/src/demo.rs", "on_mi"),
             ("crates/netsim/src/demo.rs", "enter_eval"),
             ("crates/learned/src/demo.rs", "mi_submit"),
         ] {

@@ -11,7 +11,10 @@
 //!
 //! Both paths run the same tile kernel, so each output is also checked
 //! against a naive in-test fold that calls no `Matrix` method; the shapes
-//! are wide enough to reach full 4 × 16 tiles plus both kinds of tail.
+//! (up to 72 units per layer, up to 71 batch rows) reach the widest tile
+//! the kernel has — 8 rows × 16 lanes under AVX-512 — plus both kinds of
+//! tail: one-row tiles below a full row block, and 8-, 4- and 1-wide
+//! lane tiles.
 
 use libra_nn::{Activation, BatchScratch, Matrix, Mlp};
 use libra_types::DetRng;

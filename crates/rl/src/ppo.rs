@@ -406,23 +406,34 @@ impl PpoAgent {
 
     /// Select an action for `obs`. In training mode the action is sampled
     /// and remembered; the following [`give_reward`](Self::give_reward)
-    /// completes the transition.
+    /// completes the transition. [`act_into`](Self::act_into) into fresh
+    /// buffers.
     pub fn act(&mut self, obs: &[f64]) -> Vec<f64> {
+        let (mut action, mut scratch) = (Vec::new(), Vec::new());
+        self.act_into(obs, &mut action, &mut scratch);
+        action
+    }
+
+    /// [`act`](Self::act) into caller-owned buffers. An eval-mode action
+    /// is [`act_eval`](Self::act_eval)'s, allocation-free in steady
+    /// state; a training-mode one is sampled around the mean, one normal
+    /// draw per action dimension, and recorded as the pending transition.
+    pub fn act_into(&mut self, obs: &[f64], out: &mut Vec<f64>, scratch: &mut Vec<f64>) {
         debug_assert_eq!(obs.len(), self.config.obs_dim, "obs dim mismatch");
         if self.eval_mode {
-            return self.actor.forward(obs);
+            return self.act_eval(obs, out, scratch);
         }
         // Training rollouts go through `forward_cached` — the same libm
         // arithmetic backprop differentiates — so trained weights stay a
         // pure function of the training config, independent of the
         // fast-activation inference path (`forward`/`forward_into`).
         let mean = self.actor.forward_cached(obs).output().to_vec();
-        let mut action = Vec::with_capacity(mean.len());
+        out.clear();
         for (i, &m) in mean.iter().enumerate() {
             let std = self.log_std[i].exp();
-            action.push(m + std * self.rng.normal());
+            out.push(m + std * self.rng.normal());
         }
-        let (logp, _) = logp_and_entropy(&self.log_std, &mean, &action);
+        let (logp, _) = logp_and_entropy(&self.log_std, &mean, out);
         let (critic, learner) = Learner::built(
             &mut self.learner,
             &mut self.critic,
@@ -433,15 +444,13 @@ impl PpoAgent {
         // An un-rewarded pending transition (e.g. ACK starvation skipped a
         // reward) is completed with zero reward rather than dropped.
         learner.reward(0.0, false);
-        learner.pending = Some((obs.to_vec(), action.clone(), logp, value));
-        action
+        learner.pending = Some((obs.to_vec(), out.clone(), logp, value));
     }
 
     /// Deterministic eval action into caller-owned buffers: the actor's
     /// mean for `obs`, computed through `&self` — no RNG draw, no pending
-    /// transition, no mutation. Element-for-element bit-identical to
-    /// eval-mode [`act`](Self::act) (both are exactly
-    /// `actor.forward(obs)`), but allocation-free in steady state.
+    /// transition, no mutation, and no allocation in steady state. It is
+    /// eval-mode [`act`](Self::act)'s body.
     pub fn act_eval(&self, obs: &[f64], out: &mut Vec<f64>, scratch: &mut Vec<f64>) {
         debug_assert_eq!(obs.len(), self.config.obs_dim, "obs dim mismatch");
         self.actor.forward_into(obs, out, scratch);
