@@ -35,6 +35,7 @@ use libra_types::{
     Rate, SendEvent, TraceEvent, Tracer, Welford,
 };
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 
 /// Packets ACKed beyond an outstanding one before it is declared lost.
 const REORDER_WINDOW: u64 = 3;
@@ -66,20 +67,20 @@ enum PacketCallback {
     Loss,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct SentMeta {
-    bytes: u64,
-    sent_at: Instant,
-}
+/// One outstanding packet's slot: its send time as `ns + 1`, so `None`
+/// (a slot ACKed or declared lost out of order) costs no tag. The bytes
+/// are the flow's MSS for every packet, so the slot does not hold them.
+type Slot = Option<NonZeroU64>;
+const _: () = assert!(std::mem::size_of::<Slot>() == 8);
 
 /// Outstanding-packet table specialised to the sender's access pattern:
 /// sequence numbers are assigned contiguously, ACKs clear slots near the
-/// front, and loss sweeps consume a prefix. A ring buffer of
-/// `Option<SentMeta>` indexed by `seq - base` replaces the old
-/// `BTreeMap<u64, SentMeta>`: every insert/remove is O(1) with zero
-/// allocator traffic in steady state, versus a node allocation and
-/// rebalancing walk per packet for the map — one of the dominant costs on
-/// the per-ACK hot path at thousand-flow scale.
+/// front, and loss sweeps consume a prefix. A ring buffer of send times
+/// indexed by `seq - base` replaces the old `BTreeMap<u64, _>`: every
+/// insert/remove is O(1) with zero allocator traffic in steady state,
+/// versus a node allocation and rebalancing walk per packet for the map —
+/// one of the dominant costs on the per-ACK hot path at thousand-flow
+/// scale.
 ///
 /// Invariant: the front slot, when present, is always live (`Some`) — the
 /// oldest outstanding packet — so `base` doubles as the oldest live
@@ -88,7 +89,7 @@ struct SentMeta {
 struct OutstandingWindow {
     /// Sequence number of `slots[0]`.
     base: u64,
-    slots: VecDeque<Option<SentMeta>>,
+    slots: VecDeque<Slot>,
     /// Count of live (unacked, not-yet-lost) entries.
     live: usize,
 }
@@ -105,7 +106,7 @@ impl OutstandingWindow {
     /// Record a freshly sent packet. Sequences arrive contiguously (the
     /// sender allocates them with a counter), so this is always a
     /// push_back.
-    fn insert(&mut self, seq: u64, meta: SentMeta) {
+    fn insert(&mut self, seq: u64, sent_at: Instant) {
         if self.slots.is_empty() {
             self.base = seq;
         }
@@ -114,20 +115,21 @@ impl OutstandingWindow {
             self.base + self.slots.len() as u64,
             "non-contiguous send sequence"
         );
-        self.slots.push_back(Some(meta));
+        self.slots
+            .push_back(Some(NonZeroU64::MIN.saturating_add(sent_at.nanos())));
         self.live += 1;
     }
 
-    /// Clear the slot for `seq`, returning its metadata if it was live.
-    fn remove(&mut self, seq: u64) -> Option<SentMeta> {
+    /// Clear the slot for `seq`, returning its send time if it was live.
+    fn remove(&mut self, seq: u64) -> Option<Instant> {
         if seq < self.base {
             return None;
         }
         let idx = (seq - self.base) as usize;
-        let meta = self.slots.get_mut(idx)?.take()?;
+        let slot = self.slots.get_mut(idx)?.take()?;
         self.live -= 1;
         self.trim();
-        Some(meta)
+        Some(Instant::from_nanos(slot.get() - 1))
     }
 
     /// Restore the front-is-live invariant after a removal.
@@ -139,44 +141,41 @@ impl OutstandingWindow {
     }
 
     /// Pop the oldest live entry if its sequence is below `cutoff`
-    /// (the reorder-loss sweep).
-    fn take_front_below(&mut self, cutoff: u64) -> Option<(u64, SentMeta)> {
+    /// (the reorder-loss sweep), returning that sequence.
+    fn take_front_below(&mut self, cutoff: u64) -> Option<u64> {
         if self.base >= cutoff {
             return None;
         }
-        let meta = self.slots.pop_front()??; // front is live by invariant
+        self.slots.pop_front()??; // front is live by invariant
         let seq = self.base;
         self.base += 1;
         self.live -= 1;
         self.trim();
-        Some((seq, meta))
+        Some(seq)
     }
 
     /// Write off everything outstanding (RTO). Returns the oldest live
-    /// sequence, total live bytes, and live count. Must not be called
-    /// when empty.
-    fn flush(&mut self) -> (u64, u64, u64) {
+    /// sequence and the live count. Must not be called when empty.
+    fn flush(&mut self) -> (u64, u64) {
         debug_assert!(!self.is_empty());
-        let oldest = self.base;
-        let mut bytes = 0u64;
-        let mut n = 0u64;
-        for meta in self.slots.drain(..).flatten() {
-            bytes += meta.bytes;
-            n += 1;
-        }
+        let n = self.live as u64;
+        self.slots.clear();
         self.live = 0;
-        (oldest, bytes, n)
+        (self.base, n)
     }
 }
 
-/// Bytes per fixed-width bin of absolute sim time: the flow's goodput
-/// series. The time axis is implied by the bin index, so a report
-/// carries the bins themselves and [`points`](BinSeries::points)
-/// derives `(seconds, Mbps)` on read.
+/// ACKed packets per fixed-width bin of absolute sim time: the flow's
+/// goodput series. Every packet carries the flow's MSS, so a bin's bytes
+/// are its count times `unit`. The time axis is implied by the bin
+/// index, so a report carries the counts themselves and
+/// [`points`](BinSeries::points) derives `(seconds, Mbps)` on read.
 #[derive(Debug, Clone)]
 pub struct BinSeries {
     bin: Duration,
-    pub(crate) bins: Vec<f64>,
+    /// Bytes per counted packet: the flow's MSS.
+    unit: u64,
+    pub(crate) bins: Vec<u32>,
     /// The bin the last `add` landed in, as `(index, start ns, end ns)`:
     /// ACKs inside it skip the division.
     cur: (usize, u64, u64),
@@ -188,20 +187,22 @@ pub struct BinSeries {
 const MAX_SERIES_PREALLOC: usize = 16_384;
 
 impl BinSeries {
-    /// A series with capacity reserved up to sim time `until`, so the
-    /// per-ACK `add` path never reallocates during a run. Bins are indexed
-    /// by absolute sim time, so the reservation runs from zero, not from
-    /// the flow's start.
-    fn with_horizon(bin: Duration, until: Instant) -> Self {
+    /// A series of `unit`-byte packets with capacity reserved up to sim
+    /// time `until`, so the per-ACK `add` path never reallocates during a
+    /// run. Bins are indexed by absolute sim time, so the reservation runs
+    /// from zero, not from the flow's start.
+    fn with_horizon(bin: Duration, until: Instant, unit: u64) -> Self {
         let hint = (until.nanos() / bin.nanos().max(1) + 1).min(MAX_SERIES_PREALLOC as u64);
         BinSeries {
             bin,
+            unit,
             bins: Vec::with_capacity(hint as usize),
             cur: (0, 0, 0),
         }
     }
 
-    fn add(&mut self, t: Instant, value: f64) {
+    /// Count one packet ACKed at `t`.
+    fn add(&mut self, t: Instant) {
         let ns = t.nanos();
         let (mut idx, start, end) = self.cur;
         if ns < start || ns >= end {
@@ -210,21 +211,23 @@ impl BinSeries {
             let start = idx as u64 * width;
             self.cur = (idx, start, start.saturating_add(width));
             if idx >= self.bins.len() {
-                self.bins.resize(idx + 1, 0.0);
+                self.bins.resize(idx + 1, 0);
             }
         }
-        self.bins[idx] += value;
+        self.bins[idx] += 1;
     }
 
-    /// `(bin-center seconds, Mbps)` pairs, computed from the bytes per
+    /// `(bin-center seconds, Mbps)` pairs, computed from the packets per
     /// bin on each read; bin `i` spans `[i·w, (i+1)·w)` of absolute sim
-    /// time, so a late-starting flow's series leads with empty bins.
+    /// time, so a late-starting flow's series leads with empty bins. A
+    /// bin's byte count is an integer below 2⁵³, so its `f64` is the one
+    /// a running byte sum would hold.
     pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         let w = self.bin.as_secs_f64();
-        self.bins
-            .iter()
-            .enumerate()
-            .map(move |(i, &bytes)| ((i as f64 + 0.5) * w, bytes * 8.0 / w / 1e6))
+        self.bins.iter().enumerate().map(move |(i, &n)| {
+            let bytes = (u64::from(n) * self.unit) as f64;
+            ((i as f64 + 0.5) * w, bytes * 8.0 / w / 1e6)
+        })
     }
 
     /// The configured bin width.
@@ -239,8 +242,10 @@ pub struct FlowSender {
     pub id: FlowId,
     /// The congestion controller under test.
     pub cca: Box<dyn CongestionControl>,
-    /// Maximum segment size in bytes.
-    pub mss: u64,
+    /// Maximum segment size in bytes: the size of every packet the flow
+    /// sends, fixed at construction, so bytes in flight, delivered and
+    /// lost are packet counts times it.
+    mss: u64,
     /// First permitted transmission.
     pub start: Instant,
     /// Transmissions cease at this time (ACK processing continues).
@@ -249,8 +254,6 @@ pub struct FlowSender {
 
     next_seq: u64,
     outstanding: OutstandingWindow,
-    in_flight: u64,
-    delivered: u64,
     highest_acked: Option<u64>,
 
     srtt: Duration,
@@ -296,7 +299,7 @@ pub struct FlowSender {
     pub rtt_stats: Welford,
     /// Streaming P² estimate of the 95th-percentile RTT (milliseconds).
     pub rtt_p95: P2Quantile,
-    /// Delivered bytes per time bin.
+    /// ACKed packets per time bin.
     pub goodput_bins: BinSeries,
     /// Sparse `(seconds, ms)` RTT series for plotting.
     pub rtt_series: Vec<(f64, f64)>,
@@ -338,8 +341,6 @@ impl FlowSender {
             active: false,
             next_seq: 0,
             outstanding: OutstandingWindow::default(),
-            in_flight: 0,
-            delivered: 0,
             highest_acked: None,
             srtt: Duration::ZERO,
             rttvar: Duration::ZERO,
@@ -362,7 +363,7 @@ impl FlowSender {
             lost_bytes: 0,
             rtt_stats: Welford::new(),
             rtt_p95: P2Quantile::new(0.95),
-            goodput_bins: BinSeries::with_horizon(metrics_bin, stop),
+            goodput_bins: BinSeries::with_horizon(metrics_bin, stop, mss),
             // One point per 20 ACKs, grown on demand: a 4 KiB up-front
             // reservation per flow is mostly never used at fleet scale
             // (a flow in a thousand sees a few hundred ACKs) and was most
@@ -419,7 +420,7 @@ impl FlowSender {
 
     /// Bytes currently in flight.
     pub fn in_flight(&self) -> u64 {
-        self.in_flight
+        self.outstanding.len() as u64 * self.mss
     }
 
     /// Whether the flow may currently transmit.
@@ -498,7 +499,7 @@ impl FlowSender {
         let mut emitted = 0usize;
         loop {
             let cwnd = self.cca.cwnd_bytes();
-            if self.in_flight + self.mss > cwnd {
+            if self.in_flight() + self.mss > cwnd {
                 return None; // window-limited: an ACK will retrigger us
             }
             if self.outstanding.len() >= MAX_OUTSTANDING {
@@ -552,18 +553,11 @@ impl FlowSender {
             seq,
             bytes: self.mss,
             sent_at: now,
-            delivered_at_send: self.delivered,
+            delivered_at_send: self.delivered_bytes,
             app_limited: false,
             ecn: false,
         };
-        self.outstanding.insert(
-            seq,
-            SentMeta {
-                bytes: self.mss,
-                sent_at: now,
-            },
-        );
-        self.in_flight += self.mss;
+        self.outstanding.insert(seq, now);
         self.sent_bytes += self.mss;
         self.sent_packets += 1;
         self.last_progress = now;
@@ -571,7 +565,7 @@ impl FlowSender {
             now,
             seq,
             bytes: self.mss,
-            in_flight: self.in_flight,
+            in_flight: self.in_flight(),
         };
         if self.has_mi_clock {
             self.tracker.on_send(&ev);
@@ -605,21 +599,18 @@ impl FlowSender {
     /// next call.
     pub fn on_ack_packet(&mut self, ack: &AckPacket, now: Instant) -> &[LossEvent] {
         self.last_losses.clear();
-        let meta = match self.outstanding.remove(ack.seq) {
-            Some(m) => m,
-            None => return &self.last_losses, // late/duplicate ACK for a seq already written off
+        let Some(sent_at) = self.outstanding.remove(ack.seq) else {
+            return &self.last_losses; // late/duplicate ACK for a seq already written off
         };
-        self.in_flight = self.in_flight.saturating_sub(meta.bytes);
-        self.delivered += meta.bytes;
-        self.delivered_bytes += meta.bytes;
+        self.delivered_bytes += self.mss;
         self.acked_packets += 1;
         self.last_progress = now;
 
-        let rtt = now.saturating_since(meta.sent_at);
+        let rtt = now.saturating_since(sent_at);
         self.update_rtt(rtt);
         self.rtt_stats.update(rtt.as_millis_f64());
         self.rtt_p95.update(rtt.as_millis_f64());
-        self.goodput_bins.add(now, meta.bytes as f64);
+        self.goodput_bins.add(now);
         // Keep the plotted RTT series sparse: one point per ~20 samples.
         if self.acked_packets % 20 == 1 {
             self.rtt_series
@@ -631,14 +622,14 @@ impl FlowSender {
         let ev = AckEvent {
             now,
             seq: ack.seq,
-            bytes: meta.bytes,
+            bytes: self.mss,
             rtt,
             min_rtt: self.min_rtt,
             srtt: self.srtt,
-            sent_at: meta.sent_at,
+            sent_at,
             delivered_at_send: ack.delivered_at_send,
-            delivered: self.delivered,
-            in_flight: self.in_flight,
+            delivered: self.delivered_bytes,
+            in_flight: self.in_flight(),
             app_limited: ack.app_limited,
         };
         if self.has_mi_clock {
@@ -693,15 +684,14 @@ impl FlowSender {
             return;
         }
         let cutoff = high - REORDER_WINDOW;
-        while let Some((seq, meta)) = self.outstanding.take_front_below(cutoff) {
-            self.in_flight = self.in_flight.saturating_sub(meta.bytes);
+        while let Some(seq) = self.outstanding.take_front_below(cutoff) {
             self.lost_packets += 1;
-            self.lost_bytes += meta.bytes;
+            self.lost_bytes += self.mss;
             let ev = LossEvent {
                 now,
                 seq,
-                bytes: meta.bytes,
-                in_flight: self.in_flight,
+                bytes: self.mss,
+                in_flight: self.in_flight(),
                 kind: LossKind::FastRetransmit,
             };
             if self.has_mi_clock {
@@ -729,8 +719,8 @@ impl FlowSender {
         }
         // Everything outstanding is written off; the controller sees one
         // timeout event (per-packet spam would overstate congestion).
-        let (oldest, total, n) = self.outstanding.flush();
-        self.in_flight = 0;
+        let (oldest, n) = self.outstanding.flush();
+        let total = n * self.mss;
         self.lost_packets += n;
         self.lost_bytes += total;
         self.last_progress = now;
@@ -1121,14 +1111,163 @@ mod tests {
         assert_eq!(s.in_flight(), 3 * 1500);
     }
 
+    /// The ring against the `BTreeMap<seq, send time>` it replaced, over
+    /// seeded random operation sequences: inserts; removes in order, out
+    /// of order, duplicated and below the base; reorder sweeps; and RTO
+    /// flushes. Every return value and `len()` must equal the map's, and
+    /// the bytes the old per-slot sums produced (one MSS per packet) must
+    /// equal the count times MSS the sender now derives them from.
+    #[test]
+    fn window_matches_btreemap_model() {
+        use libra_types::DetRng;
+        use std::collections::BTreeMap;
+        const MSS: u64 = 1460;
+        for seed in 0..32 {
+            let mut rng = DetRng::new(seed);
+            let mut ring = OutstandingWindow::default();
+            let mut model: BTreeMap<u64, Instant> = BTreeMap::new();
+            let mut next_seq = 0u64;
+            // Byte totals kept the old way, one MSS added per packet.
+            let (mut in_flight, mut acked, mut lost) = (0u64, 0u64, 0u64);
+            for step in 0..3_000u64 {
+                let now = Instant::from_nanos(step * 1_000 + rng.uniform_u64(0, 1_000));
+                let oldest = model.keys().next().copied().unwrap_or(next_seq);
+                match rng.uniform_u64(0, 100) {
+                    0..40 if model.len() < 256 => {
+                        ring.insert(next_seq, now);
+                        model.insert(next_seq, now);
+                        next_seq += 1;
+                        in_flight += MSS;
+                    }
+                    0..55 => {
+                        // In order, out of order, duplicate or below base.
+                        let seq = if rng.chance(0.3) {
+                            oldest
+                        } else {
+                            rng.uniform_u64(oldest.saturating_sub(3), next_seq + 2)
+                        };
+                        let got = ring.remove(seq);
+                        assert_eq!(got, model.remove(&seq), "seed {seed} step {step} seq {seq}");
+                        if got.is_some() {
+                            in_flight -= MSS;
+                            acked += MSS;
+                        }
+                    }
+                    55..95 => {
+                        let cutoff = rng.uniform_u64(oldest.saturating_sub(2), next_seq + 3);
+                        loop {
+                            let want = match model.first_key_value() {
+                                Some((&k, _)) if k < cutoff => model.pop_first().map(|(k, _)| k),
+                                _ => None,
+                            };
+                            let got = ring.take_front_below(cutoff);
+                            assert_eq!(got, want, "seed {seed} step {step} cutoff {cutoff}");
+                            if got.is_none() {
+                                break;
+                            }
+                            in_flight -= MSS;
+                            lost += MSS;
+                        }
+                    }
+                    _ if !model.is_empty() => {
+                        let (first, n) = ring.flush();
+                        assert_eq!((first, n), (oldest, model.len() as u64));
+                        assert_eq!(n * MSS, in_flight);
+                        model.clear();
+                        lost += in_flight;
+                        in_flight = 0;
+                    }
+                    _ => {}
+                }
+                assert_eq!(ring.len(), model.len(), "seed {seed} step {step}");
+                assert_eq!(ring.is_empty(), model.is_empty());
+                assert_eq!(ring.len() as u64 * MSS, in_flight);
+                assert_eq!(in_flight + acked + lost, next_seq * MSS);
+            }
+        }
+    }
+
+    /// The sender derives every byte total from a packet count: over
+    /// seeded random ACK orders (drops, duplicates, reordering) and RTOs,
+    /// bytes sent, delivered, lost and in flight are counts times MSS, and
+    /// what was sent is delivered, lost or still in flight.
+    #[test]
+    fn sender_byte_totals_are_packet_counts_times_mss() {
+        use libra_types::DetRng;
+        const MSS: u64 = 1234;
+        for seed in 0..16 {
+            let mut rng = DetRng::new(seed);
+            let mut s = FlowSender::new(
+                FlowId(0),
+                Box::new(TestCca {
+                    cwnd: 40 * MSS,
+                    acks: 0,
+                    losses: 0,
+                    mis: 0,
+                }),
+                MSS,
+                Instant::ZERO,
+                Instant::from_secs(100),
+                Duration::from_millis(40),
+                Duration::from_millis(100),
+            );
+            s.activate(Instant::ZERO);
+            let mut now = Instant::ZERO;
+            let mut pipe: Vec<Packet> = Vec::new();
+            let mut fast_lost = 0u64;
+            for _ in 0..400 {
+                now += Duration::from_micros(rng.uniform_u64(1, 5_000));
+                let mut out = Vec::new();
+                s.try_emit(now, &mut out);
+                pipe.extend(out.into_iter().filter(|_| !rng.chance(0.05)));
+                for _ in 0..rng.uniform_u64(0, 4) {
+                    if pipe.is_empty() {
+                        break;
+                    }
+                    let i = rng.uniform_u64(0, pipe.len().min(4) as u64) as usize;
+                    let p = if rng.chance(0.1) {
+                        pipe[i]
+                    } else {
+                        pipe.remove(i)
+                    };
+                    for loss in s.on_ack_packet(&ack_for(&p, now), now) {
+                        assert_eq!(loss.bytes, MSS);
+                        fast_lost += 1;
+                    }
+                }
+                if rng.chance(0.02) {
+                    now += Duration::from_secs(1);
+                    s.on_rto_check(now);
+                }
+                assert_eq!(s.sent_bytes, s.sent_packets * MSS);
+                assert_eq!(s.delivered_bytes, s.acked_packets * MSS);
+                assert_eq!(s.lost_bytes, s.lost_packets * MSS);
+                assert_eq!(s.in_flight(), s.outstanding.len() as u64 * MSS);
+                assert_eq!(
+                    s.sent_bytes,
+                    s.delivered_bytes + s.lost_bytes + s.in_flight()
+                );
+                let binned: u64 = s.goodput_bins.bins.iter().map(|&n| u64::from(n)).sum();
+                assert_eq!(binned, s.acked_packets);
+            }
+            assert!(s.acked_packets > 100 && fast_lost > 0, "seed {seed}");
+        }
+    }
+
     #[test]
     fn bin_series_mbps() {
-        // The reference: bin centre and Mbps, in exactly this operation
-        // order (figure tables and journals pin these bits).
+        // The reference keeps the formula the packet counts replaced: each
+        // bin's bytes summed as an `f64`, one packet at a time, then bin
+        // centre and Mbps in exactly this operation order (figure tables
+        // and journals pin these bits).
         fn spelled_out(b: &BinSeries) -> Vec<(f64, f64)> {
             let w = b.bin.as_secs_f64();
             let mut out = Vec::new();
-            for (i, &bytes) in b.bins.iter().enumerate() {
+            for (i, &n) in b.bins.iter().enumerate() {
+                let mut bytes = 0.0;
+                for _ in 0..n {
+                    bytes += b.unit as f64;
+                }
                 out.push(((i as f64 + 0.5) * w, bytes * 8.0 / w / 1e6));
             }
             out
@@ -1139,37 +1278,44 @@ mod tests {
                 .collect()
         }
 
-        let mut b = BinSeries::with_horizon(Duration::from_millis(100), Instant::from_secs(1));
-        b.add(Instant::from_millis(50), 125_000.0); // 125 kB in first bin
+        let mut b =
+            BinSeries::with_horizon(Duration::from_millis(100), Instant::from_secs(1), 1250);
+        for _ in 0..100 {
+            b.add(Instant::from_millis(50)); // 125 kB in first bin
+        }
         let pts: Vec<_> = b.points().collect();
         assert_eq!(pts.len(), 1);
         assert!((pts[0].1 - 10.0).abs() < 1e-9); // 125 kB / 100 ms = 10 Mbps
         assert_eq!(bits(b.points()), bits(spelled_out(&b)));
 
         // Either side of a bin edge, and back into an earlier bin.
-        for (ns, v) in [
-            (99_999_999, 1.0),
-            (100_000_000, 2.0),
-            (250_000_000, 4.0),
-            (0, 8.0),
-        ] {
-            b.add(Instant::from_nanos(ns), v);
+        for (ns, n) in [(99_999_999, 1), (100_000_000, 2), (250_000_000, 3), (0, 4)] {
+            for _ in 0..n {
+                b.add(Instant::from_nanos(ns));
+            }
         }
-        assert_eq!(b.bins, [125_009.0, 2.0, 4.0]);
+        assert_eq!(b.bins, [105, 2, 3]);
         assert_eq!(bits(b.points()), bits(spelled_out(&b)));
 
         // A late start leads with empty bins at their own centres, and a
         // width that is not a power of two exercises the rounding.
-        let mut late = BinSeries::with_horizon(Duration::from_millis(30), Instant::from_secs(1));
-        late.add(Instant::from_millis(95), 1500.0);
-        late.add(Instant::from_millis(119), 3000.0);
-        late.add(Instant::from_millis(120), 0.1);
-        assert_eq!(late.bins, [0.0, 0.0, 0.0, 4500.0, 0.1]);
+        let mut late =
+            BinSeries::with_horizon(Duration::from_millis(30), Instant::from_secs(1), 1500);
+        late.add(Instant::from_millis(95));
+        late.add(Instant::from_millis(119));
+        late.add(Instant::from_millis(119));
+        late.add(Instant::from_millis(120));
+        assert_eq!(late.bins, [0, 0, 0, 3, 1]);
         assert_eq!(bits(late.points()), bits(spelled_out(&late)));
         assert_eq!(late.points().count(), 5);
         assert!(late.points().take(3).all(|(_, mbps)| mbps == 0.0));
         let (t, mbps) = late.points().nth(3).expect("bin 3");
         assert!((t - 0.105).abs() < 1e-12 && (mbps - 1.2).abs() < 1e-9);
+
+        // A bin far fuller than any 100 ms of a real link still reads the
+        // running sum's bits.
+        late.bins[4] = 1 << 20;
+        assert_eq!(bits(late.points()), bits(spelled_out(&late)));
     }
 
     #[test]
@@ -1193,7 +1339,7 @@ mod tests {
         let reserved = s.goodput_bins.bins.capacity();
         let storage = s.goodput_bins.bins.as_ptr();
         for ms in (30_000..=60_000u64).step_by(50) {
-            s.goodput_bins.add(Instant::from_millis(ms), 1500.0);
+            s.goodput_bins.add(Instant::from_millis(ms));
         }
         assert_eq!(s.goodput_bins.bins.len(), 601);
         assert_eq!(s.goodput_bins.bins.capacity(), reserved);

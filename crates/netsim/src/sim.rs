@@ -1309,12 +1309,37 @@ mod tests {
         sim.run(until)
     }
 
+    /// The goodput series' steady-state bins as `(bin centre, Mbps)`:
+    /// every 100 ms bin from the second (the first holds the ACK clock's
+    /// start-up, a round trip of silence) to the last one that ends by
+    /// the run's 10 s.
+    fn steady_bins(rep: &SimReport) -> Vec<(f64, f64)> {
+        let pts: Vec<_> = rep.flows[0].goodput_series.points().collect();
+        assert!(pts.len() >= 100, "{} bins", pts.len());
+        pts[1..100].to_vec()
+    }
+
+    /// One 1500 B packet per 100 ms bin, in Mbps: the most a bin's
+    /// goodput can differ from a fluid rate whose packets arrive evenly
+    /// spaced, since a bin then holds the fluid count rounded down or up.
+    const ONE_PACKET_PER_BIN_MBPS: f64 = 1500.0 * 8.0 / 0.1 / 1e6;
+
     #[test]
     fn big_window_fills_constant_link() {
         // 10 Mbps, 40 ms RTT → BDP = 50 kB. cwnd 2 BDP saturates the link.
         let rep = run_single(Box::new(Fixed(100_000)), 10.0, 40, 10);
         assert!(rep.link.utilization > 0.9, "util {}", rep.link.utilization);
         assert!(rep.flows[0].avg_goodput.mbps() > 9.0);
+        // A saturated link delivers one packet per 1.2 ms service time,
+        // and ACKs return a fixed 40 ms later, so every steady-state bin
+        // carries C × bin = 125 000 B = 83⅓ packets: 83 or 84 of them,
+        // within one packet of 10 Mbps.
+        for (t, mbps) in steady_bins(&rep) {
+            assert!(
+                (mbps - 10.0).abs() < ONE_PACKET_PER_BIN_MBPS,
+                "bin at {t} s: {mbps} Mbps"
+            );
+        }
     }
 
     #[test]
@@ -1324,6 +1349,17 @@ mod tests {
         assert!(rep.link.utilization < 0.1, "util {}", rep.link.utilization);
         // RTT stays at propagation (no queue).
         assert!((rep.flows[0].rtt_ms.mean() - 40.0).abs() < 3.0);
+        // One packet per RTT, and the RTT is exactly 40 ms propagation
+        // plus 1.2 ms serialization, so every steady-state bin carries
+        // cwnd / RTT × bin = 1500 B × 100 / 41.2 = 2.43 packets: 2 or 3,
+        // within one packet of 0.291 Mbps.
+        let window_rate = 1500.0 * 8.0 / 0.0412 / 1e6;
+        for (t, mbps) in steady_bins(&rep) {
+            assert!(
+                (mbps - window_rate).abs() < ONE_PACKET_PER_BIN_MBPS,
+                "bin at {t} s: {mbps} Mbps, want {window_rate}"
+            );
+        }
     }
 
     #[test]
@@ -1339,6 +1375,16 @@ mod tests {
             rep.flows[0].rtt_ms.mean()
         );
         assert!(rep.link.utilization > 0.9);
+        // Fluid arithmetic over T = 10 s: what was sent and neither
+        // served (C·T) nor held by the full buffer at T was tail-dropped.
+        // In 1500 B packets: 20 Mbps·T = 16 666⅔ sent, C·T = 8 333⅓
+        // served, 50 kB = 33⅓ buffered, so 8 300 dropped. The simulator
+        // counts each term in whole packets (sent; served or in service;
+        // queued), each within one packet of its fluid value, so the
+        // drops are within three packets of it.
+        let fluid = (20e6 - 10e6) * 10.0 / 8.0 / 1500.0 - 50_000.0 / 1500.0;
+        let drops = rep.link.tail_drops as f64;
+        assert!((drops - fluid).abs() <= 3.0, "drops {drops}, fluid {fluid}");
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! remainder, which must stay under 50 allocator calls per 1000 extra
 //! delivered packets.
 //!
-//! The same allocator tracks live bytes and their high-water mark. Both
-//! are bounded per flow: the high-water mark over `run`, and the bytes
-//! the returned report still holds beyond what was live when `run`
-//! started. Finalize hands each flow's preallocated goodput bins to the
-//! report as they are, so the report keeps only its rows and RTT series.
+//! The same allocator tracks live bytes and their high-water mark. Three
+//! are bounded per flow: the bytes `add_flow` leaves live (each sender's
+//! goodput bins are reserved there, for the whole horizon), the
+//! high-water mark over `run`, and the bytes the returned report still
+//! holds beyond what was live when `run` started. Finalize hands each
+//! flow's preallocated goodput bins to the report as they are, so the
+//! report keeps only its rows and RTT series.
 //! A per-flow copy of the series at finalize hides under the high-water
 //! mark (finalize frees each flow's window as it goes) but not under the
 //! retained bound.
@@ -96,18 +98,30 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const FLOWS: u64 = 64;
 
+/// Live heap per flow after the `add_flow` calls. Each flow leaves
+/// 2 052 B (2 116 B under `checked-invariants`), of which its 201 goodput
+/// bins, one `u32` packet count each, are 804 B. Bins that summed bytes
+/// as `f64` left 2 872 B (2 936 B).
+const SETUP_BYTES_PER_FLOW: u64 = 2_400;
+
 /// Heap high-water growth allowed per flow during `run`. The 20 s run
-/// reaches 6 220 B per flow (packet slabs, windows, wheel and report).
-const PEAK_BYTES_PER_FLOW: u64 = 8_192;
+/// reaches 4 832 B per flow (5 024 B under `checked-invariants`: packet
+/// slabs, windows, wheel and report). Windows of 24-byte
+/// `Option<(bytes, send time)>` slots reached 6 220 B (6 412 B); each
+/// slot now holds only a send time, in 8 bytes.
+const PEAK_BYTES_PER_FLOW: u64 = 5_632;
 
 /// Heap growth per flow still live in the report when `run` returns. The
-/// 20 s run keeps 1 671 B per flow (report rows and the RTT series); a
+/// 20 s run keeps 1 695 B per flow (report rows and the RTT series); a
 /// finalize that rebuilt the 201-bin goodput series as `(seconds, Mbps)`
 /// pairs kept 3 231 B.
 const RETAINED_BYTES_PER_FLOW: u64 = 2_400;
 
 /// What one run of [`run_counted`] measured.
 struct Counted {
+    /// Live bytes the `add_flow` calls left behind (senders, their
+    /// windows and goodput bins, scheduled events).
+    setup: u64,
     /// Allocator calls during `run`.
     allocs: u64,
     /// Packets delivered.
@@ -126,6 +140,7 @@ fn run_counted(secs: u64) -> Counted {
     let horizon = Instant::from_secs(20);
     let link = LinkConfig::constant(Rate::from_mbps(96.0), Duration::from_millis(40), 1.0);
     let mut sim = Simulation::new(link, 7);
+    let empty = LIVE.load(Ordering::Relaxed);
     for i in 0..FLOWS {
         sim.add_flow(FlowConfig::new(
             Box::new(Cubic::new(1500)),
@@ -140,6 +155,7 @@ fn run_counted(secs: u64) -> Counted {
     let report = sim.run(Instant::from_secs(secs));
     ARMED.store(false, Ordering::Relaxed);
     Counted {
+        setup: live - empty,
         allocs: ALLOCS.load(Ordering::Relaxed) - before,
         pkts: report.flows.iter().map(|f| f.acked_packets).sum(),
         peak_growth: PEAK.load(Ordering::Relaxed) - live,
@@ -162,6 +178,12 @@ fn steady_state_allocates_under_50_per_1000_packets() {
         twenty.allocs
     );
     for (secs, run) in [(10, &ten), (20, &twenty)] {
+        let setup = run.setup / FLOWS;
+        assert!(
+            setup <= SETUP_BYTES_PER_FLOW,
+            "{secs} s run: add_flow left {} B live, {setup} B per flow",
+            run.setup
+        );
         let peak = run.peak_growth / FLOWS;
         assert!(
             peak <= PEAK_BYTES_PER_FLOW,
