@@ -533,8 +533,9 @@ impl Rule for BoundedRetry {
 pub struct NoPerPacketAlloc;
 
 /// The per-packet / per-ACK hot set: every function the event loop
-/// enters for each packet emission (`pump_flow`), queue transit, service
-/// start or completion, ACK delivery or RTO check, plus the simulator's
+/// enters for each packet emission (`pump_flow`), queue transit (with
+/// the queue's control-law hooks, PIE's `update_drop_prob` and CoDel's
+/// `drops_head`), service start or completion, ACK delivery or RTO check, plus the simulator's
 /// `schedule` and `dispatch`, which every event passes through (with the
 /// wheel's lane admission test), and the fault engine's `ack_fate`,
 /// which every ACK passes through while a link plan is attached. The
@@ -553,6 +554,8 @@ const HOT_FNS: &[&str] = &[
     "try_emit",
     "enqueue_with_ecn",
     "dequeue",
+    "update_drop_prob",
+    "drops_head",
     "detect_reorder_losses",
     "push",
     "push_lane",
@@ -701,8 +704,10 @@ mod tests {
             "fn try_emit(&mut self) {\n    let out = Vec::new();\n    drop(out);\n}\n",
         );
         assert!(other_crate.is_empty(), "{other_crate:?}");
-        // The per-decision functions are hot too.
+        // The queue's law hooks and the per-decision functions are hot too.
         for name in [
+            "update_drop_prob",
+            "drops_head",
             "dispatch_mi_ticks",
             "mi_tick_submit",
             "mi_tick_resolve",

@@ -6,12 +6,12 @@
 //! A deterministic, packet-level, discrete-event network simulator — the
 //! workspace's substitute for the paper's Mahimahi/Pantheon emulation.
 //!
-//! The topology is a dumbbell: any number of flows share one droptail
-//! queue feeding a (possibly trace-driven) bottleneck link; ACKs return on
-//! an uncongested reverse path with optional jitter. Everything is driven
-//! from a hierarchical timer-wheel event queue (see [`wheel`]) with
-//! integer-nanosecond timestamps, so a run is a pure function of
-//! `(configuration, seed)`.
+//! The topology is a dumbbell: any number of flows share one bottleneck
+//! queue (droptail by default; see [`queue`]) feeding a (possibly
+//! trace-driven) bottleneck link; ACKs return on an uncongested reverse
+//! path with optional jitter. Everything is driven from a hierarchical
+//! timer-wheel event queue (see [`wheel`]) with integer-nanosecond
+//! timestamps, so a run is a pure function of `(configuration, seed)`.
 //!
 //! # Quick example
 //!
@@ -37,7 +37,6 @@
 //! assert!(report.link.utilization > 0.7);
 //! ```
 
-pub mod aqm;
 pub mod capacity;
 pub mod cross_traffic;
 pub mod faults;
@@ -52,9 +51,10 @@ pub mod sim;
 pub mod trace;
 pub mod wheel;
 
-pub use aqm::{
-    AnyQueue, CodelQueue, PieQueue, QueueConfig, QueueCounters, QueueDiscipline, TokenBucketQueue,
-};
+#[cfg(test)]
+#[path = "queue_law_tests.rs"]
+mod aqm;
+
 pub use capacity::CapacitySchedule;
 pub use cross_traffic::{CbrSource, OnOffSource};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultReport};
@@ -62,7 +62,7 @@ pub use loss::{GilbertElliott, LossProcess};
 pub use mahimahi::{capacity_from_mahimahi, capacity_to_mahimahi, TraceError};
 pub use packet::{AckPacket, FlowId, Packet};
 pub use pool::{PacketHandle, PacketPool};
-pub use queue::{DroptailQueue, EcnConfig, Enqueue};
+pub use queue::{AnyQueue, EcnConfig, Enqueue, QueueConfig, QueueCounters, QueueDiscipline};
 pub use sender::{BinSeries, FlowSender};
 pub use sim::{
     BudgetKind, BudgetTrip, FlowConfig, FlowReport, LinkConfig, LinkReport, SimBudget, SimConfig,

@@ -243,9 +243,9 @@ pub struct FlowSender {
     /// The congestion controller under test.
     pub cca: Box<dyn CongestionControl>,
     /// Maximum segment size in bytes: the size of every packet the flow
-    /// sends, fixed at construction, so bytes in flight, delivered and
-    /// lost are packet counts times it.
-    mss: u64,
+    /// sends, fixed at construction, so bytes in flight, sent, delivered
+    /// and lost are packet counts times it.
+    pub(crate) mss: u64,
     /// First permitted transmission.
     pub start: Instant,
     /// Transmissions cease at this time (ACK processing continues).
@@ -283,18 +283,12 @@ pub struct FlowSender {
     pending_mi: Option<libra_types::MiStats>,
 
     // ---- metrics ----
-    /// Bytes handed to the network.
-    pub sent_bytes: u64,
     /// Packets handed to the network.
     pub sent_packets: u64,
-    /// Bytes acknowledged.
-    pub delivered_bytes: u64,
     /// Packets acknowledged.
     pub acked_packets: u64,
     /// Packets declared lost.
     pub lost_packets: u64,
-    /// Bytes declared lost.
-    pub lost_bytes: u64,
     /// RTT sample statistics (milliseconds).
     pub rtt_stats: Welford,
     /// Streaming P² estimate of the 95th-percentile RTT (milliseconds).
@@ -355,12 +349,9 @@ impl FlowSender {
             callback_calls: [0; 4],
             last_losses: Vec::new(),
             pending_mi: None,
-            sent_bytes: 0,
             sent_packets: 0,
-            delivered_bytes: 0,
             acked_packets: 0,
             lost_packets: 0,
-            lost_bytes: 0,
             rtt_stats: Welford::new(),
             rtt_p95: P2Quantile::new(0.95),
             goodput_bins: BinSeries::with_horizon(metrics_bin, stop, mss),
@@ -553,12 +544,11 @@ impl FlowSender {
             seq,
             bytes: self.mss,
             sent_at: now,
-            delivered_at_send: self.delivered_bytes,
+            delivered_at_send: self.acked_packets * self.mss,
             app_limited: false,
             ecn: false,
         };
         self.outstanding.insert(seq, now);
-        self.sent_bytes += self.mss;
         self.sent_packets += 1;
         self.last_progress = now;
         let ev = SendEvent {
@@ -602,7 +592,6 @@ impl FlowSender {
         let Some(sent_at) = self.outstanding.remove(ack.seq) else {
             return &self.last_losses; // late/duplicate ACK for a seq already written off
         };
-        self.delivered_bytes += self.mss;
         self.acked_packets += 1;
         self.last_progress = now;
 
@@ -628,7 +617,7 @@ impl FlowSender {
             srtt: self.srtt,
             sent_at,
             delivered_at_send: ack.delivered_at_send,
-            delivered: self.delivered_bytes,
+            delivered: self.acked_packets * self.mss,
             in_flight: self.in_flight(),
             app_limited: ack.app_limited,
         };
@@ -686,7 +675,6 @@ impl FlowSender {
         let cutoff = high - REORDER_WINDOW;
         while let Some(seq) = self.outstanding.take_front_below(cutoff) {
             self.lost_packets += 1;
-            self.lost_bytes += self.mss;
             let ev = LossEvent {
                 now,
                 seq,
@@ -722,7 +710,6 @@ impl FlowSender {
         let (oldest, n) = self.outstanding.flush();
         let total = n * self.mss;
         self.lost_packets += n;
-        self.lost_bytes += total;
         self.last_progress = now;
         self.next_send_time = now;
         let ev = LossEvent {
@@ -821,7 +808,7 @@ impl FlowSender {
 
     /// Average goodput between `start` and `end`.
     pub fn avg_goodput(&self, span: Duration) -> Rate {
-        Rate::from_bytes_over(self.delivered_bytes, span)
+        Rate::from_bytes_over(self.acked_packets * self.mss, span)
     }
 
     /// Fraction of packets lost among those resolved (acked or lost).
@@ -925,7 +912,7 @@ mod tests {
         assert_eq!(s.srtt(), Duration::from_millis(50));
         assert_eq!(s.min_rtt(), Duration::from_millis(50));
         assert_eq!(s.in_flight(), 1500);
-        assert_eq!(s.delivered_bytes, 1500);
+        assert_eq!(s.acked_packets, 1);
         // Paced now: emitting again yields a packet (credit available).
         let (pkts2, _) = emit(&mut s, now);
         assert_eq!(pkts2.len(), 1);
@@ -1067,11 +1054,11 @@ mod tests {
         s.activate(Instant::ZERO);
         let (pkts, _) = emit(&mut s, Instant::ZERO);
         assert!(s.on_rto_check(Instant::from_millis(500)));
-        let before = s.delivered_bytes;
+        let before = s.acked_packets;
         let now = Instant::from_millis(600);
         let losses = s.on_ack_packet(&ack_for(&pkts[0], now), now);
         assert!(losses.is_empty());
-        assert_eq!(s.delivered_bytes, before);
+        assert_eq!(s.acked_packets, before);
     }
 
     #[test]
@@ -1189,8 +1176,9 @@ mod tests {
 
     /// The sender derives every byte total from a packet count: over
     /// seeded random ACK orders (drops, duplicates, reordering) and RTOs,
-    /// bytes sent, delivered, lost and in flight are counts times MSS, and
-    /// what was sent is delivered, lost or still in flight.
+    /// bytes in flight are the outstanding count times MSS, each loss
+    /// carries one MSS, and every packet sent is acknowledged, lost or
+    /// still outstanding.
     #[test]
     fn sender_byte_totals_are_packet_counts_times_mss() {
         use libra_types::DetRng;
@@ -1239,13 +1227,10 @@ mod tests {
                     now += Duration::from_secs(1);
                     s.on_rto_check(now);
                 }
-                assert_eq!(s.sent_bytes, s.sent_packets * MSS);
-                assert_eq!(s.delivered_bytes, s.acked_packets * MSS);
-                assert_eq!(s.lost_bytes, s.lost_packets * MSS);
                 assert_eq!(s.in_flight(), s.outstanding.len() as u64 * MSS);
                 assert_eq!(
-                    s.sent_bytes,
-                    s.delivered_bytes + s.lost_bytes + s.in_flight()
+                    s.sent_packets,
+                    s.acked_packets + s.lost_packets + s.outstanding.len() as u64
                 );
                 let binned: u64 = s.goodput_bins.bins.iter().map(|&n| u64::from(n)).sum();
                 assert_eq!(binned, s.acked_packets);

@@ -15,13 +15,12 @@
 //! uncongested reverse path. Stochastic loss is applied at link egress so
 //! a lost packet still consumed queue space and capacity.
 
-use crate::aqm::{AnyQueue, QueueConfig, QueueDiscipline};
 use crate::capacity::{merge_outages, CapacitySchedule};
 use crate::faults::{FaultEngine, FaultKind, FaultPlan, FaultReport};
 use crate::loss::LossProcess;
 use crate::packet::{AckPacket, FlowId, Packet};
 use crate::pool::{PacketHandle, PacketPool};
-use crate::queue::{EcnConfig, Enqueue};
+use crate::queue::{AnyQueue, EcnConfig, Enqueue, QueueConfig, QueueDiscipline};
 use crate::sender::{BinSeries, FlowSender};
 use crate::wheel::{TimedEntry, TimerWheel};
 use libra_types::{
@@ -346,7 +345,6 @@ enum Event {
     AckArrive(AckPacket),
     MiTick(FlowId),
     RtoCheck(FlowId),
-    QueueSample,
 }
 
 /// Results for one flow after a run.
@@ -414,8 +412,6 @@ pub struct LinkReport {
     pub utilization: f64,
     /// Time-averaged queue occupancy in bytes.
     pub mean_queue_bytes: f64,
-    /// Queue-occupancy samples (bytes) at the sampling cadence.
-    pub queue_samples: Welford,
     /// Packets dropped by the queue discipline (tail, AQM early, and AQM
     /// head drops together).
     pub tail_drops: u64,
@@ -543,8 +539,6 @@ pub struct Simulation {
     // Metrics.
     delivered_link_bytes: u64,
     stochastic_drops: u64,
-    queue_samples: Welford,
-    sample_period: Duration,
 }
 
 impl Simulation {
@@ -628,8 +622,6 @@ impl Simulation {
             link_recorder,
             delivered_link_bytes: 0,
             stochastic_drops: 0,
-            queue_samples: Welford::new(),
-            sample_period: Duration::from_millis(50),
         }
     }
 
@@ -745,10 +737,6 @@ impl Simulation {
     // abort; it never enters the SimReport.
     // lint: allow(nondeterminism_taint)
     pub fn try_run(mut self, until: Instant) -> Result<SimReport, BudgetTrip> {
-        self.schedule(
-            Instant::ZERO + Duration::from_millis(25),
-            Event::QueueSample,
-        );
         let budget = self.cfg.budget.clone();
         let budget_active = budget.is_active();
         // Watchdog state: consecutive same-timestamp pops, events inside
@@ -918,14 +906,6 @@ impl Simulation {
                 }
                 if fired {
                     self.pump_flow(id);
-                }
-            }
-            Event::QueueSample => {
-                self.queue_samples
-                    .update(self.queue.occupied_bytes() as f64);
-                let next = self.now + self.sample_period;
-                if next <= until {
-                    self.schedule(next, Event::QueueSample);
                 }
             }
         }
@@ -1189,7 +1169,6 @@ impl Simulation {
                 0.0
             },
             mean_queue_bytes: mean_queue,
-            queue_samples: self.queue_samples,
             tail_drops: counters.drops,
             stochastic_drops: self.stochastic_drops,
             queue_admitted_bytes: counters.admitted_bytes,
@@ -1224,8 +1203,8 @@ impl Simulation {
                     name: f.cca.name(),
                     start: f.start,
                     stop: f.stop,
-                    sent_bytes: f.sent_bytes,
-                    delivered_bytes: f.delivered_bytes,
+                    sent_bytes: f.sent_packets * f.mss,
+                    delivered_bytes: f.acked_packets * f.mss,
                     acked_packets: f.acked_packets,
                     lost_packets: f.lost_packets,
                     avg_goodput: f.avg_goodput(span),
@@ -1385,6 +1364,22 @@ mod tests {
         let fluid = (20e6 - 10e6) * 10.0 / 8.0 / 1500.0 - 50_000.0 / 1500.0;
         let drops = rep.link.tail_drops as f64;
         assert!((drops - fluid).abs() <= 3.0, "drops {drops}, fluid {fluid}");
+        // Queue depth over time: the buffer fills at the net inflow of
+        // 20 − 10 = 10 Mbps = 1.25 MB/s, then stays full. Full is a whole
+        // number of packets, ⌊50 000 / 1 500⌋ = 33 = 49 500 B, reached
+        // after 49 500 / 1.25 MB/s = 39.6 ms. The time average over
+        // T = 10 s is the ramp's half-full mean for 39.6 ms and full
+        // after: 49 500 · (1 − 0.0396 / (2 · 10)) = 49 402 B. Arrivals and
+        // departures move the level one packet at a time, so it stays
+        // within one packet of that.
+        let full = (50_000 / 1500 * 1500) as f64;
+        let fill_s = full / ((20e6 - 10e6) / 8.0);
+        let fluid_queue = full * (1.0 - fill_s / (2.0 * 10.0));
+        let mean_queue = rep.link.mean_queue_bytes;
+        assert!(
+            (mean_queue - fluid_queue).abs() <= 1500.0,
+            "mean queue {mean_queue} B, fill-then-full {fluid_queue} B"
+        );
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! * **WAN** — inter-/intra-continental Internet profiles: long RTTs,
 //!   stochastic loss, ACK jitter and shallow policer-style buffers.
 
-use crate::aqm::QueueConfig;
 use crate::capacity::CapacitySchedule;
 use crate::faults::FaultPlan;
 use crate::loss::{GilbertElliott, LossProcess};
 use crate::queue::EcnConfig;
+use crate::queue::QueueConfig;
 use crate::sim::LinkConfig;
 use libra_types::{Bytes, DetRng, Duration, Instant, Rate};
 
