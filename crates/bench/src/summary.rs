@@ -363,8 +363,8 @@ impl RunSummary {
                     max_rtt_ms: f.rtt_ms.max(),
                     loss_fraction: f.loss_fraction,
                     ecn_echoes: f.ecn_echoes,
-                    goodput_series: f.goodput_series.points().collect(),
-                    rtt_series: f.rtt_series.clone(),
+                    goodput_series: collect_exact(|| f.goodput_series.points()),
+                    rtt_series: collect_exact(|| f.rtt_series.points()),
                     compute_ns: f.compute_ns,
                 })
                 .collect(),
@@ -390,6 +390,16 @@ impl RunSummary {
             },
         }
     }
+}
+
+/// A report series' points in a vector allocated once, at their count:
+/// the packed series cannot size their iterators up front, so a plain
+/// `collect` would grow by doubling and leave up to half of every kept
+/// summary's series capacity unused.
+fn collect_exact<I: Iterator<Item = (f64, f64)>>(points: impl Fn() -> I) -> Vec<(f64, f64)> {
+    let mut out = Vec::with_capacity(points().count());
+    out.extend(points());
+    out
 }
 
 /// Convergence statistics of the last staggered flow (Tab. 5): time from

@@ -541,8 +541,10 @@ pub struct NoPerPacketAlloc;
 /// which every ACK passes through while a link plan is attached. The
 /// per-decision set follows: every monitor-interval tick passes through
 /// `dispatch_mi_ticks`, the sender's three `mi_tick_*` phases and
-/// `close_mi`. Names, not paths, so a hot function moving between files
-/// stays covered.
+/// `close_mi`. Every ACK also feeds the report series through
+/// `BinSeries::count_ack` and, one in twenty, `RttSeries::record_rtt`.
+/// Names, not paths, so a hot function moving between files stays
+/// covered.
 const HOT_FNS: &[&str] = &[
     "schedule",
     "dispatch",
@@ -569,6 +571,8 @@ const HOT_FNS: &[&str] = &[
     "mi_tick_resolve",
     "mi_tick_finish",
     "close_mi",
+    "count_ack",
+    "record_rtt",
 ];
 
 /// `core`'s per-decision set: every MI close enters Libra through
@@ -704,21 +708,18 @@ mod tests {
             "fn try_emit(&mut self) {\n    let out = Vec::new();\n    drop(out);\n}\n",
         );
         assert!(other_crate.is_empty(), "{other_crate:?}");
-        // The queue's law hooks and the per-decision functions are hot too.
-        for name in [
-            "update_drop_prob",
-            "drops_head",
-            "dispatch_mi_ticks",
-            "mi_tick_submit",
-            "mi_tick_resolve",
-            "mi_tick_finish",
-            "close_mi",
-        ] {
-            let decision = findings(
+        // Every listed name is hot: the queue's law hooks, the
+        // per-decision functions and the report series' per-ACK entry
+        // points among them.
+        for name in HOT_FNS {
+            let hot = findings(
                 "crates/netsim/src/demo.rs",
                 &format!("fn {name}(&mut self) {{\n    let state = vec![0.0; 8];\n}}\n"),
             );
-            assert_eq!(decision.len(), 1, "{name}: {decision:?}");
+            assert_eq!(hot.len(), 1, "{name}: {hot:?}");
+        }
+        for name in ["count_ack", "record_rtt"] {
+            assert!(HOT_FNS.contains(&name), "{name}");
         }
         // Core's per-MI cycle path is hot too; netsim's names are not
         // hot there, nor are core's in netsim.

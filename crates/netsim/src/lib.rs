@@ -49,6 +49,7 @@ pub mod queue;
 pub mod sender;
 pub mod sim;
 pub mod trace;
+mod varint;
 pub mod wheel;
 
 #[cfg(test)]
@@ -63,7 +64,7 @@ pub use mahimahi::{capacity_from_mahimahi, capacity_to_mahimahi, TraceError};
 pub use packet::{AckPacket, FlowId, Packet};
 pub use pool::{PacketHandle, PacketPool};
 pub use queue::{AnyQueue, EcnConfig, Enqueue, QueueConfig, QueueCounters, QueueDiscipline};
-pub use sender::{BinSeries, FlowSender};
+pub use sender::{BinSeries, FlowSender, RttSeries};
 pub use sim::{
     BudgetKind, BudgetTrip, FlowConfig, FlowReport, LinkConfig, LinkReport, SimBudget, SimConfig,
     SimReport, Simulation,

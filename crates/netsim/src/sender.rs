@@ -30,6 +30,7 @@
 //! dominate the thing they measure.
 
 use crate::packet::{AckPacket, FlowId, Packet};
+use crate::varint;
 use libra_types::{
     AckEvent, CongestionControl, Duration, Instant, LossEvent, LossKind, MiTracker, P2Quantile,
     Rate, SendEvent, TraceEvent, Tracer, Welford,
@@ -168,71 +169,106 @@ impl OutstandingWindow {
 /// ACKed packets per fixed-width bin of absolute sim time: the flow's
 /// goodput series. Every packet carries the flow's MSS, so a bin's bytes
 /// are its count times `unit`. The time axis is implied by the bin
-/// index, so a report carries the counts themselves and
+/// index, so a report carries the counts themselves, one LEB128 varint
+/// per closed bin from bin 0 (a fleet flow's bin is one byte), and
 /// [`points`](BinSeries::points) derives `(seconds, Mbps)` on read.
 #[derive(Debug, Clone)]
 pub struct BinSeries {
     bin: Duration,
     /// Bytes per counted packet: the flow's MSS.
     unit: u64,
-    pub(crate) bins: Vec<u32>,
-    /// The bin the last `add` landed in, as `(index, start ns, end ns)`:
-    /// ACKs inside it skip the division.
-    cur: (usize, u64, u64),
+    /// Counts of bins `0..open.0`, packed.
+    pub(crate) closed: Vec<u8>,
+    /// The bin the last ACK landed in, as `(index, end ns, count)`;
+    /// before the first ACK, bin 0 with a zero count.
+    open: (usize, u64, u32),
 }
 
-/// Upper bound on preallocated series entries — a guard against a
-/// pathological stop time (e.g. `Instant::FAR_FUTURE` at a 100 ms bin).
-/// Runs longer than the hint simply fall back to amortized growth.
+/// Upper bound on the preallocated bytes of a series — a guard against
+/// a pathological stop time (e.g. `Instant::FAR_FUTURE` at a 100 ms
+/// bin). Runs longer than the hint simply fall back to amortized growth.
 const MAX_SERIES_PREALLOC: usize = 16_384;
 
 impl BinSeries {
-    /// A series of `unit`-byte packets with capacity reserved up to sim
-    /// time `until`, so the per-ACK `add` path never reallocates during a
-    /// run. Bins are indexed by absolute sim time, so the reservation runs
-    /// from zero, not from the flow's start.
+    /// A series of `unit`-byte packets with one byte per bin reserved up
+    /// to sim time `until`, so a run whose bins stay below 128 packets
+    /// never reallocates on the per-ACK path. Bins are indexed by
+    /// absolute sim time, so the reservation runs from zero, not from the
+    /// flow's start.
     fn with_horizon(bin: Duration, until: Instant, unit: u64) -> Self {
         let hint = (until.nanos() / bin.nanos().max(1) + 1).min(MAX_SERIES_PREALLOC as u64);
         BinSeries {
             bin,
             unit,
-            bins: Vec::with_capacity(hint as usize),
-            cur: (0, 0, 0),
+            closed: Vec::with_capacity(hint as usize),
+            open: (0, bin.nanos(), 0),
         }
     }
 
-    /// Count one packet ACKed at `t`.
-    fn add(&mut self, t: Instant) {
-        let ns = t.nanos();
-        let (mut idx, start, end) = self.cur;
-        if ns < start || ns >= end {
-            let width = self.bin.nanos();
-            idx = (ns / width) as usize;
-            let start = idx as u64 * width;
-            self.cur = (idx, start, start.saturating_add(width));
-            if idx >= self.bins.len() {
-                self.bins.resize(idx + 1, 0);
-            }
+    /// Count one packet ACKed at `t`. Sim time is monotone, so `t` never
+    /// falls before the open bin (checked in debug builds and under
+    /// `checked-invariants`); a later bin closes the open one and every
+    /// bin skipped in between.
+    fn count_ack(&mut self, t: Instant) {
+        let (ns, width) = (t.nanos(), self.bin.nanos());
+        #[cfg(any(debug_assertions, feature = "checked-invariants"))]
+        assert!(ns / width >= self.open.0 as u64, "ACK into a closed bin");
+        if ns >= self.open.1 {
+            let (idx, closed) = ((ns / width) as usize, &mut self.closed);
+            varint::push(closed, u64::from(self.open.2));
+            closed.resize(closed.len() + idx - self.open.0 - 1, 0);
+            self.open = (idx, (idx as u64 * width).saturating_add(width), 0);
         }
-        self.bins[idx] += 1;
+        self.open.2 += 1;
     }
 
     /// `(bin-center seconds, Mbps)` pairs, computed from the packets per
     /// bin on each read; bin `i` spans `[i·w, (i+1)·w)` of absolute sim
-    /// time, so a late-starting flow's series leads with empty bins. A
-    /// bin's byte count is an integer below 2⁵³, so its `f64` is the one
-    /// a running byte sum would hold.
+    /// time, so a late-starting flow's series leads with empty bins, and
+    /// it ends at the last bin an ACK landed in. A bin's byte count is an
+    /// integer below 2⁵³, so its `f64` is the one a running byte sum
+    /// would hold.
     pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         let w = self.bin.as_secs_f64();
-        self.bins.iter().enumerate().map(move |(i, &n)| {
-            let bytes = (u64::from(n) * self.unit) as f64;
-            ((i as f64 + 0.5) * w, bytes * 8.0 / w / 1e6)
-        })
+        let open = (self.open.2 > 0).then_some(u64::from(self.open.2));
+        let counts = varint::values(&self.closed).chain(open).enumerate();
+        counts.map(move |(i, n)| ((i as f64 + 0.5) * w, (n * self.unit) as f64 * 8.0 / w / 1e6))
+    }
+}
+
+/// The flow's sparse RTT samples, each packed as two LEB128 varints:
+/// nanoseconds since the previous sample (since zero for the first) and
+/// the RTT in nanoseconds. [`points`](RttSeries::points) yields the
+/// `(seconds, ms)` pairs the nanoseconds convert to.
+#[derive(Debug, Clone, Default)]
+pub struct RttSeries {
+    packed: Vec<u8>,
+    /// Sim time of the last sample, in nanoseconds.
+    last: u64,
+}
+
+impl RttSeries {
+    /// Record an RTT sample taken at `now`, which is never before the
+    /// previous sample's time.
+    fn record_rtt(&mut self, now: Instant, rtt: Duration) {
+        // The first sample reserves 64 bytes, about eight samples: growing
+        // from `Vec`'s 8-byte minimum would take more allocator calls per
+        // flow than the 16-byte pairs this series replaced did.
+        let packed = &mut self.packed;
+        packed.reserve(64usize.saturating_sub(packed.capacity()));
+        varint::push(packed, now.nanos() - self.last);
+        varint::push(packed, rtt.nanos());
+        self.last = now.nanos();
     }
 
-    /// The configured bin width.
-    pub fn bin(&self) -> Duration {
-        self.bin
+    /// `(seconds, ms)` pairs in sample order.
+    pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        let (mut vals, mut t) = (varint::values(&self.packed), 0);
+        std::iter::from_fn(move || {
+            t += vals.next()?;
+            let rtt = Duration::from_nanos(vals.next()?);
+            Some((Instant::from_nanos(t).as_secs_f64(), rtt.as_millis_f64()))
+        })
     }
 }
 
@@ -293,10 +329,11 @@ pub struct FlowSender {
     pub rtt_stats: Welford,
     /// Streaming P² estimate of the 95th-percentile RTT (milliseconds).
     pub rtt_p95: P2Quantile,
-    /// ACKed packets per time bin.
+    /// ACKed packets per time bin, one varint byte per bin reserved up
+    /// to `stop`.
     pub goodput_bins: BinSeries,
-    /// Sparse `(seconds, ms)` RTT series for plotting.
-    pub rtt_series: Vec<(f64, f64)>,
+    /// Sparse RTT series for plotting (one sample per 20 ACKs), packed.
+    pub rtt_series: RttSeries,
     /// ECN-echo count received.
     pub ecn_echoes: u64,
     /// Nanoseconds of wall-clock compute spent inside the controller.
@@ -355,11 +392,10 @@ impl FlowSender {
             rtt_stats: Welford::new(),
             rtt_p95: P2Quantile::new(0.95),
             goodput_bins: BinSeries::with_horizon(metrics_bin, stop, mss),
-            // One point per 20 ACKs, grown on demand: a 4 KiB up-front
+            // One sample per 20 ACKs, grown on demand: an up-front
             // reservation per flow is mostly never used at fleet scale
-            // (a flow in a thousand sees a few hundred ACKs) and was most
-            // of the memory `add_flow` touched.
-            rtt_series: Vec::new(),
+            // (a flow in a thousand sees a few hundred ACKs).
+            rtt_series: RttSeries::default(),
             ecn_echoes: 0,
             compute_ns: 0,
             policy_faults: 0,
@@ -599,11 +635,10 @@ impl FlowSender {
         self.update_rtt(rtt);
         self.rtt_stats.update(rtt.as_millis_f64());
         self.rtt_p95.update(rtt.as_millis_f64());
-        self.goodput_bins.add(now);
+        self.goodput_bins.count_ack(now);
         // Keep the plotted RTT series sparse: one point per ~20 samples.
         if self.acked_packets % 20 == 1 {
-            self.rtt_series
-                .push((now.as_secs_f64(), rtt.as_millis_f64()));
+            self.rtt_series.record_rtt(now, rtt);
         }
 
         self.highest_acked = Some(self.highest_acked.map_or(ack.seq, |h| h.max(ack.seq)));
@@ -1232,11 +1267,25 @@ mod tests {
                     s.sent_packets,
                     s.acked_packets + s.lost_packets + s.outstanding.len() as u64
                 );
-                let binned: u64 = s.goodput_bins.bins.iter().map(|&n| u64::from(n)).sum();
+                let binned: u64 = s.goodput_bins.counts().sum();
                 assert_eq!(binned, s.acked_packets);
             }
             assert!(s.acked_packets > 100 && fast_lost > 0, "seed {seed}");
         }
+    }
+
+    impl BinSeries {
+        /// Packets per bin, from bin 0 to the last bin an ACK landed in.
+        fn counts(&self) -> impl Iterator<Item = u64> + '_ {
+            let open = (self.open.2 > 0).then_some(u64::from(self.open.2));
+            varint::values(&self.closed).chain(open)
+        }
+    }
+
+    fn bits(pts: impl IntoIterator<Item = (f64, f64)>) -> Vec<(u64, u64)> {
+        pts.into_iter()
+            .map(|(t, v)| (t.to_bits(), v.to_bits()))
+            .collect()
     }
 
     #[test]
@@ -1248,7 +1297,7 @@ mod tests {
         fn spelled_out(b: &BinSeries) -> Vec<(f64, f64)> {
             let w = b.bin.as_secs_f64();
             let mut out = Vec::new();
-            for (i, &n) in b.bins.iter().enumerate() {
+            for (i, n) in b.counts().enumerate() {
                 let mut bytes = 0.0;
                 for _ in 0..n {
                     bytes += b.unit as f64;
@@ -1257,40 +1306,36 @@ mod tests {
             }
             out
         }
-        fn bits(pts: impl IntoIterator<Item = (f64, f64)>) -> Vec<(u64, u64)> {
-            pts.into_iter()
-                .map(|(t, v)| (t.to_bits(), v.to_bits()))
-                .collect()
-        }
 
         let mut b =
             BinSeries::with_horizon(Duration::from_millis(100), Instant::from_secs(1), 1250);
+        assert_eq!(b.points().count(), 0);
         for _ in 0..100 {
-            b.add(Instant::from_millis(50)); // 125 kB in first bin
+            b.count_ack(Instant::from_millis(50)); // 125 kB in first bin
         }
         let pts: Vec<_> = b.points().collect();
         assert_eq!(pts.len(), 1);
         assert!((pts[0].1 - 10.0).abs() < 1e-9); // 125 kB / 100 ms = 10 Mbps
         assert_eq!(bits(b.points()), bits(spelled_out(&b)));
 
-        // Either side of a bin edge, and back into an earlier bin.
-        for (ns, n) in [(99_999_999, 1), (100_000_000, 2), (250_000_000, 3), (0, 4)] {
+        // Either side of a bin edge.
+        for (ns, n) in [(99_999_999, 1), (100_000_000, 2), (250_000_000, 3)] {
             for _ in 0..n {
-                b.add(Instant::from_nanos(ns));
+                b.count_ack(Instant::from_nanos(ns));
             }
         }
-        assert_eq!(b.bins, [105, 2, 3]);
+        assert_eq!(b.counts().collect::<Vec<_>>(), [101, 2, 3]);
         assert_eq!(bits(b.points()), bits(spelled_out(&b)));
 
         // A late start leads with empty bins at their own centres, and a
         // width that is not a power of two exercises the rounding.
         let mut late =
             BinSeries::with_horizon(Duration::from_millis(30), Instant::from_secs(1), 1500);
-        late.add(Instant::from_millis(95));
-        late.add(Instant::from_millis(119));
-        late.add(Instant::from_millis(119));
-        late.add(Instant::from_millis(120));
-        assert_eq!(late.bins, [0, 0, 0, 3, 1]);
+        late.count_ack(Instant::from_millis(95));
+        late.count_ack(Instant::from_millis(119));
+        late.count_ack(Instant::from_millis(119));
+        late.count_ack(Instant::from_millis(120));
+        assert_eq!(late.counts().collect::<Vec<_>>(), [0, 0, 0, 3, 1]);
         assert_eq!(bits(late.points()), bits(spelled_out(&late)));
         assert_eq!(late.points().count(), 5);
         assert!(late.points().take(3).all(|(_, mbps)| mbps == 0.0));
@@ -1299,14 +1344,76 @@ mod tests {
 
         // A bin far fuller than any 100 ms of a real link still reads the
         // running sum's bits.
-        late.bins[4] = 1 << 20;
+        late.open.2 = 1 << 20;
         assert_eq!(bits(late.points()), bits(spelled_out(&late)));
+    }
+
+    // Release builds without `checked-invariants` compile the check out.
+    #[cfg(any(debug_assertions, feature = "checked-invariants"))]
+    #[test]
+    #[should_panic(expected = "ACK into a closed bin")]
+    fn counting_into_a_closed_bin_panics() {
+        let mut b =
+            BinSeries::with_horizon(Duration::from_millis(100), Instant::from_secs(1), 1250);
+        b.count_ack(Instant::from_millis(150));
+        b.count_ack(Instant::from_millis(50));
+    }
+
+    #[test]
+    fn packed_series_read_back_the_spelled_out_bits() {
+        // Goodput: counts at every varint length boundary, each closed by
+        // the next bin's ACK, the last left open.
+        let counts = [u32::MAX, 0, 127, 128, 16_383, 16_384, u32::MAX];
+        let width = Duration::from_millis(100);
+        let mut b = BinSeries::with_horizon(width, Instant::from_secs(60), 1500);
+        for (i, &n) in counts.iter().enumerate() {
+            b.count_ack(Instant::from_nanos(i as u64 * width.nanos()));
+            b.open.2 = n;
+        }
+        assert_eq!(b.closed.len(), 5 + 1 + 1 + 2 + 2 + 3);
+        let w = width.nanos() as f64 / 1e9;
+        let spelled: Vec<_> = counts
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                let bytes = (u64::from(n) * 1500) as f64;
+                ((i as f64 + 0.5) * w, bytes * 8.0 / w / 1e6)
+            })
+            .collect();
+        assert_eq!(bits(b.points()), bits(spelled));
+
+        // RTT: gaps and samples across the length boundaries up to
+        // `MAX_RTO`, then one sample at a 60 s horizon.
+        let mut at = 0;
+        let samples: Vec<(u64, u64)> = [
+            (0, 0),
+            (127, 127),
+            (128, 128),
+            (16_383, 16_384),
+            (1, MIN_RTO.nanos()),
+            (MAX_RTO.nanos(), MAX_RTO.nanos()),
+        ]
+        .into_iter()
+        .map(|(gap, rtt)| {
+            at += gap;
+            (at, rtt)
+        })
+        .chain([(Instant::from_secs(60).nanos(), MAX_RTO.nanos())])
+        .collect();
+        let mut rtts = RttSeries::default();
+        for &(at, rtt) in &samples {
+            rtts.record_rtt(Instant::from_nanos(at), Duration::from_nanos(rtt));
+        }
+        let spelled = samples
+            .iter()
+            .map(|&(at, rtt)| (at as f64 / 1e9, rtt as f64 / 1e6));
+        assert_eq!(bits(rtts.points()), bits(spelled));
     }
 
     #[test]
     fn late_start_goodput_series_never_reallocates() {
         // Bins are indexed by absolute sim time: a flow alive 30 s → 60 s
-        // needs 601 bins, not the 301 its lifetime spans.
+        // needs 601 bins, not the 301 its lifetime spans, one byte each.
         let mut s = FlowSender::new(
             FlowId(0),
             Box::new(TestCca {
@@ -1321,14 +1428,15 @@ mod tests {
             Duration::from_millis(40),
             Duration::from_millis(100),
         );
-        let reserved = s.goodput_bins.bins.capacity();
-        let storage = s.goodput_bins.bins.as_ptr();
+        let reserved = s.goodput_bins.closed.capacity();
+        let storage = s.goodput_bins.closed.as_ptr();
+        assert_eq!(reserved, 601);
         for ms in (30_000..=60_000u64).step_by(50) {
-            s.goodput_bins.add(Instant::from_millis(ms));
+            s.goodput_bins.count_ack(Instant::from_millis(ms));
         }
-        assert_eq!(s.goodput_bins.bins.len(), 601);
-        assert_eq!(s.goodput_bins.bins.capacity(), reserved);
-        assert_eq!(s.goodput_bins.bins.as_ptr(), storage);
+        assert_eq!(s.goodput_bins.counts().count(), 601);
+        assert_eq!(s.goodput_bins.closed.capacity(), reserved);
+        assert_eq!(s.goodput_bins.closed.as_ptr(), storage);
     }
 
     #[test]

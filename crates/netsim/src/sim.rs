@@ -21,7 +21,7 @@ use crate::loss::LossProcess;
 use crate::packet::{AckPacket, FlowId, Packet};
 use crate::pool::{PacketHandle, PacketPool};
 use crate::queue::{AnyQueue, EcnConfig, Enqueue, QueueConfig, QueueDiscipline};
-use crate::sender::{BinSeries, FlowSender};
+use crate::sender::{BinSeries, FlowSender, RttSeries};
 use crate::wheel::{TimedEntry, TimerWheel};
 use libra_types::{
     Bytes, CongestionControl, DetRng, Duration, Instant, PolicyRequest, PolicyService, Rate,
@@ -371,12 +371,14 @@ pub struct FlowReport {
     pub rtt_ms: Welford,
     /// Fraction of resolved packets that were lost.
     pub loss_fraction: f64,
-    /// Goodput series: bytes delivered per bin of absolute sim time,
-    /// moved from the sender at finalize;
+    /// Goodput series: packets delivered per bin of absolute sim time,
+    /// one varint per bin, moved from the sender at finalize;
     /// [`points`](BinSeries::points) yields `(seconds, Mbps)`.
     pub goodput_series: BinSeries,
-    /// Sparse `(seconds, ms)` RTT series.
-    pub rtt_series: Vec<(f64, f64)>,
+    /// Sparse RTT series, packed `(Δ ns, RTT ns)` samples moved from the
+    /// sender at finalize; [`points`](RttSeries::points) yields
+    /// `(seconds, ms)`.
+    pub rtt_series: RttSeries,
     /// Streaming P² estimate of the 95th-percentile RTT in milliseconds
     /// (0 when no RTT samples were observed).
     pub rtt_p95_ms: f64,
@@ -1435,7 +1437,7 @@ mod tests {
             Instant::from_secs(5),
             until,
         ));
-        let storage = sim.flows[1].goodput_bins.bins.as_ptr();
+        let storage = sim.flows[1].goodput_bins.closed.as_ptr();
         let rep = sim.run(until);
         // Late flow delivered roughly half of what the early one did.
         let r = rep.flows[1].delivered_bytes as f64 / rep.flows[0].delivered_bytes as f64;
@@ -1451,8 +1453,8 @@ mod tests {
         // The report holds the sender's own bins: reserved for the whole
         // horizon, never reallocated during the run, moved (not copied)
         // at finalize.
-        assert!(!rep.flows[1].goodput_series.bins.is_empty());
-        assert_eq!(rep.flows[1].goodput_series.bins.as_ptr(), storage);
+        assert!(!rep.flows[1].goodput_series.closed.is_empty());
+        assert_eq!(rep.flows[1].goodput_series.closed.as_ptr(), storage);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! high-water mark over `run`, and the bytes the returned report still
 //! holds beyond what was live when `run` started. Finalize hands each
 //! flow's preallocated goodput bins to the report as they are, so the
-//! report keeps only its rows and RTT series.
+//! report keeps only its rows and RTT series. Both series are packed
+//! varints (`BinSeries`, `RttSeries`), so these bounds also fail if
+//! either falls back to a wider representation.
 //! A per-flow copy of the series at finalize hides under the high-water
 //! mark (finalize frees each flow's window as it goes) but not under the
 //! retained bound.
@@ -23,99 +25,35 @@
 
 use libra_classic::Cubic;
 use libra_netsim::{FlowConfig, LinkConfig, Simulation};
+use libra_testalloc::{arm, calls, live, peak, reset_peak};
 use libra_types::{Duration, Instant, Rate};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-// Statistics only: none publishes other data, so `Relaxed`.
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator plus a call counter and a live-byte gauge.
-struct CountingAlloc;
-
-fn note() {
-    if ARMED.load(Ordering::Relaxed) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter never touches
-// the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: the caller's `layout` obligations pass straight through.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        grow(layout.size());
-        // SAFETY: as the signature's — `layout` is forwarded unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: the caller's `layout` obligations pass straight through.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        grow(layout.size());
-        // SAFETY: as the signature's — `layout` is forwarded unchanged.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
-    // `layout`; the caller guarantees `new_size` is valid.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        if new_size >= layout.size() {
-            grow(new_size - layout.size());
-        } else {
-            shrink(layout.size() - new_size);
-        }
-        // SAFETY: as the signature's — all three are forwarded unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
-    // `layout`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrink(layout.size());
-        // SAFETY: as the signature's — both are forwarded unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: libra_testalloc::CountingAlloc = libra_testalloc::CountingAlloc;
 
 const FLOWS: u64 = 64;
 
 /// Live heap per flow after the `add_flow` calls. Each flow leaves
-/// 2 052 B (2 116 B under `checked-invariants`), of which its 201 goodput
-/// bins, one `u32` packet count each, are 804 B. Bins that summed bytes
-/// as `f64` left 2 872 B (2 936 B).
-const SETUP_BYTES_PER_FLOW: u64 = 2_400;
+/// 1 433 B (1 497 B under `checked-invariants`), of which its 201 goodput
+/// bins, one reserved varint byte each, are 201 B. Bins of one `u32`
+/// each left 2 036 B (2 100 B), and bins that summed bytes as `f64`
+/// 2 872 B (2 936 B).
+const SETUP_BYTES_PER_FLOW: u64 = 1_600;
 
 /// Heap high-water growth allowed per flow during `run`. The 20 s run
-/// reaches 4 832 B per flow (5 024 B under `checked-invariants`: packet
-/// slabs, windows, wheel and report). Windows of 24-byte
-/// `Option<(bytes, send time)>` slots reached 6 220 B (6 412 B); each
-/// slot now holds only a send time, in 8 bytes.
-const PEAK_BYTES_PER_FLOW: u64 = 5_632;
+/// reaches 3 489 B per flow (3 681 B under `checked-invariants`: packet
+/// slabs, windows, wheel and report). With `u32` bins and an RTT series
+/// of `(f64, f64)` pairs it reached 4 896 B (5 088 B); with windows of
+/// 24-byte `Option<(bytes, send time)>` slots, 6 220 B (6 412 B).
+const PEAK_BYTES_PER_FLOW: u64 = 4_096;
 
 /// Heap growth per flow still live in the report when `run` returns. The
-/// 20 s run keeps 1 695 B per flow (report rows and the RTT series); a
-/// finalize that rebuilt the 201-bin goodput series as `(seconds, Mbps)`
-/// pairs kept 3 231 B.
-const RETAINED_BYTES_PER_FLOW: u64 = 2_400;
+/// 20 s run keeps 305 B per flow (241 B under `checked-invariants`):
+/// report rows and the packed RTT series, net of the windows finalize
+/// frees. An RTT series of `(f64, f64)` pairs kept 1 711 B (1 647 B),
+/// and a finalize that rebuilt the 201-bin goodput series as
+/// `(seconds, Mbps)` pairs 3 231 B.
+const RETAINED_BYTES_PER_FLOW: u64 = 768;
 
 /// What one run of [`run_counted`] measured.
 struct Counted {
@@ -140,7 +78,7 @@ fn run_counted(secs: u64) -> Counted {
     let horizon = Instant::from_secs(20);
     let link = LinkConfig::constant(Rate::from_mbps(96.0), Duration::from_millis(40), 1.0);
     let mut sim = Simulation::new(link, 7);
-    let empty = LIVE.load(Ordering::Relaxed);
+    let empty = live();
     for i in 0..FLOWS {
         sim.add_flow(FlowConfig::new(
             Box::new(Cubic::new(1500)),
@@ -148,18 +86,18 @@ fn run_counted(secs: u64) -> Counted {
             horizon,
         ));
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let live = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
+    let before = calls();
+    let started = live();
+    reset_peak();
+    arm(true);
     let report = sim.run(Instant::from_secs(secs));
-    ARMED.store(false, Ordering::Relaxed);
+    arm(false);
     Counted {
-        setup: live - empty,
-        allocs: ALLOCS.load(Ordering::Relaxed) - before,
+        setup: started - empty,
+        allocs: calls() - before,
         pkts: report.flows.iter().map(|f| f.acked_packets).sum(),
-        peak_growth: PEAK.load(Ordering::Relaxed) - live,
-        retained: LIVE.load(Ordering::Relaxed).saturating_sub(live),
+        peak_growth: peak() - started,
+        retained: live().saturating_sub(started),
     }
 }
 

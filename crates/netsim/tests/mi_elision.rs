@@ -141,11 +141,7 @@ fn fingerprint(report: &SimReport) -> String {
             f.rtt_ms.count(),
             f.rtt_ms.mean().to_bits(),
         );
-        for (t, v) in f
-            .goodput_series
-            .points()
-            .chain(f.rtt_series.iter().copied())
-        {
+        for (t, v) in f.goodput_series.points().chain(f.rtt_series.points()) {
             let _ = write!(s, " {:016x}:{:016x}", t.to_bits(), v.to_bits());
         }
         s.push_str("];");

@@ -9,58 +9,9 @@
 use libra_nn::{BatchScratch, Matrix};
 use libra_rl::{PpoAgent, PpoConfig};
 use libra_types::DetRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-// Statistics only: neither publishes other data, so `Relaxed`.
-static ARMED: AtomicBool = AtomicBool::new(false);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator plus a counter of bytes requested.
-struct CountingAlloc;
-
-fn note(bytes: usize) {
-    if ARMED.load(Ordering::Relaxed) {
-        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter never touches
-// the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: the caller's `layout` obligations pass straight through.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: as the signature's — `layout` is forwarded unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: the caller's `layout` obligations pass straight through.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: as the signature's — `layout` is forwarded unchanged.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
-    // `layout`; the caller guarantees `new_size` is valid.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: as the signature's — all three are forwarded unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
-    // `layout`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as the signature's — both are forwarded unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: libra_testalloc::CountingAlloc = libra_testalloc::CountingAlloc;
 
 const OBS: usize = 24;
 const ROWS: usize = 64;
@@ -73,12 +24,12 @@ fn eval_agent_allocates_only_its_actor_and_batch_buffers() {
     let mut out = Matrix::zeros(0, 0);
     let mut scratch = BatchScratch::new();
 
-    ARMED.store(true, Ordering::Relaxed);
+    libra_testalloc::arm(true);
     let mut agent = PpoAgent::new(config, &mut DetRng::new(5));
     agent.set_eval(true);
     agent.act_eval_batch(&obs, &mut out, &mut scratch);
-    ARMED.store(false, Ordering::Relaxed);
-    let bytes = BYTES.load(Ordering::Relaxed);
+    libra_testalloc::arm(false);
+    let bytes = libra_testalloc::requested();
 
     let f64s = std::mem::size_of::<f64>();
     let actor: usize = sizes.windows(2).map(|io| io[0] * io[1] + io[1]).sum();
