@@ -7,7 +7,7 @@
 
 use libra_core::{train_libra, LibraVariant};
 use libra_learned::{train_orca, train_rl_cca, EnvRanges, RlCcaConfig, TrainConfig};
-use libra_rl::{PpoWeights, WEIGHT_NORM_BOUND};
+use libra_rl::PpoWeights;
 use libra_types::DetRng;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -146,7 +146,7 @@ impl ModelStore {
                 // config, so the retrained weights are exactly what the
                 // cache should have held.
                 match serde_json::from_str::<PpoWeights>(&s) {
-                    Ok(w) if w.is_valid(WEIGHT_NORM_BOUND) => return w,
+                    Ok(w) if w.is_valid() => return w,
                     Ok(_) => eprintln!(
                         "model cache at {} failed weight validation \
                          (mis-shaped, non-finite or out-of-bound parameters); retraining",
@@ -320,7 +320,7 @@ mod tests {
         let mut agent = libra_rl::PpoAgent::new(libra_rl::PpoConfig::new(2, 1), &mut rng);
         agent.map_actor_params(|_| f64::NAN);
         let poisoned = agent.weights();
-        assert!(!poisoned.is_valid(WEIGHT_NORM_BOUND));
+        assert!(!poisoned.is_valid());
         let path = store.path(&key);
         std::fs::create_dir_all(model_dir()).unwrap();
         std::fs::write(&path, serde_json::to_string(&poisoned).unwrap()).unwrap();
@@ -329,13 +329,13 @@ mod tests {
             libra_rl::PpoAgent::new(libra_rl::PpoConfig::new(2, 1), &mut rng).weights()
         });
         assert!(
-            w.is_valid(WEIGHT_NORM_BOUND),
+            w.is_valid(),
             "poisoned cached weights were deployed without validation"
         );
         // The rollback re-caches the retrained (valid) weights.
         let recached: PpoWeights =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert!(recached.is_valid(WEIGHT_NORM_BOUND));
+        assert!(recached.is_valid());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -21,8 +21,6 @@
 //!   plain-data [`cycle::Cycle`].
 //! * [`LibraParams`] — stage durations, EI length, switch threshold, and
 //!   application-preference profiles.
-//! * [`guardrail`] — runtime health tracking for the learned arm:
-//!   degraded mode, exponential-backoff re-probing, weight validation.
 //! * [`accounting`] — per-cycle telemetry (decision fractions, utilities).
 //! * [`equilibrium`] — numeric verification of Theorem 4.1's unique fair
 //!   Nash equilibrium.
@@ -45,14 +43,12 @@
 pub mod accounting;
 pub mod cycle;
 pub mod equilibrium;
-pub mod guardrail;
 pub mod libra;
 pub mod params;
 pub mod train;
 
 pub use accounting::{CycleLog, CycleRecord};
 pub use equilibrium::DroptailGame;
-pub use guardrail::{Guardrail, GuardrailParams};
 pub use libra::Libra;
 pub use params::{EvalOrder, LibraParams};
 pub use train::{quick_train_config, train_libra, LibraVariant};

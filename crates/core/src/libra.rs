@@ -5,16 +5,16 @@
 //! candidate slots and their measurements, `u(x_prev)`'s aggregate and
 //! the cycle log. [`Libra`] owns everything that touches a live
 //! controller: the classic arm (`None` for Clean-Slate), the RL arm and
-//! its submit/resolve split, the [`Guardrail`] with its degraded mode,
-//! and the tracer. At each MI close it lets the RL arm act (exploration
-//! only — the source of Libra's overhead reduction, Remark 5), feeds the
-//! cycle what both arms now propose, and carries out what comes back:
-//! re-base the arms, trace the stage and the decision, score the cycle
-//! on the guardrail.
+//! its submit/resolve split, and the tracer. At each MI close it lets the
+//! RL arm act (exploration only — the source of Libra's overhead
+//! reduction, Remark 5), feeds the cycle what both arms now propose, and
+//! carries out what comes back: re-base the arms, trace the stage and the
+//! decision, report the cycle's utilities to the RL arm's degradation
+//! ladder ([`libra_learned::Ladder`]). While the ladder has the RL arm
+//! benched, the classic arm has full control and Libra ticks the bench.
 
 use crate::accounting::{CycleLog, CycleRecord};
 use crate::cycle::{Arms, Candidates, Cycle, Stage};
-use crate::guardrail::Guardrail;
 use crate::params::LibraParams;
 use crate::train::LibraVariant;
 use libra_learned::{Resolution, RlCca, RlCcaConfig, SelfServe};
@@ -35,7 +35,6 @@ pub struct Libra {
     /// The inner RL component (Sec. 4.2 formulation).
     rl: RlCca,
     cycle: Cycle,
-    guardrail: Guardrail,
     srtt: Duration,
     now: Instant,
     /// Structured decision tracing; disabled (one branch per emit site)
@@ -89,7 +88,6 @@ impl Libra {
             classic,
             rl: RlCca::new(RlCcaConfig::libra_rl(), agent),
             cycle: Cycle::new(params),
-            guardrail: Guardrail::new(params.guardrail),
             srtt: Duration::ZERO,
             now: Instant::ZERO,
             tracer: Tracer::disabled(),
@@ -100,14 +98,6 @@ impl Libra {
     /// Swap in an application-preference utility profile (Fig. 11).
     pub fn with_preference(mut self, pref: libra_types::Preference) -> Self {
         self.cycle = Cycle::new(self.cycle.params().with_preference(pref));
-        self
-    }
-
-    /// Override the cycle parameters (the Fig. 19 / Tab. 7 sensitivity
-    /// sweeps).
-    pub fn with_params(mut self, params: LibraParams) -> Self {
-        self.cycle = Cycle::new(params);
-        self.guardrail = Guardrail::new(params.guardrail);
         self
     }
 
@@ -131,25 +121,14 @@ impl Libra {
         self.cycle.base()
     }
 
-    /// Times the guardrail tripped into degraded mode.
+    /// Times the RL arm's ladder benched it (degraded mode).
     pub fn guardrail_trips(&self) -> u64 {
-        self.guardrail.trips()
+        self.rl.ladder().trips()
     }
 
-    /// Total time spent in degraded mode (decisions pinned to the
-    /// classic arm), including a still-open episode.
-    pub fn degraded_time(&self) -> Duration {
-        self.guardrail.degraded_time(self.now)
-    }
-
-    /// Times the RL arm was re-probed after a degraded period.
-    pub fn rl_reprobes(&self) -> u64 {
-        self.guardrail.reprobes()
-    }
-
-    /// Is the RL arm currently benched by the guardrail?
+    /// Is the RL arm benched (degraded mode)?
     pub fn is_degraded(&self) -> bool {
-        self.guardrail.is_degraded()
+        self.rl.ladder().benched()
     }
 
     /// RL actions rejected as non-finite (delegated telemetry).
@@ -174,7 +153,7 @@ impl Libra {
     /// The rate Libra is applying right now. While degraded the classic
     /// arm has full control, whatever stage the idle cycle is in.
     fn applied_rate(&self) -> Rate {
-        let apply = if self.guardrail.is_degraded() {
+        let apply = if self.is_degraded() {
             None
         } else {
             self.cycle.apply()
@@ -269,49 +248,44 @@ impl Libra {
         let out = self.cycle.advance(mi, self.arms());
         if let Some((rec, candidates)) = &out.decided {
             self.emit_decision(rec, candidates);
-            if self
-                .guardrail
-                .on_cycle(self.now, rec.u_learned, rec.u_classic)
-            {
+            self.rl.on_cycle(rec.u_learned, rec.u_classic);
+            if self.is_degraded() {
                 self.emit_trip();
             }
         }
         if out.entered == Some(TraceStage::Explore) {
             self.rebase_arms(self.effective_srtt());
         }
-        // When the cycle just tripped the guardrail, degraded mode takes
+        // When the cycle just benched the RL arm, degraded mode takes
         // over on the next MI and the stage timeline stays `Degraded`
         // until the re-probe.
         if let Some(stage) = out.entered {
-            if !self.guardrail.is_degraded() {
+            if !self.is_degraded() {
                 self.emit_stage(stage);
             }
         }
     }
 
-    /// The rest of an exploration tick once the RL arm has acted
-    /// (`Some` with what its resolve did) or skipped acting (`None`, its
-    /// own startup): witness the degradation ladder, count rejections on
-    /// the guardrail, then advance the cycle — unless the guardrail just
-    /// benched the RL arm.
-    fn explore_after_rl(&mut self, mi: &MiStats, resolved: Option<Resolution>) {
+    /// The rest of an exploration tick once the RL arm has resolved its
+    /// action: witness the ladder's rung, then advance the cycle — unless
+    /// the ladder just benched the RL arm.
+    fn explore_after_rl(&mut self, mi: &MiStats, resolved: Resolution) {
         match resolved {
-            Some(Resolution::Rejected) => self.tracer.emit_with(|| TraceEvent::RlInvalidActions {
+            Resolution::Rejected => self.tracer.emit_with(|| TraceEvent::RlInvalidActions {
                 flow: self.tracer.flow(),
                 at_ns: self.now.nanos(),
                 count: 1,
             }),
-            // The ladder's stale-action rung bridged a missing/invalid
-            // response with the last-good action.
-            Some(Resolution::Replayed) => self.tracer.emit_with(|| TraceEvent::Fallback {
+            // The ladder bridged a missing/invalid response with the
+            // last-good action.
+            Resolution::Replayed => self.tracer.emit_with(|| TraceEvent::Fallback {
                 flow: self.tracer.flow(),
                 at_ns: self.now.nanos(),
                 ticks: 1,
             }),
-            Some(Resolution::Applied) | None => {}
+            Resolution::Applied => {}
         }
-        let rejected = u64::from(resolved == Some(Resolution::Rejected));
-        if self.guardrail.on_invalid_actions(self.now, rejected) {
+        if self.is_degraded() {
             self.emit_trip();
             return;
         }
@@ -320,24 +294,21 @@ impl Libra {
 
     /// One MI in degraded mode: the classic arm has full control (see
     /// [`applied_rate`](Self::applied_rate)) and the cycle idles while
-    /// the guardrail counts down its backoff. On re-probe the PPO
-    /// weights are validated (and restored from the last good snapshot
-    /// if corrupt) before a fresh cycle begins.
+    /// the RL arm's ladder counts down its backoff. At the re-probe the
+    /// ladder validates the PPO weights (restoring the last good
+    /// snapshot if corrupt) and a fresh cycle begins.
     fn degraded_tick(&mut self) {
         if let Some(c) = &self.classic {
             // Track the classic arm so the next cycle resumes from a
             // sane base rate.
             self.cycle.set_base(c.rate_estimate(self.effective_srtt()));
         }
-        if !self.guardrail.tick_degraded(self.now) {
+        let Some(restored) = self.rl.tick_bench() else {
             self.emit_guardrail(GuardrailStep::DegradedTick);
             return;
-        }
+        };
         self.emit_guardrail(GuardrailStep::Reprobe);
-        let bound = self.cycle.params().guardrail.weight_norm_bound;
-        let restores_before = self.rl.agent().borrow().weight_restores();
-        self.rl.agent().borrow_mut().validate_or_restore(bound);
-        if self.rl.agent().borrow().weight_restores() > restores_before {
+        if restored {
             self.emit_guardrail(GuardrailStep::Restore);
         }
         self.cycle.begin();
@@ -395,26 +366,24 @@ impl CongestionControl for Libra {
     /// tick runs to completion here and returns `false`.
     fn mi_submit(&mut self, mi: &MiStats, policy_state: &mut Vec<f64>) -> bool {
         self.now = mi.end;
-        if self.guardrail.is_degraded() {
+        if self.is_degraded() {
             self.degraded_tick();
             return false;
         }
-        // An ACK-starved MI skips the RL action and keeps x_rl (Sec. 3).
-        if !self.cycle.queries_rl() || mi.is_ack_starved() {
-            self.advance_cycle(mi);
-            return false;
-        }
-        // RL acts (this is where Libra pays for inference).
-        if self.rl.mi_submit(mi, policy_state) {
+        // RL acts (this is where Libra pays for inference) on exploration
+        // ticks; an ACK-starved MI skips the RL action and keeps x_rl
+        // (Sec. 3). Entering exploration re-bases the RL arm, which ends
+        // its own startup, so it always owes a decision here.
+        if self.cycle.queries_rl() && !mi.is_ack_starved() && self.rl.mi_submit(mi, policy_state) {
             return true;
         }
-        self.explore_after_rl(mi, None);
+        self.advance_cycle(mi);
         false
     }
 
     fn mi_resolve(&mut self, stats: &MiStats, action: &[f64]) {
         let resolved = self.rl.resolve(action);
-        self.explore_after_rl(stats, Some(resolved));
+        self.explore_after_rl(stats, resolved);
     }
 
     fn mi_duration(&self, srtt: Duration) -> Duration {
@@ -426,7 +395,7 @@ impl CongestionControl for Libra {
     }
 
     fn cwnd_bytes(&self) -> u64 {
-        let classic_owns = self.guardrail.is_degraded() || self.cycle.stage() == Stage::Startup;
+        let classic_owns = self.is_degraded() || self.cycle.stage() == Stage::Startup;
         match &self.classic {
             Some(c) if classic_owns => c.cwnd_bytes(),
             _ => rate_based_cwnd(self.applied_rate(), self.effective_srtt(), 1500),
@@ -835,9 +804,8 @@ mod tests {
         // Decisions are pinned to the classic arm while degraded.
         let classic_cwnd = l.classic.as_ref().map(|c| c.cwnd_bytes());
         assert_eq!(Some(l.cwnd_bytes()), classic_cwnd);
-        // Time spent degraded is observable.
         l.on_mi(&mi(t, t + 25, 5.0, 50, 0.0));
-        assert!(l.degraded_time() > Duration::ZERO);
+        assert!(l.is_degraded(), "benched for the whole backoff");
     }
 
     #[test]
@@ -853,7 +821,6 @@ mod tests {
             t += 25;
         }
         assert_eq!(l.guardrail_trips(), 1);
-        assert!(l.rl_reprobes() >= 1, "backoff elapsed and re-probed");
         assert!(!l.is_degraded(), "restored weights keep the arm healthy");
         assert_eq!(a.borrow().weight_restores(), 1);
         // No further rejections after the restore.
@@ -869,54 +836,67 @@ mod tests {
     #[test]
     fn unrecoverable_policy_retrips_with_longer_backoff() {
         // No snapshot: every re-probe meets the same NaN network, so the
-        // guardrail must re-trip and back off exponentially.
+        // ladder must re-bench the arm and back off exponentially.
         let a = agent(22);
         a.borrow_mut().map_actor_params(|_| f64::NAN);
         let mut l = Libra::c_libra(Rc::clone(&a));
+        let (tracer, recorder) = Tracer::ring(4096, 0);
+        l.attach_tracer(tracer);
         into_cycle(&mut l);
         let mut t = 100;
         for _ in 0..120 {
             l.on_mi(&mi(t, t + 25, 5.0, 50, 0.0));
             t += 25;
         }
-        assert!(l.guardrail_trips() >= 2, "trips: {}", l.guardrail_trips());
-        assert!(l.rl_reprobes() >= 1);
-        assert!(l.degraded_time() > Duration::ZERO);
+        assert!(l.guardrail_trips() >= 3, "trips: {}", l.guardrail_trips());
         assert_eq!(a.borrow().weight_restores(), 0, "nothing to restore");
+        // Each re-probe ends a bench twice as long as the one before.
+        let mut benches = vec![0];
+        for e in recorder.borrow().events() {
+            match e {
+                TraceEvent::Guardrail { step, .. } if *step == GuardrailStep::Reprobe => {
+                    benches.push(0)
+                }
+                TraceEvent::Guardrail { .. } => *benches.last_mut().unwrap() += 1,
+                _ => {}
+            }
+        }
+        // A bench of n MIs: the trip, n − 1 degraded ticks, the re-probe.
+        assert_eq!(benches[..2], [8, 16], "{benches:?}");
     }
 
     #[test]
     fn utility_regression_trips_degraded_mode() {
-        let params = LibraParams {
-            guardrail: crate::guardrail::GuardrailParams {
-                max_utility_regressions: 1,
-                ..Default::default()
-            },
-            ..LibraParams::for_cubic()
-        };
-        let mut l = Libra::c_libra(agent(23)).with_params(params);
+        let mut l = Libra::c_libra(agent(23));
         into_cycle(&mut l);
-        // Explore.
-        l.on_mi(&mi(100, 125, 5.0, 50, 0.0));
-        l.on_mi(&mi(125, 150, 5.0, 50, 0.0));
-        let learned_idx = l
-            .cycle
-            .candidates()
-            .iter()
-            .position(|s| s.kind == CandidateKind::Learned)
-            .unwrap();
-        // Eval ticks.
-        l.on_mi(&mi(150, 175, 5.0, 50, 0.0));
-        l.on_mi(&mi(175, 200, 5.0, 50, 0.0));
-        // Exploit: heavy loss lands on the learned candidate's feedback.
-        let mut t = 200;
-        for tick in 0..2 {
-            let loss = if tick == learned_idx { 0.5 } else { 0.0 };
+        // Heavy loss lands on the learned candidate's exploitation
+        // feedback, cycle after cycle.
+        let mut t = 100;
+        while l.guardrail_trips() == 0 {
+            let loss = match l.cycle.stage() {
+                Stage::Exploit { tick } => {
+                    let slot = l.cycle.candidates().get(tick as usize);
+                    if slot.is_some_and(|s| s.kind == CandidateKind::Learned) {
+                        0.5
+                    } else {
+                        0.0
+                    }
+                }
+                _ => 0.0,
+            };
             l.on_mi(&mi(t, t + 25, 5.0, 50, loss));
             t += 25;
         }
-        assert_eq!(l.cycles(), 1);
-        assert_eq!(l.guardrail_trips(), 1, "one measured regression trips");
+        assert_eq!(
+            l.cycles(),
+            u64::from(libra_learned::ladder::MAX_REGRESSIONS),
+            "eight measured regressions in a row trip"
+        );
+        assert!(l
+            .log()
+            .records()
+            .iter()
+            .all(|r| matches!((r.u_learned, r.u_classic), (Some(u), Some(c)) if u < c)));
         assert!(l.is_degraded());
     }
 

@@ -1,7 +1,6 @@
 //! Libra's tunable parameters and their paper defaults (Sec. 5 "Setup"
 //! and Sec. 7 "How to choose Libra's parameters?").
 
-use crate::guardrail::GuardrailParams;
 use libra_types::{Preference, UtilityParams};
 
 /// Which candidate goes first in the evaluation stage.
@@ -33,9 +32,6 @@ pub struct LibraParams {
     /// Candidate evaluation order (ablation hook; the paper's design is
     /// lower-rate-first).
     pub eval_order: EvalOrder,
-    /// Guardrail tunables: when to bench a misbehaving RL arm and how to
-    /// re-probe it.
-    pub guardrail: GuardrailParams,
 }
 
 impl LibraParams {
@@ -48,7 +44,6 @@ impl LibraParams {
             switch_frac: 0.3,
             utility: UtilityParams::default(),
             eval_order: EvalOrder::LowerFirst,
-            guardrail: GuardrailParams::default(),
         }
     }
 

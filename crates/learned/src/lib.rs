@@ -12,6 +12,8 @@
 //!   action spaces (Fig. 6) and reward variants (Tab. 3/4).
 //! * [`RlCca`] — the generic PPO-driven controller (Alg. 2); with the
 //!   right formulation it is Libra's RL component, Aurora, or Mod. RL.
+//! * [`ladder`] — the degradation ladder every `RlCca` action passes
+//!   through: replay, reject, bench with backoff, re-probe.
 //! * [`Pcc`] — PCC Vivace (online gradient ascent) and PCC Proteus.
 //! * [`Orca`] — the prior classic+RL hybrid (DRL rescales CUBIC's cwnd).
 //! * [`Remy`], [`Indigo`], [`Sprout`] — compact substitutes for the
@@ -20,6 +22,7 @@
 
 pub mod formulation;
 pub mod indigo;
+pub mod ladder;
 pub mod orca;
 pub mod remy;
 pub mod rl_cca;
@@ -29,9 +32,10 @@ pub mod vivace;
 
 pub use formulation::{ActionSpace, Feature, MiObservation, RewardSpec, StateSpace};
 pub use indigo::Indigo;
+pub use ladder::{Ladder, Resolution};
 pub use orca::Orca;
 pub use remy::Remy;
-pub use rl_cca::{Resolution, RewardSource, RlCca, RlCcaConfig, SelfServe};
+pub use rl_cca::{RewardSource, RlCca, RlCcaConfig, SelfServe};
 pub use sprout::Sprout;
 pub use trainer::{
     config_for_state_space, tail_means, tail_reward, train_episodes, train_orca, train_rl_cca,

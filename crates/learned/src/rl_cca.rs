@@ -4,6 +4,7 @@
 //! also Aurora and the Modified-RL benchmark.
 
 use crate::formulation::{ActionSpace, MiObservation, RewardSpec, StateSpace};
+use crate::ladder::{Ladder, Resolution};
 use libra_rl::{PpoAgent, PpoConfig};
 use libra_types::{
     cca::rate_based_cwnd, AckEvent, CongestionControl, Duration, Ewma, LossEvent, MiStats, Rate,
@@ -50,12 +51,6 @@ pub struct RlCcaConfig {
     /// link); starting at the flow's own first rate pins the term at ~1
     /// and teaches timidity.
     pub norm_floor: Rate,
-    /// Degradation-ladder staleness bound: how many consecutive
-    /// missing/invalid policy responses may be bridged by replaying the
-    /// last-good cached action before rejections start counting as
-    /// invalid (which escalates to Libra's guardrail and the
-    /// classic-CCA pin).
-    pub stale_limit: u32,
 }
 
 impl RlCcaConfig {
@@ -72,7 +67,6 @@ impl RlCcaConfig {
             max_rate: Rate::from_mbps(400.0),
             init_rate: Rate::from_mbps(2.0),
             norm_floor: Rate::from_mbps(10.0),
-            stale_limit: 8,
         }
     }
 
@@ -108,19 +102,6 @@ impl RlCcaConfig {
     }
 }
 
-/// Which rung of the degradation ladder took a policy action
-/// ([`RlCca::resolve`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Resolution {
-    /// A valid action, applied and cached as the last good one.
-    Applied,
-    /// A missing or invalid action bridged by replaying the last good one.
-    Replayed,
-    /// A missing or invalid action with no replay left; counted in
-    /// [`RlCca::invalid_actions`].
-    Rejected,
-}
-
 /// A PPO-driven rate-based congestion controller.
 ///
 /// The agent is shared via `Rc<RefCell<…>>` so a trainer (or Libra) can
@@ -142,12 +123,8 @@ pub struct RlCca {
     srtt: Duration,
     mss: u64,
     decisions: u64,
-    invalid_actions: u64,
     in_slow_start: bool,
-    // Degradation-ladder state: the last validated action and how many
-    // consecutive ticks it has been replayed.
-    last_good: Option<f64>,
-    stale_served: u32,
+    ladder: Ladder,
     serve: SelfServe,
 }
 
@@ -205,10 +182,8 @@ impl RlCca {
             srtt: Duration::ZERO,
             mss: 1500,
             decisions: 0,
-            invalid_actions: 0,
             in_slow_start: true,
-            last_good: None,
-            stale_served: 0,
+            ladder: Ladder::default(),
             serve: SelfServe::default(),
         }
     }
@@ -218,11 +193,30 @@ impl RlCca {
         self.decisions
     }
 
-    /// Actions rejected because the policy emitted a non-finite value.
-    /// A rising count is the primary symptom of a corrupted network and
-    /// feeds Libra's guardrail.
+    /// Actions the ladder rejected: invalid or missing, with no replay
+    /// left. A rising count is the primary symptom of a corrupted
+    /// network.
     pub fn invalid_actions(&self) -> u64 {
-        self.invalid_actions
+        self.ladder.invalid_actions()
+    }
+
+    /// The degradation ladder this arm's actions pass through.
+    pub fn ladder(&self) -> &Ladder {
+        &self.ladder
+    }
+
+    /// Report a decided cycle's measured utilities to the ladder: the
+    /// regression streak and the backoff's recovery count (rungs 4–5).
+    pub fn on_cycle(&mut self, u_learned: Option<f64>, u_classic: Option<f64>) {
+        self.ladder.on_cycle(u_learned, u_classic);
+    }
+
+    /// One monitor interval on the bench. `None` while the backoff runs;
+    /// `Some(restored)` when it has elapsed and this arm is re-probed and
+    /// plays again, `restored` saying whether its agent's weights were
+    /// corrupt and rolled back to the last good snapshot.
+    pub fn tick_bench(&mut self) -> Option<bool> {
+        self.ladder.tick_bench(&self.agent)
     }
 
     /// Access the shared agent.
@@ -245,45 +239,21 @@ impl RlCca {
         }
     }
 
-    /// Apply a policy action to the rate — the tail of a decision and
-    /// the degradation ladder's resolve-side anchor — and say which rung
-    /// took it:
-    ///
-    /// 1. a validated action (right dimension, finite) is cached and
-    ///    applied;
-    /// 2. a missing (empty — dropped/late/quarantined response) or
-    ///    invalid (NaN/inf, wrong-dimension) action replays the cached
-    ///    last-good action, up to `stale_limit` consecutive ticks;
-    /// 3. past the staleness bound — or with nothing cached — the
-    ///    rejection is counted so an arbiter above (Libra's guardrail)
-    ///    can pin the flow to the classic CCA and re-probe with backoff.
+    /// Apply a policy action to the rate — the tail of a decision —
+    /// through the degradation ladder ([`Ladder`]), and say which rung
+    /// took it.
     pub fn resolve(&mut self, action: &[f64]) -> Resolution {
-        // A NaN/inf action means the policy network is corrupt; a wrong
-        // dimension or an empty slice means the serving boundary failed.
-        // `Rate` would silently clamp NaN to zero, so the raw output must
-        // be validated *before* conversion.
-        let (applied, resolution) = if action.len() == 1 && action[0].is_finite() {
-            self.last_good = Some(action[0]);
-            self.stale_served = 0;
-            self.decisions += 1;
-            (action[0], Resolution::Applied)
-        } else {
-            match self.last_good {
-                Some(last) if self.stale_served < self.config.stale_limit => {
-                    self.stale_served += 1;
-                    (last, Resolution::Replayed)
-                }
-                _ => {
-                    self.invalid_actions += 1;
-                    return Resolution::Rejected;
-                }
-            }
-        };
-        self.rate = self
-            .config
-            .action
-            .apply(self.rate, applied)
-            .clamp(self.config.min_rate, self.config.max_rate);
+        // `Rate` would silently clamp NaN to zero, so the raw output is
+        // validated by the ladder *before* conversion.
+        let (resolution, applied) = self.ladder.resolve(action);
+        if let Some(a) = applied {
+            self.decisions += u64::from(resolution == Resolution::Applied);
+            self.rate = self
+                .config
+                .action
+                .apply(self.rate, a)
+                .clamp(self.config.min_rate, self.config.max_rate);
+        }
         resolution
     }
 }
@@ -602,7 +572,6 @@ mod tests {
     #[test]
     fn stale_ladder_bridges_then_escalates() {
         let cfg = RlCcaConfig::libra_rl();
-        let stale_limit = cfg.stale_limit;
         let agent = agent_for(&cfg, 11);
         agent.borrow_mut().set_eval(true);
         let mut cca = RlCca::new(cfg, agent);
@@ -613,8 +582,8 @@ mod tests {
         assert_eq!(cca.resolve(&[0.05]), Resolution::Applied);
         assert_eq!(cca.decisions(), 1);
         // Missing responses (empty action) ride the cached action for
-        // `stale_limit` ticks without counting as invalid…
-        for _ in 0..stale_limit {
+        // `REPLAY_LIMIT` ticks without counting as invalid…
+        for _ in 0..crate::ladder::REPLAY_LIMIT {
             assert!(cca.mi_submit(&stats, &mut Vec::new()));
             assert_eq!(cca.resolve(&[]), Resolution::Replayed);
             assert_eq!(cca.invalid_actions(), 0);

@@ -24,7 +24,7 @@
 //! | `thread-discipline` | threads only in `bench/src/sweep.rs` |
 //! | `entropy` | no ambient randomness (`thread_rng`, `RandomState`, …) |
 //! | `bounded-retry` | retry/backoff loops carry an explicit attempt bound |
-//! | `no-per-packet-alloc` | no allocation in per-packet/per-decision hot paths (netsim) or on Libra's per-MI cycle path (core) |
+//! | `no-per-packet-alloc` | no allocation in per-packet/per-decision hot paths (netsim), on Libra's per-MI cycle path (core) or on a learned arm's per-decision path and its ladder (learned) |
 //!
 //! **Layer 2 — workspace graph rules** ([`graph_rules`], over the
 //! symbol graph [`graph::Workspace`] built from the token stream

@@ -246,7 +246,6 @@ const FLOAT_GUARD_SCOPE: &[&str] = &[
     "crates/core/src/accounting.rs",
     "crates/core/src/cycle.rs",
     "crates/core/src/libra.rs",
-    "crates/core/src/guardrail.rs",
     "crates/core/src/equilibrium.rs",
 ];
 
@@ -525,7 +524,8 @@ impl Rule for BoundedRetry {
 /// allocation there (a `Box`, a fresh `Vec`, a formatted `String`) is
 /// the difference between the slab-pooled engine and the one it
 /// replaced. Inside the named hot functions in `netsim`, and on the
-/// per-MI cycle path in `core`, allocation constructors are denied;
+/// per-MI decision paths in `core` and `learned`, allocation
+/// constructors are denied;
 /// buffers must be preallocated scratch space owned by the caller (see
 /// `FlowSender::try_emit`), slab slots from `PacketPool`, or fixed
 /// arrays (the cycle's candidate slots). Audited cold branches inside a
@@ -588,6 +588,25 @@ const CORE_HOT_FNS: &[&str] = &[
     "decide",
 ];
 
+/// `learned`'s per-decision set: a learned arm's MI close runs
+/// `mi_submit` (the state vector, through `push_step` and
+/// `write_history`) and `mi_resolve` → `resolve` (the action, through
+/// the degradation ladder), or both at once through `on_mi` →
+/// `SelfServe::decide`; Libra reports each cycle to the ladder
+/// (`on_cycle`) and ticks its bench (`tick_bench`). A 1 000-flow learned
+/// fleet runs this path a thousand times per MI.
+const LEARNED_HOT_FNS: &[&str] = &[
+    "on_mi",
+    "mi_submit",
+    "mi_resolve",
+    "resolve",
+    "decide",
+    "push_step",
+    "write_history",
+    "on_cycle",
+    "tick_bench",
+];
+
 /// Heap-allocation constructors. `Vec::with_capacity` is deliberately
 /// absent: it only appears in setup paths, and flagging it would push
 /// people toward `Vec::new` + growth, the worse idiom.
@@ -618,12 +637,13 @@ impl Rule for NoPerPacketAlloc {
         "no-per-packet-alloc"
     }
     fn description(&self) -> &'static str {
-        "heap allocation inside a per-packet or per-MI hot function (netsim, core)"
+        "heap allocation inside a per-packet or per-MI hot function (netsim, core, learned)"
     }
     fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
         let hot_fns = match file.krate.as_str() {
             "netsim" => HOT_FNS,
             "core" => CORE_HOT_FNS,
+            "learned" => LEARNED_HOT_FNS,
             _ => return,
         };
         for (idx, code) in file.code.iter().enumerate() {
@@ -721,20 +741,41 @@ mod tests {
         for name in ["count_ack", "record_rtt"] {
             assert!(HOT_FNS.contains(&name), "{name}");
         }
-        // Core's per-MI cycle path is hot too; netsim's names are not
-        // hot there, nor are core's in netsim.
-        for name in CORE_HOT_FNS {
-            let cycle = findings(
-                "crates/core/src/demo.rs",
-                &format!("fn {name}(&mut self) {{\n    let cands = vec![0.0; 2];\n}}\n"),
-            );
-            assert_eq!(cycle.len(), 1, "{name}: {cycle:?}");
-            assert_eq!(cycle[0].rule, "no-per-packet-alloc");
+        // Core's per-MI cycle path and learned's per-decision path are
+        // hot too; netsim's names are not hot there, nor are theirs in
+        // netsim, nor the learned arm's in a classic CCA.
+        for (path, names) in [
+            ("crates/core/src/demo.rs", CORE_HOT_FNS),
+            ("crates/learned/src/demo.rs", LEARNED_HOT_FNS),
+        ] {
+            for name in names {
+                let hot = findings(
+                    path,
+                    &format!("fn {name}(&mut self) {{\n    let cands = vec![0.0; 2];\n}}\n"),
+                );
+                assert_eq!(hot.len(), 1, "{path} {name}: {hot:?}");
+                assert_eq!(hot[0].rule, "no-per-packet-alloc");
+            }
+        }
+        for name in [
+            "on_mi",
+            "mi_submit",
+            "mi_resolve",
+            "resolve",
+            "decide",
+            "push_step",
+            "write_history",
+            "on_cycle",
+            "tick_bench",
+        ] {
+            assert!(LEARNED_HOT_FNS.contains(&name), "{name}");
         }
         for (path, name) in [
             ("crates/core/src/demo.rs", "try_emit"),
             ("crates/netsim/src/demo.rs", "enter_eval"),
-            ("crates/learned/src/demo.rs", "mi_submit"),
+            ("crates/learned/src/demo.rs", "try_emit"),
+            ("crates/netsim/src/demo.rs", "tick_bench"),
+            ("crates/classic/src/demo.rs", "mi_submit"),
         ] {
             let cold = findings(
                 path,

@@ -23,6 +23,7 @@ const BAD: &[(&str, &str)] = &[
     ("bad_bounded_retry.rs", "bounded-retry"),
     ("bad_per_packet_alloc.rs", "no-per-packet-alloc"),
     ("bad_cycle_alloc.rs", "no-per-packet-alloc"),
+    ("bad_learned_alloc.rs", "no-per-packet-alloc"),
     ("bad_lock_across_call.rs", "lock-across-call"),
     ("bad_fma_determinism.rs", "fma-determinism"),
     ("bad_fma_intrinsics.rs", "fma-determinism"),
@@ -40,6 +41,7 @@ const GOOD: &[&str] = &[
     "good_bounded_retry.rs",
     "good_per_packet_alloc.rs",
     "good_cycle_alloc.rs",
+    "good_learned_alloc.rs",
     "good_lock_across_call.rs",
     "good_fma_determinism.rs",
     "good_unsafe_audit.rs",

@@ -38,7 +38,7 @@
 //!   serving is byte-identical to a server built before this subsystem
 //!   existed.
 
-use crate::ppo::{PpoAgent, WEIGHT_NORM_BOUND};
+use crate::ppo::PpoAgent;
 use libra_nn::{BatchScratch, Matrix};
 use libra_types::{
     DetRng, FaultPlan, PolicyFaultKind, PolicyFaultReport, PolicyRequest, PolicyService,
@@ -210,7 +210,7 @@ impl PolicyServer {
             faults.corrupted = true;
         } else if !corrupt_active && faults.corrupted {
             for g in &self.groups {
-                if !g.agent.borrow_mut().validate_or_restore(WEIGHT_NORM_BOUND) {
+                if !g.agent.borrow_mut().validate_or_restore() {
                     faults.report.weight_restores += 1;
                 }
             }
@@ -659,7 +659,7 @@ mod tests {
         assert_eq!(after[0].action, healthy);
         let r = server.fault_report();
         assert_eq!((r.weight_corruptions, r.weight_restores), (1, 1));
-        assert!(agent.borrow().weights_valid(WEIGHT_NORM_BOUND));
+        assert!(agent.borrow().weights_valid());
     }
 
     #[test]

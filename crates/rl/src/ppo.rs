@@ -56,17 +56,17 @@ impl PpoWeights {
 
     /// True when the networks and `log_std` have the sizes `config`
     /// implies, every parameter is finite and the global L2 norm stays
-    /// under `norm_bound` — the corruption check run on load and after
-    /// every PPO update. (A network whose layers disagree with its own
-    /// sizes does not deserialise in the first place.)
-    pub fn is_valid(&self, norm_bound: f64) -> bool {
+    /// under [`WEIGHT_NORM_BOUND`] — the corruption check run on load and
+    /// after every PPO update. (A network whose layers disagree with its
+    /// own sizes does not deserialise in the first place.)
+    pub fn is_valid(&self) -> bool {
         self.actor.sizes() == self.config.actor_sizes()
             && self.critic.sizes() == self.config.critic_sizes()
             && self.log_std.len() == self.config.act_dim
             && self.actor.params_finite()
             && self.critic.params_finite()
             && self.log_std.iter().all(|x| x.is_finite())
-            && self.l2_norm() <= norm_bound
+            && self.l2_norm() <= WEIGHT_NORM_BOUND
     }
 }
 
@@ -494,7 +494,7 @@ impl PpoAgent {
         }
         // Guardrail: remember the pre-update weights so a corrupting
         // update (NaN rewards, exploding gradients) can be rolled back.
-        if self.weights_valid(WEIGHT_NORM_BOUND) {
+        if self.weights_valid() {
             self.snapshot_good();
         }
         let (critic, learner) = Learner::built(
@@ -545,7 +545,7 @@ impl PpoAgent {
         }
         // Post-update validation: a single poisoned minibatch must not
         // leave a NaN network deployed.
-        self.validate_or_restore(WEIGHT_NORM_BOUND);
+        self.validate_or_restore();
         stats
     }
 
@@ -570,7 +570,7 @@ impl PpoAgent {
     /// (shapes other than the config's, non-finite parameters or L2 norm
     /// above [`WEIGHT_NORM_BOUND`]) instead of silently deploying them.
     pub fn try_from_weights(w: PpoWeights, rng: &mut DetRng) -> Result<Self, String> {
-        if !w.is_valid(WEIGHT_NORM_BOUND) {
+        if !w.is_valid() {
             return Err(format!(
                 "rejecting PPO weights: mis-shaped or non-finite parameters, or L2 norm {:.3e} > {:.1e}",
                 w.l2_norm(),
@@ -583,13 +583,13 @@ impl PpoAgent {
     }
 
     /// Are the current learnable parameters finite with an L2 norm under
-    /// `norm_bound`?
-    pub fn weights_valid(&self, norm_bound: f64) -> bool {
+    /// [`WEIGHT_NORM_BOUND`]?
+    pub fn weights_valid(&self) -> bool {
         let critic = self.critic.net(&self.config);
         self.actor.params_finite()
             && critic.params_finite()
             && self.log_std.iter().all(|x| x.is_finite())
-            && l2_norm(&self.actor, &critic, &self.log_std) <= norm_bound
+            && l2_norm(&self.actor, &critic, &self.log_std) <= WEIGHT_NORM_BOUND
     }
 
     /// Record the current weights as the last-known-good snapshot.
@@ -597,11 +597,11 @@ impl PpoAgent {
         self.last_good = Some(self.weights());
     }
 
-    /// Validate the current weights against `norm_bound`; on corruption
-    /// restore the last-known-good snapshot (if any). Returns `true` when
-    /// the weights were already healthy.
-    pub fn validate_or_restore(&mut self, norm_bound: f64) -> bool {
-        if self.weights_valid(norm_bound) {
+    /// Validate the current weights ([`weights_valid`](Self::weights_valid));
+    /// on corruption restore the last-known-good snapshot (if any).
+    /// Returns `true` when the weights were already healthy.
+    pub fn validate_or_restore(&mut self) -> bool {
+        if self.weights_valid() {
             return true;
         }
         if let Some(w) = self.last_good.clone() {
@@ -761,10 +761,10 @@ mod tests {
         let mut rng = DetRng::new(11);
         let mut agent = PpoAgent::new(PpoConfig::new(2, 1), &mut rng);
         let good = agent.weights();
-        assert!(good.is_valid(WEIGHT_NORM_BOUND));
+        assert!(good.is_valid());
         agent.map_actor_params(|_| f64::NAN);
         let bad = agent.weights();
-        assert!(!bad.is_valid(WEIGHT_NORM_BOUND));
+        assert!(!bad.is_valid());
         let mut rng2 = DetRng::new(12);
         assert!(PpoAgent::try_from_weights(good, &mut rng2).is_ok());
         assert!(PpoAgent::try_from_weights(bad, &mut rng2).is_err());
@@ -784,7 +784,7 @@ mod tests {
         let bad = defect(&json);
         assert_ne!(bad, json, "defect not applied");
         if let Ok(w) = serde_json::from_str::<PpoWeights>(&bad) {
-            assert!(!w.is_valid(WEIGHT_NORM_BOUND));
+            assert!(!w.is_valid());
             assert!(PpoAgent::try_from_weights(w, &mut rng).is_err());
         }
     }
@@ -832,10 +832,10 @@ mod tests {
         let before = agent.act(&[0.2, -0.4]);
         agent.snapshot_good();
         agent.map_actor_params(|_| f64::INFINITY);
-        assert!(!agent.weights_valid(WEIGHT_NORM_BOUND));
-        assert!(!agent.validate_or_restore(WEIGHT_NORM_BOUND));
+        assert!(!agent.weights_valid());
+        assert!(!agent.validate_or_restore());
         assert_eq!(agent.weight_restores(), 1);
-        assert!(agent.weights_valid(WEIGHT_NORM_BOUND));
+        assert!(agent.weights_valid());
         assert_eq!(agent.act(&[0.2, -0.4]), before);
     }
 
@@ -845,7 +845,7 @@ mod tests {
         let mut agent = PpoAgent::new(PpoConfig::new(1, 1), &mut rng);
         agent.set_eval(true);
         agent.map_actor_params(|_| f64::NAN);
-        assert!(!agent.validate_or_restore(WEIGHT_NORM_BOUND));
+        assert!(!agent.validate_or_restore());
         assert_eq!(agent.weight_restores(), 0, "nothing to restore from");
         assert!(agent.act(&[0.0])[0].is_nan());
     }
@@ -861,7 +861,7 @@ mod tests {
             agent.give_reward(f64::NAN, false);
         }
         agent.update(None);
-        assert!(agent.weights_valid(WEIGHT_NORM_BOUND), "rolled back");
+        assert!(agent.weights_valid(), "rolled back");
         assert_eq!(agent.weight_restores(), 1);
         agent.set_eval(true);
         assert!(agent.act(&[0.5])[0].is_finite());

@@ -61,7 +61,7 @@ pub use libra_types as types;
 /// The most common imports in one place.
 pub mod prelude {
     pub use libra_classic::{Bbr, Copa, Cubic, Illinois, NewReno, Vegas, Westwood};
-    pub use libra_core::{GuardrailParams, Libra, LibraParams, LibraVariant};
+    pub use libra_core::{Libra, LibraParams, LibraVariant};
     pub use libra_learned::{Orca, Pcc, Remy, RlCca, RlCcaConfig, Sprout};
     pub use libra_netsim::{
         lte_link, step_link, wan_link, wired_link, CapacitySchedule, FaultKind, FaultPlan,

@@ -4,6 +4,7 @@
 
 use libra::core::Libra;
 use libra::prelude::*;
+use libra::types::trace::{GuardrailStep, TraceEvent, TraceStage};
 use std::{cell::RefCell, rc::Rc};
 
 fn agent(seed: u64) -> Rc<RefCell<PpoAgent>> {
@@ -34,10 +35,29 @@ fn blackout_link() -> LinkConfig {
 }
 
 fn run(cca: Box<dyn CongestionControl>, link: LinkConfig, secs: u64, seed: u64) -> SimReport {
+    run_with(cca, link, secs, seed, SimConfig::default())
+}
+
+fn run_with(
+    cca: Box<dyn CongestionControl>,
+    link: LinkConfig,
+    secs: u64,
+    seed: u64,
+    cfg: SimConfig,
+) -> SimReport {
     let until = Instant::from_secs(secs);
-    let mut sim = Simulation::new(link, seed);
+    let mut sim = Simulation::with_config(link, seed, cfg);
     sim.add_flow(FlowConfig::whole_run(cca, until));
     sim.run(until)
+}
+
+/// Guardrail steps of kind `step` on the first flow's trace.
+fn guardrail_steps(rep: &SimReport, step: GuardrailStep) -> usize {
+    rep.flows[0]
+        .trace
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Guardrail { step: s, .. } if *s == step))
+        .count()
 }
 
 #[test]
@@ -249,7 +269,13 @@ fn degenerate_agent_trips_guardrail_consistently() {
     let go = || {
         let a = agent(33);
         a.borrow_mut().map_actor_params(|_| f64::NAN);
-        run(Box::new(Libra::c_libra(a)), link(), 20, 33)
+        run_with(
+            Box::new(Libra::c_libra(a)),
+            link(),
+            20,
+            33,
+            SimConfig::traced(),
+        )
     };
     let (first, second) = (go(), go());
     let stats = |rep: &SimReport| {
@@ -260,7 +286,7 @@ fn degenerate_agent_trips_guardrail_consistently() {
             .expect("downcast");
         (
             libra.guardrail_trips(),
-            libra.rl_reprobes(),
+            guardrail_steps(rep, GuardrailStep::Reprobe),
             libra.rl_invalid_actions(),
             rep.flows[0].delivered_bytes,
         )
@@ -311,7 +337,7 @@ fn nan_poisoned_libra_tracks_cubic_through_kitchen_sink_faults() {
         a.borrow_mut().map_actor_params(|_| f64::NAN);
         Libra::c_libra(a)
     };
-    let libra_rep = run(Box::new(poisoned()), link(), 60, 34);
+    let libra_rep = run_with(Box::new(poisoned()), link(), 60, 34, SimConfig::traced());
     let cubic_rep = run(Box::new(Cubic::new(1500)), link(), 60, 34);
     // The same fault schedule fired for both runs (per-ACK counts differ
     // because each CCA pushes a different number of packets through the
@@ -335,7 +361,12 @@ fn nan_poisoned_libra_tracks_cubic_through_kitchen_sink_faults() {
         .and_then(|a| a.downcast_ref::<Libra>())
         .expect("downcast");
     assert!(libra.guardrail_trips() > 0);
-    assert!(libra.degraded_time() > Duration::ZERO);
+    let degraded_s =
+        libra_bench::tracing::stage_occupancy(&libra_rep.flows[0].trace, 0, 60e9 as u64)
+            .into_iter()
+            .find(|&(stage, _)| stage == TraceStage::Degraded)
+            .map_or(0.0, |(_, secs)| secs);
+    assert!(degraded_s > 0.0, "no time spent degraded");
     // Byte-for-byte reproducible: same seed, same delivery, same faults.
     let again = run(Box::new(poisoned()), link(), 60, 34);
     assert_eq!(
