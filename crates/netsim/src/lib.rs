@@ -64,7 +64,7 @@ pub use mahimahi::{capacity_from_mahimahi, capacity_to_mahimahi, TraceError};
 pub use packet::{AckPacket, FlowId, Packet};
 pub use pool::{PacketHandle, PacketPool};
 pub use queue::{AnyQueue, EcnConfig, Enqueue, QueueConfig, QueueCounters, QueueDiscipline};
-pub use sender::{BinSeries, FlowSender, RttSeries};
+pub use sender::{AckLosses, BinSeries, FlowSender, RttSeries};
 pub use sim::{
     BudgetKind, BudgetTrip, FlowConfig, FlowReport, LinkConfig, LinkReport, SimBudget, SimConfig,
     SimReport, Simulation,

@@ -20,7 +20,7 @@
 //! * **Monitor intervals**: an [`MiTracker`] aggregates each interval and
 //!   the controller is ticked at its own `mi_duration` — unless that is
 //!   `Duration::MAX` (the classics), in which case the flow has no MI
-//!   clock and nothing is aggregated.
+//!   clock, carries no MI state and nothing is aggregated.
 //!
 //! Wall-clock time spent inside controller callbacks is accumulated into
 //! `compute_ns` — the measurement behind the paper's CPU-overhead figures
@@ -32,8 +32,8 @@
 use crate::packet::{AckPacket, FlowId, Packet};
 use crate::varint;
 use libra_types::{
-    AckEvent, CongestionControl, Duration, Instant, LossEvent, LossKind, MiTracker, P2Quantile,
-    Rate, SendEvent, TraceEvent, Tracer, Welford,
+    AckEvent, CongestionControl, Duration, Instant, LossEvent, LossKind, MiStats, MiTracker,
+    P2Quantile, Rate, SendEvent, TraceEvent, Tracer, Welford,
 };
 use std::collections::VecDeque;
 use std::num::NonZeroU64;
@@ -66,6 +66,34 @@ enum PacketCallback {
     Ack,
     Ecn,
     Loss,
+}
+
+/// Monitor-interval state, boxed so that only a flow with an MI clock
+/// carries it (232 B that a classic controller's flow would never read).
+#[derive(Debug)]
+struct MiState {
+    tracker: MiTracker,
+    /// Stats of a monitor interval whose decision is pending at the
+    /// policy server (between `mi_tick_submit` and `mi_tick_resolve`).
+    pending: Option<MiStats>,
+}
+
+/// How many packets one ACK declared lost by the reordering rule; each
+/// was already reported to the controller's `on_loss`, which is where a
+/// caller that needs the [`LossEvent`]s reads them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AckLosses(u64);
+
+impl AckLosses {
+    /// Packets declared lost.
+    pub fn len(self) -> usize {
+        self.0 as usize
+    }
+
+    /// Whether the ACK declared no loss.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
 }
 
 /// One outstanding packet's slot: its send time as `ns + 1`, so `None`
@@ -170,17 +198,22 @@ impl OutstandingWindow {
 /// goodput series. Every packet carries the flow's MSS, so a bin's bytes
 /// are its count times `unit`. The time axis is implied by the bin
 /// index, so a report carries the counts themselves, one LEB128 varint
-/// per closed bin from bin 0 (a fleet flow's bin is one byte), and
-/// [`points`](BinSeries::points) derives `(seconds, Mbps)` on read.
+/// per closed bin from the bin the flow starts in (a fleet flow's bin is
+/// one byte), and [`points`](BinSeries::points) derives `(seconds, Mbps)`
+/// on read, the empty bins before the flow's start included.
 #[derive(Debug, Clone)]
 pub struct BinSeries {
     bin: Duration,
-    /// Bytes per counted packet: the flow's MSS.
-    unit: u64,
-    /// Counts of bins `0..open.0`, packed.
+    /// Bytes per counted packet: the flow's MSS. A `u32`, so that with
+    /// `first` it fills one word: every flow's report carries a series.
+    unit: u32,
+    /// Index of the bin the flow starts in (saturated at `u32::MAX`): no
+    /// ACK lands before it, so its predecessors are empty and not stored.
+    first: u32,
+    /// Counts of bins `first..open.0`, packed.
     pub(crate) closed: Vec<u8>,
     /// The bin the last ACK landed in, as `(index, end ns, count)`;
-    /// before the first ACK, bin 0 with a zero count.
+    /// before the first ACK, bin `first` with a zero count.
     open: (usize, u64, u32),
 }
 
@@ -190,18 +223,26 @@ pub struct BinSeries {
 const MAX_SERIES_PREALLOC: usize = 16_384;
 
 impl BinSeries {
-    /// A series of `unit`-byte packets with one byte per bin reserved up
-    /// to sim time `until`, so a run whose bins stay below 128 packets
-    /// never reallocates on the per-ACK path. Bins are indexed by
-    /// absolute sim time, so the reservation runs from zero, not from the
-    /// flow's start.
-    fn with_horizon(bin: Duration, until: Instant, unit: u64) -> Self {
-        let hint = (until.nanos() / bin.nanos().max(1) + 1).min(MAX_SERIES_PREALLOC as u64);
+    /// A series of `unit`-byte packets for a flow that starts at `start`,
+    /// with one byte per bin reserved from `start`'s bin to `until`'s, so
+    /// a run whose bins stay below 128 packets never reallocates on the
+    /// per-ACK path.
+    fn with_horizon(bin: Duration, start: Instant, until: Instant, unit: u64) -> Self {
+        let width = bin.nanos().max(1);
+        let first = u32::try_from(start.nanos() / width).unwrap_or(u32::MAX);
+        let hint = (until.nanos() / width + 1)
+            .saturating_sub(u64::from(first))
+            .min(MAX_SERIES_PREALLOC as u64);
         BinSeries {
             bin,
-            unit,
+            unit: u32::try_from(unit).expect("MSS fits in u32"),
+            first,
             closed: Vec::with_capacity(hint as usize),
-            open: (0, bin.nanos(), 0),
+            open: (
+                first as usize,
+                (u64::from(first) + 1).saturating_mul(width),
+                0,
+            ),
         }
     }
 
@@ -230,9 +271,20 @@ impl BinSeries {
     /// would hold.
     pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         let w = self.bin.as_secs_f64();
+        let counts = self.counts().enumerate();
+        let unit = u64::from(self.unit);
+        counts.map(move |(i, n)| ((i as f64 + 0.5) * w, (n * unit) as f64 * 8.0 / w / 1e6))
+    }
+
+    /// Packets per bin, from bin 0 to the last bin an ACK landed in;
+    /// nothing before the first ACK.
+    fn counts(&self) -> impl Iterator<Item = u64> + '_ {
         let open = (self.open.2 > 0).then_some(u64::from(self.open.2));
-        let counts = varint::values(&self.closed).chain(open).enumerate();
-        counts.map(move |(i, n)| ((i as f64 + 0.5) * w, (n * self.unit) as f64 * 8.0 / w / 1e6))
+        let acked = open.is_some() || !self.closed.is_empty();
+        let lead = if acked { self.first as usize } else { 0 };
+        std::iter::repeat_n(0, lead)
+            .chain(varint::values(&self.closed))
+            .chain(open)
     }
 }
 
@@ -305,18 +357,11 @@ pub struct FlowSender {
     /// would spawn an immortal chain of spurious wakes).
     pub pending_wake: Option<Instant>,
 
-    tracker: MiTracker,
-    /// False when the controller answered `Duration::MAX` for its MI
-    /// length: no MI ticks are scheduled and `tracker` is never fed.
-    has_mi_clock: bool,
+    /// `None` when the controller answered `Duration::MAX` for its MI
+    /// length: no MI ticks are scheduled and nothing is aggregated.
+    mi: Option<Box<MiState>>,
     /// Calls seen per [`PacketCallback`] kind, for compute-time sampling.
     callback_calls: [u32; 4],
-    /// Reused buffer for losses detected on the last ACK — returned by
-    /// slice so the per-ACK hot path never allocates.
-    last_losses: Vec<LossEvent>,
-    /// Stats of a monitor interval whose decision is pending at the
-    /// policy server (between `mi_tick_submit` and `mi_tick_resolve`).
-    pending_mi: Option<libra_types::MiStats>,
 
     // ---- metrics ----
     /// Packets handed to the network.
@@ -350,6 +395,13 @@ pub struct FlowSender {
     pub tracer: Tracer,
 }
 
+// Every flow carries one sender for the whole run, so its size is the
+// fleet's per-flow cost, and `finalize` needs its alignment equal to
+// `FlowReport`'s (see `sim.rs`): a `u128` field, such as the MI tracker's
+// RTT sum if it were inline, would raise it to 16.
+const _: () =
+    assert!(std::mem::size_of::<FlowSender>() <= 576 && std::mem::align_of::<FlowSender>() == 8);
+
 impl FlowSender {
     /// Create a sender. `init_rtt` seeds RTO/MI clocks before the first
     /// RTT sample (the simulator passes twice the propagation delay).
@@ -362,7 +414,12 @@ impl FlowSender {
         init_rtt: Duration,
         metrics_bin: Duration,
     ) -> Self {
-        let has_mi_clock = cca.mi_duration(init_rtt) != Duration::MAX;
+        let mi = (cca.mi_duration(init_rtt) != Duration::MAX).then(|| {
+            Box::new(MiState {
+                tracker: MiTracker::new(start),
+                pending: None,
+            })
+        });
         FlowSender {
             id,
             cca,
@@ -381,17 +438,14 @@ impl FlowSender {
             next_send_time: Instant::ZERO,
             last_progress: start,
             pending_wake: None,
-            tracker: MiTracker::new(start),
-            has_mi_clock,
+            mi,
             callback_calls: [0; 4],
-            last_losses: Vec::new(),
-            pending_mi: None,
             sent_packets: 0,
             acked_packets: 0,
             lost_packets: 0,
             rtt_stats: Welford::new(),
             rtt_p95: P2Quantile::new(0.95),
-            goodput_bins: BinSeries::with_horizon(metrics_bin, stop, mss),
+            goodput_bins: BinSeries::with_horizon(metrics_bin, start, stop, mss),
             // One sample per 20 ACKs, grown on demand: an up-front
             // reservation per flow is mostly never used at fleet scale
             // (a flow in a thousand sees a few hundred ACKs).
@@ -442,7 +496,7 @@ impl FlowSender {
     /// Whether the controller runs a monitor-interval clock (its
     /// `mi_duration` is not `Duration::MAX`); asked once, at construction.
     pub fn has_mi_clock(&self) -> bool {
-        self.has_mi_clock
+        self.mi.is_some()
     }
 
     /// Bytes currently in flight.
@@ -593,8 +647,8 @@ impl FlowSender {
             bytes: self.mss,
             in_flight: self.in_flight(),
         };
-        if self.has_mi_clock {
-            self.tracker.on_send(&ev);
+        if let Some(mi) = &mut self.mi {
+            mi.tracker.on_send(&ev);
         }
         self.time_cca_sampled(PacketCallback::Send, |cca| cca.on_send(&ev));
         p
@@ -619,14 +673,11 @@ impl FlowSender {
         }
     }
 
-    /// Process an arriving ACK; returns losses detected by the reordering
-    /// rule (already reported to the controller). The slice borrows a
-    /// buffer reused across ACKs — copy out anything that must outlive the
-    /// next call.
-    pub fn on_ack_packet(&mut self, ack: &AckPacket, now: Instant) -> &[LossEvent] {
-        self.last_losses.clear();
+    /// Process an arriving ACK; returns how many packets the reordering
+    /// rule declared lost (each already reported to the controller).
+    pub fn on_ack_packet(&mut self, ack: &AckPacket, now: Instant) -> AckLosses {
         let Some(sent_at) = self.outstanding.remove(ack.seq) else {
-            return &self.last_losses; // late/duplicate ACK for a seq already written off
+            return AckLosses(0); // late/duplicate ACK for a seq already written off
         };
         self.acked_packets += 1;
         self.last_progress = now;
@@ -656,8 +707,8 @@ impl FlowSender {
             in_flight: self.in_flight(),
             app_limited: ack.app_limited,
         };
-        if self.has_mi_clock {
-            self.tracker.on_ack(&ev);
+        if let Some(mi) = &mut self.mi {
+            mi.tracker.on_ack(&ev);
         }
         self.time_cca_sampled(PacketCallback::Ack, |cca| cca.on_ack(&ev));
         if ack.ecn {
@@ -666,8 +717,7 @@ impl FlowSender {
         }
         self.check_controller_sanity();
 
-        self.detect_reorder_losses(now);
-        &self.last_losses
+        AckLosses(self.detect_reorder_losses(now))
     }
 
     /// `checked-invariants`: after every ACK-path controller callback
@@ -698,18 +748,19 @@ impl FlowSender {
 
     /// Fast-retransmit emulation: outstanding packets more than
     /// [`REORDER_WINDOW`] below the highest ACKed sequence are lost.
-    /// Detected losses accumulate into `last_losses` (cleared by the
-    /// caller).
-    fn detect_reorder_losses(&mut self, now: Instant) {
+    /// Returns how many were.
+    fn detect_reorder_losses(&mut self, now: Instant) -> u64 {
         let Some(high) = self.highest_acked else {
-            return;
+            return 0;
         };
         if high < REORDER_WINDOW {
-            return;
+            return 0;
         }
         let cutoff = high - REORDER_WINDOW;
+        let mut lost = 0;
         while let Some(seq) = self.outstanding.take_front_below(cutoff) {
             self.lost_packets += 1;
+            lost += 1;
             let ev = LossEvent {
                 now,
                 seq,
@@ -717,19 +768,19 @@ impl FlowSender {
                 in_flight: self.in_flight(),
                 kind: LossKind::FastRetransmit,
             };
-            if self.has_mi_clock {
-                self.tracker.on_loss(&ev);
+            if let Some(mi) = &mut self.mi {
+                mi.tracker.on_loss(&ev);
             }
             self.time_cca_sampled(PacketCallback::Loss, |cca| cca.on_loss(&ev));
-            self.last_losses.push(ev);
         }
-        if !self.last_losses.is_empty() {
+        if lost > 0 {
             self.tracer.emit_with(|| TraceEvent::FastRetransmit {
                 flow: self.id.0,
                 at_ns: now.nanos(),
-                packets: self.last_losses.len() as u64,
+                packets: lost,
             });
         }
+        lost
     }
 
     /// Handle an RTO expiry check. Returns true if a timeout fired.
@@ -754,8 +805,8 @@ impl FlowSender {
             in_flight: 0,
             kind: LossKind::Timeout,
         };
-        if self.has_mi_clock {
-            self.tracker.on_loss(&ev);
+        if let Some(mi) = &mut self.mi {
+            mi.tracker.on_loss(&ev);
         }
         self.time_cca_sampled(PacketCallback::Loss, |cca| cca.on_loss(&ev));
         self.tracer.emit_with(|| TraceEvent::Rto {
@@ -766,10 +817,18 @@ impl FlowSender {
         true
     }
 
+    /// The flow's MI state; MI ticks are scheduled only for flows that
+    /// have one.
+    fn mi_state(&mut self) -> &mut MiState {
+        self.mi
+            .as_deref_mut()
+            .expect("MI tick on a flow without an MI clock")
+    }
+
     /// Close the current monitor interval and emit its trace event.
-    fn close_mi(&mut self, now: Instant) -> libra_types::MiStats {
+    fn close_mi(&mut self, now: Instant) -> MiStats {
         let min_rtt = self.min_rtt();
-        let stats = self.tracker.close(now, min_rtt);
+        let stats = self.mi_state().tracker.close(now, min_rtt);
         // The MI close precedes whatever decision the controller takes on
         // it, so the trace reads cause-then-effect.
         self.tracer.emit_with(|| TraceEvent::MiClose {
@@ -796,7 +855,8 @@ impl FlowSender {
     /// (returns `true`); on `true` the interval's stats are stashed and
     /// the caller owes exactly one [`FlowSender::mi_tick_resolve`] before
     /// [`FlowSender::mi_tick_finish`]. Unserved, the controller decides
-    /// in `on_mi` and nothing is ever owed.
+    /// in `on_mi` and nothing is ever owed. Panics on a flow without an
+    /// MI clock ([`FlowSender::has_mi_clock`]), which is never ticked.
     pub fn mi_tick_submit(
         &mut self,
         now: Instant,
@@ -813,7 +873,7 @@ impl FlowSender {
             }
         });
         if submitted {
-            self.pending_mi = Some(stats);
+            self.mi_state().pending = Some(stats);
         }
         submitted
     }
@@ -823,8 +883,9 @@ impl FlowSender {
     /// [`FlowSender::mi_tick_submit`].
     pub fn mi_tick_resolve(&mut self, action: &[f64]) {
         let stats = self
-            .pending_mi
-            .take()
+            .mi
+            .as_mut()
+            .and_then(|mi| mi.pending.take())
             .expect("mi_tick_resolve without a submitted MI");
         self.time_cca(|cca| cca.mi_resolve(&stats, action));
     }
@@ -837,7 +898,10 @@ impl FlowSender {
         // checked in debug builds and, in release, under
         // `checked-invariants`.
         #[cfg(any(debug_assertions, feature = "checked-invariants"))]
-        assert!(self.pending_mi.is_none(), "unresolved policy request");
+        assert!(
+            self.mi.as_ref().is_none_or(|mi| mi.pending.is_none()),
+            "unresolved policy request"
+        );
         self.next_mi_at(now)
     }
 
@@ -861,40 +925,46 @@ impl FlowSender {
 mod tests {
     use super::*;
 
-    /// A fixed-window controller for driving the sender in isolation.
+    /// A fixed-window controller for driving the sender in isolation; it
+    /// records every loss the sender reports.
     struct TestCca {
         cwnd: u64,
-        acks: u32,
-        losses: u32,
-        mis: u32,
+        losses: Vec<LossEvent>,
+    }
+    impl TestCca {
+        fn boxed(cwnd: u64) -> Box<Self> {
+            Box::new(TestCca {
+                cwnd,
+                losses: Vec::new(),
+            })
+        }
     }
     impl CongestionControl for TestCca {
         fn name(&self) -> &'static str {
             "test"
         }
-        fn on_ack(&mut self, _: &AckEvent) {
-            self.acks += 1;
-        }
-        fn on_loss(&mut self, _: &LossEvent) {
-            self.losses += 1;
-        }
-        fn on_mi(&mut self, _: &libra_types::MiStats) {
-            self.mis += 1;
+        fn on_ack(&mut self, _: &AckEvent) {}
+        fn on_loss(&mut self, ev: &LossEvent) {
+            self.losses.push(*ev);
         }
         fn cwnd_bytes(&self) -> u64 {
             self.cwnd
         }
+        fn as_any(&self) -> Option<&dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    /// The losses `s`'s [`TestCca`] was told of, in order.
+    fn reported_losses(s: &FlowSender) -> &[LossEvent] {
+        let any = s.cca.as_any().expect("a TestCca");
+        &any.downcast_ref::<TestCca>().expect("a TestCca").losses
     }
 
     fn sender(cwnd: u64) -> FlowSender {
         FlowSender::new(
             FlowId(0),
-            Box::new(TestCca {
-                cwnd,
-                acks: 0,
-                losses: 0,
-                mis: 0,
-            }),
+            TestCca::boxed(cwnd),
             1500,
             Instant::ZERO,
             Instant::from_secs(100),
@@ -983,14 +1053,17 @@ mod tests {
         s.activate(Instant::ZERO);
         let (pkts, _) = emit(&mut s, Instant::ZERO);
         // ACK 1,2,3,4 but never 0 → 0 is lost when 4 is ACKed (0 < 4-3+... cutoff=1).
-        let mut losses = Vec::new();
+        let mut declared = Vec::new();
         for (i, p) in pkts.iter().enumerate().skip(1).take(4) {
             let now = Instant::from_millis(10 * (i as u64 + 1));
-            losses.extend_from_slice(s.on_ack_packet(&ack_for(p, now), now));
+            declared.push(s.on_ack_packet(&ack_for(p, now), now).len());
         }
+        assert_eq!(declared, [0, 0, 0, 1]);
+        let losses = reported_losses(&s);
         assert_eq!(losses.len(), 1);
         assert_eq!(losses[0].seq, 0);
         assert_eq!(losses[0].kind, LossKind::FastRetransmit);
+        assert_eq!(losses[0].now, Instant::from_millis(50));
         assert_eq!(s.lost_packets, 1);
     }
 
@@ -1222,12 +1295,7 @@ mod tests {
             let mut rng = DetRng::new(seed);
             let mut s = FlowSender::new(
                 FlowId(0),
-                Box::new(TestCca {
-                    cwnd: 40 * MSS,
-                    acks: 0,
-                    losses: 0,
-                    mis: 0,
-                }),
+                TestCca::boxed(40 * MSS),
                 MSS,
                 Instant::ZERO,
                 Instant::from_secs(100),
@@ -1253,10 +1321,7 @@ mod tests {
                     } else {
                         pipe.remove(i)
                     };
-                    for loss in s.on_ack_packet(&ack_for(&p, now), now) {
-                        assert_eq!(loss.bytes, MSS);
-                        fast_lost += 1;
-                    }
+                    fast_lost += s.on_ack_packet(&ack_for(&p, now), now).len() as u64;
                 }
                 if rng.chance(0.02) {
                     now += Duration::from_secs(1);
@@ -1271,15 +1336,17 @@ mod tests {
                 assert_eq!(binned, s.acked_packets);
             }
             assert!(s.acked_packets > 100 && fast_lost > 0, "seed {seed}");
+            let fast: Vec<_> = reported_losses(&s)
+                .iter()
+                .filter(|l| l.kind == LossKind::FastRetransmit)
+                .collect();
+            assert_eq!(fast.len() as u64, fast_lost);
+            assert!(fast.iter().all(|l| l.bytes == MSS));
         }
     }
 
-    impl BinSeries {
-        /// Packets per bin, from bin 0 to the last bin an ACK landed in.
-        fn counts(&self) -> impl Iterator<Item = u64> + '_ {
-            let open = (self.open.2 > 0).then_some(u64::from(self.open.2));
-            varint::values(&self.closed).chain(open)
-        }
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
     }
 
     fn bits(pts: impl IntoIterator<Item = (f64, f64)>) -> Vec<(u64, u64)> {
@@ -1300,15 +1367,14 @@ mod tests {
             for (i, n) in b.counts().enumerate() {
                 let mut bytes = 0.0;
                 for _ in 0..n {
-                    bytes += b.unit as f64;
+                    bytes += f64::from(b.unit);
                 }
                 out.push(((i as f64 + 0.5) * w, bytes * 8.0 / w / 1e6));
             }
             out
         }
 
-        let mut b =
-            BinSeries::with_horizon(Duration::from_millis(100), Instant::from_secs(1), 1250);
+        let mut b = BinSeries::with_horizon(ms(100), Instant::ZERO, Instant::from_secs(1), 1250);
         assert_eq!(b.points().count(), 0);
         for _ in 0..100 {
             b.count_ack(Instant::from_millis(50)); // 125 kB in first bin
@@ -1328,14 +1394,28 @@ mod tests {
         assert_eq!(bits(b.points()), bits(spelled_out(&b)));
 
         // A late start leads with empty bins at their own centres, and a
-        // width that is not a power of two exercises the rounding.
-        let mut late =
-            BinSeries::with_horizon(Duration::from_millis(30), Instant::from_secs(1), 1500);
-        late.count_ack(Instant::from_millis(95));
-        late.count_ack(Instant::from_millis(119));
-        late.count_ack(Instant::from_millis(119));
-        late.count_ack(Instant::from_millis(120));
+        // width that is not a power of two exercises the rounding. A flow
+        // that starts in bin 3 stores none of bins 0–2, yet reads back the
+        // bits of a series counted from time zero; before its first ACK it
+        // reads back nothing at all.
+        let series = |start: u64, acks: &[u64]| {
+            let horizon = Instant::from_secs(1);
+            let mut b = BinSeries::with_horizon(ms(30), Instant::from_millis(start), horizon, 1500);
+            for &at in acks {
+                b.count_ack(Instant::from_millis(at));
+            }
+            b
+        };
+        assert_eq!(series(95, &[]).points().count(), 0);
+        let acks = [95, 119, 119, 120];
+        let (mut late, from_zero) = (series(95, &acks), series(0, &acks));
+        assert_eq!(
+            (late.first, late.closed.len(), from_zero.closed.len()),
+            (3, 1, 4)
+        );
+        assert_eq!(late.closed.capacity(), 34 - 3);
         assert_eq!(late.counts().collect::<Vec<_>>(), [0, 0, 0, 3, 1]);
+        assert_eq!(bits(late.points()), bits(from_zero.points()));
         assert_eq!(bits(late.points()), bits(spelled_out(&late)));
         assert_eq!(late.points().count(), 5);
         assert!(late.points().take(3).all(|(_, mbps)| mbps == 0.0));
@@ -1353,8 +1433,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "ACK into a closed bin")]
     fn counting_into_a_closed_bin_panics() {
-        let mut b =
-            BinSeries::with_horizon(Duration::from_millis(100), Instant::from_secs(1), 1250);
+        let mut b = BinSeries::with_horizon(ms(100), Instant::ZERO, Instant::from_secs(1), 1250);
         b.count_ack(Instant::from_millis(150));
         b.count_ack(Instant::from_millis(50));
     }
@@ -1365,7 +1444,7 @@ mod tests {
         // the next bin's ACK, the last left open.
         let counts = [u32::MAX, 0, 127, 128, 16_383, 16_384, u32::MAX];
         let width = Duration::from_millis(100);
-        let mut b = BinSeries::with_horizon(width, Instant::from_secs(60), 1500);
+        let mut b = BinSeries::with_horizon(width, Instant::ZERO, Instant::from_secs(60), 1500);
         for (i, &n) in counts.iter().enumerate() {
             b.count_ack(Instant::from_nanos(i as u64 * width.nanos()));
             b.open.2 = n;
@@ -1412,16 +1491,12 @@ mod tests {
 
     #[test]
     fn late_start_goodput_series_never_reallocates() {
-        // Bins are indexed by absolute sim time: a flow alive 30 s → 60 s
-        // needs 601 bins, not the 301 its lifetime spans, one byte each.
+        // Bins are indexed by absolute sim time but stored from the flow's
+        // own: a flow alive 30 s → 60 s reserves the 301 bins its lifetime
+        // spans, one byte each, and reads back all 601 from bin 0.
         let mut s = FlowSender::new(
             FlowId(0),
-            Box::new(TestCca {
-                cwnd: 15_000,
-                acks: 0,
-                losses: 0,
-                mis: 0,
-            }),
+            TestCca::boxed(15_000),
             1500,
             Instant::from_secs(30),
             Instant::from_secs(60),
@@ -1430,7 +1505,7 @@ mod tests {
         );
         let reserved = s.goodput_bins.closed.capacity();
         let storage = s.goodput_bins.closed.as_ptr();
-        assert_eq!(reserved, 601);
+        assert_eq!(reserved, 301);
         for ms in (30_000..=60_000u64).step_by(50) {
             s.goodput_bins.count_ack(Instant::from_millis(ms));
         }
@@ -1439,8 +1514,8 @@ mod tests {
         assert_eq!(s.goodput_bins.closed.as_ptr(), storage);
     }
 
-    #[test]
-    fn clockless_controller_is_never_fed_to_the_tracker() {
+    /// A sender whose controller has no MI clock (`Duration::MAX`).
+    fn clockless_sender() -> FlowSender {
         struct NoClock;
         impl CongestionControl for NoClock {
             fn name(&self) -> &'static str {
@@ -1455,8 +1530,7 @@ mod tests {
                 15_000
             }
         }
-        assert!(sender(15_000).has_mi_clock());
-        let mut s = FlowSender::new(
+        FlowSender::new(
             FlowId(0),
             Box::new(NoClock),
             1500,
@@ -1464,15 +1538,31 @@ mod tests {
             Instant::from_secs(100),
             Duration::from_millis(40),
             Duration::from_millis(100),
-        );
+        )
+    }
+
+    #[test]
+    fn clockless_controller_is_never_fed_to_the_tracker() {
+        assert!(sender(15_000).has_mi_clock());
+        let mut s = clockless_sender();
         assert!(!s.has_mi_clock());
+        assert!(s.mi.is_none(), "a clockless flow carries no MI state");
         s.activate(Instant::ZERO);
         let (pkts, _) = emit(&mut s, Instant::ZERO);
         let now = Instant::from_millis(50);
-        s.on_ack_packet(&ack_for(&pkts[0], now), now);
-        let stats = s.close_mi(Instant::from_millis(60));
-        assert_eq!((stats.sent_bytes, stats.acks), (0, 0));
-        assert_eq!(s.acked_packets, 1);
+        for p in &pkts[1..5] {
+            s.on_ack_packet(&ack_for(p, now), now);
+        }
+        assert!(s.on_rto_check(Instant::from_secs(1)));
+        assert_eq!((s.acked_packets, s.lost_packets), (4, 6));
+        assert!(s.mi.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "without an MI clock")]
+    fn mi_tick_on_a_clockless_flow_panics() {
+        let mut s = clockless_sender();
+        s.mi_tick_submit(Instant::from_millis(40), false, &mut Vec::new());
     }
 
     #[test]

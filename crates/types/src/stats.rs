@@ -359,8 +359,6 @@ pub struct P2Quantile {
     positions: [f64; 5],
     /// Desired marker positions.
     desired: [f64; 5],
-    /// Per-sample increments of the desired positions.
-    increments: [f64; 5],
 }
 
 impl P2Quantile {
@@ -373,7 +371,6 @@ impl P2Quantile {
             heights: [0.0; 5],
             positions: [1.0, 2.0, 3.0, 4.0, 5.0],
             desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
         }
     }
 
@@ -420,7 +417,11 @@ impl P2Quantile {
         for p in self.positions.iter_mut().skip(k + 1) {
             *p += 1.0;
         }
-        for (d, inc) in self.desired.iter_mut().zip(self.increments) {
+        // Per-sample increments of the desired positions, derived from `q`
+        // on each call rather than stored.
+        let q = self.q;
+        let increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0];
+        for (d, inc) in self.desired.iter_mut().zip(increments) {
             *d += inc;
         }
         // Adjust the three interior markers toward their desired positions.
@@ -725,6 +726,31 @@ mod tests {
             p.update(i as f64);
         }
         assert!((p.get() - 5000.0).abs() < 100.0, "median {}", p.get());
+    }
+
+    /// Every estimate along a 20 000-sample stream, folded bit for bit,
+    /// for three quantiles: pinned from the estimator that stored its
+    /// marker increments instead of deriving them from `q` per sample.
+    #[test]
+    fn p2_estimates_are_pinned() {
+        for (q, last, folded) in [
+            (0.95, 0x408d_cc30_3bd3_e423_u64, 0xcac4_e0f2_b927_fd94_u64),
+            (0.5, 0x407f_a15e_9ab4_c39d, 0xbcbb_e069_9908_8220),
+            (0.3, 0x4073_0bb9_7a39_aed0, 0x569d_6003_f887_cd2e),
+        ] {
+            let mut state = 12345u64;
+            let mut p = P2Quantile::new(q);
+            let mut fold = 0u64;
+            for i in 0..20_000u64 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let x = (state >> 11) as f64 / (1u64 << 53) as f64 * 1000.0 + (i % 7) as f64;
+                p.update(x);
+                fold = fold.rotate_left(5) ^ p.get().to_bits();
+            }
+            assert_eq!((p.get().to_bits(), fold), (last, folded), "q = {q}");
+        }
     }
 
     #[test]
