@@ -19,9 +19,8 @@
 //! index order — so findings and the unsafe inventory are byte-identical
 //! for any directory-walk order (pinned by `tests/determinism.rs`).
 
-use crate::items::{parse_items, FileItems, FnItem};
+use crate::items::FnItem;
 use crate::source::SourceFile;
-use crate::tokens::tokenize_lines;
 use std::collections::BTreeMap;
 
 /// Names too ubiquitous to resolve by bare name: nearly every type has
@@ -52,31 +51,18 @@ pub const AMBIGUOUS_NAMES: &[&str] = &[
     "as_str",
 ];
 
-/// One file with its parsed items.
-pub struct FileEntry {
-    pub source: SourceFile,
-    pub items: FileItems,
-}
-
 /// The whole lint universe: files + symbol graph.
 pub struct Workspace {
-    pub files: Vec<FileEntry>,
+    pub files: Vec<SourceFile>,
     pub graph: SymbolGraph,
 }
 
 impl Workspace {
     /// Build from loaded sources. Input order is irrelevant: files are
-    /// sorted by path before parsing, so the graph (and every finding
+    /// sorted by path before linking, so the graph (and every finding
     /// derived from it) is a pure function of the file *set*.
-    pub fn from_sources(sources: Vec<SourceFile>) -> Workspace {
-        let mut files: Vec<FileEntry> = sources
-            .into_iter()
-            .map(|source| {
-                let items = parse_items(&tokenize_lines(&source.code));
-                FileEntry { source, items }
-            })
-            .collect();
-        files.sort_by(|a, b| a.source.path.cmp(&b.source.path));
+    pub fn from_sources(mut files: Vec<SourceFile>) -> Workspace {
+        files.sort_by(|a, b| a.path.cmp(&b.path));
         let graph = SymbolGraph::build(&files);
         Workspace { files, graph }
     }
@@ -103,13 +89,13 @@ pub struct SymbolGraph {
 
 impl SymbolGraph {
     /// Build the graph over files already sorted by path.
-    pub fn build(files: &[FileEntry]) -> SymbolGraph {
+    pub fn build(files: &[SourceFile]) -> SymbolGraph {
         let mut nodes = Vec::new();
         let mut qualified = Vec::new();
-        for (fi, entry) in files.iter().enumerate() {
-            for (ii, f) in entry.items.fns.iter().enumerate() {
+        for (fi, file) in files.iter().enumerate() {
+            for (ii, f) in file.items.fns.iter().enumerate() {
                 nodes.push(Node { file: fi, item: ii });
-                qualified.push(qualify(&entry.source, f));
+                qualified.push(qualify(file, f));
             }
         }
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
@@ -146,14 +132,14 @@ impl SymbolGraph {
     }
 
     /// The [`FnItem`] behind node `id`.
-    pub fn fn_of<'a>(&self, files: &'a [FileEntry], id: usize) -> &'a FnItem {
+    pub fn fn_of<'a>(&self, files: &'a [SourceFile], id: usize) -> &'a FnItem {
         let n = self.nodes[id];
         &files[n.file].items.fns[n.item]
     }
 
     /// The [`SourceFile`] holding node `id`.
-    pub fn file_of<'a>(&self, files: &'a [FileEntry], id: usize) -> &'a SourceFile {
-        &files[self.nodes[id].file].source
+    pub fn file_of<'a>(&self, files: &'a [SourceFile], id: usize) -> &'a SourceFile {
+        &files[self.nodes[id].file]
     }
 
     /// Caller-direction fixpoint: `out[n]` is true when `base[n]`, or

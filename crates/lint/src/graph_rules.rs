@@ -1,5 +1,5 @@
 //! The graph-powered rules: invariants that need the workspace symbol
-//! graph (interprocedural reachability), not just one file's text.
+//! graph (interprocedural reachability), not just one file's tokens.
 //!
 //! | id | invariant |
 //! |---|---|
@@ -8,8 +8,10 @@
 //! | `unsafe-audit` | every `unsafe` block/fn carries an adjacent `// SAFETY:` justification |
 //! | `nondeterminism-taint` | no nondeterministic source value reaches a digest/serialization sink |
 //!
-//! Each rule reports through the same [`Finding`] type as the per-file
-//! rules and honours the same `// lint: allow(<name>)` escape hatch; on
+//! Each is a [`Rule`] in the one registry ([`crate::all_rules`]),
+//! reports through the same [`Finding`] type as the per-file rules,
+//! matches source through the same token [`Patterns`] and honours the
+//! same `// lint: allow(<name>)` escape hatch; on
 //! `nondeterminism-taint` a waiver on a *function header* additionally
 //! acts as an audited taint barrier (the fn neither sources nor
 //! propagates — reserved for boundaries like the index-ordered sweep
@@ -17,38 +19,9 @@
 
 use crate::graph::Workspace;
 use crate::items::FnItem;
-use crate::rules::{Finding, Severity};
+use crate::rules::{Finding, Rule, AMBIENT_ENTROPY, CLOCK_READS, THREAD_SPAWNS, UNORDERED_TYPES};
 use crate::source::SourceFile;
-
-/// A single invariant check over the whole workspace.
-pub trait WorkspaceRule {
-    /// Stable identifier (reports and the DESIGN.md table).
-    fn id(&self) -> &'static str;
-    /// Gate behaviour of this rule's findings.
-    fn severity(&self) -> Severity {
-        Severity::Deny
-    }
-    /// One-line rationale.
-    fn description(&self) -> &'static str;
-    /// Append findings for the workspace to `out`.
-    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>);
-}
-
-/// The graph-rule registry, in id order.
-pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
-    vec![
-        Box::new(LockAcrossCall),
-        Box::new(FmaDeterminism),
-        Box::new(UnsafeAudit),
-        Box::new(NondeterminismTaint),
-    ]
-}
-
-/// True when `line` is waived for either spelling of `name` (hyphen and
-/// underscore are both accepted, matching the per-file rules).
-fn waived(file: &SourceFile, line: usize, hyphen: &str, underscore: &str) -> bool {
-    file.allowed(line, hyphen) || file.allowed(line, underscore)
-}
+use crate::tokens::Patterns;
 
 // ---------------------------------------------------------------------
 // lock-across-call
@@ -75,7 +48,7 @@ fn expensive_name(name: &str) -> bool {
         || name == "create_dir_all"
 }
 
-/// Body-text markers that make a fn an expensive root (file IO).
+/// Body patterns that make a fn an expensive root (file IO).
 const IO_MARKERS: &[&str] = &["std::fs::", "std::io::", "File::open", "File::create"];
 
 /// Calls on the acquisition line that are part of acquiring the guard,
@@ -85,6 +58,7 @@ const ACQUISITION_CALLS: &[&str] = &["lock", "read", "write", "expect", "unwrap"
 /// Per-node "calling this is expensive" seed: the fn itself calls an
 /// expensive-by-name callee or touches file IO.
 fn expensive_seeds(ws: &Workspace) -> Vec<bool> {
+    let io = Patterns::new(&[IO_MARKERS]);
     ws.graph
         .nodes
         .iter()
@@ -95,16 +69,12 @@ fn expensive_seeds(ws: &Workspace) -> Vec<bool> {
             if f.calls.iter().any(|c| expensive_name(&c.name)) {
                 return true;
             }
-            f.body.is_some_and(|(s, e)| {
-                file.code[s..=e.min(file.code.len().saturating_sub(1))]
-                    .iter()
-                    .any(|l| IO_MARKERS.iter().any(|m| l.contains(m)))
-            })
+            f.body.is_some_and(|(s, e)| io.any_in(file.tokens_in(s, e)))
         })
         .collect()
 }
 
-impl WorkspaceRule for LockAcrossCall {
+impl Rule for LockAcrossCall {
     fn id(&self) -> &'static str {
         "lock-across-call"
     }
@@ -119,10 +89,10 @@ impl WorkspaceRule for LockAcrossCall {
             let f = ws.graph.fn_of(&ws.files, id);
             let file = ws.graph.file_of(&ws.files, id);
             for guard in &f.guards {
-                if file.is_test[guard.line.min(file.is_test.len().saturating_sub(1))] {
+                if file.is_test[guard.line] {
                     continue;
                 }
-                if waived(file, guard.line, "lock-across-call", "lock_across_call") {
+                if file.allowed(guard.line, &["lock-across-call", "lock_across_call"]) {
                     continue;
                 }
                 // The first expensive call inside the guard's live range
@@ -135,7 +105,7 @@ impl WorkspaceRule for LockAcrossCall {
                             || ws.graph.resolve(&c.name).iter().any(|&t| expensive[t]))
                 });
                 let Some(call) = hit else { continue };
-                if waived(file, call.line, "lock-across-call", "lock_across_call") {
+                if file.allowed(call.line, &["lock-across-call", "lock_across_call"]) {
                     continue;
                 }
                 let target = ws
@@ -145,12 +115,11 @@ impl WorkspaceRule for LockAcrossCall {
                     .find(|&&t| expensive[t])
                     .map(|&t| ws.graph.qualified[t].clone())
                     .unwrap_or_else(|| call.name.clone());
-                out.push(Finding {
-                    rule: self.id(),
-                    severity: self.severity(),
-                    path: file.path.clone(),
-                    line: call.line + 1,
-                    message: format!(
+                out.push(Finding::at(
+                    self,
+                    file,
+                    call.line,
+                    format!(
                         "`{}` ({} guard acquired on line {}) is still live across \
                          `{}`, which reaches training/simulation/IO — the \
                          ModelStore::get_or_train bug class; end the guard's block \
@@ -161,8 +130,7 @@ impl WorkspaceRule for LockAcrossCall {
                         guard.line + 1,
                         target,
                     ),
-                    excerpt: file.lines[call.line].trim().to_string(),
-                });
+                ));
             }
         }
     }
@@ -185,7 +153,7 @@ pub struct FmaDeterminism;
 /// covers `fmaddsub`), `fmsub` (and `fmsubadd`), `fnmadd`, `fnmsub`.
 const FMA_PATTERNS: &[&str] = &["mul_add(", "fmadd", "fmsub", "fnmadd", "fnmsub"];
 
-impl WorkspaceRule for FmaDeterminism {
+impl Rule for FmaDeterminism {
     fn id(&self) -> &'static str {
         "fma-determinism"
     }
@@ -193,30 +161,27 @@ impl WorkspaceRule for FmaDeterminism {
         "FMA/mul_add in the nn/netsim kernels (breaks batched bit identity)"
     }
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for entry in &ws.files {
-            let file = &entry.source;
+        let fma = Patterns::new(&[FMA_PATTERNS]);
+        for file in &ws.files {
             if file.krate != "nn" && file.krate != "netsim" {
                 continue;
             }
-            for (idx, code) in file.code.iter().enumerate() {
-                if !FMA_PATTERNS.iter().any(|p| code.contains(p)) {
+            for line in 0..file.lines.len() {
+                if !fma.any_in(file.tokens_on(line))
+                    || file.allowed(line, &["fma-determinism", "fma"])
+                {
                     continue;
                 }
-                if waived(file, idx, "fma-determinism", "fma") {
-                    continue;
-                }
-                out.push(Finding {
-                    rule: self.id(),
-                    severity: self.severity(),
-                    path: file.path.clone(),
-                    line: idx + 1,
-                    message: "fused multiply-add rounds once where the scalar kernel \
-                              rounds twice, breaking batched-vs-sequential bit \
-                              identity; keep separate mul/add in per-element order, \
-                              or waive a non-kernel use with `// lint: allow(fma)`"
+                out.push(Finding::at(
+                    self,
+                    file,
+                    line,
+                    "fused multiply-add rounds once where the scalar kernel \
+                     rounds twice, breaking batched-vs-sequential bit \
+                     identity; keep separate mul/add in per-element order, \
+                     or waive a non-kernel use with `// lint: allow(fma)`"
                         .to_string(),
-                    excerpt: file.lines[idx].trim().to_string(),
-                });
+                ));
             }
         }
     }
@@ -235,32 +200,38 @@ impl WorkspaceRule for FmaDeterminism {
 /// `dev/unsafe_inventory.md`, which ci.sh drift-gates.
 pub struct UnsafeAudit;
 
-/// The justification text after `SAFETY:` adjacent to `line`, if any.
+/// The justification text after `SAFETY:` adjacent to `line`, if any,
+/// read from comments only.
 pub fn safety_justification(file: &SourceFile, line: usize) -> Option<String> {
-    let extract = |l: &str| {
-        l.find("SAFETY:")
-            .map(|p| l[p + "SAFETY:".len()..].trim().to_string())
+    let extract = |i: usize| {
+        let c = &file.comments[i];
+        c.find("SAFETY:")
+            .map(|p| c[p + "SAFETY:".len()..].trim().to_string())
     };
-    if let Some(j) = file.lines.get(line).and_then(|l| extract(l)) {
+    if let Some(j) = extract(line) {
         return Some(j);
     }
-    // Walk the contiguous comment/attribute run directly above.
+    // Walk the contiguous run of `//` comment lines and attribute lines
+    // directly above.
     let mut i = line;
     while i > 0 {
         i -= 1;
-        let t = file.lines[i].trim();
-        let adjacent = t.starts_with("//") || t.starts_with("#[") || t.starts_with("#!");
+        let adjacent = match file.tokens_on(i) {
+            [] => file.comments[i].starts_with("//"),
+            [hash, next, ..] => hash.is_punct('#') && (next.is_punct('[') || next.is_punct('!')),
+            _ => false,
+        };
         if !adjacent {
             break;
         }
-        if let Some(j) = extract(t) {
+        if let Some(j) = extract(i) {
             return Some(j);
         }
     }
     None
 }
 
-impl WorkspaceRule for UnsafeAudit {
+impl Rule for UnsafeAudit {
     fn id(&self) -> &'static str {
         "unsafe-audit"
     }
@@ -268,13 +239,12 @@ impl WorkspaceRule for UnsafeAudit {
         "unsafe block/fn without an adjacent // SAFETY: justification"
     }
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for entry in &ws.files {
-            let file = &entry.source;
-            for site in &entry.items.unsafe_sites {
+        for file in &ws.files {
+            for site in &file.items.unsafe_sites {
                 if safety_justification(file, site.line).is_some() {
                     continue;
                 }
-                if waived(file, site.line, "unsafe-audit", "unsafe_audit") {
+                if file.allowed(site.line, &["unsafe-audit", "unsafe_audit"]) {
                     continue;
                 }
                 let kind = if site.is_fn {
@@ -282,18 +252,16 @@ impl WorkspaceRule for UnsafeAudit {
                 } else {
                     "unsafe block"
                 };
-                out.push(Finding {
-                    rule: self.id(),
-                    severity: self.severity(),
-                    path: file.path.clone(),
-                    line: site.line + 1,
-                    message: format!(
+                out.push(Finding::at(
+                    self,
+                    file,
+                    site.line,
+                    format!(
                         "{kind} without an adjacent `// SAFETY:` comment; state the \
                          invariant that makes this site sound (it also feeds \
                          dev/unsafe_inventory.md)",
                     ),
-                    excerpt: file.lines[site.line].trim().to_string(),
-                });
+                ));
             }
         }
     }
@@ -304,9 +272,8 @@ impl WorkspaceRule for UnsafeAudit {
 /// line-sorted by the item parser.
 pub fn unsafe_inventory(ws: &Workspace) -> String {
     let mut rows = Vec::new();
-    for entry in &ws.files {
-        let file = &entry.source;
-        for site in &entry.items.unsafe_sites {
+    for file in &ws.files {
+        for site in &file.items.unsafe_sites {
             let kind = if site.is_fn { "fn" } else { "block" };
             let context = if site.context.is_empty() {
                 "—".to_string()
@@ -368,15 +335,6 @@ pub fn unsafe_inventory(ws: &Workspace) -> String {
 /// or sink line it waives that line only.
 pub struct NondeterminismTaint;
 
-const CLOCK_SOURCES: &[&str] = &[
-    "std::time::Instant",
-    "std::time::SystemTime",
-    "SystemTime::now",
-    "Instant::now(",
-];
-const THREAD_SOURCES: &[&str] = &["thread::spawn", "thread::scope", "thread::Builder"];
-const ENTROPY_SOURCES: &[&str] = &["thread_rng", "from_entropy", "RandomState", "getrandom"];
-const UNORDERED_TYPES: &[&str] = &["HashMap", "HashSet"];
 const UNORDERED_ITER: &[&str] = &[".iter()", ".keys()", ".values()", ".drain(", ".into_iter()"];
 
 const SERIALIZE_SINKS: &[&str] = &[
@@ -386,63 +344,72 @@ const SERIALIZE_SINKS: &[&str] = &[
     "write_artifact(",
 ];
 
-const TAINT: &str = "nondeterminism_taint";
-const TAINT_HYPHEN: &str = "nondeterminism-taint";
+const TAINT_WAIVERS: &[&str] = &["nondeterminism-taint", "nondeterminism_taint"];
 
-/// The first nondeterministic source in `f`'s body: `(kind, line)`.
-fn source_of(file: &SourceFile, f: &FnItem) -> Option<(&'static str, usize)> {
-    let (s, e) = f.body?;
-    let e = e.min(file.code.len().saturating_sub(1));
-    let has_unordered_type = file.code[s..=e]
-        .iter()
-        .any(|l| UNORDERED_TYPES.iter().any(|p| l.contains(p)));
-    for (off, code) in file.code[s..=e].iter().enumerate() {
-        let line = s + off;
-        if waived(file, line, TAINT_HYPHEN, TAINT) {
-            continue;
-        }
-        if CLOCK_SOURCES.iter().any(|p| code.contains(p)) {
-            return Some(("host-clock", line));
-        }
-        if THREAD_SOURCES.iter().any(|p| code.contains(p)) {
-            return Some(("thread-scheduling", line));
-        }
-        if ENTROPY_SOURCES.iter().any(|p| code.contains(p)) {
-            return Some(("ambient-entropy", line));
-        }
-        if has_unordered_type && UNORDERED_ITER.iter().any(|p| code.contains(p)) {
-            return Some(("unordered-iteration", line));
-        }
-    }
-    None
+/// The taint rule's token patterns, lexed once per check.
+struct TaintPatterns {
+    sources: [(&'static str, Patterns); 3],
+    unordered_types: Patterns,
+    unordered_iter: Patterns,
+    sinks: Patterns,
 }
 
-/// The first serialization/digest sink in `f`: `(line, description)`.
-fn sink_of(file: &SourceFile, f: &FnItem) -> Option<(usize, String)> {
-    let (s, e) = f.body?;
-    let e = e.min(file.code.len().saturating_sub(1));
-    let mut best: Option<(usize, String)> = None;
-    for (off, code) in file.code[s..=e].iter().enumerate() {
-        let line = s + off;
-        if let Some(p) = SERIALIZE_SINKS.iter().find(|p| code.contains(*p)) {
-            let what = format!("serializes via `{}`", p.trim_end_matches('('));
-            if best.as_ref().is_none_or(|(l, _)| line < *l) {
-                best = Some((line, what));
-            }
+impl TaintPatterns {
+    fn new() -> TaintPatterns {
+        TaintPatterns {
+            sources: [
+                ("host-clock", Patterns::new(&[CLOCK_READS])),
+                ("thread-scheduling", Patterns::new(&[THREAD_SPAWNS])),
+                ("ambient-entropy", Patterns::new(&[AMBIENT_ENTROPY])),
+            ],
+            unordered_types: Patterns::new(&[UNORDERED_TYPES]),
+            unordered_iter: Patterns::new(&[UNORDERED_ITER]),
+            sinks: Patterns::new(&[SERIALIZE_SINKS]),
         }
     }
-    for c in &f.calls {
-        if c.name.contains("digest") || c.name.contains("fingerprint") {
-            let what = format!("feeds digest `{}`", c.name);
-            if best.as_ref().is_none_or(|(l, _)| c.line < *l) {
-                best = Some((c.line, what));
+
+    /// The first nondeterministic source in `f`'s body: `(kind, line)`.
+    fn source_of(&self, file: &SourceFile, f: &FnItem) -> Option<(&'static str, usize)> {
+        let (s, e) = f.body?;
+        let has_unordered_type = self.unordered_types.any_in(file.tokens_in(s, e));
+        for line in s..=e {
+            if file.allowed(line, TAINT_WAIVERS) {
+                continue;
+            }
+            let tokens = file.tokens_on(line);
+            if let Some(&(kind, _)) = self.sources.iter().find(|(_, p)| p.any_in(tokens)) {
+                return Some((kind, line));
+            }
+            if has_unordered_type && self.unordered_iter.any_in(tokens) {
+                return Some(("unordered-iteration", line));
             }
         }
+        None
     }
-    best
+
+    /// The first serialization/digest sink in `f`: `(line, description)`.
+    fn sink_of(&self, file: &SourceFile, f: &FnItem) -> Option<(usize, String)> {
+        let (s, e) = f.body?;
+        let mut best = (s..=e).find_map(|line| {
+            let p = self.sinks.first_in(file.tokens_on(line))?;
+            Some((
+                line,
+                format!("serializes via `{}`", p.trim_end_matches('(')),
+            ))
+        });
+        for c in &f.calls {
+            if c.name.contains("digest") || c.name.contains("fingerprint") {
+                let what = format!("feeds digest `{}`", c.name);
+                if best.as_ref().is_none_or(|(l, _)| c.line < *l) {
+                    best = Some((c.line, what));
+                }
+            }
+        }
+        best
+    }
 }
 
-impl WorkspaceRule for NondeterminismTaint {
+impl Rule for NondeterminismTaint {
     fn id(&self) -> &'static str {
         "nondeterminism-taint"
     }
@@ -450,6 +417,7 @@ impl WorkspaceRule for NondeterminismTaint {
         "nondeterministic source value reaches a digest/serialization sink"
     }
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        let patterns = TaintPatterns::new();
         let n = ws.graph.nodes.len();
         let mut base = vec![false; n];
         let mut excluded = vec![false; n];
@@ -457,17 +425,13 @@ impl WorkspaceRule for NondeterminismTaint {
         for id in 0..n {
             let f = ws.graph.fn_of(&ws.files, id);
             let file = ws.graph.file_of(&ws.files, id);
-            let sig = f.sig_line.min(file.is_test.len().saturating_sub(1));
-            if file.is_test.get(sig).copied().unwrap_or(false)
-                || waived(file, f.sig_line, TAINT_HYPHEN, TAINT)
-            {
+            if file.is_test[f.sig_line] || file.allowed(f.sig_line, TAINT_WAIVERS) {
                 excluded[id] = true;
                 continue;
             }
-            if let Some((kind, line)) = source_of(file, f) {
+            if let Some((kind, _)) = patterns.source_of(file, f) {
                 base[id] = true;
                 kinds[id] = Some(kind);
-                let _ = line;
             }
         }
         let tainted = ws.graph.propagate_from_callees(&base, &excluded);
@@ -477,10 +441,10 @@ impl WorkspaceRule for NondeterminismTaint {
             }
             let f = ws.graph.fn_of(&ws.files, id);
             let file = ws.graph.file_of(&ws.files, id);
-            let Some((line, what)) = sink_of(file, f) else {
+            let Some((line, what)) = patterns.sink_of(file, f) else {
                 continue;
             };
-            if waived(file, line, TAINT_HYPHEN, TAINT) {
+            if file.allowed(line, TAINT_WAIVERS) {
                 continue;
             }
             let chain = ws.graph.witness_chain(id, &tainted, &base);
@@ -494,12 +458,11 @@ impl WorkspaceRule for NondeterminismTaint {
                 .map(|&c| ws.graph.qualified[c].as_str())
                 .collect();
             let suffix = if chain.len() > 6 { " → …" } else { "" };
-            out.push(Finding {
-                rule: self.id(),
-                severity: self.severity(),
-                path: file.path.clone(),
-                line: line + 1,
-                message: format!(
+            out.push(Finding::at(
+                self,
+                file,
+                line,
+                format!(
                     "`{}` {what} while tainted by a {kind} source \
                      (taint path: {}{suffix}); host-dependent values must not \
                      reach serialized artifacts or digests — keep them out of \
@@ -509,8 +472,7 @@ impl WorkspaceRule for NondeterminismTaint {
                     ws.graph.qualified[id],
                     path.join(" → "),
                 ),
-                excerpt: file.lines[line].trim().to_string(),
-            });
+            ));
         }
     }
 }
@@ -529,7 +491,7 @@ mod tests {
         )
     }
 
-    fn run_rule(rule: &dyn WorkspaceRule, files: &[(&str, &str)]) -> Vec<Finding> {
+    fn run_rule(rule: &dyn Rule, files: &[(&str, &str)]) -> Vec<Finding> {
         let w = ws(files);
         let mut out = Vec::new();
         rule.check(&w, &mut out);

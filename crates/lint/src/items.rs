@@ -1,19 +1,21 @@
 //! The item layer: token stream → per-file items (functions, unsafe
-//! sites, lock-guard bindings, call sites).
+//! sites, lock-guard bindings, call sites, test regions, unbounded
+//! loops). This is the lint's one brace-tracking pass.
 //!
 //! This is a *name-resolution-lite* parser: it tracks exactly the
-//! structure the graph rules need — module nesting, `impl` owners, `fn`
+//! structure the rules need — module nesting, `impl` owners, `fn`
 //! bodies with brace-accurate spans, `unsafe` blocks/fns, `let`-bound
-//! lock guards with their live ranges, and callee names — and nothing
-//! else (no types, no generics semantics, no expressions). Rust's item
+//! lock guards with their live ranges, callee names, `#[cfg(test)]` /
+//! `#[test]` items and `loop` / `while true` bodies — and nothing else
+//! (no types, no generics semantics, no expressions). Rust's item
 //! grammar is regular enough at this altitude that a single forward
 //! pass with depth stacks is exact for the constructs we consume; the
 //! deliberate approximations are documented on each field.
 //!
 //! Everything here is a pure function of the token stream, so the
-//! symbol graph built on top inherits the tokenizer's determinism.
+//! symbol graph built on top inherits the lexer's determinism.
 
-use crate::tokens::{Token, TokenKind};
+use crate::tokens::{Patterns, Token, TokenKind};
 
 /// One callee reference inside a function body.
 #[derive(Debug, Clone)]
@@ -82,6 +84,15 @@ pub struct UnsafeSite {
 pub struct FileItems {
     pub fns: Vec<FnItem>,
     pub unsafe_sites: Vec<UnsafeSite>,
+    /// `(first, last)` 0-based lines of each `#[cfg(test)]` / `#[test]`
+    /// item: from the attribute through the item's closing brace, or
+    /// through the `;` ending its line for a braceless item
+    /// (`#[cfg(test)] use …;`).
+    pub tests: Vec<(usize, usize)>,
+    /// `(header, last)` 0-based lines of each `loop { … }` /
+    /// `while true { … }` body (`for` and conditional `while` loops are
+    /// bounded by their header and not tracked).
+    pub loops: Vec<(usize, usize)>,
 }
 
 /// Keywords that look like calls when followed by `(` but are not.
@@ -120,6 +131,10 @@ struct PendingLet {
     paren_depth: i32,
 }
 
+/// An open test item or unbounded loop on the nesting stack:
+/// `(is_test, first_line, body_depth)`.
+type OpenBlock = (bool, usize, i32);
+
 /// A live guard binding awaiting its scope end.
 struct OpenGuard {
     guard: GuardSpan,
@@ -142,8 +157,15 @@ pub fn parse_items(tokens: &[Token]) -> FileItems {
     let mut pending_unsafe: Option<usize> = None;
     // `mod` keyword seen, name captured, body brace pending.
     let mut pending_mod: Option<String> = None;
-    // Inside an `impl` header: (candidate owner, angle depth).
-    let mut impl_header: Option<(String, i32, bool)> = None; // (owner, angle, in_where)
+    // Inside an `impl` header: (candidate owner, angle depth, in a
+    // `where` clause).
+    let mut impl_header: Option<(String, i32, bool)> = None;
+    // A test attribute's line, its item not yet opened or ended.
+    let mut pending_test: Option<usize> = None;
+    // A `loop` / `while true` header line, body brace not yet reached.
+    let mut pending_loop: Option<usize> = None;
+    let mut blocks: Vec<OpenBlock> = Vec::new();
+    let test_attrs = Patterns::new(&[&["#[cfg(test)]", "#[test]"]]);
 
     let module_path = |stack: &[(String, i32)]| {
         stack
@@ -158,6 +180,10 @@ pub fn parse_items(tokens: &[Token]) -> FileItems {
         let tok = &tokens[i];
         let prev = i.checked_sub(1).map(|j| &tokens[j]);
         let next = tokens.get(i + 1);
+
+        if tok.is_punct('#') && test_attrs.at(tokens, i) {
+            pending_test.get_or_insert(tok.line);
+        }
 
         // --- impl header capture --------------------------------------
         if let Some((owner, angle, in_where)) = impl_header.as_mut() {
@@ -174,12 +200,9 @@ pub fn parse_items(tokens: &[Token]) -> FileItems {
                     *angle -= 1;
                 }
                 (TokenKind::Punct, "{") if *angle == 0 => {
-                    let owner = owner.clone();
-                    depth += 1;
-                    impl_stack.push((owner, depth));
+                    // The body opens one level down (depth rises below).
+                    impl_stack.push((std::mem::take(owner), depth + 1));
                     impl_header = None;
-                    i += 1;
-                    continue;
                 }
                 (TokenKind::Punct, ";") => impl_header = None, // `impl Foo;` (never valid, be safe)
                 _ => {}
@@ -201,6 +224,12 @@ pub fn parse_items(tokens: &[Token]) -> FileItems {
                     impl_header = Some((String::new(), 0, false));
                 }
                 "trait" => pending_unsafe = None,
+                "loop" if next.is_some_and(|n| n.is_punct('{')) => {
+                    pending_loop.get_or_insert(tok.line);
+                }
+                "while" if next.is_some_and(|n| n.is_ident("true")) => {
+                    pending_loop.get_or_insert(tok.line);
+                }
                 "mod" => {
                     if let Some(n) = next {
                         if n.kind == TokenKind::Ident {
@@ -288,6 +317,12 @@ pub fn parse_items(tokens: &[Token]) -> FileItems {
                 }
                 "{" => {
                     depth += 1;
+                    if let Some(start) = pending_test.take() {
+                        blocks.push((true, start, depth));
+                    }
+                    if let Some(start) = pending_loop.take() {
+                        blocks.push((false, start, depth));
+                    }
                     if let Some(line) = pending_unsafe.take() {
                         out.unsafe_sites.push(UnsafeSite {
                             line,
@@ -371,11 +406,28 @@ pub fn parse_items(tokens: &[Token]) -> FileItems {
                     if impl_stack.last().is_some_and(|&(_, d)| d == depth) {
                         impl_stack.pop();
                     }
+                    while let Some(&(is_test, start, _)) =
+                        blocks.last().filter(|&&(_, _, d)| d == depth)
+                    {
+                        blocks.pop();
+                        let spans = if is_test {
+                            &mut out.tests
+                        } else {
+                            &mut out.loops
+                        };
+                        spans.push((start, tok.line));
+                    }
                     depth -= 1;
                     pending_unsafe = None;
                 }
                 ";" => {
                     pending_unsafe = None;
+                    // A braceless test item ends with its line.
+                    if tokens.get(i + 1).is_none_or(|n| n.line > tok.line) {
+                        if let Some(start) = pending_test.take() {
+                            out.tests.push((start, tok.line));
+                        }
+                    }
                     if pending_fn.as_ref().is_some_and(|pf| pf.paren_depth == 0) {
                         // Bodyless trait signature.
                         let pf = pending_fn.take().expect("checked some above");
@@ -475,19 +527,18 @@ pub fn parse_items(tokens: &[Token]) -> FileItems {
     // Deterministic order regardless of nesting-driven push order.
     out.fns.sort_by_key(|f| (f.sig_line, f.name.clone()));
     out.unsafe_sites.sort_by_key(|s| s.line);
+    out.tests.sort_unstable();
+    out.loops.sort_unstable();
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokens::tokenize_lines;
-    use crate::SourceFile;
-    use std::path::Path;
+    use crate::tokens::lex;
 
     fn items(text: &str) -> FileItems {
-        let f = SourceFile::from_source(Path::new("crates/demo/src/a.rs"), text);
-        parse_items(&tokenize_lines(&f.code))
+        parse_items(&lex(text).tokens)
     }
 
     #[test]
@@ -597,5 +648,46 @@ mod tests {
         let ic: Vec<&str> = inner.calls.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(oc, ["shallow"]);
         assert_eq!(ic, ["deep"]);
+    }
+
+    #[test]
+    fn fn_names_parse_from_headers() {
+        let it = items(
+            "    pub fn try_emit(&mut self) {\n    }\nfn pop(&mut self) -> Option<TimedEvent> {\n}\nlet not_a_fn = 1;\n",
+        );
+        let names: Vec<(&str, usize)> = it
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.sig_line))
+            .collect();
+        assert_eq!(names, [("try_emit", 0), ("pop", 2)]);
+        // A `;` inside the parameter list does not end the signature.
+        let it = items("fn f(x: [u8; 4]) {\n    x;\n}\n");
+        assert_eq!(it.fns[0].body, Some((0, 2)));
+    }
+
+    #[test]
+    fn test_regions_cover_cfg_test_items() {
+        let it = items(
+            "fn prod() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { body(); }\n}\nfn prod2() {}\n",
+        );
+        assert_eq!(it.tests, [(1, 5), (3, 4)]);
+        // A braceless item ends at the `;` closing its line; an impl
+        // block is one region from its attribute to its closing brace.
+        let it = items(
+            "#[cfg(test)]\nuse helper::{a, b};\n#[cfg(test)]\nuse other::c;\nfn prod() {}\n#[cfg(test)]\nimpl Foo {\n    fn a() {}\n    fn b() {}\n}\n",
+        );
+        assert_eq!(it.tests, [(0, 1), (2, 3), (5, 9)]);
+        // Other attributes do not open a region.
+        let it = items("#[cfg(not(test))]\nfn prod() {}\n#[inline]\nfn q() {}\n");
+        assert!(it.tests.is_empty());
+    }
+
+    #[test]
+    fn loop_spans_cover_unbounded_loops_only() {
+        let it = items(
+            "fn f() {\n    'outer: loop {\n        while true {\n            step();\n        }\n    }\n    for i in 0..n {\n    }\n    while busy() {\n    }\n}\n",
+        );
+        assert_eq!(it.loops, [(1, 5), (2, 4)]);
     }
 }

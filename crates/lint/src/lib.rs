@@ -10,10 +10,14 @@
 //! the pinned run digest — rests on the simulator being a pure function
 //! of `(configuration, seed)` and on float telemetry staying finite.
 //! `cargo`/`clippy` cannot express those rules, so this crate encodes
-//! them as a two-layer analyzer over the workspace's own sources.
+//! them as one analyzer over the workspace's own sources: each file is
+//! lexed once into a token stream ([`tokens`]) and parsed once by one
+//! brace-tracking pass ([`items`]), and every rule — one [`Rule`] trait,
+//! one registry ([`all_rules`]) — matches token [`tokens::Patterns`]
+//! against that view.
 //!
-//! **Layer 1 — per-file pattern rules** ([`rules`], over the blanked
-//! text of [`source::SourceFile`]):
+//! **Per-file rules** ([`rules`], over one [`source::SourceFile`] at a
+//! time):
 //!
 //! | id | invariant |
 //! |---|---|
@@ -26,9 +30,8 @@
 //! | `bounded-retry` | retry/backoff loops carry an explicit attempt bound |
 //! | `no-per-packet-alloc` | no allocation in per-packet/per-decision hot paths (netsim), on Libra's per-MI cycle path (core) or on a learned arm's per-decision path and its ladder (learned) |
 //!
-//! **Layer 2 — workspace graph rules** ([`graph_rules`], over the
-//! symbol graph [`graph::Workspace`] built from the token stream
-//! ([`tokens`]) and item parser ([`items`])):
+//! **Graph rules** ([`graph_rules`], which also walk the symbol graph
+//! of [`graph::Workspace`], built from every file's items):
 //!
 //! | id | invariant |
 //! |---|---|
@@ -38,15 +41,16 @@
 //! | `nondeterminism-taint` | no nondeterministic value reaches digest/serialization sinks |
 //!
 //! The analyzer is hand-rolled (no external deps — the registry is
-//! offline): [`source::SourceFile`] blanks comments/strings, masks test
-//! regions and tracks `fn` bodies; [`tokens::tokenize_lines`] lexes the
-//! blanked text; [`items::parse_items`] extracts fns, calls, guards and
-//! `unsafe` sites; [`graph::SymbolGraph`] links calls by name with
+//! offline): [`tokens::lex`] turns raw source into tokens plus each
+//! line's comment text; [`items::parse_items`] extracts fns, calls,
+//! guards, `unsafe` sites, test regions and unbounded loops;
+//! [`source::SourceFile`] holds those views with the per-line test mask
+//! and the waivers; [`graph::SymbolGraph`] links calls by name with
 //! deterministic order. Audited exceptions use `// lint: allow(<name>)`
-//! on or above the flagged line. The `libra-lint` binary walks every
-//! crate's `src/`, `examples/` and `tests/` plus the root facade's,
-//! prints findings and exits non-zero on any — `scripts/ci.sh`
-//! runs it as a gate.
+//! (in a comment) on or above the flagged line. The `libra-lint` binary
+//! walks every crate's `src/`, `examples/` and `tests/` plus the root
+//! facade's, prints findings and exits non-zero on any —
+//! `scripts/ci.sh` runs it as a gate.
 
 pub mod graph;
 pub mod graph_rules;
@@ -56,7 +60,7 @@ pub mod source;
 pub mod tokens;
 
 pub use graph::Workspace;
-pub use graph_rules::{unsafe_inventory, workspace_rules, WorkspaceRule};
+pub use graph_rules::unsafe_inventory;
 pub use rules::{all_rules, Finding, Rule, Severity};
 pub use source::SourceFile;
 
@@ -119,21 +123,18 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Run the full 12-rule set over a set of loaded sources: per-file
-/// rules on each file, then the workspace rules over the symbol graph.
-/// Findings come back sorted by `(path, line, rule)` — and, because
+/// Run the full 12-rule set over a set of loaded sources. Findings
+/// come back sorted by `(path, line, rule)` — and, because
 /// [`Workspace::from_sources`] sorts files by path, byte-identical for
 /// any input order.
 pub fn lint_sources(sources: Vec<SourceFile>) -> Vec<Finding> {
-    let ws = Workspace::from_sources(sources);
+    lint_workspace(&Workspace::from_sources(sources))
+}
+
+fn lint_workspace(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for entry in &ws.files {
-        for rule in all_rules() {
-            rule.check(&entry.source, &mut findings);
-        }
-    }
-    for rule in workspace_rules() {
-        rule.check(&ws, &mut findings);
+    for rule in all_rules() {
+        rule.check(ws, &mut findings);
     }
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     findings
@@ -157,14 +158,14 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
 }
 
 /// Render the committed size ledger (`dev/loc_ledger.md`): non-test,
-/// non-comment, non-blank lines under each crate's `src/` — the
-/// [`SourceFile::code`] lines left after blanking, outside the
-/// [`SourceFile::is_test`] mask — with `src/bin/` split out where a
-/// crate has one. Deterministic: rows are keyed by `(crate, area)`.
+/// non-comment, non-blank lines under each crate's `src/` — the lines
+/// on which a token starts or ends, outside the [`SourceFile::is_test`]
+/// mask —
+/// with `src/bin/` split out where a crate has one. Deterministic: rows
+/// are keyed by `(crate, area)`.
 pub fn loc_ledger(ws: &Workspace) -> String {
     let mut rows: std::collections::BTreeMap<(String, &str), (usize, usize)> = Default::default();
-    for entry in &ws.files {
-        let file = &entry.source;
+    for file in &ws.files {
         // Repo-relative: `crates/<name>/src/..` or the facade's `src/..`.
         let skip = if file.path.starts_with("crates") {
             2
@@ -180,11 +181,13 @@ pub fn loc_ledger(ws: &Workspace) -> String {
         } else {
             "src"
         };
-        let code = file
-            .code
-            .iter()
-            .zip(&file.is_test)
-            .filter(|(line, &test)| !test && !line.trim().is_empty())
+        let mut holds = vec![false; file.lines.len()];
+        for t in &file.tokens {
+            holds[t.line] = true;
+            holds[t.end_line] = true;
+        }
+        let code = (0..file.lines.len())
+            .filter(|&line| holds[line] && !file.is_test[line])
             .count();
         let row = rows.entry((file.krate.clone(), area)).or_default();
         row.0 += 1;
@@ -210,11 +213,7 @@ pub fn loc_ledger(ws: &Workspace) -> String {
 
 /// Run every rule over the whole workspace at `root`.
 pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut sources = Vec::new();
-    for rel in source_files(root)? {
-        sources.push(SourceFile::load(root, &rel)?);
-    }
-    Ok(lint_sources(sources))
+    Ok(lint_workspace(&load_workspace(root)?))
 }
 
 /// Locate the workspace root: walk up from `start` to the first

@@ -4,8 +4,8 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 //! The `libra-lint` gate binary: walk the workspace sources, run the
-//! full 12-rule set (8 per-file + 4 graph-powered), print findings,
-//! and exit non-zero on any deny-severity hit.
+//! full 12-rule registry over their token streams and symbol graph,
+//! print findings, and exit non-zero on any deny-severity hit.
 //!
 //! ```text
 //! cargo run -p libra-lint --release              # lint the enclosing workspace
@@ -29,7 +29,7 @@
 use libra_lint::SourceFile;
 use libra_lint::{
     all_rules, find_workspace_root, lint_file, lint_tree, load_workspace, loc_ledger,
-    unsafe_inventory, workspace_rules, Finding, Severity, Workspace,
+    unsafe_inventory, Finding, Severity, Workspace,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -41,9 +41,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--list-rules" => {
                 for rule in all_rules() {
-                    println!("{:<20} {}", rule.id(), rule.description());
-                }
-                for rule in workspace_rules() {
                     println!("{:<20} {}", rule.id(), rule.description());
                 }
                 return ExitCode::SUCCESS;
@@ -145,7 +142,7 @@ fn report(findings: &[Finding]) -> ExitCode {
     for finding in findings {
         println!("{finding}");
     }
-    let rule_count = all_rules().len() + workspace_rules().len();
+    let rule_count = all_rules().len();
     let denies = findings
         .iter()
         .filter(|f| f.severity == Severity::Deny)

@@ -2,13 +2,20 @@
 //! checks.
 //!
 //! Every rule is a [`Rule`] implementation with a stable id, a severity
-//! and per-file findings; `all_rules()` is the registry the binary and
-//! the fixture self-tests both run. The escape hatch for an audited
-//! exception is a `// lint: allow(<name>)` comment on (or directly
-//! above) the flagged line — see DESIGN.md's "Static analysis & checked
-//! invariants" section for the rule table and each rule's rationale.
+//! and findings over the whole [`Workspace`]; `all_rules()` is the one
+//! registry the binary and the fixture self-tests both run: the eight
+//! rules here read one file's token stream at a time, the four in
+//! [`crate::graph_rules`] also walk the symbol graph. Patterns are
+//! token sequences ([`Patterns`]), never substrings of source text. The
+//! escape hatch for an audited exception is a `// lint: allow(<name>)`
+//! comment on (or directly above) the flagged line — see DESIGN.md's
+//! "Static analysis & checked invariants" section for the rule table
+//! and each rule's rationale.
 
-use crate::source::{find_fn_token, SourceFile};
+use crate::graph::Workspace;
+use crate::graph_rules::{FmaDeterminism, LockAcrossCall, NondeterminismTaint, UnsafeAudit};
+use crate::source::SourceFile;
+use crate::tokens::{Patterns, Token, TokenKind};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -38,6 +45,21 @@ pub struct Finding {
     pub excerpt: String,
 }
 
+impl Finding {
+    /// A finding of `rule` at 0-based `line` of `file`, excerpting that
+    /// line.
+    pub fn at(rule: &dyn Rule, file: &SourceFile, line: usize, message: String) -> Finding {
+        Finding {
+            rule: rule.id(),
+            severity: rule.severity(),
+            path: file.path.clone(),
+            line: line + 1,
+            message,
+            excerpt: file.lines[line].trim().to_string(),
+        }
+    }
+}
+
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -52,7 +74,7 @@ impl fmt::Display for Finding {
     }
 }
 
-/// A single invariant check over one source file.
+/// A single invariant check over the workspace.
 pub trait Rule {
     /// Stable identifier (used in reports and the DESIGN.md table).
     fn id(&self) -> &'static str;
@@ -62,54 +84,80 @@ pub trait Rule {
     }
     /// One-line rationale.
     fn description(&self) -> &'static str;
-    /// Append findings for `file` to `out`.
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>);
+    /// Append findings for the workspace to `out`.
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>);
 }
 
-/// The full registry, in id order.
+/// The full registry, in id order: the per-file rules, then the graph
+/// rules.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(HostClock),
-        Box::new(UnorderedMap),
+        Box::new(HOST_CLOCK),
+        Box::new(UNORDERED_MAP),
         Box::new(UnwrapAudit),
         Box::new(FloatGuard),
-        Box::new(ThreadDiscipline),
-        Box::new(Entropy),
+        Box::new(THREAD_DISCIPLINE),
+        Box::new(ENTROPY),
         Box::new(BoundedRetry),
         Box::new(NoPerPacketAlloc),
+        Box::new(LockAcrossCall),
+        Box::new(FmaDeterminism),
+        Box::new(UnsafeAudit),
+        Box::new(NondeterminismTaint),
     ]
 }
 
-/// Shared helper: flag every code line containing any of `patterns`,
-/// honouring the test mask and the `allow_name` annotation.
-#[allow(clippy::too_many_arguments)]
-fn flag_patterns(
-    rule: &dyn Rule,
-    file: &SourceFile,
-    patterns: &[&str],
-    include_tests: bool,
-    allow_name: &str,
-    message: &str,
-    out: &mut Vec<Finding>,
-) {
-    for (idx, code) in file.code.iter().enumerate() {
-        if !include_tests && file.is_test[idx] {
-            continue;
+/// Host wall-clock reads: the `host-clock` rule's patterns and the
+/// taint rule's clock sources.
+pub(crate) const CLOCK_READS: &[&str] = &[
+    "std::time::Instant",
+    "std::time::SystemTime",
+    "SystemTime::now",
+    "Instant::now(",
+];
+
+/// Thread creation by path: the taint rule's thread sources;
+/// `thread-discipline` also flags any `.spawn(` call.
+pub(crate) const THREAD_SPAWNS: &[&str] = &["thread::spawn", "thread::scope", "thread::Builder"];
+
+/// Ambient entropy: the taint rule's entropy sources; `entropy` also
+/// flags `rand::random`.
+pub(crate) const AMBIENT_ENTROPY: &[&str] =
+    &["thread_rng", "from_entropy", "RandomState", "getrandom"];
+
+/// A rule that flags every line matching one of its patterns, in the
+/// files its scope admits, unless the line carries its waiver.
+pub struct LineRule {
+    pub id: &'static str,
+    pub description: &'static str,
+    /// The files the rule reads.
+    pub scope: fn(&SourceFile) -> bool,
+    pub patterns: &'static [&'static [&'static str]],
+    /// Also flag lines in test regions.
+    pub include_tests: bool,
+    pub waiver: &'static str,
+    pub message: &'static str,
+}
+
+impl Rule for LineRule {
+    fn id(&self) -> &'static str {
+        self.id
+    }
+    fn description(&self) -> &'static str {
+        self.description
+    }
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        let patterns = Patterns::new(self.patterns);
+        for file in ws.files.iter().filter(|f| (self.scope)(f)) {
+            for line in 0..file.lines.len() {
+                if (self.include_tests || !file.is_test[line])
+                    && patterns.any_in(file.tokens_on(line))
+                    && !file.allowed(line, &[self.waiver])
+                {
+                    out.push(Finding::at(self, file, line, self.message.to_string()));
+                }
+            }
         }
-        if !patterns.iter().any(|p| code.contains(p)) {
-            continue;
-        }
-        if file.allowed(idx, allow_name) {
-            continue;
-        }
-        out.push(Finding {
-            rule: rule.id(),
-            severity: rule.severity(),
-            path: file.path.clone(),
-            line: idx + 1,
-            message: message.to_string(),
-            excerpt: file.lines[idx].trim().to_string(),
-        });
     }
 }
 
@@ -117,64 +165,36 @@ fn flag_patterns(
 /// make runs depend on the host instead of `(configuration, seed)`.
 /// The single audited access point is `netsim::host_clock`, which
 /// carries the `lint: allow(host_clock)` waiver.
-pub struct HostClock;
+pub const HOST_CLOCK: LineRule = LineRule {
+    id: "host-clock",
+    description: "wall-clock reads outside the audited netsim::host_clock module",
+    scope: |_| true,
+    patterns: &[CLOCK_READS],
+    include_tests: true, // host clocks are nondeterministic in tests too
+    waiver: "host_clock",
+    message: "host wall-clock read; route it through netsim::host_clock (the one \
+              audited site) or waive with `// lint: allow(host_clock)`",
+};
 
-impl Rule for HostClock {
-    fn id(&self) -> &'static str {
-        "host-clock"
-    }
-    fn description(&self) -> &'static str {
-        "wall-clock reads outside the audited netsim::host_clock module"
-    }
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        flag_patterns(
-            self,
-            file,
-            &[
-                "std::time::Instant",
-                "std::time::SystemTime",
-                "SystemTime::now",
-                "Instant::now(",
-            ],
-            true, // host clocks are nondeterministic in tests too
-            "host_clock",
-            "host wall-clock read; route it through netsim::host_clock (the one \
-             audited site) or waive with `// lint: allow(host_clock)`",
-            out,
-        );
-    }
-}
+/// Unordered std collections by type name; the taint rule's
+/// unordered-iteration source needs one of them in the fn body.
+pub(crate) const UNORDERED_TYPES: &[&str] = &["HashMap", "HashSet"];
 
 /// `unordered-map`: `HashMap`/`HashSet` iteration order is unspecified;
 /// in the crates that serialize results or merge worker output
 /// (`netsim`, `bench`) a stray iteration silently breaks byte-identical
 /// reports. Require `BTreeMap`/`BTreeSet` (or an audited waiver).
-pub struct UnorderedMap;
-
-impl Rule for UnorderedMap {
-    fn id(&self) -> &'static str {
-        "unordered-map"
-    }
-    fn description(&self) -> &'static str {
-        "HashMap/HashSet in netsim or bench; use BTreeMap/BTreeSet"
-    }
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if file.krate != "netsim" && file.krate != "bench" {
-            return;
-        }
-        flag_patterns(
-            self,
-            file,
-            &["HashMap", "HashSet", "hash_map::", "hash_set::"],
-            true, // test assertions over unordered iteration flake too
-            "unordered_map",
-            "unordered collection in an output-producing crate; use \
-             BTreeMap/BTreeSet so iteration order is deterministic, or waive \
-             an iteration-free use with `// lint: allow(unordered_map)`",
-            out,
-        );
-    }
-}
+pub const UNORDERED_MAP: LineRule = LineRule {
+    id: "unordered-map",
+    description: "HashMap/HashSet in netsim or bench; use BTreeMap/BTreeSet",
+    scope: |f| f.krate == "netsim" || f.krate == "bench",
+    patterns: &[UNORDERED_TYPES, &["hash_map::", "hash_set::"]],
+    include_tests: true, // test assertions over unordered iteration flake too
+    waiver: "unordered_map",
+    message: "unordered collection in an output-producing crate; use \
+              BTreeMap/BTreeSet so iteration order is deterministic, or waive \
+              an iteration-free use with `// lint: allow(unordered_map)`",
+};
 
 /// `unwrap-audit`: every crate root must carry
 /// `#![cfg_attr(not(test), deny(clippy::unwrap_used))]`, and because
@@ -184,6 +204,30 @@ impl Rule for UnorderedMap {
 /// `expect` with an invariant message instead.
 pub struct UnwrapAudit;
 
+/// `unwrap-audit`'s bare-unwrap arm.
+const UNWRAP_LINES: LineRule = LineRule {
+    id: "unwrap-audit",
+    description: "bare unwrap in non-test code",
+    scope: |_| true,
+    patterns: &[&[".unwrap()"]],
+    include_tests: false,
+    waiver: "unwrap",
+    message: "bare unwrap in non-test code; handle the branch or use `expect` \
+              with an invariant message",
+};
+
+/// `unwrap-audit`'s panic-family arm.
+const PANIC_LINES: LineRule = LineRule {
+    id: "unwrap-audit",
+    description: "panic-family macro in non-test code",
+    scope: |_| true,
+    patterns: &[&["panic!(", "unreachable!(", "todo!(", "unimplemented!("]],
+    include_tests: false,
+    waiver: "panic",
+    message: "panic-family macro in non-test code; return an error or waive an \
+              audited invariant with `// lint: allow(panic)`",
+};
+
 impl Rule for UnwrapAudit {
     fn id(&self) -> &'static str {
         "unwrap-audit"
@@ -191,44 +235,24 @@ impl Rule for UnwrapAudit {
     fn description(&self) -> &'static str {
         "unwrap/panic in non-test code, or a crate root missing the deny attribute"
     }
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if file.is_lib_root()
-            && !file
-                .code
-                .iter()
-                .any(|l| l.contains("deny(clippy::unwrap_used)"))
-        {
-            out.push(Finding {
-                rule: self.id(),
-                severity: self.severity(),
-                path: file.path.clone(),
-                line: 1,
-                message: "crate root lacks #![cfg_attr(not(test), \
-                          deny(clippy::unwrap_used))]"
-                    .to_string(),
-                excerpt: file.lines.first().cloned().unwrap_or_default(),
-            });
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        let deny = Patterns::new(&[&["deny(clippy::unwrap_used)"]]);
+        for file in &ws.files {
+            if file.is_lib_root() && !deny.any_in(&file.tokens) {
+                out.push(Finding {
+                    rule: self.id(),
+                    severity: self.severity(),
+                    path: file.path.clone(),
+                    line: 1,
+                    message: "crate root lacks #![cfg_attr(not(test), \
+                              deny(clippy::unwrap_used))]"
+                        .to_string(),
+                    excerpt: file.lines.first().cloned().unwrap_or_default(),
+                });
+            }
         }
-        flag_patterns(
-            self,
-            file,
-            &[".unwrap()"],
-            false,
-            "unwrap",
-            "bare unwrap in non-test code; handle the branch or use `expect` \
-             with an invariant message",
-            out,
-        );
-        flag_patterns(
-            self,
-            file,
-            &["panic!(", "unreachable!(", "todo!(", "unimplemented!("],
-            false,
-            "panic",
-            "panic-family macro in non-test code; return an error or waive an \
-             audited invariant with `// lint: allow(panic)`",
-            out,
-        );
+        UNWRAP_LINES.check(ws, out);
+        PANIC_LINES.check(ws, out);
     }
 }
 
@@ -270,32 +294,16 @@ const GUARD_EVIDENCE: &[&str] = &[
 const TRANSCENDENTAL: &[&str] = &[".powf(", ".ln(", ".log2(", ".log10(", ".exp(", ".sqrt("];
 
 impl FloatGuard {
-    fn fn_has_guard(&self, file: &SourceFile, line: usize) -> bool {
-        let Some((start, end)) = file.enclosing_fn(line) else {
-            return false; // consts/statics: demand a line waiver
-        };
-        file.code[start..=end]
-            .iter()
-            .any(|l| GUARD_EVIDENCE.iter().any(|g| l.contains(g)))
-    }
-
-    /// A `/` division whose divisor is not a numeric literal (literal
-    /// divisors cannot be zero by accident).
-    fn risky_division(code: &str) -> bool {
-        let mut from = 0;
-        while let Some(rel) = code[from..].find(" / ") {
-            let after = &code[from + rel + 3..];
-            let divisor = after.trim_start();
-            let literal = divisor
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_digit() || c == '.');
-            if !literal {
-                return true;
-            }
-            from += rel + 3;
-        }
-        false
+    /// A `/` division — spaced on both sides, as rustfmt writes one —
+    /// whose divisor is not a numeric literal (literal divisors cannot
+    /// be zero by accident). `tokens` are one line's.
+    fn risky_division(tokens: &[Token]) -> bool {
+        tokens.windows(2).any(|w| {
+            w[0].is_punct('/')
+                && w[0].spaced
+                && w[1].spaced
+                && !(w[1].kind == TokenKind::Num || w[1].is_punct('.'))
+        })
     }
 }
 
@@ -306,104 +314,74 @@ impl Rule for FloatGuard {
     fn description(&self) -> &'static str {
         "unguarded float math in utility-adjacent files"
     }
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        let path = file.path.to_string_lossy();
-        if !FLOAT_GUARD_SCOPE.iter().any(|s| path.ends_with(s)) {
-            return;
-        }
-        for (idx, code) in file.code.iter().enumerate() {
-            if file.is_test[idx] {
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        let transcendental = Patterns::new(&[TRANSCENDENTAL]);
+        let evidence = Patterns::new(&[GUARD_EVIDENCE]);
+        for file in &ws.files {
+            if !FLOAT_GUARD_SCOPE.iter().any(|s| file.path.ends_with(s)) {
                 continue;
             }
-            let hit = TRANSCENDENTAL.iter().any(|p| code.contains(p)) || Self::risky_division(code);
-            if !hit || file.allowed(idx, "unchecked_float") {
-                continue;
+            for line in 0..file.lines.len() {
+                let tokens = file.tokens_on(line);
+                let hit = transcendental.any_in(tokens) || Self::risky_division(tokens);
+                if file.is_test[line] || !hit || file.allowed(line, &["unchecked_float"]) {
+                    continue;
+                }
+                // Consts and statics have no enclosing fn: they need a
+                // line waiver.
+                let guarded = file.enclosing_fn(line).is_some_and(|f| {
+                    let end = f.body.map_or(f.sig_line, |(_, end)| end);
+                    evidence.any_in(file.tokens_in(f.sig_line, end))
+                });
+                if guarded {
+                    continue;
+                }
+                out.push(Finding::at(
+                    self,
+                    file,
+                    line,
+                    "float operation with no finite-guard evidence \
+                     (is_finite/is_nan/zero-or-empty check/clamp) in the \
+                     enclosing function; add a guard or waive with \
+                     `// lint: allow(unchecked_float)`"
+                        .to_string(),
+                ));
             }
-            if self.fn_has_guard(file, idx) {
-                continue;
-            }
-            out.push(Finding {
-                rule: self.id(),
-                severity: self.severity(),
-                path: file.path.clone(),
-                line: idx + 1,
-                message: "float operation with no finite-guard evidence \
-                          (is_finite/is_nan/zero-or-empty check/clamp) in the \
-                          enclosing function; add a guard or waive with \
-                          `// lint: allow(unchecked_float)`"
-                    .to_string(),
-                excerpt: file.lines[idx].trim().to_string(),
-            });
         }
     }
 }
+
+/// The one file allowed to create threads.
+const SWEEP_RUNNER: &str = "bench/src/sweep.rs";
 
 /// `thread-discipline`: all parallelism lives in `bench/src/sweep.rs`
 /// (the deterministic index-ordered runner). Threads anywhere else are
 /// an ordering hazard for merged output.
-pub struct ThreadDiscipline;
-
-impl Rule for ThreadDiscipline {
-    fn id(&self) -> &'static str {
-        "thread-discipline"
-    }
-    fn description(&self) -> &'static str {
-        "thread creation outside bench/src/sweep.rs"
-    }
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        if file.path.to_string_lossy().ends_with("bench/src/sweep.rs") {
-            return;
-        }
-        flag_patterns(
-            self,
-            file,
-            &[
-                "thread::spawn",
-                "thread::scope",
-                "thread::Builder",
-                ".spawn(",
-            ],
-            false, // tests may exercise thread-safety directly
-            "threads",
-            "thread creation outside the deterministic sweep runner \
-             (bench/src/sweep.rs); route the work through run_figure/\
-             run_sweep_supervised_with or waive with `// lint: allow(threads)`",
-            out,
-        );
-    }
-}
+pub const THREAD_DISCIPLINE: LineRule = LineRule {
+    id: "thread-discipline",
+    description: "thread creation outside bench/src/sweep.rs",
+    scope: |f| !f.path.ends_with(SWEEP_RUNNER),
+    patterns: &[THREAD_SPAWNS, &[".spawn("]],
+    include_tests: false, // tests may exercise thread-safety directly
+    waiver: "threads",
+    message: "thread creation outside the deterministic sweep runner \
+              (bench/src/sweep.rs); route the work through run_figure/\
+              run_sweep_supervised_with or waive with `// lint: allow(threads)`",
+};
 
 /// `entropy`: ambient randomness (`thread_rng`, `RandomState`,
 /// `getrandom`) breaks the `(configuration, seed)` purity of every run.
 /// All randomness must come from the forkable seeded `DetRng`.
-pub struct Entropy;
-
-impl Rule for Entropy {
-    fn id(&self) -> &'static str {
-        "entropy"
-    }
-    fn description(&self) -> &'static str {
-        "ambient (non-seeded) randomness"
-    }
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        flag_patterns(
-            self,
-            file,
-            &[
-                "thread_rng",
-                "from_entropy",
-                "RandomState",
-                "getrandom",
-                "rand::random",
-            ],
-            true,
-            "entropy",
-            "ambient randomness; derive a stream from the seeded DetRng \
-             (fork a label) so the run stays a pure function of its seed",
-            out,
-        );
-    }
-}
+pub const ENTROPY: LineRule = LineRule {
+    id: "entropy",
+    description: "ambient (non-seeded) randomness",
+    scope: |_| true,
+    patterns: &[AMBIENT_ENTROPY, &["rand::random"]],
+    include_tests: true,
+    waiver: "entropy",
+    message: "ambient randomness; derive a stream from the seeded DetRng \
+              (fork a label) so the run stays a pure function of its seed",
+};
 
 /// `bounded-retry`: an unbounded loop (`loop { … }` / `while true`)
 /// whose body retries work — backoff sleeps, retry counters — can spin
@@ -435,46 +413,6 @@ const RETRY_BOUND_EVIDENCE: &[&str] = &[
     "deadline",
 ];
 
-impl BoundedRetry {
-    /// `(header_line, last_line)` of every `loop { … }` / `while true`
-    /// body, by brace tracking over the blanked text (`for`/conditional
-    /// `while` loops are bounded by their header and not tracked).
-    fn loop_spans(code: &[String]) -> Vec<(usize, usize)> {
-        let mut spans = Vec::new();
-        let mut depth: i32 = 0;
-        // (header_line, body_depth) of loops whose body is open.
-        let mut open: Vec<(usize, i32)> = Vec::new();
-        let mut header: Option<usize> = None;
-        for (idx, line) in code.iter().enumerate() {
-            if header.is_none() && (line.contains("loop {") || line.contains("while true")) {
-                header = Some(idx);
-            }
-            for c in line.chars() {
-                match c {
-                    '{' => {
-                        depth += 1;
-                        if let Some(start) = header.take() {
-                            open.push((start, depth));
-                        }
-                    }
-                    '}' => {
-                        if let Some(&(start, d)) = open.last() {
-                            if d == depth {
-                                open.pop();
-                                spans.push((start, idx));
-                            }
-                        }
-                        depth -= 1;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        spans.sort_unstable();
-        spans
-    }
-}
-
 impl Rule for BoundedRetry {
     fn id(&self) -> &'static str {
         "bounded-retry"
@@ -482,39 +420,30 @@ impl Rule for BoundedRetry {
     fn description(&self) -> &'static str {
         "unbounded retry/backoff loop without an explicit attempt bound"
     }
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        for (start, end) in Self::loop_spans(&file.code) {
-            if file.is_test[start] {
-                continue;
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        let idioms = Patterns::new(&[RETRY_IDIOMS]);
+        let bound = Patterns::new(&[RETRY_BOUND_EVIDENCE]);
+        for file in &ws.files {
+            for &(start, end) in &file.items.loops {
+                let body = file.tokens_in(start, end);
+                if file.is_test[start]
+                    || !idioms.any_in(body)
+                    || bound.any_in(body)
+                    || file.allowed(start, &["bounded-retry", "bounded_retry"])
+                {
+                    continue;
+                }
+                out.push(Finding::at(
+                    self,
+                    file,
+                    start,
+                    "unbounded retry loop; iterate an explicit attempt range \
+                     (`for attempt in 1..=max_attempts`), compare a counter \
+                     against a limit inside the body, or waive an audited \
+                     exception with `// lint: allow(bounded-retry)`"
+                        .to_string(),
+                ));
             }
-            let body = &file.code[start..=end];
-            let retries = body
-                .iter()
-                .any(|l| RETRY_IDIOMS.iter().any(|p| l.contains(p)));
-            if !retries {
-                continue;
-            }
-            let bounded = body
-                .iter()
-                .any(|l| RETRY_BOUND_EVIDENCE.iter().any(|p| l.contains(p)));
-            if bounded
-                || file.allowed(start, "bounded-retry")
-                || file.allowed(start, "bounded_retry")
-            {
-                continue;
-            }
-            out.push(Finding {
-                rule: self.id(),
-                severity: self.severity(),
-                path: file.path.clone(),
-                line: start + 1,
-                message: "unbounded retry loop; iterate an explicit attempt range \
-                          (`for attempt in 1..=max_attempts`), compare a counter \
-                          against a limit inside the body, or waive an audited \
-                          exception with `// lint: allow(bounded-retry)`"
-                    .to_string(),
-                excerpt: file.lines[start].trim().to_string(),
-            });
         }
     }
 }
@@ -621,17 +550,6 @@ const ALLOC_PATTERNS: &[&str] = &[
     ".to_vec()",
 ];
 
-/// The identifier following a standalone `fn ` token on `line`.
-fn fn_name(line: &str) -> Option<&str> {
-    let pos = find_fn_token(line)?;
-    let rest = &line[pos + 3..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .unwrap_or(rest.len());
-    (end > 0).then(|| &rest[..end])
-}
-
 impl Rule for NoPerPacketAlloc {
     fn id(&self) -> &'static str {
         "no-per-packet-alloc"
@@ -639,46 +557,46 @@ impl Rule for NoPerPacketAlloc {
     fn description(&self) -> &'static str {
         "heap allocation inside a per-packet or per-MI hot function (netsim, core, learned)"
     }
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
-        let hot_fns = match file.krate.as_str() {
-            "netsim" => HOT_FNS,
-            "core" => CORE_HOT_FNS,
-            "learned" => LEARNED_HOT_FNS,
-            _ => return,
-        };
-        for (idx, code) in file.code.iter().enumerate() {
-            if file.is_test[idx] {
-                continue;
-            }
-            if !ALLOC_PATTERNS.iter().any(|p| code.contains(p)) {
-                continue;
-            }
-            let Some((start, _)) = file.enclosing_fn(idx) else {
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        let alloc = Patterns::new(&[ALLOC_PATTERNS]);
+        for file in &ws.files {
+            let Some(hot_fns) = hot_fns(&file.krate) else {
                 continue;
             };
-            let Some(name) = fn_name(&file.code[start]) else {
-                continue;
-            };
-            if !hot_fns.contains(&name) {
-                continue;
+            for line in 0..file.lines.len() {
+                if file.is_test[line] || !alloc.any_in(file.tokens_on(line)) {
+                    continue;
+                }
+                let Some(name) = file.enclosing_fn(line).map(|f| f.name.as_str()) else {
+                    continue;
+                };
+                if !hot_fns.contains(&name)
+                    || file.allowed(line, &["no-per-packet-alloc", "no_per_packet_alloc"])
+                {
+                    continue;
+                }
+                out.push(Finding::at(
+                    self,
+                    file,
+                    line,
+                    format!(
+                        "heap allocation inside hot function `{name}`; use a caller-owned \
+                         scratch buffer, a PacketPool slot or a fixed array, or waive \
+                         an audited cold branch with `// lint: allow(no-per-packet-alloc)`"
+                    ),
+                ));
             }
-            if file.allowed(idx, "no-per-packet-alloc") || file.allowed(idx, "no_per_packet_alloc")
-            {
-                continue;
-            }
-            out.push(Finding {
-                rule: self.id(),
-                severity: self.severity(),
-                path: file.path.clone(),
-                line: idx + 1,
-                message: format!(
-                    "heap allocation inside hot function `{name}`; use a caller-owned \
-                     scratch buffer, a PacketPool slot or a fixed array, or waive \
-                     an audited cold branch with `// lint: allow(no-per-packet-alloc)`"
-                ),
-                excerpt: file.lines[idx].trim().to_string(),
-            });
         }
+    }
+}
+
+/// The hot set of `krate`, if it has one.
+fn hot_fns(krate: &str) -> Option<&'static [&'static str]> {
+    match krate {
+        "netsim" => Some(HOT_FNS),
+        "core" => Some(CORE_HOT_FNS),
+        "learned" => Some(LEARNED_HOT_FNS),
+        _ => None,
     }
 }
 
@@ -688,12 +606,7 @@ mod tests {
     use std::path::Path;
 
     fn findings(path: &str, text: &str) -> Vec<Finding> {
-        let f = SourceFile::from_source(Path::new(path), text);
-        let mut out = Vec::new();
-        for rule in all_rules() {
-            rule.check(&f, &mut out);
-        }
-        out
+        crate::lint_file(SourceFile::from_source(Path::new(path), text))
     }
 
     #[test]
@@ -703,7 +616,7 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), n);
-        assert_eq!(n, 8);
+        assert_eq!(n, 12);
     }
 
     #[test]
@@ -792,19 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn fn_name_parses_headers() {
-        assert_eq!(
-            fn_name("    pub fn try_emit(&mut self) {"),
-            Some("try_emit")
-        );
-        assert_eq!(
-            fn_name("fn pop(&mut self) -> Option<TimedEvent> {"),
-            Some("pop")
-        );
-        assert_eq!(fn_name("let not_a_fn = 1;"), None);
-    }
-
-    #[test]
     fn annotated_host_clock_passes() {
         let hits = findings(
             "crates/netsim/src/demo.rs",
@@ -869,8 +769,45 @@ mod tests {
 
     #[test]
     fn division_by_literal_is_not_risky() {
-        assert!(!FloatGuard::risky_division("let x = y / 2.0;"));
-        assert!(FloatGuard::risky_division("let x = y / n;"));
-        assert!(!FloatGuard::risky_division("let x = y /= 2;"));
+        let risky = |src: &str| FloatGuard::risky_division(&crate::tokens::lex(src).tokens);
+        assert!(!risky("let x = y / 2.0;"));
+        assert!(!risky("let x = y / .5;"));
+        assert!(risky("let x = y / n;"));
+        assert!(!risky("let x = y /= 2;"));
+        assert!(!risky("let x = y/n; // a / b"));
+    }
+
+    /// The scope lists name code by name or path, so a rename silently
+    /// unprotects it: every hot-set name must be a non-test fn in its
+    /// crate, and every scoped path a linted file.
+    #[test]
+    fn scope_lists_resolve_in_the_tree() {
+        let root = crate::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+            .expect("workspace root above crates/lint");
+        let ws = crate::load_workspace(&root).expect("workspace loads");
+        for krate in ["netsim", "core", "learned"] {
+            for name in hot_fns(krate).expect("crate has a hot set") {
+                let defined = ws.files.iter().filter(|f| f.krate == krate).any(|f| {
+                    f.items
+                        .fns
+                        .iter()
+                        .any(|g| g.name == *name && g.body.is_some() && !f.is_test[g.sig_line])
+                });
+                assert!(
+                    defined,
+                    "hot fn `{name}` is no non-test fn in crates/{krate}"
+                );
+            }
+        }
+        let paths: Vec<&Path> = ws.files.iter().map(|f| f.path.as_path()).collect();
+        for scoped in FLOAT_GUARD_SCOPE {
+            assert!(paths.contains(&Path::new(scoped)), "{scoped} is not linted");
+        }
+        for suffix in [SWEEP_RUNNER, "netsim/src/host_clock.rs"] {
+            assert!(
+                paths.iter().any(|p| p.ends_with(suffix)),
+                "{suffix} is not linted"
+            );
+        }
     }
 }

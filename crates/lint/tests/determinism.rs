@@ -92,7 +92,7 @@ fn symbol_graph_node_order_is_sorted() {
         .map(|n| {
             let file = &ws.files[n.file];
             (
-                file.source.path.to_string_lossy().into_owned(),
+                file.path.to_string_lossy().into_owned(),
                 file.items.fns[n.item].sig_line,
             )
         })

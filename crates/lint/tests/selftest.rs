@@ -1,9 +1,10 @@
 //! Fixture self-tests and the whole-tree smoke test.
 //!
-//! Every rule has at least one `bad_*` fixture (must flag exactly that
-//! rule) and one `good_*` fixture (must be clean), so a rule that stops
-//! firing — or starts over-firing — breaks this suite before it breaks
-//! CI on a real regression. Fixtures live under `tests/fixtures/` and
+//! Every rule has at least one `bad_*` fixture, whose findings are
+//! pinned exactly as `(line, rule)` pairs, and one `good_*` fixture
+//! (must be clean), so a rule that stops firing, fires on another line
+//! or starts over-firing breaks this suite before it breaks CI on a
+//! real regression. Fixtures live under `tests/fixtures/` and
 //! carry their *virtual* repo path on the first line
 //! (`//! lint-fixture: crates/...`), because most rules are scoped by
 //! crate or file path.
@@ -11,24 +12,25 @@
 use libra_lint::{find_workspace_root, lint_file, lint_tree, SourceFile};
 use std::path::{Path, PathBuf};
 
-/// `(fixture file, rule id every finding must carry)`.
-const BAD: &[(&str, &str)] = &[
-    ("bad_host_clock.rs", "host-clock"),
-    ("bad_unordered_map.rs", "unordered-map"),
-    ("bad_unwrap.rs", "unwrap-audit"),
-    ("bad_missing_deny.rs", "unwrap-audit"),
-    ("bad_float_guard.rs", "float-guard"),
-    ("bad_threads.rs", "thread-discipline"),
-    ("bad_entropy.rs", "entropy"),
-    ("bad_bounded_retry.rs", "bounded-retry"),
-    ("bad_per_packet_alloc.rs", "no-per-packet-alloc"),
-    ("bad_cycle_alloc.rs", "no-per-packet-alloc"),
-    ("bad_learned_alloc.rs", "no-per-packet-alloc"),
-    ("bad_lock_across_call.rs", "lock-across-call"),
-    ("bad_fma_determinism.rs", "fma-determinism"),
-    ("bad_fma_intrinsics.rs", "fma-determinism"),
-    ("bad_unsafe_audit.rs", "unsafe-audit"),
-    ("bad_nondeterminism_taint.rs", "nondeterminism-taint"),
+/// `(fixture file, rule id, every finding's 1-based line)`: the exact
+/// findings each bad fixture yields.
+const BAD: &[(&str, &str, &[usize])] = &[
+    ("bad_host_clock.rs", "host-clock", &[5]),
+    ("bad_unordered_map.rs", "unordered-map", &[4, 6, 7]),
+    ("bad_unwrap.rs", "unwrap-audit", &[6]),
+    ("bad_missing_deny.rs", "unwrap-audit", &[1]),
+    ("bad_float_guard.rs", "float-guard", &[6]),
+    ("bad_threads.rs", "thread-discipline", &[6]),
+    ("bad_entropy.rs", "entropy", &[6]),
+    ("bad_bounded_retry.rs", "bounded-retry", &[6]),
+    ("bad_per_packet_alloc.rs", "no-per-packet-alloc", &[10, 16]),
+    ("bad_cycle_alloc.rs", "no-per-packet-alloc", &[13, 15, 20]),
+    ("bad_learned_alloc.rs", "no-per-packet-alloc", &[15, 24]),
+    ("bad_lock_across_call.rs", "lock-across-call", &[19]),
+    ("bad_fma_determinism.rs", "fma-determinism", &[11]),
+    ("bad_fma_intrinsics.rs", "fma-determinism", &[11, 16, 17]),
+    ("bad_unsafe_audit.rs", "unsafe-audit", &[8, 13, 17, 18]),
+    ("bad_nondeterminism_taint.rs", "nondeterminism-taint", &[20]),
 ];
 
 const GOOD: &[&str] = &[
@@ -68,19 +70,13 @@ fn load_fixture(name: &str) -> SourceFile {
 
 #[test]
 fn bad_fixtures_each_flag_their_rule() {
-    for &(name, rule) in BAD {
-        let findings = lint_file(load_fixture(name));
-        assert!(
-            !findings.is_empty(),
-            "{name}: expected at least one `{rule}` finding, got none"
-        );
-        for f in &findings {
-            assert_eq!(
-                f.rule, rule,
-                "{name}: stray `{}` finding (expected only `{rule}`): {f}",
-                f.rule
-            );
-        }
+    for &(name, rule, lines) in BAD {
+        let got: Vec<(usize, &str)> = lint_file(load_fixture(name))
+            .iter()
+            .map(|f| (f.line, f.rule))
+            .collect();
+        let want: Vec<(usize, &str)> = lines.iter().map(|&l| (l, rule)).collect();
+        assert_eq!(got, want, "{name}: findings differ from the pinned set");
     }
 }
 
@@ -102,19 +98,15 @@ fn good_fixtures_are_clean() {
 
 #[test]
 fn every_rule_has_bad_and_good_coverage() {
-    let ids: Vec<&str> = libra_lint::all_rules()
-        .iter()
-        .map(|r| r.id())
-        .chain(libra_lint::workspace_rules().iter().map(|r| r.id()))
-        .collect();
-    for id in ids {
+    for rule in libra_lint::all_rules() {
+        let id = rule.id();
         assert!(
-            BAD.iter().any(|&(_, r)| r == id),
+            BAD.iter().any(|&(_, r, _)| r == id),
             "rule `{id}` has no bad fixture"
         );
     }
     // Fixture lists stay in sync with the files actually on disk.
-    for name in BAD.iter().map(|&(n, _)| n).chain(GOOD.iter().copied()) {
+    for name in BAD.iter().map(|&(n, _, _)| n).chain(GOOD.iter().copied()) {
         assert!(
             fixtures_dir().join(name).is_file(),
             "fixture listed but missing on disk: {name}"
